@@ -15,9 +15,7 @@ from .basis import (
     SamplingGrid,
     basis_fn,
     evaluate_signal,
-    lambda_n,
     log_binomial,
-    log_lambda,
     overlap,
     sample_signal,
 )
@@ -26,7 +24,6 @@ from .bandlimited import (
     fourier_coefficients,
     frame_matrix,
     reconstruct_bandlimited,
-    resolution_diagonal,
     sample_space_projector,
     sinc_kernel,
 )
@@ -60,7 +57,6 @@ from .validation import (
     EigenvalueCrossCheckError,
     NotFittedError,
     NumericalRangeError,
-    QuadratureError,
 )
 
 __version__ = "0.1.0"
@@ -71,16 +67,13 @@ __all__ = [
     "SamplingGrid",
     "basis_fn",
     "evaluate_signal",
-    "lambda_n",
     "log_binomial",
-    "log_lambda",
     "overlap",
     "sample_signal",
     "FrameMatrix",
     "frame_matrix",
     "fourier_coefficients",
     "reconstruct_bandlimited",
-    "resolution_diagonal",
     "sample_space_projector",
     "sinc_kernel",
     "CirculantKernel",
@@ -111,6 +104,5 @@ __all__ = [
     "EigenvalueCrossCheckError",
     "NotFittedError",
     "NumericalRangeError",
-    "QuadratureError",
     "__version__",
 ]

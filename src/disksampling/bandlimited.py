@@ -18,20 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DiskSignal, ResolutionSpectrum, SamplingGrid, evaluate_signal
+from .basis import DiskSignal, ResolutionSpectrum, SamplingGrid, _pointwise, evaluate_signal
 from .validation import (
     CONDITION_LIMIT,
-    as_disk_points,
     as_samples,
     check_band_limit,
-    check_index,
+    check_grid_index,
     check_twice_s,
 )
 
 __all__ = [
     "FrameMatrix",
     "frame_matrix",
-    "resolution_diagonal",
     "sinc_kernel",
     "reconstruct_bandlimited",
     "fourier_coefficients",
@@ -94,11 +92,6 @@ def frame_matrix(twice_s: int, grid: SamplingGrid, band_limit: int) -> FrameMatr
     return FrameMatrix(twice_s=twice_s, grid=grid, band_limit=band_limit, log_lambda=logs)
 
 
-def resolution_diagonal(fm: FrameMatrix) -> np.ndarray:
-    """Diagonal of T*T, i.e. the eigenvalues lambda_0..lambda_M."""
-    return fm.lambdas
-
-
 def sinc_kernel(fm: FrameMatrix, k: int, z):
     """Interpolating kernel through which reconstruction proceeds:
 
@@ -107,26 +100,23 @@ def sinc_kernel(fm: FrameMatrix, k: int, z):
     At the grid points, Xi_k(z_l) is the (l, k) entry of the sample-space
     projector: the Kronecker delta at critical sampling N = M+1.
     """
-    k = check_index(k, "k")
     n = fm.n_samples
-    if k >= n:
-        raise ValueError(f"grid index k must satisfy 0 <= k < {n}, got {k}")
-    z_arr = as_disk_points(z)
-    z_flat = np.atleast_1d(z_arr)
+    k = check_grid_index(k, n)
     r = fm.grid.radius
     s = fm.twice_s / 2.0
-    mod2 = z_flat.real * z_flat.real + z_flat.imag * z_flat.imag
-    prefactor = np.exp(s * (np.log1p(-mod2) - np.log1p(-r * r))) / n
-    ratio = np.conj(z_flat) * np.exp(2j * np.pi * k / n) / r
-    acc = np.ones_like(ratio)
-    term = np.ones_like(ratio)
-    for _ in range(fm.band_limit):
-        term = term * ratio
-        acc = acc + term
-    out = prefactor * acc
-    if np.isscalar(z) or z_arr.ndim == 0:
-        return complex(out[0])
-    return out.reshape(z_arr.shape)
+
+    def values(z_flat):
+        mod2 = z_flat.real * z_flat.real + z_flat.imag * z_flat.imag
+        prefactor = np.exp(s * (np.log1p(-mod2) - np.log1p(-r * r))) / n
+        ratio = np.conj(z_flat) * np.exp(2j * np.pi * k / n) / r
+        acc = np.ones_like(ratio)
+        term = np.ones_like(ratio)
+        for _ in range(fm.band_limit):
+            term = term * ratio
+            acc = acc + term
+        return prefactor * acc
+
+    return _pointwise(values, z)
 
 
 def fourier_coefficients(fm: FrameMatrix, samples) -> np.ndarray:

@@ -16,10 +16,10 @@ where the diagonal resolution eigenvalues are
     lambda_n = N * (1-r^2)^(2s) * binom(2s+n-1, n) * r^(2n).
 
 Everything is evaluated in the log domain where magnitudes can degenerate:
-binomials through the log-gamma function, lambda_n as ``log_lambda`` and
-only exponentiated on demand.  The non-analytic prefactor (1-|z|^2)^s is
-kept inside the basis functions; the integration measure is never
-reweighted (see README).
+binomials through the log-gamma function, lambda_n through
+``ResolutionSpectrum.log_values`` and only exponentiated on demand.  The
+non-analytic prefactor (1-|z|^2)^s is kept inside the basis functions; the
+integration measure is never reweighted (see README).
 
 All functions here are pure and operate on immutable values, so they are
 safe to call concurrently.
@@ -48,8 +48,6 @@ __all__ = [
     "log_binomial",
     "basis_fn",
     "overlap",
-    "log_lambda",
-    "lambda_n",
     "evaluate_signal",
     "sample_signal",
 ]
@@ -161,20 +159,6 @@ class ResolutionSpectrum:
         return vals if isinstance(n, np.ndarray) else float(vals)
 
 
-def log_lambda(twice_s: int, grid: SamplingGrid, n) -> np.ndarray | float:
-    """Log of lambda_n = N (1-r^2)^(2s) binom(2s+n-1, n) r^(2n)."""
-    return ResolutionSpectrum(twice_s, grid).log_values(n)
-
-
-def lambda_n(twice_s: int, grid: SamplingGrid, n) -> np.ndarray | float:
-    """Resolution eigenvalue lambda_n, exponentiated from the log domain.
-
-    Raises :class:`NumericalRangeError` (log value retained) when the linear
-    value cannot be represented as a positive double.
-    """
-    return ResolutionSpectrum(twice_s, grid).values(n)
-
-
 def _basis_values(twice_s: int, m: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Broadcast evaluation of U_m(z); inputs already validated."""
     mod2 = z.real * z.real + z.imag * z.imag
@@ -232,16 +216,28 @@ def overlap(twice_s: int, z, w):
     return out
 
 
+def _pointwise(values, z):
+    """Apply ``values`` to the validated query point(s) z, keeping z's shape.
+
+    ``values`` maps the flattened 1-d point array to one complex value per
+    point; a scalar ``z`` gives a Python complex.
+    """
+    z_arr = as_disk_points(z)
+    out = values(z_arr.ravel())
+    if np.isscalar(z) or z_arr.ndim == 0:
+        return complex(out[0])
+    return out.reshape(z_arr.shape)
+
+
 def evaluate_signal(signal: DiskSignal, z):
     """Pointwise value sum_m a_m U_m(z) of a finite-coefficient signal."""
-    z_arr = as_disk_points(z)
-    z_flat = np.atleast_1d(z_arr)
-    m = np.arange(len(signal))
-    basis = _basis_values(signal.twice_s, m[:, np.newaxis], z_flat[np.newaxis, :])
-    vals = basis.T @ signal.coefficients
-    if np.isscalar(z) or z_arr.ndim == 0:
-        return complex(vals[0])
-    return vals.reshape(z_arr.shape)
+    m = np.arange(len(signal))[:, np.newaxis]
+
+    def values(z_flat):
+        basis = _basis_values(signal.twice_s, m, z_flat[np.newaxis, :])
+        return basis.T @ signal.coefficients
+
+    return _pointwise(values, z)
 
 
 def sample_signal(signal: DiskSignal, grid: SamplingGrid) -> np.ndarray:

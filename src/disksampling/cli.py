@@ -3,12 +3,10 @@
 Commands emit plot-ready CSV or JSON tables with fixed formatting (17
 significant digits, '.' decimal separator, '\\n' line endings), so identical
 inputs produce byte-identical outputs for a given numpy build and CPU; numpy's
-vectorised math and BLAS may differ in the last bit between builds.  The
-hidden ``fixtures`` command computes in mpmath and is byte-identical on every
-platform.  Output files are written to a temporary name and atomically
-renamed; a failing command never leaves a partial file behind.  Diagnostics
-(the active series-truncation tolerance, conditioning warnings) go to stderr
-only.
+vectorised math and BLAS may differ in the last bit between builds.  Output
+files are written to a temporary name and atomically renamed; a failing
+command never leaves a partial file behind.  Diagnostics (the active
+series-truncation tolerance, conditioning warnings) go to stderr only.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure.
 """
@@ -27,14 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from . import bandlimited as bl
-from . import oracle
 from . import undersampled as us
 from .basis import DiskSignal, SamplingGrid, sample_signal
 from .validation import (
     CONDITION_LIMIT,
     SERIES_TOL_ENV,
     as_disk_points,
-    check_band_limit,
     check_twice_s,
     series_tolerance,
 )
@@ -42,8 +38,6 @@ from .validation import (
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
-
-_VISIBLE_COMMANDS = "{grid,synthesize,reconstruct,dft,error-analysis,critical-radius}"
 
 
 def _diag(message: str) -> None:
@@ -62,6 +56,11 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")
+
+
+def _complex_rows(values) -> list[tuple]:
+    """Rows (index, real part, imaginary part) of a complex vector."""
+    return [(k, v.real, v.imag) for k, v in enumerate(values)]
 
 
 def _render_table(columns: list[str], rows: list[tuple], fmt: str) -> str:
@@ -100,7 +99,8 @@ def _write_output(path: str | None, text: str) -> None:
         raise
 
 
-def _read_signal(path: str) -> DiskSignal:
+def _read_signal(path: str, twice_s_flag: int | None) -> DiskSignal:
+    """Read a signal file; a given ``--twice-s`` must match the file's."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -116,7 +116,12 @@ def _read_signal(path: str) -> DiskSignal:
         raise ValueError(f"signal file {path} must hold twice_s and [re, im] pairs") from exc
     if coeffs.size == 0:
         raise ValueError(f"signal file {path} has an empty coefficient list")
-    return DiskSignal(twice_s, coeffs)
+    signal = DiskSignal(twice_s, coeffs)
+    if twice_s_flag is not None and check_twice_s(twice_s_flag) != signal.twice_s:
+        raise ValueError(
+            f"--twice-s {twice_s_flag} does not match signal file twice_s {signal.twice_s}"
+        )
+    return signal
 
 
 def _read_table(path: str) -> tuple[list[str], list[list[str]]]:
@@ -177,31 +182,36 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     return [int(v) for v in _parse_float_list(text, flag)]
 
 
-def _check_conditioning(condition_number: float) -> None:
-    if condition_number > CONDITION_LIMIT:
+def _operator(args, grid: SamplingGrid):
+    """The frame (bandlimited mode) or kernel (undersampled mode) for ``--mode``.
+
+    Ill-conditioning is reported on stderr.
+    """
+    if args.mode == "bandlimited":
+        if args.band_limit is None:
+            raise ValueError("bandlimited mode requires --band-limit")
+        operator = bl.frame_matrix(args.twice_s, grid, args.band_limit)
+    else:
+        operator = us.overlap_kernel(args.twice_s, grid)
+    if operator.is_ill_conditioned:
         _diag(
-            f"warning: condition number {condition_number:.3e} exceeds "
+            f"warning: condition number {operator.condition_number:.3e} exceeds "
             f"{CONDITION_LIMIT:.0e}; results may be inaccurate"
         )
+    return operator
 
 
 def cmd_grid(args) -> int:
     grid = SamplingGrid(args.r, args.n)
-    points = grid.points
-    rows = [(k, points[k].real, points[k].imag) for k in range(grid.n_samples)]
+    rows = _complex_rows(grid.points)
     _write_output(args.output, _render_table(["k", "re", "im"], rows, args.format))
     return EXIT_OK
 
 
 def cmd_synthesize(args) -> int:
-    signal = _read_signal(args.input)
-    if args.twice_s is not None and check_twice_s(args.twice_s) != signal.twice_s:
-        raise ValueError(
-            f"--twice-s {args.twice_s} does not match signal file twice_s {signal.twice_s}"
-        )
+    signal = _read_signal(args.input, args.twice_s)
     grid = SamplingGrid(args.r, args.n)
-    values = sample_signal(signal, grid)
-    rows = [(k, values[k].real, values[k].imag) for k in range(grid.n_samples)]
+    rows = _complex_rows(sample_signal(signal, grid))
     _write_output(args.output, _render_table(["k", "re", "im"], rows, args.format))
     return EXIT_OK
 
@@ -210,27 +220,20 @@ def cmd_reconstruct(args) -> int:
     grid = SamplingGrid(args.r, args.n)
     samples = _read_samples(args.input, grid.n_samples)
     points = _read_points(args.points)
+    operator = _operator(args, grid)
     if args.mode == "bandlimited":
-        if args.band_limit is None:
-            raise ValueError("bandlimited mode requires --band-limit")
-        band_limit = check_band_limit(args.band_limit, n_samples=grid.n_samples)
-        frame = bl.frame_matrix(args.twice_s, grid, band_limit)
-        _check_conditioning(frame.condition_number)
-        values = np.atleast_1d(bl.reconstruct_bandlimited(frame, samples, points))
+        values = np.atleast_1d(bl.reconstruct_bandlimited(operator, samples, points))
     else:
-        kernel = us.overlap_kernel(args.twice_s, grid)
-        _check_conditioning(kernel.condition_number)
-        values = np.atleast_1d(us.partial_reconstruct(kernel, samples, points))
+        values = np.atleast_1d(us.partial_reconstruct(operator, samples, points))
         if args.n_max is not None:
             if args.output is None:
                 raise ValueError("--n-max requires --output (coefficients go to a sibling file)")
-            ahat = us.dft_coefficients(kernel, samples, args.n_max)
-            coeff_rows = [(n, ahat[n].real, ahat[n].imag) for n in range(args.n_max + 1)]
+            ahat = us.dft_coefficients(operator, samples, args.n_max)
             _write_output(
                 f"{args.output}.ahat.{args.format}",
-                _render_table(["n", "re", "im"], coeff_rows, args.format),
+                _render_table(["n", "re", "im"], _complex_rows(ahat), args.format),
             )
-    rows = [(k, values[k].real, values[k].imag) for k in range(values.size)]
+    rows = _complex_rows(values)
     _write_output(args.output, _render_table(["k", "re", "im"], rows, args.format))
     return EXIT_OK
 
@@ -238,23 +241,14 @@ def cmd_reconstruct(args) -> int:
 def cmd_dft(args) -> int:
     grid = SamplingGrid(args.r, args.n)
     samples = _read_samples(args.input, grid.n_samples)
+    operator = _operator(args, grid)
     if args.mode == "bandlimited":
-        if args.band_limit is None:
-            raise ValueError("bandlimited mode requires --band-limit")
-        band_limit = check_band_limit(args.band_limit, n_samples=grid.n_samples)
-        frame = bl.frame_matrix(args.twice_s, grid, band_limit)
-        _check_conditioning(frame.condition_number)
-        coeffs = bl.fourier_coefficients(frame, samples)
-        rows = [(m, coeffs[m].real, coeffs[m].imag) for m in range(band_limit + 1)]
-        text = _render_table(["m", "re", "im"], rows, args.format)
+        coeffs = bl.fourier_coefficients(operator, samples)
+        text = _render_table(["m", "re", "im"], _complex_rows(coeffs), args.format)
     else:
-        kernel = us.overlap_kernel(args.twice_s, grid)
-        _check_conditioning(kernel.condition_number)
         n_max = args.n_max if args.n_max is not None else grid.n_samples - 1
-        ahat = us.dft_coefficients(kernel, samples, n_max)
-        idx = np.arange(n_max + 1)
-        log_lam = np.asarray(kernel.spectrum.log_values(idx), dtype=np.float64)
-        rescaled = ahat * np.exp(np.log(kernel.eigenvalues[idx % grid.n_samples]) - log_lam)
+        ahat = us.dft_coefficients(operator, samples, n_max)
+        rescaled = ahat * us._undo_filter(operator, n_max)
         rows = [
             (n, ahat[n].real, ahat[n].imag, rescaled[n].real, rescaled[n].imag)
             for n in range(n_max + 1)
@@ -267,11 +261,7 @@ def cmd_dft(args) -> int:
 
 
 def cmd_error_analysis(args) -> int:
-    signal = _read_signal(args.input)
-    if args.twice_s is not None and check_twice_s(args.twice_s) != signal.twice_s:
-        raise ValueError(
-            f"--twice-s {args.twice_s} does not match signal file twice_s {signal.twice_s}"
-        )
+    signal = _read_signal(args.input, args.twice_s)
     r_values = _parse_float_list(args.sweep_r, "--sweep-r") if args.sweep_r else [args.r]
     n_values = _parse_int_list(args.sweep_n, "--sweep-n") if args.sweep_n else [args.n]
     if any(v is None for v in r_values) or any(v is None for v in n_values):
@@ -320,17 +310,6 @@ def cmd_critical_radius(args) -> int:
     return EXIT_OK
 
 
-def cmd_fixtures(args) -> int:
-    """Hidden: regenerate the oracle reference fixtures used by the test suite.
-
-    Every stored value comes from the oracle in mpmath, rounded to double once,
-    so the file is byte-identical on every platform.
-    """
-    data = oracle.reference_values(args.seed)
-    _write_output(args.output, json.dumps(data, indent=2) + "\n")
-    return EXIT_OK
-
-
 def _add_io_flags(sub, with_input=True):
     if with_input:
         sub.add_argument("--input", required=True, help="input file path")
@@ -343,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="disksampling",
         description="Sampling, reconstruction and DFT for signals on the hyperbolic disk.",
     )
-    sub = parser.add_subparsers(dest="command", metavar=_VISIBLE_COMMANDS, required=True)
+    sub = parser.add_subparsers(required=True)
 
     grid = sub.add_parser("grid", help="emit the ring sampling points")
     grid.add_argument("--r", type=float, required=True, help="ring radius in (0,1)")
@@ -397,11 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
     crit.add_argument("--r-max", type=float, default=0.999)
     _add_io_flags(crit, with_input=False)
     crit.set_defaults(func=cmd_critical_radius)
-
-    fixtures = sub.add_parser("fixtures")
-    fixtures.add_argument("--seed", type=int, default=20240601)
-    _add_io_flags(fixtures, with_input=False)
-    fixtures.set_defaults(func=cmd_fixtures)
 
     return parser
 

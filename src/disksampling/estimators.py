@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bandlimited as bl
 from . import undersampled as us
-from .basis import DiskSignal, SamplingGrid
+from .basis import DiskSignal, SamplingGrid, evaluate_signal
 from .validation import NotFittedError, as_samples
 
 __all__ = ["BandlimitedReconstructor", "PartialReconstructor"]
@@ -81,23 +81,17 @@ class BandlimitedReconstructor(_ParamsMixin):
         self.n_samples = n_samples
         self.band_limit = band_limit
 
-    def _frame(self) -> bl.FrameMatrix:
-        grid = SamplingGrid(self.radius, self.n_samples)
-        return bl.frame_matrix(self.twice_s, grid, self.band_limit)
-
     def fit(self, samples, y=None):
-        frame = self._frame()
-        values = as_samples(samples, frame.n_samples)
+        grid = SamplingGrid(self.radius, self.n_samples)
+        frame = bl.frame_matrix(self.twice_s, grid, self.band_limit)
         self.frame_ = frame
-        self.coefficients_ = bl.fourier_coefficients(frame, values)
+        self.coefficients_ = bl.fourier_coefficients(frame, samples)
         self.signal_ = DiskSignal(frame.twice_s, self.coefficients_)
         self.condition_number_ = frame.condition_number
         return self
 
     def predict(self, points) -> np.ndarray:
         self._check_fitted("signal_")
-        from .basis import evaluate_signal
-
         return evaluate_signal(self.signal_, points)
 
 

@@ -37,6 +37,7 @@ from .basis import (
     DiskSignal,
     ResolutionSpectrum,
     SamplingGrid,
+    _pointwise,
     log_binomial,
     overlap,
 )
@@ -45,9 +46,9 @@ from .validation import (
     ConditioningWarning,
     EigenvalueCrossCheckError,
     NumericalRangeError,
-    as_disk_points,
     as_samples,
     check_band_limit,
+    check_grid_index,
     check_index,
     check_twice_s,
     series_tolerance,
@@ -120,9 +121,7 @@ class CirculantKernel:
 
     def dense(self) -> np.ndarray:
         """Assemble the dense N x N Gram matrix from the circulant row."""
-        n = self.n_samples
-        idx = (np.arange(n)[np.newaxis, :] - np.arange(n)[:, np.newaxis]) % n
-        return self.first_row[idx]
+        return _circulant(self.first_row)
 
 
 @dataclass(frozen=True)
@@ -156,6 +155,12 @@ class RadiusEstimate:
     clamped: bool
 
 
+def _circulant(row: np.ndarray) -> np.ndarray:
+    """Dense N x N circulant matrix with entry [k, l] = row[(l - k) mod N]."""
+    n = row.size
+    return row[(np.arange(n)[np.newaxis, :] - np.arange(n)[:, np.newaxis]) % n]
+
+
 def _first_row(twice_s: int, grid: SamplingGrid) -> np.ndarray:
     r2 = grid.radius * grid.radius
     ang = grid.angles
@@ -163,31 +168,41 @@ def _first_row(twice_s: int, grid: SamplingGrid) -> np.ndarray:
     return base**twice_s
 
 
-def _eigenvalues_series(twice_s: int, grid: SamplingGrid, tol: float) -> np.ndarray:
-    """lhat_j = sum_q lambda_{j+qN}, truncated under the global policy.
+def _series_sum(log_terms, tol: float, name: str) -> np.ndarray:
+    """Row sums of positive series, truncated under the global policy.
 
-    Terms are positive with eventually decreasing ratios (limit r^(2N)), so a
-    geometric majorant built from the last observed ratio bounds the tail.
+    ``log_terms`` maps a block of term indices q = 0, 1, ... to the
+    rows x block array of log-terms.  Terms are positive with eventually
+    decreasing ratios, so a geometric majorant built from the last observed
+    ratio bounds the tail.  Every series in this module is summed here.
     """
+    total = 0.0
+    for block in range(_MAX_SERIES_BLOCKS):
+        q = np.arange(block * _SERIES_BLOCK, (block + 1) * _SERIES_BLOCK)
+        terms = np.exp(log_terms(q))
+        total = total + terms.sum(axis=1)
+        # Per-row tests on Python floats: numpy's per-call overhead would
+        # dominate the one-row series that alias_error sums per residue class.
+        last, prev, bound = terms[:, -1].tolist(), terms[:, -2].tolist(), (tol * total).tolist()
+        if not any(last) or all(map(_tail_negligible, last, prev, bound)):
+            break
+    else:
+        raise EigenvalueCrossCheckError(f"{name} series failed to terminate")
+    return total
+
+
+def _tail_negligible(last: float, prev: float, bound: float) -> bool:
+    """Both the last term and its geometric-majorant tail lie below ``bound``."""
+    ratio = last / prev if prev > 0.0 else 0.0
+    return ratio < 1.0 and last < bound and last * ratio / (1.0 - ratio) < bound
+
+
+def _eigenvalues_series(twice_s: int, grid: SamplingGrid, tol: float) -> np.ndarray:
+    """lhat_j = sum_q lambda_{j+qN}; the ratios tend to r^(2N)."""
     n = grid.n_samples
     spectrum = ResolutionSpectrum(twice_s, grid)
     j = np.arange(n)[:, np.newaxis]
-    total = np.zeros(n)
-    for block in range(_MAX_SERIES_BLOCKS):
-        q = np.arange(block * _SERIES_BLOCK, (block + 1) * _SERIES_BLOCK)[np.newaxis, :]
-        terms = np.exp(spectrum.log_values(j + q * n))
-        total += terms.sum(axis=1)
-        last, prev = terms[:, -1], terms[:, -2]
-        if np.all(last == 0.0):
-            break
-        ratio = np.where(prev > 0.0, last / prev, 0.0)
-        if np.all(ratio < 1.0):
-            tail_bound = last * ratio / (1.0 - ratio)
-            if np.all(last < tol * total) and np.all(tail_bound < tol * total):
-                break
-    else:
-        raise EigenvalueCrossCheckError("eigenvalue series failed to terminate")
-    return total
+    return _series_sum(lambda q: spectrum.log_values(j + q * n), tol, "eigenvalue")
 
 
 def _eigenvalues_dft(twice_s: int, grid: SamplingGrid) -> tuple[np.ndarray, float]:
@@ -272,10 +287,7 @@ def invert_kernel(kernel: CirculantKernel) -> np.ndarray:
             ConditioningWarning,
             stacklevel=2,
         )
-    n = kernel.n_samples
-    g = np.fft.ifft(1.0 / kernel.eigenvalues)
-    idx = (np.arange(n)[np.newaxis, :] - np.arange(n)[:, np.newaxis]) % n
-    return g[idx]
+    return _circulant(_inverse_row(kernel))
 
 
 def dual_weights(kernel: CirculantKernel, samples) -> np.ndarray:
@@ -284,10 +296,17 @@ def dual_weights(kernel: CirculantKernel, samples) -> np.ndarray:
     return np.fft.fft(np.fft.ifft(values) / kernel.eigenvalues)
 
 
-def _inverse_column(kernel: CirculantKernel, k: int) -> np.ndarray:
-    n = kernel.n_samples
-    g = np.fft.ifft(1.0 / kernel.eigenvalues)
-    return g[(k - np.arange(n)) % n]
+def _inverse_row(kernel: CirculantKernel) -> np.ndarray:
+    """First row g of the circulant B^-1: (B^-1)[l, k] = g[(k - l) mod N]."""
+    return np.fft.ifft(1.0 / kernel.eigenvalues)
+
+
+def _coherent_sum(kernel: CirculantKernel, weights: np.ndarray, z):
+    """sum_l weights_l <z|z_l> over the sampled coherent states, at point(s) z."""
+    points = kernel.grid.points[np.newaxis, :]
+    return _pointwise(
+        lambda z_flat: overlap(kernel.twice_s, z_flat[:, np.newaxis], points) @ weights, z
+    )
 
 
 def dual_sinc_kernel(kernel: CirculantKernel, k: int, z):
@@ -297,18 +316,9 @@ def dual_sinc_kernel(kernel: CirculantKernel, k: int, z):
     the production route; :func:`dual_sinc_series` evaluates the equivalent
     residue-class series as a cross-check.
     """
-    k = check_index(k, "k")
     n = kernel.n_samples
-    if k >= n:
-        raise ValueError(f"grid index k must satisfy 0 <= k < {n}, got {k}")
-    z_arr = as_disk_points(z)
-    z_flat = np.atleast_1d(z_arr)
-    column = _inverse_column(kernel, k)
-    gram = overlap(kernel.twice_s, z_flat[:, np.newaxis], kernel.grid.points[np.newaxis, :])
-    out = gram @ column
-    if np.isscalar(z) or z_arr.ndim == 0:
-        return complex(out[0])
-    return out.reshape(z_arr.shape)
+    k = check_grid_index(k, n)
+    return _coherent_sum(kernel, _inverse_row(kernel)[(k - np.arange(n)) % n], z)
 
 
 def dual_sinc_series(kernel: CirculantKernel, k: int, z):
@@ -319,28 +329,25 @@ def dual_sinc_series(kernel: CirculantKernel, k: int, z):
     which removes all truncation error.  Kept as an independent check of
     :func:`dual_sinc_kernel`.
     """
-    k = check_index(k, "k")
     n = kernel.n_samples
-    if k >= n:
-        raise ValueError(f"grid index k must satisfy 0 <= k < {n}, got {k}")
-    z_arr = as_disk_points(z)
-    z_flat = np.atleast_1d(z_arr)
+    k = check_grid_index(k, n)
     r = kernel.grid.radius
     s = kernel.twice_s / 2.0
-    # u = r^2 * conj(z)/conj(z_k); |u| = r|z| < 1 keeps the sectioned sum exact.
-    u = r * np.conj(z_flat) * np.exp(2j * np.pi * k / n)
-    roots = np.exp(2j * np.pi * np.arange(n) / n)
-    base = (1.0 - roots[:, np.newaxis] * u[np.newaxis, :]) ** (-kernel.twice_s)
-    section_weights = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / n
-    sections = section_weights @ base
-    mod2 = z_flat.real * z_flat.real + z_flat.imag * z_flat.imag
-    prefactor = np.exp(
-        s * (np.log1p(-mod2) - np.log1p(-r * r)) + kernel.twice_s * np.log1p(-r * r)
-    )
-    out = prefactor * ((1.0 / kernel.eigenvalues) @ sections)
-    if np.isscalar(z) or z_arr.ndim == 0:
-        return complex(out[0])
-    return out.reshape(z_arr.shape)
+
+    def values(z_flat):
+        # u = r^2 * conj(z)/conj(z_k); |u| = r|z| < 1 keeps the sectioned sum exact.
+        u = r * np.conj(z_flat) * np.exp(2j * np.pi * k / n)
+        roots = np.exp(2j * np.pi * np.arange(n) / n)
+        base = (1.0 - roots[:, np.newaxis] * u[np.newaxis, :]) ** (-kernel.twice_s)
+        section_weights = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / n
+        sections = section_weights @ base
+        mod2 = z_flat.real * z_flat.real + z_flat.imag * z_flat.imag
+        prefactor = np.exp(
+            s * (np.log1p(-mod2) - np.log1p(-r * r)) + kernel.twice_s * np.log1p(-r * r)
+        )
+        return prefactor * ((1.0 / kernel.eigenvalues) @ sections)
+
+    return _pointwise(values, z)
 
 
 def partial_reconstruct(kernel: CirculantKernel, samples, z):
@@ -349,14 +356,7 @@ def partial_reconstruct(kernel: CirculantKernel, samples, z):
     The alias is the orthogonal projection of the signal onto the span of the
     N sampled coherent states; it interpolates the samples exactly.
     """
-    weights = dual_weights(kernel, samples)
-    z_arr = as_disk_points(z)
-    z_flat = np.atleast_1d(z_arr)
-    gram = overlap(kernel.twice_s, z_flat[:, np.newaxis], kernel.grid.points[np.newaxis, :])
-    out = gram @ weights
-    if np.isscalar(z) or z_arr.ndim == 0:
-        return complex(out[0])
-    return out.reshape(z_arr.shape)
+    return _coherent_sum(kernel, dual_weights(kernel, samples), z)
 
 
 def dft_coefficients(kernel: CirculantKernel, samples, n_max: int) -> np.ndarray:
@@ -392,10 +392,14 @@ def rescale_truncate(kernel: CirculantKernel, dft_coeffs, band_limit: int) -> Di
         raise ValueError(
             f"need at least {band_limit + 1} alias coefficients, got shape {coeffs.shape}"
         )
-    idx = np.arange(band_limit + 1)
+    return DiskSignal(kernel.twice_s, _undo_filter(kernel, band_limit) * coeffs[: band_limit + 1])
+
+
+def _undo_filter(kernel: CirculantKernel, n_max: int) -> np.ndarray:
+    """lhat_{n mod N} / lambda_n for n = 0..n_max, the inverse of the DFT filter."""
+    idx = np.arange(n_max + 1)
     log_lam = np.asarray(kernel.spectrum.log_values(idx), dtype=np.float64)
-    ratio = np.exp(np.log(kernel.eigenvalues[idx]) - log_lam)
-    return DiskSignal(kernel.twice_s, ratio * coeffs[: band_limit + 1])
+    return np.exp(np.log(kernel.eigenvalues[idx % kernel.n_samples]) - log_lam)
 
 
 def projector_element(kernel: CirculantKernel, m: int, n: int) -> float:
@@ -426,31 +430,20 @@ def tail_excess(kernel: CirculantKernel, n) -> np.ndarray | float:
     n_arr = np.atleast_1d(np.asarray(n))
     if np.any(n_arr < 0) or np.any(n_arr >= kernel.n_samples):
         raise ValueError(f"n must satisfy 0 <= n < {kernel.n_samples}")
-    tol = series_tolerance()
     n_s = kernel.n_samples
     log_r2n = 2.0 * n_s * np.log(kernel.grid.radius)
     base = log_binomial(kernel.twice_s, n_arr.astype(np.float64))
     col = n_arr[:, np.newaxis]
-    total = np.zeros(n_arr.shape[0])
-    for block in range(_MAX_SERIES_BLOCKS):
-        u = np.arange(1 + block * _SERIES_BLOCK, 1 + (block + 1) * _SERIES_BLOCK)
-        logs = (
-            log_binomial(kernel.twice_s, (col + u[np.newaxis, :] * n_s).astype(np.float64))
+
+    def log_terms(q):
+        u = q + 1
+        return (
+            log_binomial(kernel.twice_s, (col + u * n_s).astype(np.float64))
             - base[:, np.newaxis]
-            + u[np.newaxis, :] * log_r2n
+            + u * log_r2n
         )
-        terms = np.exp(logs)
-        total += terms.sum(axis=1)
-        last, prev = terms[:, -1], terms[:, -2]
-        if np.all(last == 0.0):
-            break
-        ratio = np.where(prev > 0.0, last / prev, 0.0)
-        if np.all(ratio < 1.0):
-            tail_bound = last * ratio / (1.0 - ratio)
-            if np.all(last < tol * total) and np.all(tail_bound < tol * total):
-                break
-    else:
-        raise EigenvalueCrossCheckError("tail-excess series failed to terminate")
+
+    total = _series_sum(log_terms, series_tolerance(), "tail-excess")
     if np.ndim(n) == 0:
         return float(total[0])
     return total
@@ -471,21 +464,12 @@ def _lambda_tail_from(kernel: CirculantKernel, start: int) -> float:
     """sum_{q} lambda_{start + qN}, the spectrum mass at and above ``start``."""
     spectrum = kernel.spectrum
     n = kernel.n_samples
-    tol = series_tolerance()
-    total = 0.0
-    for block in range(_MAX_SERIES_BLOCKS):
-        q = block * _SERIES_BLOCK + np.arange(_SERIES_BLOCK)
-        terms = np.exp(np.asarray(spectrum.log_values(start + q * n), dtype=np.float64))
-        total += float(terms.sum())
-        last, prev = terms[-1], terms[-2]
-        if last == 0.0:
-            break
-        ratio = last / prev if prev > 0.0 else 0.0
-        if ratio < 1.0 and last < tol * total and last * ratio / (1.0 - ratio) < tol * total:
-            break
-    else:
-        raise EigenvalueCrossCheckError("lambda tail series failed to terminate")
-    return total
+    total = _series_sum(
+        lambda q: spectrum.log_values(start + q[np.newaxis, :] * n),
+        series_tolerance(),
+        "lambda tail",
+    )
+    return float(total[0])
 
 
 def alias_error(kernel: CirculantKernel, signal: DiskSignal) -> float:
@@ -502,7 +486,8 @@ def alias_error(kernel: CirculantKernel, signal: DiskSignal) -> float:
     full relative precision even when the error is many orders below the
     signal norm (forming ||psi||^2 - <psi|P|psi> directly would cancel
     catastrophically there).  Zero exactly when psi lies in the span of the N
-    sampled coherent states.
+    sampled coherent states.  Raises :class:`NumericalRangeError` naming the
+    class j, with the log of S_j (S_j + T_j), when that product underflows.
     """
     if signal.twice_s != kernel.twice_s:
         raise ValueError(
@@ -522,7 +507,16 @@ def alias_error(kernel: CirculantKernel, signal: DiskSignal) -> float:
         cross = x[:, np.newaxis] * v[np.newaxis, :] - x[np.newaxis, :] * v[:, np.newaxis]
         pair_sum = 0.5 * float(np.sum(np.abs(cross) ** 2))
         tail = _lambda_tail_from(kernel, j + v.size * n)
-        error_sq += pair_sum / stored + abs(w) ** 2 * tail / (stored * (stored + tail))
+        denominator = stored * (stored + tail)
+        if denominator == 0.0:
+            log_stored = float(logsumexp(log_lam[j::n]))
+            with np.errstate(divide="ignore"):
+                log_value = log_stored + float(np.logaddexp(log_stored, np.log(tail)))
+            raise NumericalRangeError(
+                f"S_j (S_j + T_j) of residue class j={j} underflows double precision",
+                log_value=log_value,
+            )
+        error_sq += pair_sum / stored + abs(w) ** 2 * tail / denominator
     return float(np.sqrt(error_sq))
 
 

@@ -36,14 +36,6 @@ class EigenvalueCrossCheckError(RuntimeError):
     """
 
 
-class QuadratureError(RuntimeError):
-    """Numerical quadrature did not converge; ``estimate`` holds the best value."""
-
-    def __init__(self, message: str, estimate: float):
-        super().__init__(f"{message} (achieved estimate {estimate!r})")
-        self.estimate = estimate
-
-
 class ConditioningWarning(UserWarning):
     """An operator is ill-conditioned; results may lose up to all digits."""
 
@@ -111,6 +103,14 @@ def check_index(n, name: str = "n") -> int:
     value = int(n)
     if value != n or value < 0:
         raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
+    return value
+
+
+def check_grid_index(k, n_samples: int) -> int:
+    """Validate the index k of a ring point, 0 <= k < n_samples."""
+    value = check_index(k, "k")
+    if value >= n_samples:
+        raise ValueError(f"grid index k must satisfy 0 <= k < {n_samples}, got {value}")
     return value
 
 

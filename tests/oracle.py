@@ -9,37 +9,53 @@ Desk scale only (L <= 128, N <= 64); no performance targets.
 The values the test suite stores (:func:`reference_values`) are computed in
 mpmath and rounded to double once.  mpmath is pure Python, so unlike numpy's
 vectorised exp/log, LAPACK and BLAS it gives the same bits on every platform.
+Regenerate the committed reference file from the repository root with
+
+    PYTHONPATH=src python tests/oracle.py > tests/fixtures/oracle_reference.json
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import warnings
 
 import mpmath as mp
 import numpy as np
 
-from .basis import DiskSignal, SamplingGrid, basis_fn, overlap
-from .validation import (
+from disksampling.basis import DiskSignal, SamplingGrid, basis_fn, overlap
+from disksampling.validation import (
     CONDITION_LIMIT,
     ConditioningWarning,
-    QuadratureError,
     check_index,
     check_twice_s,
 )
 
 __all__ = [
+    "QuadratureError",
     "dense_frame",
     "dense_projector",
     "quadrature_basis",
     "quadrature_inner",
     "quadrature_norm",
     "random_signal",
+    "reference_text",
     "reference_values",
 ]
 
 # Decimal working precision of the quadrature and the test signals.
 _WORKDPS = 30
+
+#: Seed of the random signals in the committed reference file.
+REFERENCE_SEED = 20240601
+
+
+class QuadratureError(RuntimeError):
+    """Numerical quadrature did not converge; ``estimate`` holds the best value."""
+
+    def __init__(self, message: str, estimate: float):
+        super().__init__(f"{message} (achieved estimate {estimate!r})")
+        self.estimate = estimate
 
 
 def dense_frame(twice_s: int, grid: SamplingGrid, n_coefficients: int) -> np.ndarray:
@@ -349,3 +365,12 @@ def reference_values(seed: int) -> dict:
         "geometric_signal_head": [[c.real, c.imag] for c in geometric.coefficients[:4]],
         "bandlimited_signal": [[c.real, c.imag] for c in bandlimited.coefficients],
     }
+
+
+def reference_text() -> str:
+    """The exact contents of ``tests/fixtures/oracle_reference.json``."""
+    return json.dumps(reference_values(REFERENCE_SEED), indent=2) + "\n"
+
+
+if __name__ == "__main__":
+    print(reference_text(), end="")

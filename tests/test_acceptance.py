@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import disksampling as ds
-from disksampling import cli, oracle
+from disksampling import cli
+
+import oracle
 
 SWEEP_TWICE_S = (2, 3, 4, 5)
 SWEEP_BAND_LIMITS = tuple(range(9))
@@ -409,7 +411,6 @@ def test_criterion_13_cli_determinism(tmp_path):
         ["error-analysis", "--input", str(signal_path),
          "--r", "0.4", "--n", "3", "--bound-variant", "derived"],
         ["critical-radius", "--twice-s", "2", "--m-list", "1,100", "--r-count", "50"],
-        ["fixtures"],
     ]
     ok = True
     for index, argv in enumerate(commands):

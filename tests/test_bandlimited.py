@@ -62,9 +62,9 @@ class TestFrameMatrix:
 class TestResolutionDiagonal:
     def test_fixtures(self):
         grid = ds.SamplingGrid(0.5, 4)
-        diag = ds.resolution_diagonal(ds.frame_matrix(2, grid, 1))
+        diag = ds.frame_matrix(2, grid, 1).lambdas
         assert np.allclose(diag, [2.25, 1.125], rtol=1e-13)
-        single = ds.resolution_diagonal(ds.frame_matrix(2, ds.SamplingGrid(0.5, 2), 0))
+        single = ds.frame_matrix(2, ds.SamplingGrid(0.5, 2), 0).lambdas
         assert np.allclose(single, [1.125], rtol=1e-13)
 
     def test_gram_is_diagonal(self):

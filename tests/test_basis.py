@@ -141,11 +141,11 @@ class TestOverlap:
 
 class TestSpectrum:
     def test_hand_values(self):
-        grid4 = ds.SamplingGrid(0.5, 4)
-        assert ds.lambda_n(2, grid4, 0) == pytest.approx(2.25, rel=1e-14)
-        assert ds.lambda_n(2, grid4, 1) == pytest.approx(1.125, rel=1e-14)
-        grid2 = ds.SamplingGrid(0.5, 2)
-        assert ds.lambda_n(2, grid2, 2) == pytest.approx(0.2109375, rel=1e-14)
+        spectrum4 = ds.ResolutionSpectrum(2, ds.SamplingGrid(0.5, 4))
+        assert spectrum4.values(0) == pytest.approx(2.25, rel=1e-14)
+        assert spectrum4.values(1) == pytest.approx(1.125, rel=1e-14)
+        spectrum2 = ds.ResolutionSpectrum(2, ds.SamplingGrid(0.5, 2))
+        assert spectrum2.values(2) == pytest.approx(0.2109375, rel=1e-14)
 
     def test_matches_product_formula(self):
         grid = ds.SamplingGrid(0.62, 5)
@@ -170,7 +170,7 @@ class TestSpectrum:
         grid = ds.SamplingGrid(0.7, 6)
         for twice_s in (2, 5):
             for n in (0, 3, 8):
-                lam = ds.lambda_n(twice_s, grid, n)
+                lam = ds.ResolutionSpectrum(twice_s, grid).values(n)
                 mags = np.abs(ds.basis_fn(twice_s, n, grid.points)) ** 2
                 assert np.allclose(grid.n_samples * mags, lam, rtol=1e-12)
 

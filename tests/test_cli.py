@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -9,11 +10,22 @@ import pytest
 import disksampling as ds
 from disksampling import cli
 
+import oracle
 from conftest import random_disk_points
 
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def run_module(*argv):
+    """Run ``python -m disksampling`` on the package this process imported."""
+    package_root = str(pathlib.Path(ds.__file__).resolve().parent.parent)
+    search_path = [package_root, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search_path))}
+    return subprocess.run(
+        [sys.executable, "-m", "disksampling", *argv], capture_output=True, env=env
+    )
 
 
 def read_csv(path):
@@ -362,7 +374,6 @@ class TestDiagnosticsAndDeterminism:
                                "--sweep-r", "0.4,0.2", "--n", "4"],
             "critical-radius": ["critical-radius", "--twice-s", "2",
                                 "--m-list", "1,5", "--r-count", "20"],
-            "fixtures": ["fixtures"],
         }
         for name, argv in commands.items():
             first = tmp_path / f"{name}-1.out"
@@ -374,19 +385,13 @@ class TestDiagnosticsAndDeterminism:
     def test_subprocess_entry_point(self, tmp_path):
         results = []
         for _ in range(2):
-            proc = subprocess.run(
-                [sys.executable, "-m", "disksampling", "grid", "--r", "0.5", "--n", "3"],
-                capture_output=True,
-            )
+            proc = run_module("grid", "--r", "0.5", "--n", "3")
             assert proc.returncode == 0
             results.append(proc.stdout)
         assert results[0] == results[1]
 
     def test_bad_flag_exits_two(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "disksampling", "grid", "--r", "0.5"],
-            capture_output=True,
-        )
+        proc = run_module("grid", "--r", "0.5")
         assert proc.returncode == 2
 
 
@@ -410,17 +415,23 @@ def _off_by_one_ulp(function):
 
 
 class TestFixturesCommand:
-    def test_regenerates_committed_reference(self, tmp_path):
-        out = tmp_path / "fixtures.json"
-        assert run_cli("fixtures", "--output", str(out)) == 0
-        generated = json.loads(out.read_text())
+    """The reference file is written by the test oracle, not by the CLI."""
+
+    def test_cli_has_no_fixtures_command(self):
+        with pytest.raises(SystemExit) as info:
+            run_cli("fixtures")
+        assert info.value.code == 2
+
+    def test_regenerates_committed_reference(self):
+        text = oracle.reference_text()
+        generated = json.loads(text)
         committed = json.loads(COMMITTED_REFERENCE.read_text())
         assert sorted(generated) == sorted(committed)
         for key in committed:
             assert generated[key] == committed[key], key
-        assert out.read_bytes() == COMMITTED_REFERENCE.read_bytes()
+        assert text.encode() == COMMITTED_REFERENCE.read_bytes()
 
-    def test_reference_independent_of_numpy_rounding(self, tmp_path, monkeypatch):
+    def test_reference_independent_of_numpy_rounding(self, monkeypatch):
         # numpy's vectorised libm and LAPACK differ between builds and CPU
         # dispatch paths in the last ulp; the stored values must not notice.
         for name in ("exp", "log", "log1p"):
@@ -428,14 +439,10 @@ class TestFixturesCommand:
         legendre = np.polynomial.legendre
         monkeypatch.setattr(legendre, "leggauss", _off_by_one_ulp(legendre.leggauss))
         assert np.exp(0.0) != 1.0
-        out = tmp_path / "fixtures.json"
-        assert run_cli("fixtures", "--output", str(out)) == 0
-        assert out.read_bytes() == COMMITTED_REFERENCE.read_bytes()
+        assert oracle.reference_text().encode() == COMMITTED_REFERENCE.read_bytes()
 
-    def test_matches_live_oracle(self, tmp_path):
-        out = tmp_path / "fixtures.json"
-        assert run_cli("fixtures", "--output", str(out)) == 0
-        payload = json.loads(out.read_text())
+    def test_matches_live_oracle(self):
+        payload = json.loads(oracle.reference_text())
         assert payload["dense_projector_00"] == pytest.approx(1.125 / 1.36, abs=1e-9)
         assert payload["dense_projector_02"] == pytest.approx(
             np.sqrt(1.125 * 0.2109375) / 1.36, abs=1e-9

@@ -61,3 +61,52 @@ def test_shared_objects_are_thread_safe():
     assert np.array_equal(partial, ds.partial_reconstruct(kernel, samples, points))
     assert np.array_equal(recon, ds.reconstruct_bandlimited(fm, samples, points))
     assert np.array_equal(direct, ds.evaluate_signal(signal, points))
+
+
+@pytest.mark.parametrize(
+    "series, build",
+    [
+        ("eigenvalue series", lambda kernel, signal: ds.overlap_kernel(2, kernel.grid)),
+        ("tail-excess series", lambda kernel, signal: ds.tail_excess(kernel, 0)),
+        ("lambda tail series", lambda kernel, signal: ds.alias_error(kernel, signal)),
+    ],
+)
+def test_each_series_names_itself_when_it_fails_to_terminate(monkeypatch, series, build):
+    # at r = 0.9, N = 2 the terms shrink by about r^4 per step, so one block
+    # of 16 terms cannot reach the 1e-16 truncation tolerance
+    kernel = ds.overlap_kernel(2, ds.SamplingGrid(0.9, 2))
+    signal = ds.DiskSignal(2, [1.0, 0.5, 0.25])
+    monkeypatch.setattr(undersampled, "_MAX_SERIES_BLOCKS", 1)
+    with pytest.raises(EigenvalueCrossCheckError, match=f"^{series} failed to terminate$"):
+        build(kernel, signal)
+
+
+def test_alias_error_reports_underflowing_residue_class():
+    # at r = 0.3 the lambda mass S_j of the higher residue classes is below
+    # 1e-162, so the product S_j (S_j + T_j) rounds to zero
+    rng = np.random.default_rng(2048)
+    coeffs = 0.97 ** np.arange(2048) * (rng.standard_normal(2048) + 1j * rng.standard_normal(2048))
+    kernel = ds.overlap_kernel(2, ds.SamplingGrid(0.3, 256))
+    with pytest.raises(NumericalRangeError, match="residue class") as info:
+        ds.alias_error(kernel, ds.DiskSignal(2, coeffs))
+    assert info.value.log_value < -745
+
+
+def test_pointwise_functions_keep_the_shape_of_the_query():
+    grid = ds.SamplingGrid(0.5, 4)
+    kernel = ds.overlap_kernel(2, grid)
+    fm = ds.frame_matrix(2, grid, 2)
+    signal = ds.DiskSignal(2, [1.0, 0.5, 0.25])
+    samples = ds.sample_signal(signal, grid)
+    z = np.array([[0.1, 0.2], [0.3j, -0.1 + 0.4j]])
+    for function in (
+        lambda p: ds.evaluate_signal(signal, p),
+        lambda p: ds.sinc_kernel(fm, 1, p),
+        lambda p: ds.dual_sinc_kernel(kernel, 1, p),
+        lambda p: ds.dual_sinc_series(kernel, 1, p),
+        lambda p: ds.partial_reconstruct(kernel, samples, p),
+    ):
+        values = function(z)
+        assert values.shape == z.shape
+        expected = [[function(complex(point)) for point in row] for row in z]
+        assert np.allclose(values, expected, rtol=1e-13, atol=0.0)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import disksampling as ds
-from disksampling import oracle
-from disksampling.validation import QuadratureError
+
+import oracle
+from oracle import QuadratureError
 
 
 class TestDenseFrame:

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import disksampling as ds
-from disksampling import oracle
 from disksampling.validation import ConditioningWarning
 
+import oracle
 from conftest import random_disk_points, sup_relative_error
 
 
