@@ -31,6 +31,7 @@ from .validation import (
     CONDITION_LIMIT,
     SERIES_TOL_ENV,
     as_disk_points,
+    check_n_samples,
     check_twice_s,
     series_tolerance,
 )
@@ -269,9 +270,11 @@ def cmd_error_analysis(args) -> int:
     norm_sq = signal.norm_squared
     rows = []
     for n in n_values:
+        # the profile does not depend on r; n is checked first so that a bad
+        # sample count is reported as such, not as a bad band limit
+        profile = us.quasi_band_profile(signal, check_n_samples(n) - 1)
         for r in r_values:
             kernel = us.overlap_kernel(signal.twice_s, SamplingGrid(r, n))
-            profile = us.quasi_band_profile(signal, n - 1)
             exact = us.alias_error(kernel, signal) ** 2 / norm_sq
             bound = us.error_bound(kernel, profile, variant=args.bound_variant)
             rows.append(

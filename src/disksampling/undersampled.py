@@ -18,8 +18,11 @@ computable error bounds for quasi-bandlimited signals.
 Numerical policy: the production eigenvalues come from a DFT of the first row
 carried out in adaptive extended precision, because in double precision the
 row DFT loses the small eigenvalues to cancellation as soon as the eigenvalue
-spread exceeds ~1e4.  The independent check is the truncated lambda series in
-ordinary doubles.  The tail ratios eps_n = (lhat_n - lambda_n)/lambda_n are
+spread exceeds ~1e4.  That DFT is a mixed-radix decimation-in-time transform
+in mpmath: O(N * sum of the prime factors of N) products, O(N log N) for
+smooth N, while a prime N stays O(N^2).  It yields the same doubles as the
+direct O(N^2) sum, which the tests keep as their reference.  The independent
+check is the truncated lambda series in ordinary doubles.  The tail ratios eps_n = (lhat_n - lambda_n)/lambda_n are
 never formed by subtraction; they get their own series, exact down to the
 underflow threshold.
 """
@@ -174,27 +177,30 @@ def _series_sum(log_terms, tol: float, name: str) -> np.ndarray:
     ``log_terms`` maps a block of term indices q = 0, 1, ... to the
     rows x block array of log-terms.  Terms are positive with eventually
     decreasing ratios, so a geometric majorant built from the last observed
-    ratio bounds the tail.  Every series in this module is summed here.
+    ratio bounds the tail.  Each row stops at its own first negligible block,
+    so a row's sum does not depend on the rows summed with it.  Every series
+    in this module is summed here.
     """
-    total = 0.0
+    total, open_rows = 0.0, True
     for block in range(_MAX_SERIES_BLOCKS):
         q = np.arange(block * _SERIES_BLOCK, (block + 1) * _SERIES_BLOCK)
         terms = np.exp(log_terms(q))
-        total = total + terms.sum(axis=1)
-        # Per-row tests on Python floats: numpy's per-call overhead would
-        # dominate the one-row series that alias_error sums per residue class.
-        last, prev, bound = terms[:, -1].tolist(), terms[:, -2].tolist(), (tol * total).tolist()
-        if not any(last) or all(map(_tail_negligible, last, prev, bound)):
+        total = np.where(open_rows, total + terms.sum(axis=1), total)
+        open_rows = open_rows & ~_tail_negligible(terms[:, -1], terms[:, -2], tol * total)
+        if not open_rows.any():
             break
     else:
         raise EigenvalueCrossCheckError(f"{name} series failed to terminate")
     return total
 
 
-def _tail_negligible(last: float, prev: float, bound: float) -> bool:
-    """Both the last term and its geometric-majorant tail lie below ``bound``."""
-    ratio = last / prev if prev > 0.0 else 0.0
-    return ratio < 1.0 and last < bound and last * ratio / (1.0 - ratio) < bound
+def _tail_negligible(last: np.ndarray, prev: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Rows whose last term is zero, or whose last term and geometric-majorant
+    tail both lie below ``bound``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(prev > 0.0, last / prev, 0.0)
+        tail = last * ratio / (1.0 - ratio)
+    return (last == 0.0) | ((ratio < 1.0) & (last < bound) & (tail < bound))
 
 
 def _eigenvalues_series(twice_s: int, grid: SamplingGrid, tol: float) -> np.ndarray:
@@ -208,31 +214,76 @@ def _eigenvalues_series(twice_s: int, grid: SamplingGrid, tol: float) -> np.ndar
 def _eigenvalues_dft(twice_s: int, grid: SamplingGrid) -> tuple[np.ndarray, float]:
     """Length-N DFT of the first row, in precision adapted to the spread.
 
-    Returns (eigenvalues as float64, worst relative imaginary residue).  The
-    working precision covers the gap between the row scale (order 1) and the
-    smallest eigenvalue, which double precision cannot bridge once the spread
-    passes ~1e4.
+    Returns (eigenvalues as float64, worst relative imaginary residue over
+    all N complex outputs).  The working precision covers the gap between the
+    row scale (order 1) and the smallest eigenvalue, which double precision
+    cannot bridge once the spread passes ~1e4.  The transform is the
+    mixed-radix one of :func:`_mixed_radix_dft`, O(N * sum of the prime
+    factors of N) products; a prime N costs N^2.  Roots of unity and row
+    entries are computed for l <= N/2 only; the rest follow by conjugation,
+    exp(-2 pi i (N-l)/N) = conj exp(-2 pi i l/N) and C_{N-l} = conj C_l.
     """
     n = grid.n_samples
     spectrum = ResolutionSpectrum(twice_s, grid)
     min_log = float(np.min(spectrum.log_values(np.arange(n))))
     digits = 30 + int(np.ceil(max(0.0, -min_log) / np.log(10.0))) + int(np.log10(n) + 1)
+    half = range(n // 2 + 1)
+    mirror = range(n // 2 + 1, n)
     with mp.workdps(digits):
         r2 = mp.mpf(grid.radius) ** 2
         one = mp.mpf(1)
-        roots = [mp.expjpi(mp.mpf(2 * k) / n) for k in range(n)]
-        row = [((one - r2) / (one - r2 * roots[l])) ** twice_s for l in range(n)]
-        values = np.empty(n)
-        worst_imag = mp.mpf(0)
-        for j in range(n):
-            acc = mp.mpc(0)
-            for l in range(n):
-                acc += row[l] * mp.conj(roots[(l * j) % n])
-            values[j] = float(acc.real)
-            worst_imag = max(worst_imag, abs(acc.imag))
+        roots = [mp.expjpi(mp.mpf(2 * k) / n) for k in half]
+        row = [((one - r2) / (one - r2 * roots[l])) ** twice_s for l in half]
+        twiddles = [mp.conj(w) for w in roots] + [roots[n - k] for k in mirror]
+        row += [mp.conj(row[n - l]) for l in mirror]
+        out = _mixed_radix_dft(row, twiddles, 1)
+        values = np.array([float(x.real) for x in out])
+        worst_imag = max(abs(x.imag) for x in out)
         scale = max(values)
         residue = float(worst_imag / scale) if scale > 0 else float(worst_imag)
     return values, residue
+
+
+def _mixed_radix_dft(x: list, twiddles: list, stride: int) -> list:
+    """X_j = sum_l x_l w^(j l) for w = twiddles[stride], by decimation in time.
+
+    ``twiddles[k]`` is exp(-2 pi i k / N) for the full length N, and
+    len(x) * stride = N.  A length m = p q with p the smallest prime factor
+    splits into p interleaved length-q transforms; output k + b q is then the
+    length-p transform over a of the twiddled values w^(a k) P_a[k].  A prime
+    length is summed directly, each output one exact ``mp.fsum``.  Runs at
+    the caller's mpmath precision.
+    """
+    m = len(x)
+    if m == 2:
+        # x_0 +- x_1 round once, as the two-term fsum does
+        return [x[0] + x[1], x[0] - x[1]]
+    p = _smallest_prime_factor(m)
+    if p == m:
+        return [
+            mp.fsum(_rotate(x[l], twiddles, (j * l) % m * stride) for l in range(m))
+            for j in range(m)
+        ]
+    q = m // p
+    parts = [_mixed_radix_dft(x[a::p], twiddles, stride * p) for a in range(p)]
+    out = [None] * m
+    for k in range(q):
+        column = [_rotate(parts[a][k], twiddles, a * k * stride) for a in range(p)]
+        out[k::q] = _mixed_radix_dft(column, twiddles, q * stride)
+    return out
+
+
+def _rotate(value, twiddles: list, k: int):
+    """value * twiddles[k], skipping the exact multiplication by twiddles[0] = 1."""
+    return value * twiddles[k] if k else value
+
+
+def _smallest_prime_factor(m: int) -> int:
+    """Smallest prime dividing m, or m itself when m is 1 or prime."""
+    for p in range(2, int(m**0.5) + 1):
+        if m % p == 0:
+            return p
+    return m
 
 
 def _cross_checked_eigenvalues(twice_s: int, grid: SamplingGrid) -> np.ndarray:
@@ -460,16 +511,16 @@ def quasi_band_profile(signal: DiskSignal, band_limit: int) -> QuasiBandProfile:
     return QuasiBandProfile(band_limit=band_limit, epsilon_m=float(np.sqrt(tail / total)))
 
 
-def _lambda_tail_from(kernel: CirculantKernel, start: int) -> float:
-    """sum_{q} lambda_{start + qN}, the spectrum mass at and above ``start``."""
+def _lambda_tails_from(kernel: CirculantKernel, starts: list) -> np.ndarray:
+    """sum_q lambda_{start + qN} for each start: the spectrum mass at and
+    above it in its residue class."""
     spectrum = kernel.spectrum
-    n = kernel.n_samples
-    total = _series_sum(
-        lambda q: spectrum.log_values(start + q[np.newaxis, :] * n),
+    col = np.array(starts, dtype=np.int64)[:, np.newaxis]
+    return _series_sum(
+        lambda q: spectrum.log_values(col + q * kernel.n_samples),
         series_tolerance(),
         "lambda tail",
     )
-    return float(total[0])
 
 
 def alias_error(kernel: CirculantKernel, signal: DiskSignal) -> float:
@@ -498,15 +549,16 @@ def alias_error(kernel: CirculantKernel, signal: DiskSignal) -> float:
     length = coeffs.size
     log_lam = np.asarray(kernel.spectrum.log_values(np.arange(length)), dtype=np.float64)
     sqrt_lam = np.exp(0.5 * log_lam)
+    classes = range(min(n, length))
+    tails = _lambda_tails_from(kernel, [j + coeffs[j::n].size * n for j in classes]).tolist()
     error_sq = 0.0
-    for j in range(min(n, length)):
+    for j, tail in zip(classes, tails):
         v = coeffs[j::n]
         x = sqrt_lam[j::n]
         stored = float(np.sum(x * x))
         w = complex(np.sum(x * v))
         cross = x[:, np.newaxis] * v[np.newaxis, :] - x[np.newaxis, :] * v[:, np.newaxis]
         pair_sum = 0.5 * float(np.sum(np.abs(cross) ** 2))
-        tail = _lambda_tail_from(kernel, j + v.size * n)
         denominator = stored * (stored + tail)
         if denominator == 0.0:
             log_stored = float(logsumexp(log_lam[j::n]))

@@ -4,7 +4,8 @@ Everything here deliberately avoids the factored/circulant shortcuts used by
 the production paths: frames are materialized densely from the basis
 functions, the Gram matrix is inverted by a generic Hermitian solve, and the
 continuous resolution of unity is checked by plain tensor-product quadrature.
-Desk scale only (L <= 128, N <= 64); no performance targets.
+Desk scale only (L <= 128, N <= 64; the direct row DFT up to N = 256); no
+performance targets.
 
 The values the test suite stores (:func:`reference_values`) are computed in
 mpmath and rounded to double once.  mpmath is pure Python, so unlike numpy's
@@ -23,7 +24,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 
-from disksampling.basis import DiskSignal, SamplingGrid, basis_fn, overlap
+from disksampling.basis import DiskSignal, ResolutionSpectrum, SamplingGrid, basis_fn, overlap
 from disksampling.validation import (
     CONDITION_LIMIT,
     ConditioningWarning,
@@ -41,6 +42,7 @@ __all__ = [
     "random_signal",
     "reference_text",
     "reference_values",
+    "row_dft_eigenvalues",
 ]
 
 # Decimal working precision of the quadrature and the test signals.
@@ -163,6 +165,37 @@ def dense_projector(twice_s: int, grid: SamplingGrid, n_coefficients: int) -> np
     _, columns = _halved_frame_mp(twice_s, grid, n_coefficients)
     halved = np.array([[complex(v) for v in column] for column in columns]).T
     return halved.conj().T @ halved
+
+
+def row_dft_eigenvalues(twice_s: int, grid: SamplingGrid) -> tuple[np.ndarray, float]:
+    """Kernel eigenvalues by the direct O(N^2) DFT of the circulant first row.
+
+    Same working precision rule as the production transform: 30 digits plus
+    the decimal orders between 1 and the smallest lambda_j, j < N, plus the
+    digits of N.  Every root and row entry is computed on its own and each
+    output is accumulated term by term.  Returns (eigenvalues as float64,
+    worst imaginary part relative to the largest eigenvalue).
+    """
+    n = grid.n_samples
+    spectrum = ResolutionSpectrum(twice_s, grid)
+    min_log = float(np.min(spectrum.log_values(np.arange(n))))
+    digits = 30 + int(np.ceil(max(0.0, -min_log) / np.log(10.0))) + int(np.log10(n) + 1)
+    with mp.workdps(digits):
+        r2 = mp.mpf(grid.radius) ** 2
+        one = mp.mpf(1)
+        roots = [mp.expjpi(mp.mpf(2 * k) / n) for k in range(n)]
+        row = [((one - r2) / (one - r2 * roots[l])) ** twice_s for l in range(n)]
+        values = np.empty(n)
+        worst_imag = mp.mpf(0)
+        for j in range(n):
+            acc = mp.mpc(0)
+            for l in range(n):
+                acc += row[l] * mp.conj(roots[(l * j) % n])
+            values[j] = float(acc.real)
+            worst_imag = max(worst_imag, abs(acc.imag))
+        scale = max(values)
+        residue = float(worst_imag / scale) if scale > 0 else float(worst_imag)
+    return values, residue
 
 
 @functools.lru_cache(maxsize=None)

@@ -307,6 +307,14 @@ class TestErrorAnalysis:
             "--r", "1e-3", "--n", "60",
         ) == 3
 
+    def test_bad_sample_count_is_named(self, tmp_path, capsys):
+        signal_path = write_signal(tmp_path / "sig.json", 2, 0.5 ** np.arange(40))
+        assert run_cli(
+            "error-analysis", "--input", str(signal_path),
+            "--sweep-r", "0.5,0.3", "--sweep-n", "4,0",
+        ) == 2
+        assert "n_samples must be a positive integer, got 0" in capsys.readouterr().err
+
 
 class TestCriticalRadius:
     def test_columns_and_values(self, tmp_path):

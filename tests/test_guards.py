@@ -2,6 +2,7 @@
 
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -23,11 +24,26 @@ def test_eigenvalue_cross_check_trips_on_bad_series(monkeypatch):
         ds.overlap_kernel(2, ds.SamplingGrid(0.5, 4))
 
 
+def test_imaginary_residue_of_the_row_transform_is_checked(monkeypatch):
+    transform = undersampled._mixed_radix_dft
+
+    def skewed(x, twiddles, stride):
+        return [value + mp.mpc(0, 1e-9) for value in transform(x, twiddles, stride)]
+
+    monkeypatch.setattr(undersampled, "_mixed_radix_dft", skewed)
+    with pytest.raises(EigenvalueCrossCheckError, match="imaginary residue"):
+        ds.overlap_kernel(2, ds.SamplingGrid(0.5, 12))
+
+
 def test_kernel_construction_rejects_unrepresentable_eigenvalues():
     # the smallest eigenvalue underflows double precision here
     with pytest.raises(NumericalRangeError) as info:
         ds.overlap_kernel(2, ds.SamplingGrid(1e-3, 60))
     assert info.value.log_value < -700
+    # the same through the radix-2 transform at a length of 256
+    with pytest.raises(NumericalRangeError) as info:
+        ds.overlap_kernel(8, ds.SamplingGrid(0.2, 256))
+    assert info.value.log_value < -745
 
 
 def test_dual_weights_rejects_wrong_sample_count():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import disksampling as ds
+from disksampling import undersampled
 from disksampling.validation import ConditioningWarning
 
 import oracle
@@ -97,6 +98,25 @@ class TestKernelEigenvalues:
         kernel = ds.overlap_kernel(2, ds.SamplingGrid(1e-4, 5))
         assert kernel.eigenvalues[0] == pytest.approx(5.0, rel=1e-6)
         assert np.all(kernel.eigenvalues[1:] < 1e-6)
+
+    @pytest.mark.parametrize(
+        "twice_s,radius,n",
+        [
+            (2, 0.5, 1), (5, 0.9, 1), (2, 0.3, 2), (8, 0.7, 2), (3, 0.5, 3),
+            (40, 0.9, 3), (2, 0.9, 5), (5, 0.3, 5), (3, 0.7, 7), (8, 0.5, 7),
+            (2, 0.7, 12), (40, 0.5, 12), (5, 0.5, 30), (2, 0.9, 30), (3, 0.3, 60),
+            (8, 0.9, 60), (2, 0.5, 63), (5, 0.7, 63), (40, 0.9, 64), (2, 0.3, 64),
+            (3, 0.9, 96), (8, 0.5, 96), (2, 0.7, 97), (5, 0.9, 97), (2, 0.5, 128),
+            (40, 0.7, 128), (3, 0.6, 256),
+        ],
+    )
+    def test_mixed_radix_transform_matches_direct_dft(self, twice_s, radius, n):
+        # prime, prime-power and mixed lengths; every bit of every eigenvalue
+        grid = ds.SamplingGrid(radius, n)
+        values, residue = undersampled._eigenvalues_dft(twice_s, grid)
+        expected, _ = oracle.row_dft_eigenvalues(twice_s, grid)
+        assert np.array_equal(values, expected)
+        assert residue < 1e-13
 
     def test_single_point_series_consistency(self):
         # N=1: the DFT route gives C_0 = 1 exactly; the series must agree
