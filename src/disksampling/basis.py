@@ -21,6 +21,12 @@ binomials through the log-gamma function, lambda_n through
 non-analytic prefactor (1-|z|^2)^s is kept inside the basis functions; the
 integration measure is never reweighted (see README).
 
+Pointwise evaluation sums the basis by the upward recurrence
+U_m = U_{m-1} sqrt((2s+m-1)/m) conj(z), whose terms cannot overflow because
+sum_m |U_m(z)|^2 = <z|z> = 1, over fixed-size blocks of query points, so its
+memory does not grow with the number of points.  Where U_0 = (1-|z|^2)^s
+would underflow (large s near the rim) it uses the log-domain basis values.
+
 All functions here are pure and operate on immutable values, so they are
 safe to call concurrently.
 """
@@ -208,34 +214,144 @@ def overlap(twice_s: int, z, w):
     s = twice_s / 2.0
     zmod2 = z_arr.real * z_arr.real + z_arr.imag * z_arr.imag
     wmod2 = w_arr.real * w_arr.real + w_arr.imag * w_arr.imag
-    numerator = np.exp(s * (np.log1p(-zmod2) + np.log1p(-wmod2)))
+    numerator = s * (np.log1p(-zmod2) + np.log1p(-wmod2))
     denominator = (1.0 - w_arr * np.conj(z_arr)) ** twice_s
-    out = numerator / denominator
-    if (np.isscalar(z) or z_arr.ndim == 0) and (np.isscalar(w) or w_arr.ndim == 0):
-        return complex(out)
-    return out
+    if np.ndim(denominator) == 0:
+        return complex(np.exp(numerator) / denominator)
+    # in place: fewer large temporaries per block of points, fewer page faults
+    np.exp(numerator, out=numerator)
+    return np.divide(numerator, denominator, out=denominator)
+
+
+#: Query points evaluated together.  Every pointwise function works on one
+#: block at a time, so its temporaries are O(_BLOCK) (times N where it sums
+#: over the N grid points) whatever the number of query points.
+_BLOCK = 1024
+
+#: Basis indices per segment of the upward recurrence; a point's sum may
+#: end at the end of any segment.
+_SEGMENT = 64
+
+#: Once a segment ends below this, a point's later terms are zero.  Without
+#: it a decaying term reaches the subnormal range, where arithmetic is slow
+#: and x * c rounds back up to the smallest subnormal for c > 1/2, so the
+#: terms would never reach zero.
+_FLUSH = 2.0**-1000
+
+#: Points with log U_0(z) = s log(1 - |z|^2) below this are summed from
+#: log-domain basis values: U_0 may underflow while later U_m do not.
+_LOG_U0_MIN = -600.0
 
 
 def _pointwise(values, z):
     """Apply ``values`` to the validated query point(s) z, keeping z's shape.
 
-    ``values`` maps the flattened 1-d point array to one complex value per
-    point; a scalar ``z`` gives a Python complex.
+    ``values`` maps a 1-d block of at most ``_BLOCK`` points to one complex
+    value per point.  It must treat each point on its own, so that a
+    point's value does not depend on the rest of the query.  A scalar ``z``
+    gives a Python complex.
     """
     z_arr = as_disk_points(z)
-    out = values(z_arr.ravel())
+    z_flat = z_arr.ravel()
+    out = np.empty(z_flat.size, dtype=np.complex128)
+    for start in range(0, z_flat.size, _BLOCK):
+        out[start : start + _BLOCK] = values(z_flat[start : start + _BLOCK])
     if np.isscalar(z) or z_arr.ndim == 0:
         return complex(out[0])
     return out.reshape(z_arr.shape)
 
 
+def _segment_rows(values: np.ndarray) -> np.ndarray:
+    """``values`` zero-padded to whole segments, one segment per row."""
+    rows = np.zeros(-(-values.size // _SEGMENT) * _SEGMENT, dtype=values.dtype)
+    rows[: values.size] = values
+    return rows.reshape(-1, _SEGMENT)
+
+
+def _add_segments(total, coefficients, terms):
+    """total + sum_k a_gk terms_qgk, added one segment g after another.
+
+    Every addition's order is fixed by m alone, so a point's sum is the
+    same however many points and segments are evaluated together (a BLAS
+    product's rounding depends on the shape of the whole operand).
+    """
+    sums = np.einsum("qgk,gk->qg", terms, coefficients)
+    return np.add.accumulate(np.hstack([total[:, np.newaxis], sums]), axis=1)[:, -1]
+
+
+def _upward_sum(a0, coefficients, steps, u0, conj_z):
+    """sum_m a_m U_m at each point, from U_m = U_{m-1} steps_m conj(z), U_0 = u0.
+
+    ``coefficients`` and ``steps`` hold a_m and sqrt((2s+m-1)/m) for m >= 1
+    as segment rows.  |U_m| <= 1 because sum_m |U_m|^2 = <z|z> = 1, so no
+    term overflows.  Segments are taken ``_BLOCK // len(conj_z)`` at a time,
+    each point's terms one ``np.multiply.accumulate``, so a single point
+    costs a few numpy calls, not one per segment.  Once a segment ends below
+    ``_FLUSH``, the later terms of that point are zero (computed on to the
+    end of the group, then zeroed, which gives the same sum).  |U_m| only
+    falls once it falls, and u0 > _FLUSH, so this drops terms past the peak
+    only; the sum stops when it has happened at every point.
+    """
+    total = a0 * u0
+    start = u0.astype(np.complex128)
+    group = _BLOCK // conj_z.size
+    for first in range(0, steps.shape[0], group):
+        rows = steps[first : first + group]
+        terms = np.empty((conj_z.size, 1 + rows.size), dtype=np.complex128)
+        terms[:, 0] = start
+        np.multiply(rows.ravel(), conj_z[:, np.newaxis], out=terms[:, 1:])
+        np.multiply.accumulate(terms, axis=1, out=terms)
+        segments = terms[:, 1:].reshape(conj_z.size, rows.shape[0], _SEGMENT)
+        alive = np.logical_and.accumulate(np.abs(segments[:, :, -1]) >= _FLUSH, axis=1)
+        segments[:, 1:][~alive[:, :-1]] = 0.0
+        total = _add_segments(total, coefficients[first : first + group], segments)
+        start = np.where(alive[:, -1], segments[:, -1, -1], 0.0)
+        if not start.any():
+            break
+    return total
+
+
+def _log_domain_sum(twice_s, a0, coefficients, z):
+    """sum_m a_m U_m(z) with every U_m taken from the log domain."""
+    total = a0 * _basis_values(twice_s, 0, z)
+    group = _BLOCK // z.size
+    for first in range(0, coefficients.shape[0], group):
+        rows = coefficients[first : first + group]
+        m = 1 + _SEGMENT * first + np.arange(rows.size).reshape(rows.shape)
+        terms = _basis_values(twice_s, m[np.newaxis], z[:, np.newaxis, np.newaxis])
+        total = _add_segments(total, rows, terms)
+    return total
+
+
 def evaluate_signal(signal: DiskSignal, z):
-    """Pointwise value sum_m a_m U_m(z) of a finite-coefficient signal."""
-    m = np.arange(len(signal))[:, np.newaxis]
+    """Pointwise value sum_m a_m U_m(z) of a finite-coefficient signal.
+
+    Evaluated by the upward recurrence U_m = U_{m-1} sqrt((2s+m-1)/m) conj(z)
+    from U_0 = (1-|z|^2)^s, over blocks of query points, so memory is
+    O(block) and no L x Q basis matrix is formed.  A point whose U_0 is
+    below about exp(-600) (large s near the rim, where U_0 may underflow)
+    is summed from log-domain basis values instead.  The choice is made per
+    point, so a value never depends on the rest of the query.
+    """
+    twice_s = signal.twice_s
+    a0 = signal.coefficients[0]
+    coefficients = _segment_rows(signal.coefficients[1:])
+    m = np.arange(1, len(signal), dtype=np.float64)
+    steps = _segment_rows(np.sqrt((twice_s - 1.0 + m) / m))
 
     def values(z_flat):
-        basis = _basis_values(signal.twice_s, m, z_flat[np.newaxis, :])
-        return basis.T @ signal.coefficients
+        mod2 = z_flat.real * z_flat.real + z_flat.imag * z_flat.imag
+        log_u0 = 0.5 * twice_s * np.log1p(-mod2)
+        near_rim = log_u0 < _LOG_U0_MIN
+        inner = ~near_rim
+        out = np.empty(z_flat.size, dtype=np.complex128)
+        if inner.any():
+            out[inner] = _upward_sum(
+                a0, coefficients, steps, np.exp(log_u0[inner]), np.conj(z_flat[inner])
+            )
+        if near_rim.any():
+            out[near_rim] = _log_domain_sum(twice_s, a0, coefficients, z_flat[near_rim])
+        return out
 
     return _pointwise(values, z)
 

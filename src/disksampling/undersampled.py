@@ -353,10 +353,17 @@ def _inverse_row(kernel: CirculantKernel) -> np.ndarray:
 
 
 def _coherent_sum(kernel: CirculantKernel, weights: np.ndarray, z):
-    """sum_l weights_l <z|z_l> over the sampled coherent states, at point(s) z."""
+    """sum_l weights_l <z|z_l> over the sampled coherent states, at point(s) z.
+
+    Summed by ``np.einsum``, not a BLAS product, whose rounding depends on
+    the number of points in the block.
+    """
     points = kernel.grid.points[np.newaxis, :]
     return _pointwise(
-        lambda z_flat: overlap(kernel.twice_s, z_flat[:, np.newaxis], points) @ weights, z
+        lambda z_flat: np.einsum(
+            "qn,n->q", overlap(kernel.twice_s, z_flat[:, np.newaxis], points), weights
+        ),
+        z,
     )
 
 
@@ -385,18 +392,20 @@ def dual_sinc_series(kernel: CirculantKernel, k: int, z):
     r = kernel.grid.radius
     s = kernel.twice_s / 2.0
 
+    roots = np.exp(2j * np.pi * np.arange(n) / n)[:, np.newaxis]
+    inverse_eigenvalues = 1.0 / kernel.eigenvalues
+
     def values(z_flat):
         # u = r^2 * conj(z)/conj(z_k); |u| = r|z| < 1 keeps the sectioned sum exact.
         u = r * np.conj(z_flat) * np.exp(2j * np.pi * k / n)
-        roots = np.exp(2j * np.pi * np.arange(n) / n)
-        base = (1.0 - roots[:, np.newaxis] * u[np.newaxis, :]) ** (-kernel.twice_s)
-        section_weights = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / n
-        sections = section_weights @ base
+        base = (1.0 - roots * u) ** (-kernel.twice_s)
+        # sum_l w^(-jl) base_l for every j is one length-N DFT along the roots.
+        sections = np.fft.fft(base, axis=0) / n
         mod2 = z_flat.real * z_flat.real + z_flat.imag * z_flat.imag
         prefactor = np.exp(
             s * (np.log1p(-mod2) - np.log1p(-r * r)) + kernel.twice_s * np.log1p(-r * r)
         )
-        return prefactor * ((1.0 / kernel.eigenvalues) @ sections)
+        return prefactor * np.einsum("j,jq->q", inverse_eigenvalues, sections)
 
     return _pointwise(values, z)
 

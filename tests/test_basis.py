@@ -200,6 +200,37 @@ class TestSignals:
         both = ds.evaluate_signal(ds.DiskSignal(2, [1.0, 1.0]), 0.5)
         assert both == pytest.approx(0.75 + np.sqrt(2) * 0.375, rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "twice_s, length, max_radius", [(2, 2000, 0.6), (40, 700, 0.95), (3, 130, 0.3)]
+    )
+    def test_eval_matches_the_basis_sum(self, twice_s, length, max_radius):
+        # several recurrence segments; at |z| <= 0.6 the terms fall below the
+        # flush level long before m = 2000
+        rng = np.random.default_rng(length)
+        coeffs = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        z = np.append(random_disk_points(rng, 50, max_radius), 0j)
+        m = np.arange(length)[:, np.newaxis]
+        direct = np.sum(coeffs[:, np.newaxis] * ds.basis_fn(twice_s, m, z), axis=0)
+        value = ds.evaluate_signal(ds.DiskSignal(twice_s, coeffs), z)
+        assert sup_relative_error(value, direct) < 1e-12
+
+    @pytest.mark.parametrize(
+        "twice_s, length, z, magnitude",
+        [
+            (200, 1024, 0.9999, 1.91e-252),
+            (200, 1024, 0.99995, 1.59e-282),
+            (2000, 64, 0.5, 6.70e-84),
+        ],
+    )
+    def test_eval_where_the_lowest_term_is_tiny(self, twice_s, length, z, magnitude):
+        # U_0 = (1-|z|^2)^s underflows in the first two cases while the sum
+        # does not; a recurrence started from U_0 alone would return 0 there
+        value = ds.evaluate_signal(ds.DiskSignal(twice_s, np.ones(length)), z)
+        direct = np.sum(ds.basis_fn(twice_s, np.arange(length), z))
+        assert value != 0.0
+        assert abs(value - direct) <= 1e-12 * abs(direct)
+        assert abs(value) == pytest.approx(magnitude, rel=1e-2)
+
     def test_eval_linearity(self):
         rng = np.random.default_rng(10)
         a = rng.standard_normal(6) + 1j * rng.standard_normal(6)

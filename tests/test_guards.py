@@ -1,5 +1,6 @@
 """Failure-path wiring and the documented concurrency guarantees."""
 
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
@@ -7,10 +8,10 @@ import numpy as np
 import pytest
 
 import disksampling as ds
-from disksampling import undersampled
+from disksampling import basis, undersampled
 from disksampling.validation import EigenvalueCrossCheckError, NumericalRangeError
 
-from conftest import random_disk_points
+from conftest import random_disk_points, unit_signal
 
 
 def test_eigenvalue_cross_check_trips_on_bad_series(monkeypatch):
@@ -109,14 +110,25 @@ def test_alias_error_reports_underflowing_residue_class():
 
 
 def test_pointwise_functions_keep_the_shape_of_the_query():
+    rng = np.random.default_rng(91)
     grid = ds.SamplingGrid(0.5, 4)
     kernel = ds.overlap_kernel(2, grid)
     fm = ds.frame_matrix(2, grid, 2)
     signal = ds.DiskSignal(2, [1.0, 0.5, 0.25])
+    # several recurrence segments, and U_0 underflows near the rim
+    long_signal = ds.DiskSignal(200, rng.standard_normal(300) + 1j * rng.standard_normal(300))
     samples = ds.sample_signal(signal, grid)
     z = np.array([[0.1, 0.2], [0.3j, -0.1 + 0.4j]])
+    # more than two blocks, cut where no block boundary falls
+    query = rng.permutation(
+        np.concatenate(
+            [random_disk_points(rng, 2 * basis._BLOCK + 30), 0.9999 * np.exp(1j * np.arange(7))]
+        )
+    )
+    cuts = [basis._BLOCK // 3, basis._BLOCK + 5]
     for function in (
         lambda p: ds.evaluate_signal(signal, p),
+        lambda p: ds.evaluate_signal(long_signal, p),
         lambda p: ds.sinc_kernel(fm, 1, p),
         lambda p: ds.dual_sinc_kernel(kernel, 1, p),
         lambda p: ds.dual_sinc_series(kernel, 1, p),
@@ -126,3 +138,29 @@ def test_pointwise_functions_keep_the_shape_of_the_query():
         assert values.shape == z.shape
         expected = [[function(complex(point)) for point in row] for row in z]
         assert np.allclose(values, expected, rtol=1e-13, atol=0.0)
+        # a point's value does not depend on the rest of the query
+        whole = function(query)
+        parts = [function(part) for part in np.split(query, cuts)]
+        assert np.array_equal(np.concatenate(parts), whole)
+        assert np.array_equal(function(query[::-1])[::-1], whole)
+        empty = function(np.array([], dtype=np.complex128))
+        assert empty.shape == (0,) and empty.dtype == np.complex128
+
+
+@pytest.mark.parametrize("function", ["evaluate_signal", "partial_reconstruct"])
+def test_pointwise_memory_does_not_grow_with_the_query(function):
+    # dense L x Q or Q x N intermediates would take about 1 GB and 200 MB here
+    rng = np.random.default_rng(5)
+    points = random_disk_points(rng, 20_000)
+    if function == "evaluate_signal":
+        args = (unit_signal(rng, 2, 1024), points)
+    else:
+        kernel = ds.overlap_kernel(2, ds.SamplingGrid(0.6, 256))
+        args = (kernel, rng.standard_normal(256) + 1j * rng.standard_normal(256), points)
+    tracemalloc.start()
+    try:
+        getattr(ds, function)(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
