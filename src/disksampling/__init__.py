@@ -38,11 +38,9 @@ from .undersampled import (
     critical_radius,
     dft_coefficients,
     dual_sinc_kernel,
-    dual_sinc_series,
     dual_weights,
     error_bound,
     invert_kernel,
-    kernel_eigenvalues,
     leading_order_bound,
     max_radius_estimate,
     overlap_kernel,
@@ -85,11 +83,9 @@ __all__ = [
     "critical_radius",
     "dft_coefficients",
     "dual_sinc_kernel",
-    "dual_sinc_series",
     "dual_weights",
     "error_bound",
     "invert_kernel",
-    "kernel_eigenvalues",
     "leading_order_bound",
     "max_radius_estimate",
     "overlap_kernel",

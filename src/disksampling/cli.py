@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bandlimited as bl
 from . import undersampled as us
-from .basis import DiskSignal, SamplingGrid, sample_signal
+from .basis import DiskSignal, ResolutionSpectrum, SamplingGrid, sample_signal
 from .validation import (
     CONDITION_LIMIT,
     SERIES_TOL_ENV,
@@ -274,9 +274,9 @@ def cmd_error_analysis(args) -> int:
         # sample count is reported as such, not as a bad band limit
         profile = us.quasi_band_profile(signal, check_n_samples(n) - 1)
         for r in r_values:
-            kernel = us.overlap_kernel(signal.twice_s, SamplingGrid(r, n))
-            exact = us.alias_error(kernel, signal) ** 2 / norm_sq
-            bound = us.error_bound(kernel, profile, variant=args.bound_variant)
+            spectrum = ResolutionSpectrum(signal.twice_s, SamplingGrid(r, n))
+            exact = us.alias_error(spectrum, signal) ** 2 / norm_sq
+            bound = us.error_bound(spectrum, profile, variant=args.bound_variant)
             rows.append(
                 (
                     r,

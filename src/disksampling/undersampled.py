@@ -53,6 +53,8 @@ from .validation import (
     check_band_limit,
     check_grid_index,
     check_index,
+    check_n_samples,
+    check_radius,
     check_twice_s,
     series_tolerance,
 )
@@ -63,11 +65,9 @@ __all__ = [
     "ErrorBound",
     "RadiusEstimate",
     "overlap_kernel",
-    "kernel_eigenvalues",
     "invert_kernel",
     "dual_weights",
     "dual_sinc_kernel",
-    "dual_sinc_series",
     "partial_reconstruct",
     "dft_coefficients",
     "rescale_truncate",
@@ -86,6 +86,8 @@ _EIG_AGREE_RTOL = 1e-12
 _EIG_IMAG_RTOL = 1e-13
 _MAX_SERIES_BLOCKS = 100_000
 _SERIES_BLOCK = 16
+# Largest log-term of a scaled lambda tail; see _lambda_tails_from.
+_LOG_TAIL_CAP = 600.0
 
 
 @dataclass(frozen=True)
@@ -178,14 +180,18 @@ def _series_sum(log_terms, tol: float, name: str) -> np.ndarray:
     rows x block array of log-terms.  Terms are positive with eventually
     decreasing ratios, so a geometric majorant built from the last observed
     ratio bounds the tail.  Each row stops at its own first negligible block,
-    so a row's sum does not depend on the rows summed with it.  Every series
-    in this module is summed here.
+    so a row's sum does not depend on the rows summed with it.  A sum beyond
+    the double range raises ``OverflowError``.  Every series in this module
+    is summed here.
     """
     total, open_rows = 0.0, True
     for block in range(_MAX_SERIES_BLOCKS):
         q = np.arange(block * _SERIES_BLOCK, (block + 1) * _SERIES_BLOCK)
-        terms = np.exp(log_terms(q))
-        total = np.where(open_rows, total + terms.sum(axis=1), total)
+        with np.errstate(over="ignore"):
+            terms = np.exp(log_terms(q))
+            total = np.where(open_rows, total + terms.sum(axis=1), total)
+        if np.isinf(total).any():
+            raise OverflowError(f"{name} series exceeds the double range")
         open_rows = open_rows & ~_tail_negligible(terms[:, -1], terms[:, -2], tol * total)
         if not open_rows.any():
             break
@@ -321,11 +327,6 @@ def overlap_kernel(twice_s: int, grid: SamplingGrid) -> CirculantKernel:
     return CirculantKernel(twice_s=twice_s, grid=grid, first_row=row, eigenvalues=eig)
 
 
-def kernel_eigenvalues(kernel: CirculantKernel) -> np.ndarray:
-    """Recompute the eigenvalues both ways, assert agreement, return the DFT route."""
-    return _cross_checked_eigenvalues(kernel.twice_s, kernel.grid)
-
-
 def invert_kernel(kernel: CirculantKernel) -> np.ndarray:
     """Dense inverse of B via the eigen-decomposition:
 
@@ -370,44 +371,11 @@ def _coherent_sum(kernel: CirculantKernel, weights: np.ndarray, z):
 def dual_sinc_kernel(kernel: CirculantKernel, k: int, z):
     """Dual-frame interpolating kernel XiHat_k(z) = sum_l (B^-1)[l, k] <z|z_l>.
 
-    Satisfies XiHat_k(z_l) = delta_kl on the grid.  This closed finite sum is
-    the production route; :func:`dual_sinc_series` evaluates the equivalent
-    residue-class series as a cross-check.
+    Satisfies XiHat_k(z_l) = delta_kl on the grid.
     """
     n = kernel.n_samples
     k = check_grid_index(k, n)
     return _coherent_sum(kernel, _inverse_row(kernel)[(k - np.arange(n)) % n], z)
-
-
-def dual_sinc_series(kernel: CirculantKernel, k: int, z):
-    """Residue-class series form of XiHat_k, closed by roots-of-unity sectioning.
-
-    The series sum_{n = j mod N} binom(2s+n-1, n) u^n equals
-    (1/N) sum_l w^(-jl) (1 - w^l u)^(-2s) with w = exp(2*pi*i/N) and |u| < 1,
-    which removes all truncation error.  Kept as an independent check of
-    :func:`dual_sinc_kernel`.
-    """
-    n = kernel.n_samples
-    k = check_grid_index(k, n)
-    r = kernel.grid.radius
-    s = kernel.twice_s / 2.0
-
-    roots = np.exp(2j * np.pi * np.arange(n) / n)[:, np.newaxis]
-    inverse_eigenvalues = 1.0 / kernel.eigenvalues
-
-    def values(z_flat):
-        # u = r^2 * conj(z)/conj(z_k); |u| = r|z| < 1 keeps the sectioned sum exact.
-        u = r * np.conj(z_flat) * np.exp(2j * np.pi * k / n)
-        base = (1.0 - roots * u) ** (-kernel.twice_s)
-        # sum_l w^(-jl) base_l for every j is one length-N DFT along the roots.
-        sections = np.fft.fft(base, axis=0) / n
-        mod2 = z_flat.real * z_flat.real + z_flat.imag * z_flat.imag
-        prefactor = np.exp(
-            s * (np.log1p(-mod2) - np.log1p(-r * r)) + kernel.twice_s * np.log1p(-r * r)
-        )
-        return prefactor * np.einsum("j,jq->q", inverse_eigenvalues, sections)
-
-    return _pointwise(values, z)
 
 
 def partial_reconstruct(kernel: CirculantKernel, samples, z):
@@ -476,7 +444,7 @@ def projector_element(kernel: CirculantKernel, m: int, n: int) -> float:
     return float(np.exp(0.5 * (log_lam[0] + log_lam[1]) - np.log(kernel.eigenvalues[n % n_s])))
 
 
-def tail_excess(kernel: CirculantKernel, n) -> np.ndarray | float:
+def tail_excess(spectrum: ResolutionSpectrum, n) -> np.ndarray | float:
     """Relative eigenvalue excess eps_n = (lhat_n - lambda_n)/lambda_n, n < N.
 
     Computed by its own ratio series
@@ -487,18 +455,18 @@ def tail_excess(kernel: CirculantKernel, n) -> np.ndarray | float:
     underflow threshold (the difference cancels catastrophically once
     eps_n drops below machine epsilon).  Strictly decreasing in n.
     """
-    n_arr = np.atleast_1d(np.asarray(n))
-    if np.any(n_arr < 0) or np.any(n_arr >= kernel.n_samples):
-        raise ValueError(f"n must satisfy 0 <= n < {kernel.n_samples}")
-    n_s = kernel.n_samples
-    log_r2n = 2.0 * n_s * np.log(kernel.grid.radius)
-    base = log_binomial(kernel.twice_s, n_arr.astype(np.float64))
+    n_s = spectrum.grid.n_samples
+    n_arr = np.array([check_index(v) for v in np.atleast_1d(n)], dtype=np.int64)
+    if np.any(n_arr >= n_s):
+        raise ValueError(f"n must satisfy 0 <= n < {n_s}")
+    log_r2n = 2.0 * n_s * np.log(spectrum.grid.radius)
+    base = log_binomial(spectrum.twice_s, n_arr.astype(np.float64))
     col = n_arr[:, np.newaxis]
 
     def log_terms(q):
         u = q + 1
         return (
-            log_binomial(kernel.twice_s, (col + u * n_s).astype(np.float64))
+            log_binomial(spectrum.twice_s, (col + u * n_s).astype(np.float64))
             - base[:, np.newaxis]
             + u * log_r2n
         )
@@ -520,19 +488,26 @@ def quasi_band_profile(signal: DiskSignal, band_limit: int) -> QuasiBandProfile:
     return QuasiBandProfile(band_limit=band_limit, epsilon_m=float(np.sqrt(tail / total)))
 
 
-def _lambda_tails_from(kernel: CirculantKernel, starts: list) -> np.ndarray:
-    """sum_q lambda_{start + qN} for each start: the spectrum mass at and
-    above it in its residue class."""
-    spectrum = kernel.spectrum
+def _lambda_tails_from(spectrum: ResolutionSpectrum, starts: list, shifts: list) -> np.ndarray:
+    """sum_q lambda_{start + qN} exp(-shift) for each (start, shift): the
+    spectrum mass at and above start in its residue class, scaled.
+
+    Terms are capped at exp(_LOG_TAIL_CAP), which keeps the sum finite.
+    :func:`alias_error` reads a tail T only through T/(S+T) with S at most
+    the number of coefficients, and that ratio rounds to 1 long before any
+    term reaches the cap.
+    """
     col = np.array(starts, dtype=np.int64)[:, np.newaxis]
+    shift = np.array(shifts)[:, np.newaxis]
+    n = spectrum.grid.n_samples
     return _series_sum(
-        lambda q: spectrum.log_values(col + q * kernel.n_samples),
+        lambda q: np.minimum(spectrum.log_values(col + q * n) - shift, _LOG_TAIL_CAP),
         series_tolerance(),
         "lambda tail",
     )
 
 
-def alias_error(kernel: CirculantKernel, signal: DiskSignal) -> float:
+def alias_error(spectrum: ResolutionSpectrum, signal: DiskSignal) -> float:
     """Exact distance || psi - P psi || to the sampled-coherent-state span.
 
     The projector couples coefficients only within a residue class mod N, so
@@ -545,39 +520,32 @@ def alias_error(kernel: CirculantKernel, signal: DiskSignal) -> float:
     by the Lagrange identity.  Every term is nonnegative, so the result keeps
     full relative precision even when the error is many orders below the
     signal norm (forming ||psi||^2 - <psi|P|psi> directly would cancel
-    catastrophically there).  Zero exactly when psi lies in the span of the N
-    sampled coherent states.  Raises :class:`NumericalRangeError` naming the
-    class j, with the log of S_j (S_j + T_j), when that product underflows.
+    catastrophically there).  Each class term is homogeneous of degree 0 in
+    lambda, so the class is scaled by its largest stored lambda (mu and T
+    alike): S_j is then at least 1, and no class underflows however small
+    its lambda mass.  Zero exactly when psi lies in the span of the N sampled
+    coherent states.  Needs only the spectrum, not the kernel.
     """
-    if signal.twice_s != kernel.twice_s:
+    if signal.twice_s != spectrum.twice_s:
         raise ValueError(
-            f"signal twice_s {signal.twice_s} does not match kernel twice_s {kernel.twice_s}"
+            f"signal twice_s {signal.twice_s} does not match spectrum twice_s {spectrum.twice_s}"
         )
-    n = kernel.n_samples
+    n = spectrum.grid.n_samples
     coeffs = signal.coefficients
-    length = coeffs.size
-    log_lam = np.asarray(kernel.spectrum.log_values(np.arange(length)), dtype=np.float64)
-    sqrt_lam = np.exp(0.5 * log_lam)
-    classes = range(min(n, length))
-    tails = _lambda_tails_from(kernel, [j + coeffs[j::n].size * n for j in classes]).tolist()
+    log_lam = np.asarray(spectrum.log_values(np.arange(coeffs.size)), dtype=np.float64)
+    classes = range(min(n, coeffs.size))
+    shifts = [float(np.max(log_lam[j::n])) for j in classes]
+    starts = [j + coeffs[j::n].size * n for j in classes]
+    tails = _lambda_tails_from(spectrum, starts, shifts).tolist()
     error_sq = 0.0
-    for j, tail in zip(classes, tails):
+    for j, shift, tail in zip(classes, shifts, tails):
         v = coeffs[j::n]
-        x = sqrt_lam[j::n]
+        x = np.exp(0.5 * (log_lam[j::n] - shift))
         stored = float(np.sum(x * x))
         w = complex(np.sum(x * v))
         cross = x[:, np.newaxis] * v[np.newaxis, :] - x[np.newaxis, :] * v[:, np.newaxis]
         pair_sum = 0.5 * float(np.sum(np.abs(cross) ** 2))
-        denominator = stored * (stored + tail)
-        if denominator == 0.0:
-            log_stored = float(logsumexp(log_lam[j::n]))
-            with np.errstate(divide="ignore"):
-                log_value = log_stored + float(np.logaddexp(log_stored, np.log(tail)))
-            raise NumericalRangeError(
-                f"S_j (S_j + T_j) of residue class j={j} underflows double precision",
-                log_value=log_value,
-            )
-        error_sq += pair_sum / stored + abs(w) ** 2 * tail / denominator
+        error_sq += pair_sum / stored + abs(w) ** 2 * tail / (stored * (stored + tail))
     return float(np.sqrt(error_sq))
 
 
@@ -593,7 +561,8 @@ def leading_order_bound(
     two are mutually inconsistent by the factor 2 binom^(1/2) (see README).
     """
     twice_s = check_twice_s(twice_s)
-    n = int(n_samples)
+    radius = check_radius(radius)
+    n = check_n_samples(n_samples)
     if not 0.0 <= epsilon_m < 1.0:
         raise ValueError(f"epsilon_m must lie in [0, 1), got {epsilon_m!r}")
     if epsilon_m == 0.0:
@@ -615,7 +584,7 @@ def leading_order_bound(
 
 
 def error_bound(
-    kernel: CirculantKernel, profile: QuasiBandProfile, variant: str = "printed"
+    spectrum: ResolutionSpectrum, profile: QuasiBandProfile, variant: str = "printed"
 ) -> ErrorBound:
     """Normalized squared-error bound for band limit M = N-1:
 
@@ -625,24 +594,25 @@ def error_bound(
     Only the critically-sampled band limit M = N-1 is accepted; the bound is
     not established for other M, so no extrapolation is offered.
     ``leading_order`` carries the single-power-of-r form (``variant`` selects
-    which published variant, see :func:`leading_order_bound`).
+    which published variant, see :func:`leading_order_bound`).  Like
+    :func:`alias_error` it reads only the spectrum (through :func:`tail_excess`).
     """
-    n = kernel.n_samples
+    n = spectrum.grid.n_samples
     if profile.band_limit != n - 1:
         raise ValueError(
             f"error bound requires band_limit = n_samples - 1 = {n - 1}, "
             f"got {profile.band_limit}"
         )
     em = profile.epsilon_m
-    eps0 = float(tail_excess(kernel, 0))
-    eps_last = float(tail_excess(kernel, n - 1))
+    eps0 = float(tail_excess(spectrum, 0))
+    eps_last = float(tail_excess(spectrum, n - 1))
     em2 = em * em
     value = (
         em2
         + (1.0 - em2) * eps0 / (1.0 + eps0)
         + 2.0 * np.sqrt(1.0 - em2) * em * np.sqrt(n * eps0) / (1.0 + eps_last)
     )
-    leading = leading_order_bound(kernel.twice_s, kernel.grid.radius, n, em, variant)
+    leading = leading_order_bound(spectrum.twice_s, spectrum.grid.radius, n, em, variant)
     return ErrorBound(value=float(value), leading_order=leading)
 
 
@@ -664,9 +634,7 @@ def max_radius_estimate(
     clamped to 1.0 with ``clamped=True`` when the raw value is >= 1.
     """
     twice_s = check_twice_s(twice_s)
-    n = int(n_samples)
-    if n < 1:
-        raise ValueError(f"n_samples must be positive, got {n_samples!r}")
+    n = check_n_samples(n_samples)
     if not 0.0 <= epsilon_m < 1.0:
         raise ValueError(f"epsilon_m must lie in [0, 1), got {epsilon_m!r}")
     if not epsilon > epsilon_m:
@@ -724,7 +692,7 @@ def band_projection_curve(twice_s: int, band_limit: int, radius) -> np.ndarray |
 def critical_radius(twice_s: int, band_limit: int) -> float:
     """Transition radius r_c = (1 + (2s-1)/M)^(-1/2) of the projection curve."""
     twice_s = check_twice_s(twice_s)
-    band_limit = int(band_limit)
+    band_limit = check_band_limit(band_limit)
     if band_limit < 1:
         raise ValueError(f"band limit must be >= 1, got {band_limit!r}")
     return float((1.0 + (twice_s - 1.0) / band_limit) ** -0.5)

@@ -4,8 +4,8 @@ Everything here deliberately avoids the factored/circulant shortcuts used by
 the production paths: frames are materialized densely from the basis
 functions, the Gram matrix is inverted by a generic Hermitian solve, and the
 continuous resolution of unity is checked by plain tensor-product quadrature.
-Desk scale only (L <= 128, N <= 64; the direct row DFT up to N = 256); no
-performance targets.
+Desk scale only (L <= 128, N <= 64; the direct row DFT up to N = 256, the
+alias error up to L = 2048); no performance targets.
 
 The values the test suite stores (:func:`reference_values`) are computed in
 mpmath and rounded to double once.  mpmath is pure Python, so unlike numpy's
@@ -24,18 +24,29 @@ import warnings
 import mpmath as mp
 import numpy as np
 
-from disksampling.basis import DiskSignal, ResolutionSpectrum, SamplingGrid, basis_fn, overlap
+from disksampling.basis import (
+    DiskSignal,
+    ResolutionSpectrum,
+    SamplingGrid,
+    _pointwise,
+    basis_fn,
+    overlap,
+)
+from disksampling.undersampled import CirculantKernel
 from disksampling.validation import (
     CONDITION_LIMIT,
     ConditioningWarning,
+    check_grid_index,
     check_index,
     check_twice_s,
 )
 
 __all__ = [
     "QuadratureError",
+    "alias_error",
     "dense_frame",
     "dense_projector",
+    "dual_sinc_series",
     "quadrature_basis",
     "quadrature_inner",
     "quadrature_norm",
@@ -196,6 +207,81 @@ def row_dft_eigenvalues(twice_s: int, grid: SamplingGrid) -> tuple[np.ndarray, f
         scale = max(values)
         residue = float(worst_imag / scale) if scale > 0 else float(worst_imag)
     return values, residue
+
+
+def dual_sinc_series(kernel: CirculantKernel, k: int, z):
+    """Residue-class series form of the dual-frame kernel XiHat_k.
+
+    The series sum_{n = j mod N} binom(2s+n-1, n) u^n equals
+    (1/N) sum_l w^(-jl) (1 - w^l u)^(-2s) with w = exp(2*pi*i/N) and |u| < 1,
+    which removes all truncation error.  An independent route to
+    ``disksampling.dual_sinc_kernel``, which sums over the grid points
+    instead; evaluated per block of points like the production functions.
+    """
+    n = kernel.n_samples
+    k = check_grid_index(k, n)
+    r = kernel.grid.radius
+    s = kernel.twice_s / 2.0
+
+    roots = np.exp(2j * np.pi * np.arange(n) / n)[:, np.newaxis]
+    inverse_eigenvalues = 1.0 / kernel.eigenvalues
+
+    def values(z_flat):
+        # u = r^2 * conj(z)/conj(z_k); |u| = r|z| < 1 keeps the sectioned sum exact.
+        u = r * np.conj(z_flat) * np.exp(2j * np.pi * k / n)
+        base = (1.0 - roots * u) ** (-kernel.twice_s)
+        # sum_l w^(-jl) base_l for every j is one length-N DFT along the roots.
+        sections = np.fft.fft(base, axis=0) / n
+        mod2 = z_flat.real * z_flat.real + z_flat.imag * z_flat.imag
+        prefactor = np.exp(
+            s * (np.log1p(-mod2) - np.log1p(-r * r)) + kernel.twice_s * np.log1p(-r * r)
+        )
+        return prefactor * np.einsum("j,jq->q", inverse_eigenvalues, sections)
+
+    return _pointwise(values, z)
+
+
+def alias_error(signal: DiskSignal, grid: SamplingGrid, digits: int = 40) -> float:
+    """Distance || psi - P psi || by the Lagrange-form class sum in mpmath.
+
+    Every lambda_n is computed in ``digits``-digit arithmetic from the
+    binomial and the powers of r, whose exponent range is unbounded, so no
+    class underflows and no rescaling is needed.  Per residue class j, with
+    mu the stored lambdas, S their sum and T the lambda tail summed term by
+    term until a term is negligible (the terms fall by about r^(2N) per step,
+    so this suits rings with small r^(2N)),
+
+        (1/S) sum_{q<p} |sqrt(mu_q) v_p - sqrt(mu_p) v_q|^2 + |w|^2 T / (S (S + T)).
+    """
+    twice_s, n = signal.twice_s, grid.n_samples
+    with mp.workdps(digits):
+        r2 = mp.mpf(grid.radius) ** 2
+        scale = n * (1 - r2) ** twice_s
+
+        def lam(m):
+            return scale * mp.binomial(twice_s + m - 1, m) * r2**m
+
+        coeffs = [mp.mpc(c.real, c.imag) for c in signal.coefficients]
+        error_sq = mp.mpf(0)
+        for j in range(min(n, len(coeffs))):
+            v = coeffs[j::n]
+            x = [mp.sqrt(lam(j + q * n)) for q in range(len(v))]
+            stored = mp.fsum(xq * xq for xq in x)
+            w = mp.fsum(xq * vq for xq, vq in zip(x, v))
+            pairs = mp.fsum(
+                abs(x[q] * v[p] - x[p] * v[q]) ** 2
+                for p in range(len(v))
+                for q in range(p)
+            )
+            tail, m = mp.mpf(0), j + len(v) * n
+            while True:
+                term = lam(m)
+                tail += term
+                if term < mp.mpf(10) ** (-digits - 5) * tail:
+                    break
+                m += n
+            error_sq += pairs / stored + abs(w) ** 2 * tail / (stored * (stored + tail))
+        return float(mp.sqrt(error_sq))
 
 
 @functools.lru_cache(maxsize=None)

@@ -271,8 +271,8 @@ def test_criterion_07_error_bound_validity():
         kernel = ds.overlap_kernel(twice_s, ds.SamplingGrid(radius, n))
         signal = oracle.random_signal(twice_s, decay=rho, seed=int(rng.integers(1 << 30)))
         profile = ds.quasi_band_profile(signal, n - 1)
-        exact = ds.alias_error(kernel, signal) ** 2 / signal.norm_squared
-        if exact > ds.error_bound(kernel, profile).value:
+        exact = ds.alias_error(kernel.spectrum, signal) ** 2 / signal.norm_squared
+        if exact > ds.error_bound(kernel.spectrum, profile).value:
             violations += 1
         checked += 1
     drift_ok = True
@@ -284,7 +284,7 @@ def test_criterion_07_error_bound_validity():
         gaps = []
         for radius in (0.5, 0.3, 0.1, 0.05):
             kernel = ds.overlap_kernel(twice_s, ds.SamplingGrid(radius, n))
-            exact = ds.alias_error(kernel, signal) ** 2 / signal.norm_squared
+            exact = ds.alias_error(kernel.spectrum, signal) ** 2 / signal.norm_squared
             gaps.append(abs(exact - profile.epsilon_m**2))
         drift_ok = drift_ok and all(a > b for a, b in zip(gaps, gaps[1:]))
         final_gap = max(final_gap, gaps[-1])
@@ -321,7 +321,7 @@ def test_criterion_09_tail_excess_monotonicity(sweep_kernels):
     for (twice_s, n, radius), kernel in sweep_kernels.items():
         if n < 2:
             continue
-        eps = np.atleast_1d(ds.tail_excess(kernel, np.arange(n)))
+        eps = np.atleast_1d(ds.tail_excess(kernel.spectrum, np.arange(n)))
         if not np.all(np.diff(eps) < 0.0):
             ok = False
             break

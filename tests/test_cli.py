@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import disksampling as ds
-from disksampling import cli
+from disksampling import cli, undersampled
 
 import oracle
 from conftest import random_disk_points
@@ -281,7 +281,7 @@ class TestErrorAnalysis:
         _, rows = read_csv(out)
         assert float(rows[0][2]) == 0.0
         kernel = ds.overlap_kernel(2, ds.SamplingGrid(0.5, 4))
-        eps0 = ds.tail_excess(kernel, 0)
+        eps0 = ds.tail_excess(kernel.spectrum, 0)
         assert float(rows[0][4]) == pytest.approx(eps0 / (1 + eps0), rel=1e-12)
 
     def test_bound_variant_changes_leading_column(self, tmp_path):
@@ -301,11 +301,44 @@ class TestErrorAnalysis:
         assert outs["printed"] != outs["derived"]
 
     def test_numerical_failure_exits_three(self, tmp_path):
+        # the smallest kernel eigenvalue underflows at r = 1e-3, N = 60
+        samples_path = tmp_path / "samples.csv"
+        samples_path.write_text("k,re,im\n" + "".join(f"{k},1,0\n" for k in range(60)))
+        assert run_cli(
+            "dft", "--twice-s", "2", "--r", "1e-3", "--n", "60", "--mode", "undersampled",
+            "--input", str(samples_path),
+        ) == 3
+
+    def test_builds_no_kernel(self, tmp_path, monkeypatch):
+        def refuse(twice_s, grid):
+            raise AssertionError("error-analysis built a kernel")
+
+        monkeypatch.setattr(undersampled, "overlap_kernel", refuse)
         signal_path = write_signal(tmp_path / "sig.json", 2, 0.5 ** np.arange(40))
+        out = tmp_path / "table.csv"
         assert run_cli(
             "error-analysis", "--input", str(signal_path),
-            "--r", "1e-3", "--n", "60",
-        ) == 3
+            "--r", "1e-3", "--n", "60", "--output", str(out),
+        ) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 1 and np.isfinite(float(rows[0][3]))
+
+    def test_small_radius_sweep_answers_every_row(self, tmp_path):
+        # at r = 0.3 and 0.1 the lambda mass of most residue classes mod 256
+        # is far below the smallest double
+        rng = np.random.default_rng(2048)
+        coeffs = 0.97 ** np.arange(2048) * (
+            rng.standard_normal(2048) + 1j * rng.standard_normal(2048)
+        )
+        signal_path = write_signal(tmp_path / "sig.json", 2, coeffs)
+        out = tmp_path / "table.csv"
+        assert run_cli(
+            "error-analysis", "--input", str(signal_path),
+            "--sweep-r", "0.5,0.3,0.1", "--sweep-n", "4,64,256", "--output", str(out),
+        ) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 9
+        assert all(0.0 < float(row[3]) < 1.0 for row in rows)
 
     def test_bad_sample_count_is_named(self, tmp_path, capsys):
         signal_path = write_signal(tmp_path / "sig.json", 2, 0.5 ** np.arange(40))

@@ -11,6 +11,7 @@ import disksampling as ds
 from disksampling import basis, undersampled
 from disksampling.validation import EigenvalueCrossCheckError, NumericalRangeError
 
+import oracle
 from conftest import random_disk_points, unit_signal
 
 
@@ -84,8 +85,8 @@ def test_shared_objects_are_thread_safe():
     "series, build",
     [
         ("eigenvalue series", lambda kernel, signal: ds.overlap_kernel(2, kernel.grid)),
-        ("tail-excess series", lambda kernel, signal: ds.tail_excess(kernel, 0)),
-        ("lambda tail series", lambda kernel, signal: ds.alias_error(kernel, signal)),
+        ("tail-excess series", lambda kernel, signal: ds.tail_excess(kernel.spectrum, 0)),
+        ("lambda tail series", lambda kernel, signal: ds.alias_error(kernel.spectrum, signal)),
     ],
 )
 def test_each_series_names_itself_when_it_fails_to_terminate(monkeypatch, series, build):
@@ -98,15 +99,31 @@ def test_each_series_names_itself_when_it_fails_to_terminate(monkeypatch, series
         build(kernel, signal)
 
 
-def test_alias_error_reports_underflowing_residue_class():
-    # at r = 0.3 the lambda mass S_j of the higher residue classes is below
-    # 1e-162, so the product S_j (S_j + T_j) rounds to zero
+@pytest.mark.parametrize(
+    "twice_s, radius, n, length",
+    [(2, 0.3, 256, 2048), (2, 0.46, 256, 2048), (2, 0.2, 128, 2048), (400, 0.95, 64, 8)],
+)
+def test_alias_error_answers_where_class_masses_leave_the_double_range(
+    twice_s, radius, n, length
+):
+    # at small r the lambda mass of the higher residue classes lies far below
+    # 1e-308; at 2s = 400, r = 0.95 each class's lambda tail exceeds its
+    # stored lambdas by about exp(890)
     rng = np.random.default_rng(2048)
-    coeffs = 0.97 ** np.arange(2048) * (rng.standard_normal(2048) + 1j * rng.standard_normal(2048))
-    kernel = ds.overlap_kernel(2, ds.SamplingGrid(0.3, 256))
-    with pytest.raises(NumericalRangeError, match="residue class") as info:
-        ds.alias_error(kernel, ds.DiskSignal(2, coeffs))
-    assert info.value.log_value < -745
+    coeffs = 0.97 ** np.arange(length) * (
+        rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    )
+    signal = ds.DiskSignal(twice_s, coeffs)
+    grid = ds.SamplingGrid(radius, n)
+    got = ds.alias_error(ds.ResolutionSpectrum(twice_s, grid), signal)
+    assert got == pytest.approx(oracle.alias_error(signal, grid), rel=1e-12)
+
+
+def test_series_beyond_the_double_range_raise():
+    # eps_0 is about exp(782) at 2s = 200, r = 0.99, N = 4
+    spectrum = ds.ResolutionSpectrum(200, ds.SamplingGrid(0.99, 4))
+    with pytest.raises(OverflowError, match="^tail-excess series exceeds the double range$"):
+        ds.tail_excess(spectrum, 0)
 
 
 def test_pointwise_functions_keep_the_shape_of_the_query():
@@ -131,7 +148,7 @@ def test_pointwise_functions_keep_the_shape_of_the_query():
         lambda p: ds.evaluate_signal(long_signal, p),
         lambda p: ds.sinc_kernel(fm, 1, p),
         lambda p: ds.dual_sinc_kernel(kernel, 1, p),
-        lambda p: ds.dual_sinc_series(kernel, 1, p),
+        lambda p: oracle.dual_sinc_series(kernel, 1, p),
         lambda p: ds.partial_reconstruct(kernel, samples, p),
     ):
         values = function(z)
