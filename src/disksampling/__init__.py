@@ -35,6 +35,7 @@ from .undersampled import (
     RadiusEstimate,
     alias_error,
     band_projection_curve,
+    bound_margin,
     critical_radius,
     dft_coefficients,
     dual_sinc_kernel,
@@ -80,6 +81,7 @@ __all__ = [
     "RadiusEstimate",
     "alias_error",
     "band_projection_curve",
+    "bound_margin",
     "critical_radius",
     "dft_coefficients",
     "dual_sinc_kernel",

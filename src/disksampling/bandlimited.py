@@ -18,7 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DiskSignal, ResolutionSpectrum, SamplingGrid, _pointwise, evaluate_signal
+from .basis import (
+    DiskSignal,
+    ResolutionSpectrum,
+    SamplingGrid,
+    _log_one_minus_mod2,
+    _one_minus_mod2,
+    _pointwise,
+    evaluate_signal,
+)
 from .validation import (
     CONDITION_LIMIT,
     as_samples,
@@ -105,9 +113,11 @@ def sinc_kernel(fm: FrameMatrix, k: int, z):
     r = fm.grid.radius
     s = fm.twice_s / 2.0
 
+    log_one_minus_r2 = _log_one_minus_mod2(_one_minus_mod2(r))
+
     def values(z_flat):
-        mod2 = z_flat.real * z_flat.real + z_flat.imag * z_flat.imag
-        prefactor = np.exp(s * (np.log1p(-mod2) - np.log1p(-r * r))) / n
+        log_one_minus = _log_one_minus_mod2(_one_minus_mod2(z_flat))
+        prefactor = np.exp(s * (log_one_minus - log_one_minus_r2)) / n
         ratio = np.conj(z_flat) * np.exp(2j * np.pi * k / n) / r
         acc = np.ones_like(ratio)
         term = np.ones_like(ratio)

@@ -15,11 +15,14 @@ where the diagonal resolution eigenvalues are
 
     lambda_n = N * (1-r^2)^(2s) * binom(2s+n-1, n) * r^(2n).
 
-Everything is evaluated in the log domain where magnitudes can degenerate:
-binomials through the log-gamma function, lambda_n through
-``ResolutionSpectrum.log_values`` and only exponentiated on demand.  The
-non-analytic prefactor (1-|z|^2)^s is kept inside the basis functions; the
-integration measure is never reweighted (see README).
+Everything is evaluated in the log domain where magnitudes can degenerate.
+Divided by N, lambda_n is the negative-binomial probability NB(n; 2s, 1-r^2),
+and |U_m(z)|^2 is NB(m; 2s, 1-|z|^2); both are taken from one log-pmf in
+Loader's saddle-point form (C. Loader, "Fast and Accurate Computation of
+Binomial Probabilities", 2000), in which no large terms cancel.  1 - |z|^2
+is formed with compensated arithmetic, so it keeps its relative accuracy up
+to the rim.  The non-analytic prefactor (1-|z|^2)^s is kept inside the basis
+functions; the integration measure is never reweighted (see README).
 
 Pointwise evaluation sums the basis by the upward recurrence
 U_m = U_{m-1} sqrt((2s+m-1)/m) conj(z), whose terms cannot overflow because
@@ -36,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .validation import (
     NumericalRangeError,
@@ -59,17 +61,176 @@ __all__ = [
 ]
 
 
+#: Veltkamp's splitting constant 2^27 + 1.
+_SPLITTER = 134217729.0
+
+#: Stirling-formula errors log(n!) - log(sqrt(2 pi n) (n/e)^n), correctly
+#: rounded, for n = 0..15 (the entry for n = 0 is a placeholder; no result
+#: read at n = 0 comes from it).
+_STIRLING_ERRORS = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
+
+#: The deviance series stops once its ratio raised to the term count is
+#: below this (one unit in the last place of its first term).
+_DEVIANCE_SERIES_TOL = 2.0**-53
+
+
+def _two_product(a, b):
+    """(a*b, its rounding error) exactly, by Dekker's two-product with
+    Veltkamp splitting (numpy has no fused multiply-add)."""
+    product = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    return product, ((a_hi * b_hi - product) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _split(a):
+    """a = hi + lo exactly, each with at most 26 significant bits."""
+    scaled = _SPLITTER * a
+    hi = scaled - (scaled - a)
+    return hi, a - hi
+
+
+def _two_sum(a, b):
+    """(a+b, its rounding error) exactly (Knuth's two-sum)."""
+    total = a + b
+    b_part = total - a
+    return total, (a - (total - b_part)) + (b - b_part)
+
+
+def _one_minus_mod2(z):
+    """(1 - |z|^2, its low part, |z|^2, its low part) for point(s) z.
+
+    Each quantity is an unevaluated sum hi + lo of two doubles: x^2 and y^2
+    are taken exactly by Dekker's two-product, and 1 - x^2 - y^2 is summed
+    with every rounding error carried.  So 1 - |z|^2 keeps its relative
+    accuracy however close z lies to the rim, where 1 - (x*x + y*y) loses up
+    to all of its digits.  A real z is its own modulus.
+    """
+    z = np.asarray(z)
+    x2, x2_err = _two_product(z.real, z.real)
+    y2, y2_err = _two_product(z.imag, z.imag)
+    head, head_err = _two_sum(1.0, -x2)
+    head, err = _two_sum(head, -y2)
+    tail = ((head_err + err) - x2_err) - y2_err
+    one_minus = head + tail
+    mod2, mod2_err = _two_sum(x2, y2)
+    return one_minus, tail - (one_minus - head), mod2, mod2_err + x2_err + y2_err
+
+
+def _log_one_minus_mod2(rim):
+    """log(1 - |z|^2) from ``rim = _one_minus_mod2(z)``."""
+    one_minus, one_minus_lo = rim[0], rim[1]
+    return np.log(one_minus) + one_minus_lo / one_minus
+
+
+def _stirling_error(n):
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n) for integer-valued n >= 1:
+    tabulated up to 15, the asymptotic series (5 terms) above."""
+    n2 = n * n
+    out = (
+        1.0 / 12.0
+        - (1.0 / 360.0 - (1.0 / 1260.0 - (1.0 / 1680.0 - 1.0 / (1188.0 * n2)) / n2) / n2) / n2
+    ) / n
+    small = n <= 15
+    if np.any(small):
+        out = np.where(small, _STIRLING_ERRORS[np.minimum(n, 15).astype(np.int64)], out)
+    return out
+
+
+def _saddle_point(twice_s: int, n):
+    """log NB(n; 2s, p) at its saddle point p = 2s/(2s+n), for n >= 1:
+    Stirling errors plus the Gaussian normalisation, nothing that cancels."""
+    total = twice_s + n
+    errors = _stirling_error(np.stack((total, n)))
+    return (
+        errors[0]
+        - errors[1]
+        - _stirling_error(float(twice_s))
+        + 0.5 * np.log(twice_s / (2.0 * np.pi * n * total))
+    )
+
+
+def _deviance(x, mean, diff):
+    """Loader's bd0(x, M) = x log(x/M) + M - x, given diff = x - M.
+
+    Where |v| < 0.1 for v = diff/(x+M) the value is the series
+    v (diff + 2 x sum_{j>=1} v^(2j)/(2j+1)), summed to as many terms as the
+    largest such v on the call needs; elsewhere it is x log1p(diff/M) - diff,
+    which loses at most a few digits there.
+    """
+    out = x * np.log1p(diff / mean) - diff
+    v = diff / (x + mean)
+    near = np.abs(v) < 0.1
+    if near.any():
+        v = v[near]
+        d = diff[near]
+        w = v * v
+        largest = w.max()
+        terms = int(np.ceil(np.log(_DEVIANCE_SERIES_TOL) / np.log(largest))) if largest else 0
+        series = np.zeros_like(w)
+        for j in range(terms, 0, -1):
+            series = (series + 1.0 / (2 * j + 1)) * w
+        # x = M + diff; only the small series term reads it
+        out[near] = v * (d + 2.0 * (mean[near] + d) * series)
+    return out
+
+
+def _log_pmf(twice_s: int, n, rim) -> np.ndarray:
+    """log NB(n; 2s, 1-|z|^2) = log[binom(2s+n-1, n) (1-|z|^2)^(2s) |z|^(2n)].
+
+    ``rim`` is ``_one_minus_mod2(z)``; n (integer-valued) broadcasts against
+    it.  Loader's saddle-point form: with T = 2s + n,
+
+        log NB = saddle(2s, n) - bd0(2s, T (1-|z|^2)) - bd0(n, T |z|^2).
+
+    Every term is small near the mode, and the deviances grow without
+    cancellation away from it.  They read x - M, which is d = n - T |z|^2
+    for the second and -d for the first; d is formed from |z|^2 to about
+    twice double precision, so it keeps its accuracy up to the rim.  At
+    n = 0 the value is 2s log(1 - |z|^2); at z = 0 it is -inf for n >= 1.
+    Every binomial that meets a power of r or |z| in the package is taken
+    here.
+    """
+    one_minus, _, mod2, mod2_lo = rim
+    n = np.asarray(n, dtype=np.float64)
+    shape = np.broadcast_shapes(n.shape, np.shape(mod2))
+    n = np.atleast_1d(n)  # the deviances assign into their result
+    total = twice_s + n
+    mean, mean_lo = _two_product(total, mod2)
+    diff = (n - mean) - (mean_lo + total * mod2_lo)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (
+            _saddle_point(twice_s, n)
+            - _deviance(float(twice_s), total * one_minus, -diff)
+            - _deviance(n, mean, diff)
+        )
+    return np.where(n == 0, twice_s * _log_one_minus_mod2(rim), out).reshape(shape)
+
+
 def log_binomial(twice_s: int, n) -> np.ndarray | float:
     """Natural log of binom(2s+n-1, n) = Gamma(2s+n) / (Gamma(n+1) Gamma(2s)).
 
-    Stable for arbitrarily large ``n`` and exact (0.0) at n = 0.  ``n`` may
-    be a scalar or an integer array.
+    The saddle-point terms of :func:`_log_pmf` plus the entropy
+    2s log(1 + n/2s) + n log(1 + 2s/n); stable for arbitrarily large ``n``
+    and exact (0.0) at n = 0.  ``n`` may be a scalar or an integer array.
     """
     twice_s = check_twice_s(twice_s)
     n_arr = np.asarray(n, dtype=np.float64)
     if np.any(n_arr < 0):
         raise ValueError("n must be nonnegative")
-    out = gammaln(twice_s + n_arr) - gammaln(n_arr + 1.0) - gammaln(float(twice_s))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (
+            _saddle_point(twice_s, n_arr)
+            + twice_s * np.log1p(n_arr / twice_s)
+            + n_arr * np.log1p(twice_s / n_arr)
+        )
+    out = np.where(n_arr == 0, 0.0, out)
     return out if isinstance(n, np.ndarray) else float(out)
 
 
@@ -141,16 +302,12 @@ class ResolutionSpectrum:
 
     def __post_init__(self):
         object.__setattr__(self, "twice_s", check_twice_s(self.twice_s))
+        # derived from the fields once; not fields themselves
+        object.__setattr__(self, "_rim", _one_minus_mod2(self.grid.radius))
 
     def log_values(self, n) -> np.ndarray | float:
-        r = self.grid.radius
-        n_arr = np.asarray(n, dtype=np.float64)
-        out = (
-            np.log(self.grid.n_samples)
-            + self.twice_s * np.log1p(-r * r)
-            + log_binomial(self.twice_s, n_arr)
-            + 2.0 * n_arr * np.log(r)
-        )
+        """log lambda_n = log N + log NB(n; 2s, 1-r^2), any integer n >= 0."""
+        out = np.log(self.grid.n_samples) + _log_pmf(self.twice_s, n, self._rim)
         return out if isinstance(n, np.ndarray) else float(out)
 
     def values(self, n) -> np.ndarray | float:
@@ -166,22 +323,11 @@ class ResolutionSpectrum:
 
 
 def _basis_values(twice_s: int, m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Broadcast evaluation of U_m(z); inputs already validated."""
-    mod2 = z.real * z.real + z.imag * z.imag
-    s = twice_s / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_mag = (
-            0.5 * log_binomial(twice_s, np.asarray(m, dtype=np.float64))
-            + s * np.log1p(-mod2)
-            + 0.5 * m * np.log(mod2)
-        )
-        out = np.exp(log_mag) * np.exp(-1j * m * np.angle(z))
-    # m*log|z| is indeterminate at the origin: U_0(0) = 1, U_m(0) = 0.
-    at_origin = mod2 == 0.0
-    if np.any(at_origin):
-        origin_val = np.where(np.asarray(m) == 0, 1.0 + 0.0j, 0.0j)
-        out = np.where(at_origin, np.broadcast_to(origin_val, out.shape), out)
-    return out
+    """Broadcast evaluation of U_m(z) = NB(m; 2s, 1-|z|^2)^(1/2) e^(-i m arg z);
+    inputs already validated."""
+    # at the origin the pmf is 1 at m = 0 and 0 (log -inf) above
+    log_mag = 0.5 * _log_pmf(twice_s, m, _one_minus_mod2(z))
+    return np.exp(log_mag) * np.exp(-1j * m * np.angle(z))
 
 
 def basis_fn(twice_s: int, m, z):
@@ -212,14 +358,14 @@ def overlap(twice_s: int, z, w):
     z_arr = as_disk_points(z)
     w_arr = as_disk_points(w)
     s = twice_s / 2.0
-    zmod2 = z_arr.real * z_arr.real + z_arr.imag * z_arr.imag
-    wmod2 = w_arr.real * w_arr.real + w_arr.imag * w_arr.imag
-    numerator = s * (np.log1p(-zmod2) + np.log1p(-wmod2))
+    # (1-|z|^2)^s (1-|w|^2)^s: one exponential per point, not one per pair
+    numerator = np.exp(s * _log_one_minus_mod2(_one_minus_mod2(z_arr))) * np.exp(
+        s * _log_one_minus_mod2(_one_minus_mod2(w_arr))
+    )
     denominator = (1.0 - w_arr * np.conj(z_arr)) ** twice_s
     if np.ndim(denominator) == 0:
-        return complex(np.exp(numerator) / denominator)
+        return complex(numerator / denominator)
     # in place: fewer large temporaries per block of points, fewer page faults
-    np.exp(numerator, out=numerator)
     return np.divide(numerator, denominator, out=denominator)
 
 
@@ -340,8 +486,7 @@ def evaluate_signal(signal: DiskSignal, z):
     steps = _segment_rows(np.sqrt((twice_s - 1.0 + m) / m))
 
     def values(z_flat):
-        mod2 = z_flat.real * z_flat.real + z_flat.imag * z_flat.imag
-        log_u0 = 0.5 * twice_s * np.log1p(-mod2)
+        log_u0 = 0.5 * twice_s * _log_one_minus_mod2(_one_minus_mod2(z_flat))
         near_rim = log_u0 < _LOG_U0_MIN
         inner = ~near_rim
         out = np.empty(z_flat.size, dtype=np.complex128)
@@ -365,14 +510,8 @@ def sample_signal(signal: DiskSignal, grid: SamplingGrid) -> np.ndarray:
     relative.
     """
     n = grid.n_samples
-    r = grid.radius
     m = np.arange(len(signal), dtype=np.float64)
-    s = signal.twice_s / 2.0
-    log_w = (
-        0.5 * log_binomial(signal.twice_s, m)
-        + m * np.log(r)
-        + s * np.log1p(-r * r)
-    )
+    log_w = 0.5 * _log_pmf(signal.twice_s, m, _one_minus_mod2(grid.radius))
     weighted = signal.coefficients * np.exp(log_w)
     folded = np.zeros(n, dtype=np.complex128)
     np.add.at(folded, np.arange(len(signal)) % n, weighted)

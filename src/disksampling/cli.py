@@ -285,7 +285,7 @@ def cmd_error_analysis(args) -> int:
                     exact,
                     bound.value,
                     bound.leading_order,
-                    exact <= bound.value,
+                    us.bound_margin(spectrum, signal) >= 0.0,
                 )
             )
     text = _render_table(

@@ -21,10 +21,13 @@ row DFT loses the small eigenvalues to cancellation as soon as the eigenvalue
 spread exceeds ~1e4.  That DFT is a mixed-radix decimation-in-time transform
 in mpmath: O(N * sum of the prime factors of N) products, O(N log N) for
 smooth N, while a prime N stays O(N^2).  It yields the same doubles as the
-direct O(N^2) sum, which the tests keep as their reference.  The independent
-check is the truncated lambda series in ordinary doubles.  The tail ratios eps_n = (lhat_n - lambda_n)/lambda_n are
-never formed by subtraction; they get their own series, exact down to the
-underflow threshold.
+direct O(N^2) sum, which the tests keep as their reference.  mpmath is
+imported by the first kernel built, so work that needs no kernel (the error
+analysis) never loads it.  The independent check is the truncated lambda
+series in ordinary doubles.  The tail ratios
+eps_n = (lhat_n - lambda_n)/lambda_n are never formed by subtraction; they
+get their own series, exact down to the underflow threshold, and are carried
+in the log domain where they leave the double range.
 """
 
 from __future__ import annotations
@@ -32,14 +35,15 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
-from scipy.special import logsumexp
 
 from .basis import (
     DiskSignal,
     ResolutionSpectrum,
     SamplingGrid,
+    _log_one_minus_mod2,
+    _log_pmf,
+    _one_minus_mod2,
     _pointwise,
     log_binomial,
     overlap,
@@ -76,6 +80,7 @@ __all__ = [
     "quasi_band_profile",
     "alias_error",
     "error_bound",
+    "bound_margin",
     "leading_order_bound",
     "max_radius_estimate",
     "band_projection_curve",
@@ -167,9 +172,13 @@ def _circulant(row: np.ndarray) -> np.ndarray:
 
 
 def _first_row(twice_s: int, grid: SamplingGrid) -> np.ndarray:
-    r2 = grid.radius * grid.radius
+    """C_l = ((1-r^2) / (1 - r^2 e^(i theta_l)))^(2s), the denominator taken as
+    (1-r^2) + 2 r^2 sin^2(theta_l/2) - i r^2 sin(theta_l), which does not
+    cancel near theta_l = 0 (C_0 = 1 exactly)."""
+    one_minus, _, r2, _ = _one_minus_mod2(grid.radius)
     ang = grid.angles
-    base = (1.0 - r2) / (1.0 - r2 * (np.cos(ang) + 1j * np.sin(ang)))
+    half_sin = np.sin(0.5 * ang)
+    base = one_minus / (one_minus + 2.0 * r2 * half_sin * half_sin - 1j * r2 * np.sin(ang))
     return base**twice_s
 
 
@@ -229,6 +238,8 @@ def _eigenvalues_dft(twice_s: int, grid: SamplingGrid) -> tuple[np.ndarray, floa
     entries are computed for l <= N/2 only; the rest follow by conjugation,
     exp(-2 pi i (N-l)/N) = conj exp(-2 pi i l/N) and C_{N-l} = conj C_l.
     """
+    import mpmath as mp  # loaded by the first kernel, not by the package
+
     n = grid.n_samples
     spectrum = ResolutionSpectrum(twice_s, grid)
     min_log = float(np.min(spectrum.log_values(np.arange(n))))
@@ -260,6 +271,8 @@ def _mixed_radix_dft(x: list, twiddles: list, stride: int) -> list:
     length is summed directly, each output one exact ``mp.fsum``.  Runs at
     the caller's mpmath precision.
     """
+    import mpmath as mp
+
     m = len(x)
     if m == 2:
         # x_0 +- x_1 round once, as the two-term fsum does
@@ -449,32 +462,48 @@ def tail_excess(spectrum: ResolutionSpectrum, n) -> np.ndarray | float:
 
     Computed by its own ratio series
 
-        eps_n = sum_{u>=1} [binom(2s-1+n+uN, n+uN) / binom(2s-1+n, n)] r^(2uN),
+        eps_n = sum_{u>=1} lambda_{n+uN} / lambda_n,
 
     never by subtracting lhat - lambda, so it stays exact down to the
     underflow threshold (the difference cancels catastrophically once
-    eps_n drops below machine epsilon).  Strictly decreasing in n.
+    eps_n drops below machine epsilon).  Strictly decreasing in n.  A value
+    beyond the double range raises ``OverflowError``; :func:`error_bound`
+    reads eps_n in the log domain and has no such limit.
     """
     n_s = spectrum.grid.n_samples
     n_arr = np.array([check_index(v) for v in np.atleast_1d(n)], dtype=np.int64)
     if np.any(n_arr >= n_s):
         raise ValueError(f"n must satisfy 0 <= n < {n_s}")
-    log_r2n = 2.0 * n_s * np.log(spectrum.grid.radius)
-    base = log_binomial(spectrum.twice_s, n_arr.astype(np.float64))
-    col = n_arr[:, np.newaxis]
-
-    def log_terms(q):
-        u = q + 1
-        return (
-            log_binomial(spectrum.twice_s, (col + u * n_s).astype(np.float64))
-            - base[:, np.newaxis]
-            + u * log_r2n
-        )
-
-    total = _series_sum(log_terms, series_tolerance(), "tail-excess")
+    with np.errstate(over="ignore"):
+        total = np.exp(_log_tail_excess(spectrum, n_arr))
+    if np.isinf(total).any():
+        raise OverflowError("tail-excess series exceeds the double range")
     if np.ndim(n) == 0:
         return float(total[0])
     return total
+
+
+def _log_tail_excess(spectrum: ResolutionSpectrum, n: np.ndarray) -> np.ndarray:
+    """log eps_n for a validated index array n < N.
+
+    The series is summed relative to its largest term, the one nearest the
+    mode floor((2s-1) r^2 / (1-r^2)) of the spectrum (lambda_m is unimodal
+    in m), so no term overflows or underflows whatever the size of eps_n.
+    """
+    n_s = spectrum.grid.n_samples
+    r2 = spectrum.grid.radius**2
+    mode = np.floor((spectrum.twice_s - 1) * r2 / (1.0 - r2))
+    below = np.maximum(1, (mode - n) // n_s)
+    peak = np.maximum(
+        spectrum.log_values(n + below * n_s), spectrum.log_values(n + (below + 1) * n_s)
+    )
+    col, shift = n[:, np.newaxis], peak[:, np.newaxis]
+    total = _series_sum(
+        lambda q: spectrum.log_values(col + (q + 1) * n_s) - shift,
+        series_tolerance(),
+        "tail-excess",
+    )
+    return np.log(total) + peak - spectrum.log_values(n)
 
 
 def quasi_band_profile(signal: DiskSignal, band_limit: int) -> QuasiBandProfile:
@@ -559,6 +588,7 @@ def leading_order_bound(
 
     The second is what the printed radius estimate implies when inverted; the
     two are mutually inconsistent by the factor 2 binom^(1/2) (see README).
+    binom r^(2N) is taken as the pmf NB(N; 2s, 1-r^2) / (1-r^2)^(2s).
     """
     twice_s = check_twice_s(twice_s)
     radius = check_radius(radius)
@@ -567,17 +597,18 @@ def leading_order_bound(
         raise ValueError(f"epsilon_m must lie in [0, 1), got {epsilon_m!r}")
     if epsilon_m == 0.0:
         return 0.0
-    lb = log_binomial(twice_s, n)
+    rim = _one_minus_mod2(radius)
+    # log(binom^(1/2) r^N)
+    log_half = 0.5 * (float(_log_pmf(twice_s, n, rim)) - twice_s * _log_one_minus_mod2(rim))
     log_common = (
         0.5 * np.log1p(-epsilon_m * epsilon_m)
         + np.log(epsilon_m)
         + 0.5 * np.log(n)
-        + n * np.log(radius)
     )
     if variant == "printed":
-        cross = np.exp(log_common + 0.5 * lb)
+        cross = np.exp(log_common + log_half)
     elif variant == "derived":
-        cross = 2.0 * np.exp(log_common + lb)
+        cross = 2.0 * np.exp(log_common + 2.0 * log_half - n * np.log(radius))
     else:
         raise ValueError(f"variant must be 'printed' or 'derived', got {variant!r}")
     return float(epsilon_m * epsilon_m + cross)
@@ -595,7 +626,9 @@ def error_bound(
     not established for other M, so no extrapolation is offered.
     ``leading_order`` carries the single-power-of-r form (``variant`` selects
     which published variant, see :func:`leading_order_bound`).  Like
-    :func:`alias_error` it reads only the spectrum (through :func:`tail_excess`).
+    :func:`alias_error` it reads only the spectrum; eps_0 and eps_{N-1} are
+    taken in the log domain, so the bound answers where they leave the
+    double range (large spin near the rim).
     """
     n = spectrum.grid.n_samples
     if profile.band_limit != n - 1:
@@ -604,16 +637,63 @@ def error_bound(
             f"got {profile.band_limit}"
         )
     em = profile.epsilon_m
-    eps0 = float(tail_excess(spectrum, 0))
-    eps_last = float(tail_excess(spectrum, n - 1))
-    em2 = em * em
-    value = (
-        em2
-        + (1.0 - em2) * eps0 / (1.0 + eps0)
-        + 2.0 * np.sqrt(1.0 - em2) * em * np.sqrt(n * eps0) / (1.0 + eps_last)
-    )
+    log_eps = _log_tail_excess(spectrum, np.array([0, n - 1]))
+    value = em * em + _bound_excess(n, em, log_eps[0], log_eps[1])
     leading = leading_order_bound(spectrum.twice_s, spectrum.grid.radius, n, em, variant)
     return ErrorBound(value=float(value), leading_order=leading)
+
+
+def _bound_excess(n: int, em: float, log_eps0: float, log_eps_last: float) -> float:
+    """The bound less eps_M^2, its second and third terms, from log eps_0 and
+    log eps_{N-1}: eps/(1+eps) = exp(log eps - log(1+eps)), no overflow."""
+    em2 = em * em
+    return float(
+        (1.0 - em2) * np.exp(log_eps0 - np.logaddexp(0.0, log_eps0))
+        + 2.0 * np.sqrt(1.0 - em2) * em
+        * np.exp(0.5 * (np.log(n) + log_eps0) - np.logaddexp(0.0, log_eps_last))
+    )
+
+
+def bound_margin(spectrum: ResolutionSpectrum, signal: DiskSignal) -> float:
+    """bound - exact for band limit M = N-1, formed without cancellation.
+
+    exact is the normalized squared alias error ||psi - P psi||^2/||psi||^2
+    and bound the :func:`error_bound` value; the bound holds where the margin
+    is >= 0.  Both share the term eps_M^2, which is never formed: bound -
+    eps_M^2 is the bound's second and third terms, and per residue class j,
+    with v the class coefficients, x_p = lambda_{j+pN}^(1/2),
+    u_j = sum_{p>=1} x_p v_p and t_j = lhat_j - lambda_j,
+
+        exact - eps_M^2 = sum_j (|v_0|^2 t_j - 2 x_0 Re(v_0 conj(u_j)) - |u_j|^2)
+                                / (lhat_j ||psi||^2).
+
+    Every term is of the size of the class tail, so a margin far below
+    eps_M^2 keeps its sign and its leading digits.  Each class is scaled by
+    the larger of lambda_j and t_j (the term is homogeneous of degree 0 in
+    lambda), so nothing overflows or underflows.
+    """
+    if signal.twice_s != spectrum.twice_s:
+        raise ValueError(
+            f"signal twice_s {signal.twice_s} does not match spectrum twice_s {spectrum.twice_s}"
+        )
+    n = spectrum.grid.n_samples
+    em = quasi_band_profile(signal, n - 1).epsilon_m
+    coeffs = signal.coefficients
+    log_eps = _log_tail_excess(spectrum, np.arange(n))
+    log_lam = np.asarray(spectrum.log_values(np.arange(coeffs.size)), dtype=np.float64)
+    excess = 0.0
+    for j in range(min(n, coeffs.size)):
+        log_tail = log_lam[j] + log_eps[j]
+        shift = max(log_lam[j], log_tail)
+        x = np.exp(0.5 * (log_lam[j::n] - shift))
+        v = coeffs[j::n]
+        u = complex(np.sum(x[1:] * v[1:]))
+        tail = float(np.exp(log_tail - shift))
+        v0 = complex(v[0])
+        excess += (
+            abs(v0) ** 2 * tail - 2.0 * x[0] * (v0 * u.conjugate()).real - abs(u) ** 2
+        ) / (x[0] * x[0] + tail)
+    return _bound_excess(n, em, log_eps[0], log_eps[-1]) - excess / signal.norm_squared
 
 
 def max_radius_estimate(
@@ -665,7 +745,8 @@ def band_projection_curve(twice_s: int, band_limit: int, radius) -> np.ndarray |
 
     equal to 1 at r = 0, monotone non-increasing on [0, 1), and dropping
     through 1/2 near the critical radius when s and M are large.  Accepts a
-    scalar or array radius in [0, 1); log-domain throughout, so s and M in the
+    scalar or array radius in [0, 1); each term is the pmf NB(m; 2s, 1-r^2),
+    summed in the log domain relative to its largest term, so s and M in the
     thousands are fine.
     """
     twice_s = check_twice_s(twice_s)
@@ -674,16 +755,9 @@ def band_projection_curve(twice_s: int, band_limit: int, radius) -> np.ndarray |
     if np.any(r_arr < 0.0) or np.any(r_arr >= 1.0):
         raise ValueError("radius must lie in [0, 1)")
     m = np.arange(band_limit + 1, dtype=np.float64)
-    lb = log_binomial(twice_s, m)
-    # r = 0 rows are overwritten below; a placeholder keeps log() finite there.
-    safe_r = np.where(r_arr > 0.0, r_arr, 0.5)
-    log_terms = (
-        twice_s * np.log1p(-r_arr * r_arr)[:, np.newaxis]
-        + lb[np.newaxis, :]
-        + 2.0 * m[np.newaxis, :] * np.log(safe_r)[:, np.newaxis]
-    )
-    out = np.exp(logsumexp(log_terms, axis=1))
-    out = np.where(r_arr == 0.0, 1.0, out)
+    log_terms = _log_pmf(twice_s, m[np.newaxis, :], _one_minus_mod2(r_arr[:, np.newaxis]))
+    peak = np.max(log_terms, axis=1)
+    out = np.exp(peak) * np.sum(np.exp(log_terms - peak[:, np.newaxis]), axis=1)
     if np.isscalar(radius) or np.asarray(radius).ndim == 0:
         return float(out[0])
     return out.reshape(np.asarray(radius).shape)

@@ -28,6 +28,8 @@ from disksampling.basis import (
     DiskSignal,
     ResolutionSpectrum,
     SamplingGrid,
+    _log_one_minus_mod2,
+    _one_minus_mod2,
     _pointwise,
     basis_fn,
     overlap,
@@ -44,6 +46,7 @@ from disksampling.validation import (
 __all__ = [
     "QuadratureError",
     "alias_error",
+    "bound_margin",
     "dense_frame",
     "dense_projector",
     "dual_sinc_series",
@@ -225,6 +228,7 @@ def dual_sinc_series(kernel: CirculantKernel, k: int, z):
 
     roots = np.exp(2j * np.pi * np.arange(n) / n)[:, np.newaxis]
     inverse_eigenvalues = 1.0 / kernel.eigenvalues
+    log_one_minus_r2 = _log_one_minus_mod2(_one_minus_mod2(r))
 
     def values(z_flat):
         # u = r^2 * conj(z)/conj(z_k); |u| = r|z| < 1 keeps the sectioned sum exact.
@@ -232,9 +236,9 @@ def dual_sinc_series(kernel: CirculantKernel, k: int, z):
         base = (1.0 - roots * u) ** (-kernel.twice_s)
         # sum_l w^(-jl) base_l for every j is one length-N DFT along the roots.
         sections = np.fft.fft(base, axis=0) / n
-        mod2 = z_flat.real * z_flat.real + z_flat.imag * z_flat.imag
+        log_one_minus = _log_one_minus_mod2(_one_minus_mod2(z_flat))
         prefactor = np.exp(
-            s * (np.log1p(-mod2) - np.log1p(-r * r)) + kernel.twice_s * np.log1p(-r * r)
+            s * (log_one_minus - log_one_minus_r2) + kernel.twice_s * log_one_minus_r2
         )
         return prefactor * np.einsum("j,jq->q", inverse_eigenvalues, sections)
 
@@ -282,6 +286,51 @@ def alias_error(signal: DiskSignal, grid: SamplingGrid, digits: int = 40) -> flo
                 m += n
             error_sq += pairs / stored + abs(w) ** 2 * tail / (stored * (stored + tail))
         return float(mp.sqrt(error_sq))
+
+
+def bound_margin(signal: DiskSignal, grid: SamplingGrid, digits: int) -> float:
+    """bound - exact at band limit N-1, each from its definition in mpmath.
+
+    exact = 1 - sum_j |sum_p lambda_{j+pN}^(1/2) a_{j+pN}|^2 / (lhat_j ||psi||^2)
+    and the bound is eps_M^2 + (1-eps_M^2) eps_0/(1+eps_0)
+    + 2 sqrt(1-eps_M^2) eps_M sqrt(N eps_0)/(1+eps_{N-1}), subtracted directly:
+    ``digits`` must exceed the number of leading digits the two share (about
+    -log10 of the margin) with room to spare.  Each lambda tail is its own
+    series, summed term by term until a term is negligible.
+    """
+    twice_s, n = signal.twice_s, grid.n_samples
+    with mp.workdps(digits):
+        r2 = mp.mpf(grid.radius) ** 2
+        scale = n * (1 - r2) ** twice_s
+
+        def lam(m):
+            return scale * mp.binomial(twice_s + m - 1, m) * r2**m
+
+        def tail(j):
+            total, m = mp.mpf(0), j + n
+            while True:
+                term = lam(m)
+                total += term
+                if term < mp.mpf(10) ** (-digits - 5) * total:
+                    return total
+                m += n
+
+        coeffs = [mp.mpc(c.real, c.imag) for c in signal.coefficients]
+        norm_sq = mp.fsum(abs(c) ** 2 for c in coeffs)
+        captured = mp.mpf(0)
+        for j in range(min(n, len(coeffs))):
+            w = mp.fsum(mp.sqrt(lam(j + p * n)) * c for p, c in enumerate(coeffs[j::n]))
+            captured += abs(w) ** 2 / (lam(j) + tail(j))
+        exact = 1 - captured / norm_sq
+        em2 = mp.fsum(abs(c) ** 2 for c in coeffs[n:]) / norm_sq
+        eps0 = tail(0) / lam(0)
+        eps_last = tail(n - 1) / lam(n - 1)
+        bound = (
+            em2
+            + (1 - em2) * eps0 / (1 + eps0)
+            + 2 * mp.sqrt((1 - em2) * em2 * n * eps0) / (1 + eps_last)
+        )
+        return float(bound - exact)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,6 +175,27 @@ class TestSpectrum:
                 mags = np.abs(ds.basis_fn(twice_s, n, grid.points)) ** 2
                 assert np.allclose(grid.n_samples * mags, lam, rtol=1e-12)
 
+    @pytest.mark.parametrize(
+        "twice_s, radius, n_samples",
+        [(200, 0.9, 256), (1000, 0.5, 64), (2000, 0.7, 128), (40, 0.95, 512),
+         (2000, 1e-3, 8), (2, 0.99999, 4)],
+    )
+    def test_matches_extended_precision(self, twice_s, radius, n_samples):
+        # lambda_n = N NB(n; 2s, 1-r^2), against 40 digits from the double r
+        n = np.arange(0, 4000, 3)
+        got = ds.ResolutionSpectrum(twice_s, ds.SamplingGrid(radius, n_samples)).log_values(n)
+        with mp.workdps(40):
+            r2 = mp.mpf(radius) ** 2
+            head = mp.log(n_samples) + twice_s * mp.log(1 - r2)
+            want = np.array(
+                [float(head + mp.log(mp.binomial(twice_s + k - 1, k)) + k * mp.log(r2))
+                 for k in n.tolist()]
+            )
+        moderate = np.abs(want) < 50.0
+        assert moderate.any()
+        assert np.max(np.abs(np.expm1(got - want)[moderate])) <= 1e-13
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-14
+
     def test_underflow_raises_with_log(self):
         spectrum = ds.ResolutionSpectrum(2, ds.SamplingGrid(0.5, 2))
         with pytest.raises(NumericalRangeError) as info:
@@ -230,6 +252,23 @@ class TestSignals:
         assert value != 0.0
         assert abs(value - direct) <= 1e-12 * abs(direct)
         assert abs(value) == pytest.approx(magnitude, rel=1e-2)
+
+    @pytest.mark.parametrize(
+        "twice_s, length, z",
+        [(200, 1024, 0.9999), (200, 1024, 0.99995), (200, 256, 0.999),
+         (200, 1024, 0.9999 * np.exp(0.3j))],
+    )
+    def test_eval_near_the_rim_matches_extended_precision(self, twice_s, length, z):
+        # 1 - |z|^2 rounded from x*x + y*y put 1e-12 to 3e-11 errors here
+        value = ds.evaluate_signal(ds.DiskSignal(twice_s, np.ones(length)), z)
+        with mp.workdps(50):
+            w = mp.mpc(complex(z).real, complex(z).imag)
+            prefactor = (1 - abs(w) ** 2) ** (mp.mpf(twice_s) / 2)
+            want = prefactor * mp.fsum(
+                mp.sqrt(mp.binomial(twice_s + m - 1, m)) * mp.conj(w) ** m for m in range(length)
+            )
+            want = complex(want)
+        assert abs(value - want) <= 1e-12 * abs(want)
 
     def test_eval_linearity(self):
         rng = np.random.default_rng(10)

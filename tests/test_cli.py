@@ -340,6 +340,20 @@ class TestErrorAnalysis:
         assert len(rows) == 9
         assert all(0.0 < float(row[3]) < 1.0 for row in rows)
 
+    def test_large_spin_rim_row_answers(self, tmp_path):
+        # eps_0 is about exp(782) at 2s = 200, r = 0.99, N = 4
+        signal_path = write_signal(tmp_path / "sig.json", 200, 0.9 ** np.arange(8))
+        out = tmp_path / "table.csv"
+        assert run_cli(
+            "error-analysis", "--input", str(signal_path),
+            "--sweep-r", "0.99", "--sweep-n", "4", "--output", str(out),
+        ) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 1
+        exact, bound = float(rows[0][3]), float(rows[0][4])
+        assert 0.0 < exact <= 1.0 and bound == 1.0
+        assert rows[0][6] == "1"
+
     def test_bad_sample_count_is_named(self, tmp_path, capsys):
         signal_path = write_signal(tmp_path / "sig.json", 2, 0.5 ** np.arange(40))
         assert run_cli(
@@ -430,6 +444,24 @@ class TestDiagnosticsAndDeterminism:
             assert proc.returncode == 0
             results.append(proc.stdout)
         assert results[0] == results[1]
+
+    def test_import_loads_neither_scipy_nor_mpmath(self):
+        # mpmath is loaded by the first kernel only; scipy not at all
+        package_root = str(pathlib.Path(ds.__file__).resolve().parent.parent)
+        script = (
+            "import sys\n"
+            "import disksampling as ds\n"
+            "def loaded(name):\n"
+            "    return sorted(m for m in sys.modules if m == name or m.startswith(name + '.'))\n"
+            "before = loaded('scipy') + loaded('mpmath')\n"
+            "ds.overlap_kernel(2, ds.SamplingGrid(0.5, 4))\n"
+            "print(before, loaded('scipy'), 'mpmath' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": package_root}, check=True,
+        )
+        assert proc.stdout.split() == ["[]", "[]", "True"]
 
     def test_bad_flag_exits_two(self):
         proc = run_module("grid", "--r", "0.5")

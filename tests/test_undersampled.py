@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,18 @@ class TestKernelEigenvalues:
         expected, _ = oracle.row_dft_eigenvalues(twice_s, grid)
         assert np.array_equal(values, expected)
         assert residue < 1e-13
+
+    @pytest.mark.parametrize(
+        "twice_s, radius, n",
+        [(200, 0.9, 256), (200, 0.9, 512), (1000, 0.5, 64), (2000, 0.7, 128), (40, 0.95, 512)],
+    )
+    def test_large_spin_kernels_pass_the_cross_check(self, twice_s, radius, n):
+        # the series route read lambda_n from log-gamma differences, whose
+        # rounding (1e-12 to 7e-12 relative here) tripped the 1e-12 limit
+        assert undersampled._EIG_AGREE_RTOL == 1e-12
+        kernel = ds.overlap_kernel(twice_s, ds.SamplingGrid(radius, n))
+        assert np.all(kernel.eigenvalues > 0.0)
+        assert np.sum(kernel.eigenvalues) == pytest.approx(n, rel=1e-12)
 
     def test_single_point_series_consistency(self):
         # N=1: the DFT route gives C_0 = 1 exactly; the series must agree
@@ -452,6 +465,34 @@ class TestErrorBound:
             profile = ds.quasi_band_profile(signal, n - 1)
             exact = ds.alias_error(kernel.spectrum, signal) ** 2 / signal.norm_squared
             assert exact <= ds.error_bound(kernel.spectrum, profile).value
+            assert ds.bound_margin(kernel.spectrum, signal) >= 0.0
+
+    @pytest.mark.parametrize(
+        "twice_s, radius, n, decay, seed, digits",
+        [(8, 0.15, 128, 0.98, 0, 160), (40, 0.2, 64, 0.99, 1, 80), (2, 0.12, 256, 0.99, 0, 300)],
+    )
+    def test_margin_matches_extended_precision(self, twice_s, radius, n, decay, seed, digits):
+        # bound and exact agree to more digits than a double holds, and
+        # comparing the two doubles says the bound fails in all three cases
+        rng = np.random.default_rng(seed)
+        coeffs = decay ** np.arange(512) * (
+            rng.standard_normal(512) + 1j * rng.standard_normal(512)
+        )
+        signal = ds.DiskSignal(twice_s, coeffs)
+        grid = ds.SamplingGrid(radius, n)
+        got = ds.bound_margin(ds.ResolutionSpectrum(twice_s, grid), signal)
+        assert got > 0.0
+        assert got == pytest.approx(oracle.bound_margin(signal, grid, digits), rel=1e-12)
+
+    def test_answers_where_the_tail_ratios_leave_the_double_range(self):
+        # eps_0 is about exp(782) and eps_3 about exp(779) at 2s = 200, r = 0.99, N = 4
+        spectrum = ds.ResolutionSpectrum(200, ds.SamplingGrid(0.99, 4))
+        signal = ds.DiskSignal(200, 0.9 ** np.arange(8))
+        profile = ds.quasi_band_profile(signal, 3)
+        bound = ds.error_bound(spectrum, profile)
+        # eps_0/(1+eps_0) rounds to 1 and the cross term to 0
+        assert bound.value == 1.0
+        assert ds.bound_margin(spectrum, signal) >= 0.0
 
     def test_leading_order_variants(self):
         printed = ds.leading_order_bound(2, 0.4, 6, 0.1, variant="printed")
@@ -517,12 +558,13 @@ class TestBandProjectionCurve:
 
     def test_matches_incomplete_beta(self):
         # the sum telescopes to a negative-binomial CDF, I_{1-r^2}(2s, M+1)
-        from scipy.special import betainc
-
         grid = np.linspace(0.05, 0.95, 19)
         for twice_s, band in [(2, 3), (5, 8), (100, 2000)]:
             curve = ds.band_projection_curve(twice_s, band, grid)
-            reference = betainc(twice_s, band + 1, 1.0 - grid**2)
+            reference = [
+                float(mp.betainc(twice_s, band + 1, 0, 1.0 - r * r, regularized=True))
+                for r in grid
+            ]
             assert np.allclose(curve, reference, rtol=1e-10, atol=1e-13)
 
 
