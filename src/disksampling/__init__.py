@@ -35,7 +35,6 @@ from .undersampled import (
     RadiusEstimate,
     alias_error,
     band_projection_curve,
-    bound_margin,
     critical_radius,
     dft_coefficients,
     dual_sinc_kernel,
@@ -81,7 +80,6 @@ __all__ = [
     "RadiusEstimate",
     "alias_error",
     "band_projection_curve",
-    "bound_margin",
     "critical_radius",
     "dft_coefficients",
     "dual_sinc_kernel",

@@ -218,12 +218,13 @@ def log_binomial(twice_s: int, n) -> np.ndarray | float:
 
     The saddle-point terms of :func:`_log_pmf` plus the entropy
     2s log(1 + n/2s) + n log(1 + 2s/n); stable for arbitrarily large ``n``
-    and exact (0.0) at n = 0.  ``n`` may be a scalar or an integer array.
+    and exact (0.0) at n = 0.  ``n`` may be a nonnegative integer scalar or
+    array; anything else raises ``ValueError``.
     """
     twice_s = check_twice_s(twice_s)
     n_arr = np.asarray(n, dtype=np.float64)
-    if np.any(n_arr < 0):
-        raise ValueError("n must be nonnegative")
+    if not np.all((n_arr >= 0) & (n_arr == np.floor(n_arr))):
+        raise ValueError("n must be a nonnegative integer")
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (
             _saddle_point(twice_s, n_arr)

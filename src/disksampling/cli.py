@@ -275,17 +275,18 @@ def cmd_error_analysis(args) -> int:
         profile = us.quasi_band_profile(signal, check_n_samples(n) - 1)
         for r in r_values:
             spectrum = ResolutionSpectrum(signal.twice_s, SamplingGrid(r, n))
-            exact = us.alias_error(spectrum, signal) ** 2 / norm_sq
-            bound = us.error_bound(spectrum, profile, variant=args.bound_variant)
+            error_sq, exact_excess, log_captured = us._alias_sums(spectrum, signal)
+            bound, bound_parts = us._bound_terms(spectrum, profile, args.bound_variant)
+            margin, _ = us._bound_margin(bound_parts, exact_excess, log_captured, norm_sq)
             rows.append(
                 (
                     r,
                     n,
                     profile.epsilon_m,
-                    exact,
+                    error_sq / norm_sq,
                     bound.value,
                     bound.leading_order,
-                    us.bound_margin(spectrum, signal) >= 0.0,
+                    margin >= 0.0,
                 )
             )
     text = _render_table(

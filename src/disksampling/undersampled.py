@@ -80,7 +80,6 @@ __all__ = [
     "quasi_band_profile",
     "alias_error",
     "error_bound",
-    "bound_margin",
     "leading_order_bound",
     "max_radius_estimate",
     "band_projection_curve",
@@ -91,8 +90,6 @@ _EIG_AGREE_RTOL = 1e-12
 _EIG_IMAG_RTOL = 1e-13
 _MAX_SERIES_BLOCKS = 100_000
 _SERIES_BLOCK = 16
-# Largest log-term of a scaled lambda tail; see _lambda_tails_from.
-_LOG_TAIL_CAP = 600.0
 
 
 @dataclass(frozen=True)
@@ -484,26 +481,45 @@ def tail_excess(spectrum: ResolutionSpectrum, n) -> np.ndarray | float:
 
 
 def _log_tail_excess(spectrum: ResolutionSpectrum, n: np.ndarray) -> np.ndarray:
-    """log eps_n for a validated index array n < N.
+    """log eps_n for a validated index array n < N."""
+    tails = _log_class_tails(spectrum, n + spectrum.grid.n_samples, "tail-excess")
+    return tails - spectrum.log_values(n)
 
-    The series is summed relative to its largest term, the one nearest the
-    mode floor((2s-1) r^2 / (1-r^2)) of the spectrum (lambda_m is unimodal
-    in m), so no term overflows or underflows whatever the size of eps_n.
+
+def _log_class_tails(spectrum: ResolutionSpectrum, starts: np.ndarray, name: str) -> np.ndarray:
+    """log sum_{q>=0} lambda_{start+qN} for each start: the spectrum mass at
+    and above start in its residue class, of any size.
+
+    lambda_m rises up to the mode floor((2s-1) r^2/(1-r^2)) and falls after
+    it, so each class is summed outward from its peak: upward from its first
+    index at or above the mode, and downward from the index below that to
+    the start.  Both sides then fall term by term, as the truncation test of
+    :func:`_series_sum` assumes, and every term is taken relative to the
+    peak, so none overflows and the peak term itself is 1.
     """
     n_s = spectrum.grid.n_samples
-    r2 = spectrum.grid.radius**2
-    mode = np.floor((spectrum.twice_s - 1) * r2 / (1.0 - r2))
-    below = np.maximum(1, (mode - n) // n_s)
-    peak = np.maximum(
-        spectrum.log_values(n + below * n_s), spectrum.log_values(n + (below + 1) * n_s)
-    )
-    col, shift = n[:, np.newaxis], peak[:, np.newaxis]
-    total = _series_sum(
-        lambda q: spectrum.log_values(col + (q + 1) * n_s) - shift,
-        series_tolerance(),
-        "tail-excess",
-    )
-    return np.log(total) + peak - spectrum.log_values(n)
+    one_minus, _, r2, _ = _one_minus_mod2(spectrum.grid.radius)
+    mode = np.floor((spectrum.twice_s - 1) * r2 / one_minus)
+    rise = np.maximum(0, np.ceil((mode - starts) / n_s)).astype(np.int64)
+    top = starts + rise * n_s
+    down = np.flatnonzero(rise > 0)
+    peak = spectrum.log_values(top)
+    peak[down] = np.maximum(peak[down], spectrum.log_values(top[down] - n_s))
+    # one row per class upward from top, one per class with terms below top downward
+    first = np.concatenate([top, top[down] - n_s])[:, np.newaxis]
+    step = np.concatenate([np.full(top.size, n_s), np.full(down.size, -n_s)])[:, np.newaxis]
+    count = np.concatenate([np.full(top.size, np.iinfo(np.int64).max), rise[down]])
+    count, shift = count[:, np.newaxis], np.concatenate([peak, peak[down]])[:, np.newaxis]
+
+    def log_terms(q):
+        inside = q < count
+        log_lam = spectrum.log_values(np.where(inside, first + q * step, 0))
+        return np.where(inside, log_lam - shift, -np.inf)
+
+    sums = _series_sum(log_terms, series_tolerance(), name)
+    total = sums[: top.size]
+    total[down] += sums[top.size :]
+    return peak + np.log(total)
 
 
 def quasi_band_profile(signal: DiskSignal, band_limit: int) -> QuasiBandProfile:
@@ -515,25 +531,6 @@ def quasi_band_profile(signal: DiskSignal, band_limit: int) -> QuasiBandProfile:
         raise ValueError("zero signal has no quasi-bandlimited profile")
     tail = float(energies[band_limit + 1 :].sum())
     return QuasiBandProfile(band_limit=band_limit, epsilon_m=float(np.sqrt(tail / total)))
-
-
-def _lambda_tails_from(spectrum: ResolutionSpectrum, starts: list, shifts: list) -> np.ndarray:
-    """sum_q lambda_{start + qN} exp(-shift) for each (start, shift): the
-    spectrum mass at and above start in its residue class, scaled.
-
-    Terms are capped at exp(_LOG_TAIL_CAP), which keeps the sum finite.
-    :func:`alias_error` reads a tail T only through T/(S+T) with S at most
-    the number of coefficients, and that ratio rounds to 1 long before any
-    term reaches the cap.
-    """
-    col = np.array(starts, dtype=np.int64)[:, np.newaxis]
-    shift = np.array(shifts)[:, np.newaxis]
-    n = spectrum.grid.n_samples
-    return _series_sum(
-        lambda q: np.minimum(spectrum.log_values(col + q * n) - shift, _LOG_TAIL_CAP),
-        series_tolerance(),
-        "lambda tail",
-    )
 
 
 def alias_error(spectrum: ResolutionSpectrum, signal: DiskSignal) -> float:
@@ -550,10 +547,36 @@ def alias_error(spectrum: ResolutionSpectrum, signal: DiskSignal) -> float:
     full relative precision even when the error is many orders below the
     signal norm (forming ||psi||^2 - <psi|P|psi> directly would cancel
     catastrophically there).  Each class term is homogeneous of degree 0 in
-    lambda, so the class is scaled by its largest stored lambda (mu and T
-    alike): S_j is then at least 1, and no class underflows however small
-    its lambda mass.  Zero exactly when psi lies in the span of the N sampled
-    coherent states.  Needs only the spectrum, not the kernel.
+    lambda, so the class is scaled by its largest stored lambda and T enters
+    as T/(S+T) from log T: S_j is then at least 1, and no class underflows or
+    overflows however small or large its lambda mass.  Zero exactly when psi
+    lies in the span of the N sampled coherent states.  Needs only the
+    spectrum, not the kernel.
+    """
+    return float(np.sqrt(_alias_sums(spectrum, signal)[0]))
+
+
+def _alias_sums(
+    spectrum: ResolutionSpectrum, signal: DiskSignal
+) -> tuple[float, float, float]:
+    """(E^2, E^2 - ||psi||^2 eps_M^2, log ||P psi||^2) for band limit
+    M = N-1, each without cancellation; E^2 is the class sum of
+    :func:`alias_error`.
+
+    E^2 and the tail energy ||psi||^2 eps_M^2 share their leading digits
+    when the alias error is mostly the signal's own tail, so their
+    difference gets its own class sum.  With x_p = lambda_{j+pN}^(1/2),
+    u_j = sum_{p>=1} x_p v_p and t_j = lhat_j - lambda_j (the stored mu
+    beyond p = 0 plus T_j),
+
+        E^2 - ||psi||^2 eps_M^2
+            = sum_j (|v_0|^2 t_j - 2 x_0 Re(v_0 conj(u_j)) - |u_j|^2) / lhat_j.
+
+    Every term is of the size of the class tail t_j.  Each class is scaled
+    by the larger of its largest stored lambda and t_j, so nothing overflows
+    or underflows.  The captured energy ||P psi||^2 = sum_j |w_j|^2 / lhat_j
+    is summed in the log domain: near the rim it is ||psi||^2 - E^2 far
+    below the double range.
     """
     if signal.twice_s != spectrum.twice_s:
         raise ValueError(
@@ -562,20 +585,36 @@ def alias_error(spectrum: ResolutionSpectrum, signal: DiskSignal) -> float:
     n = spectrum.grid.n_samples
     coeffs = signal.coefficients
     log_lam = np.asarray(spectrum.log_values(np.arange(coeffs.size)), dtype=np.float64)
-    classes = range(min(n, coeffs.size))
-    shifts = [float(np.max(log_lam[j::n])) for j in classes]
-    starts = [j + coeffs[j::n].size * n for j in classes]
-    tails = _lambda_tails_from(spectrum, starts, shifts).tolist()
-    error_sq = 0.0
-    for j, shift, tail in zip(classes, shifts, tails):
+    classes = np.arange(min(n, coeffs.size))
+    starts = classes + ((coeffs.size - 1 - classes) // n + 1) * n
+    log_tails = _log_class_tails(spectrum, starts, "lambda tail").tolist()
+    error_sq, excess, log_captured = 0.0, 0.0, -np.inf
+    for j, log_tail in zip(classes.tolist(), log_tails):
         v = coeffs[j::n]
+        shift = float(np.max(log_lam[j::n]))
         x = np.exp(0.5 * (log_lam[j::n] - shift))
         stored = float(np.sum(x * x))
         w = complex(np.sum(x * v))
         cross = x[:, np.newaxis] * v[np.newaxis, :] - x[np.newaxis, :] * v[:, np.newaxis]
         pair_sum = 0.5 * float(np.sum(np.abs(cross) ** 2))
-        error_sq += pair_sum / stored + abs(w) ** 2 * tail / (stored * (stored + tail))
-    return float(np.sqrt(error_sq))
+        # T/(S+T) and S/(S+T) from log(S/T), with S = stored e^shift and T = e^log_tail
+        log_ratio = np.log(stored) + shift - log_tail
+        projected = abs(w) ** 2 / stored
+        error_sq += pair_sum / stored + projected * np.exp(-np.logaddexp(0.0, log_ratio))
+        with np.errstate(divide="ignore"):
+            log_captured = np.logaddexp(
+                log_captured, np.log(projected) - np.logaddexp(0.0, -log_ratio)
+            )
+            log_t = np.logaddexp(np.log(np.sum(x[1:] * x[1:])) + shift, log_tail)
+        top = max(shift, log_t)
+        y = x * np.exp(0.5 * (shift - top))
+        t = float(np.exp(log_t - top))
+        u = complex(np.sum(y[1:] * v[1:]))
+        v0 = complex(v[0])
+        excess += (abs(v0) ** 2 * t - 2.0 * y[0] * (v0 * u.conjugate()).real - abs(u) ** 2) / (
+            y[0] * y[0] + t
+        )
+    return error_sq, excess, float(log_captured)
 
 
 def leading_order_bound(
@@ -630,6 +669,22 @@ def error_bound(
     taken in the log domain, so the bound answers where they leave the
     double range (large spin near the rim).
     """
+    return _bound_terms(spectrum, profile, variant)[0]
+
+
+def _bound_terms(
+    spectrum: ResolutionSpectrum, profile: QuasiBandProfile, variant: str = "printed"
+) -> tuple[ErrorBound, tuple[float, float, float]]:
+    """(:func:`error_bound`, (A + C, log C, log D)): the bound's pieces for
+    a comparison with the exact error that subtracts nothing shared,
+
+        A = (1-eps_M^2) eps_0/(1+eps_0),  C = the cross term,
+        D = (1-eps_M^2)/(1+eps_0),  bound = eps_M^2 + A + C = 1 - D + C.
+
+    eps/(1+eps) = exp(log eps - log(1+eps)), so nothing overflows; each
+    exponent is formed from the differences of the large logs first, so it
+    keeps its absolute accuracy.
+    """
     n = spectrum.grid.n_samples
     if profile.band_limit != n - 1:
         raise ValueError(
@@ -637,63 +692,43 @@ def error_bound(
             f"got {profile.band_limit}"
         )
     em = profile.epsilon_m
-    log_eps = _log_tail_excess(spectrum, np.array([0, n - 1]))
-    value = em * em + _bound_excess(n, em, log_eps[0], log_eps[1])
-    leading = leading_order_bound(spectrum.twice_s, spectrum.grid.radius, n, em, variant)
-    return ErrorBound(value=float(value), leading_order=leading)
-
-
-def _bound_excess(n: int, em: float, log_eps0: float, log_eps_last: float) -> float:
-    """The bound less eps_M^2, its second and third terms, from log eps_0 and
-    log eps_{N-1}: eps/(1+eps) = exp(log eps - log(1+eps)), no overflow."""
     em2 = em * em
-    return float(
+    log_eps0, log_eps_last = _log_tail_excess(spectrum, np.array([0, n - 1]))
+    log_cross = 0.5 * (np.log(n) + log_eps0) - np.logaddexp(0.0, log_eps_last)
+    excess = float(
         (1.0 - em2) * np.exp(log_eps0 - np.logaddexp(0.0, log_eps0))
-        + 2.0 * np.sqrt(1.0 - em2) * em
-        * np.exp(0.5 * (np.log(n) + log_eps0) - np.logaddexp(0.0, log_eps_last))
+        + 2.0 * np.sqrt(1.0 - em2) * em * np.exp(log_cross)
     )
+    log_rest = np.log1p(-em2)
+    with np.errstate(divide="ignore"):
+        log_c = float(np.log(2.0 * em) + 0.5 * log_rest + log_cross)
+    log_d = float(log_rest - np.logaddexp(0.0, log_eps0))
+    leading = leading_order_bound(spectrum.twice_s, spectrum.grid.radius, n, em, variant)
+    return ErrorBound(value=float(em2 + excess), leading_order=leading), (excess, log_c, log_d)
 
 
-def bound_margin(spectrum: ResolutionSpectrum, signal: DiskSignal) -> float:
-    """bound - exact for band limit M = N-1, formed without cancellation.
+def _bound_margin(
+    bound_parts: tuple, exact_excess: float, log_captured: float, norm_sq: float
+) -> tuple[float, float]:
+    """bound - exact = m e^L as (m, L), from the :func:`_bound_terms` parts
+    and the :func:`_alias_sums` ones, in whichever form has the smaller
+    terms; the bound holds where m >= 0.
 
-    exact is the normalized squared alias error ||psi - P psi||^2/||psi||^2
-    and bound the :func:`error_bound` value; the bound holds where the margin
-    is >= 0.  Both share the term eps_M^2, which is never formed: bound -
-    eps_M^2 is the bound's second and third terms, and per residue class j,
-    with v the class coefficients, x_p = lambda_{j+pN}^(1/2),
-    u_j = sum_{p>=1} x_p v_p and t_j = lhat_j - lambda_j,
-
-        exact - eps_M^2 = sum_j (|v_0|^2 t_j - 2 x_0 Re(v_0 conj(u_j)) - |u_j|^2)
-                                / (lhat_j ||psi||^2).
-
-    Every term is of the size of the class tail, so a margin far below
-    eps_M^2 keeps its sign and its leading digits.  Each class is scaled by
-    the larger of lambda_j and t_j (the term is homogeneous of degree 0 in
-    lambda), so nothing overflows or underflows.
+    For eps_0 up to about 1 that is bound - eps_M^2 = A + C against
+    exact - eps_M^2, terms of the size of the lambda tails (L = 0).  Beyond,
+    it is 1 - exact = ||P psi||^2/||psi||^2 against 1 - bound = D - C, terms
+    of the size of D, which near the rim lies far below the double range;
+    so with Q = ||P psi||^2/||psi||^2 + C, L is the larger of log Q and
+    log D.  Either way nothing that bound and exact share (eps_M^2, or the
+    1) is subtracted.
     """
-    if signal.twice_s != spectrum.twice_s:
-        raise ValueError(
-            f"signal twice_s {signal.twice_s} does not match spectrum twice_s {spectrum.twice_s}"
-        )
-    n = spectrum.grid.n_samples
-    em = quasi_band_profile(signal, n - 1).epsilon_m
-    coeffs = signal.coefficients
-    log_eps = _log_tail_excess(spectrum, np.arange(n))
-    log_lam = np.asarray(spectrum.log_values(np.arange(coeffs.size)), dtype=np.float64)
-    excess = 0.0
-    for j in range(min(n, coeffs.size)):
-        log_tail = log_lam[j] + log_eps[j]
-        shift = max(log_lam[j], log_tail)
-        x = np.exp(0.5 * (log_lam[j::n] - shift))
-        v = coeffs[j::n]
-        u = complex(np.sum(x[1:] * v[1:]))
-        tail = float(np.exp(log_tail - shift))
-        v0 = complex(v[0])
-        excess += (
-            abs(v0) ** 2 * tail - 2.0 * x[0] * (v0 * u.conjugate()).real - abs(u) ** 2
-        ) / (x[0] * x[0] + tail)
-    return _bound_excess(n, em, log_eps[0], log_eps[-1]) - excess / signal.norm_squared
+    excess, log_c, log_d = bound_parts
+    if excess <= np.exp(log_d):
+        return float(excess - exact_excess / norm_sq), 0.0
+    log_q = float(np.logaddexp(log_captured - np.log(norm_sq), log_c))
+    if log_q >= log_d:
+        return float(-np.expm1(log_d - log_q)), log_q
+    return float(np.expm1(log_q - log_d)), log_d
 
 
 def max_radius_estimate(

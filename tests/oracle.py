@@ -46,7 +46,7 @@ from disksampling.validation import (
 __all__ = [
     "QuadratureError",
     "alias_error",
-    "bound_margin",
+    "bound_and_exact",
     "dense_frame",
     "dense_projector",
     "dual_sinc_series",
@@ -288,15 +288,18 @@ def alias_error(signal: DiskSignal, grid: SamplingGrid, digits: int = 40) -> flo
         return float(mp.sqrt(error_sq))
 
 
-def bound_margin(signal: DiskSignal, grid: SamplingGrid, digits: int) -> float:
-    """bound - exact at band limit N-1, each from its definition in mpmath.
+def bound_and_exact(signal: DiskSignal, grid: SamplingGrid, digits: int) -> tuple:
+    """(bound, exact, bound - exact) at band limit N-1, each from its
+    definition in mpmath and rounded to double once.
 
     exact = 1 - sum_j |sum_p lambda_{j+pN}^(1/2) a_{j+pN}|^2 / (lhat_j ||psi||^2)
     and the bound is eps_M^2 + (1-eps_M^2) eps_0/(1+eps_0)
     + 2 sqrt(1-eps_M^2) eps_M sqrt(N eps_0)/(1+eps_{N-1}), subtracted directly:
     ``digits`` must exceed the number of leading digits the two share (about
     -log10 of the margin) with room to spare.  Each lambda tail is its own
-    series, summed term by term until a term is negligible.
+    series, its terms stepped by the ratio lambda_{k+1}/lambda_k and summed
+    until a term is negligible; the terms may rise before they fall, so it
+    also suits rings beyond the spectrum's mode.
     """
     twice_s, n = signal.twice_s, grid.n_samples
     with mp.workdps(digits):
@@ -306,13 +309,16 @@ def bound_margin(signal: DiskSignal, grid: SamplingGrid, digits: int) -> float:
         def lam(m):
             return scale * mp.binomial(twice_s + m - 1, m) * r2**m
 
+        @functools.lru_cache(maxsize=None)
         def tail(j):
-            total, m = mp.mpf(0), j + n
+            total, m, term = mp.mpf(0), j + n, lam(j + n)
             while True:
-                term = lam(m)
                 total += term
                 if term < mp.mpf(10) ** (-digits - 5) * total:
                     return total
+                # lambda_{k+1} = lambda_k r^2 (2s+k)/(k+1)
+                for k in range(m, m + n):
+                    term *= r2 * (twice_s + k) / (k + 1)
                 m += n
 
         coeffs = [mp.mpc(c.real, c.imag) for c in signal.coefficients]
@@ -330,7 +336,7 @@ def bound_margin(signal: DiskSignal, grid: SamplingGrid, digits: int) -> float:
             + (1 - em2) * eps0 / (1 + eps0)
             + 2 * mp.sqrt((1 - em2) * em2 * n * eps0) / (1 + eps_last)
         )
-        return float(bound - exact)
+        return float(bound), float(exact), float(bound - exact)
 
 
 @functools.lru_cache(maxsize=None)

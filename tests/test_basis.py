@@ -49,6 +49,10 @@ class TestLogBinomial:
             ds.log_binomial(1, 0)
         with pytest.raises(ValueError):
             ds.log_binomial(2, -1)
+        with pytest.raises(ValueError):
+            ds.log_binomial(2, 2.5)
+        with pytest.raises(ValueError):
+            ds.log_binomial(2, np.array([1.0, np.nan]))
 
 
 class TestSamplingGrid:

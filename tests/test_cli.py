@@ -354,6 +354,25 @@ class TestErrorAnalysis:
         assert 0.0 < exact <= 1.0 and bound == 1.0
         assert rows[0][6] == "1"
 
+    @pytest.mark.parametrize("twice_s, radius, n", [(400, 0.99, 4), (2000, 0.9, 64)])
+    def test_rim_rows_beyond_the_spectrum_mode_match_extended_precision(
+        self, tmp_path, twice_s, radius, n
+    ):
+        coeffs = 0.9 ** np.arange(8)
+        signal_path = write_signal(tmp_path / "sig.json", twice_s, coeffs)
+        out = tmp_path / "table.csv"
+        assert run_cli(
+            "error-analysis", "--input", str(signal_path),
+            "--sweep-r", str(radius), "--sweep-n", str(n), "--output", str(out),
+        ) == 0
+        _, rows = read_csv(out)
+        bound, exact, _ = oracle.bound_and_exact(
+            ds.DiskSignal(twice_s, coeffs), ds.SamplingGrid(radius, n), 30
+        )
+        assert float(rows[0][3]) == pytest.approx(exact, rel=1e-12)
+        assert float(rows[0][4]) == pytest.approx(bound, rel=1e-12)
+        assert rows[0][6] == "1"
+
     def test_bad_sample_count_is_named(self, tmp_path, capsys):
         signal_path = write_signal(tmp_path / "sig.json", 2, 0.5 ** np.arange(40))
         assert run_cli(

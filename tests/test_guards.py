@@ -126,6 +126,14 @@ def test_series_beyond_the_double_range_raise():
         ds.tail_excess(spectrum, 0)
 
 
+def test_tail_excess_raises_where_the_spectrum_mode_lies_beyond_the_first_block():
+    # eps_0 is about exp(1566) at 2s = 400, r = 0.99, N = 4, and the series
+    # terms rise for thousands of steps before they fall
+    spectrum = ds.ResolutionSpectrum(400, ds.SamplingGrid(0.99, 4))
+    with pytest.raises(OverflowError, match="^tail-excess series exceeds the double range$"):
+        ds.tail_excess(spectrum, np.arange(4))
+
+
 def test_pointwise_functions_keep_the_shape_of_the_query():
     rng = np.random.default_rng(91)
     grid = ds.SamplingGrid(0.5, 4)

@@ -17,6 +17,15 @@ def fixture_kernel():
     return ds.overlap_kernel(2, ds.SamplingGrid(0.5, 2))
 
 
+def bound_margin(spectrum, signal):
+    """bound - exact at band limit N-1 as (m, L) with the value m e^L, formed
+    as the error-analysis flag forms it."""
+    profile = ds.quasi_band_profile(signal, spectrum.grid.n_samples - 1)
+    _, exact_excess, log_captured = undersampled._alias_sums(spectrum, signal)
+    _, bound_parts = undersampled._bound_terms(spectrum, profile)
+    return undersampled._bound_margin(bound_parts, exact_excess, log_captured, signal.norm_squared)
+
+
 def span_element_signal(kernel, weights, length):
     """Coefficients of sum_k c_k |z_k>, truncated at the given length."""
     m = np.arange(length)
@@ -465,7 +474,7 @@ class TestErrorBound:
             profile = ds.quasi_band_profile(signal, n - 1)
             exact = ds.alias_error(kernel.spectrum, signal) ** 2 / signal.norm_squared
             assert exact <= ds.error_bound(kernel.spectrum, profile).value
-            assert ds.bound_margin(kernel.spectrum, signal) >= 0.0
+            assert bound_margin(kernel.spectrum, signal)[0] >= 0.0
 
     @pytest.mark.parametrize(
         "twice_s, radius, n, decay, seed, digits",
@@ -480,9 +489,28 @@ class TestErrorBound:
         )
         signal = ds.DiskSignal(twice_s, coeffs)
         grid = ds.SamplingGrid(radius, n)
-        got = ds.bound_margin(ds.ResolutionSpectrum(twice_s, grid), signal)
-        assert got > 0.0
-        assert got == pytest.approx(oracle.bound_margin(signal, grid, digits), rel=1e-12)
+        got, scale = bound_margin(ds.ResolutionSpectrum(twice_s, grid), signal)
+        assert got > 0.0 and scale == 0.0
+        assert got == pytest.approx(oracle.bound_and_exact(signal, grid, digits)[2], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "twice_s, radius, n, length",
+        [(60, 0.9, 16, 4), (60, 0.9, 16, 8), (100, 0.9, 8, 8), (20, 0.95, 4, 4)],
+    )
+    def test_rim_margin_matches_extended_precision(self, twice_s, radius, n, length):
+        # eps_0 is above e^45 here: bound and exact both lie within about
+        # 1/eps_0 of 1, and at 2s = 60 comparing bound - eps_M^2 with
+        # exact - eps_M^2 in doubles says the bound fails
+        rng = np.random.default_rng(length)
+        coeffs = 0.9 ** np.arange(length) * (
+            rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        )
+        signal = ds.DiskSignal(twice_s, coeffs)
+        grid = ds.SamplingGrid(radius, n)
+        got, scale = bound_margin(ds.ResolutionSpectrum(twice_s, grid), signal)
+        assert got > 0.0 and scale < -40.0
+        expected = oracle.bound_and_exact(signal, grid, 200)[2]
+        assert got * np.exp(scale) == pytest.approx(expected, rel=1e-12)
 
     def test_answers_where_the_tail_ratios_leave_the_double_range(self):
         # eps_0 is about exp(782) and eps_3 about exp(779) at 2s = 200, r = 0.99, N = 4
@@ -492,7 +520,24 @@ class TestErrorBound:
         bound = ds.error_bound(spectrum, profile)
         # eps_0/(1+eps_0) rounds to 1 and the cross term to 0
         assert bound.value == 1.0
-        assert ds.bound_margin(spectrum, signal) >= 0.0
+        assert bound_margin(spectrum, signal)[0] >= 0.0
+
+    @pytest.mark.parametrize("twice_s, radius, n", [(400, 0.99, 4), (2000, 0.9, 64)])
+    def test_answers_where_the_spectrum_mode_lies_beyond_the_first_block(
+        self, twice_s, radius, n
+    ):
+        # the class tails rise for hundreds of terms before their peak
+        # (lambda_{n+64} / lambda_peak is about exp(-1378) at 2s = 400), so
+        # they are summed outward from it
+        grid = ds.SamplingGrid(radius, n)
+        spectrum = ds.ResolutionSpectrum(twice_s, grid)
+        signal = ds.DiskSignal(twice_s, 0.9 ** np.arange(8))
+        bound = ds.error_bound(spectrum, ds.quasi_band_profile(signal, n - 1))
+        exact = ds.alias_error(spectrum, signal) ** 2 / signal.norm_squared
+        want_bound, want_exact, _ = oracle.bound_and_exact(signal, grid, 30)
+        assert bound.value == pytest.approx(want_bound, rel=1e-12)
+        assert exact == pytest.approx(want_exact, rel=1e-12)
+        assert bound_margin(spectrum, signal)[0] >= 0.0
 
     def test_leading_order_variants(self):
         printed = ds.leading_order_bound(2, 0.4, 6, 0.1, variant="printed")
