@@ -499,8 +499,8 @@ class TestErrorBound:
     )
     def test_rim_margin_matches_extended_precision(self, twice_s, radius, n, length):
         # eps_0 is above e^45 here: bound and exact both lie within about
-        # 1/eps_0 of 1, and at 2s = 60 comparing bound - eps_M^2 with
-        # exact - eps_M^2 in doubles says the bound fails
+        # 1/eps_0 of 1, and in the two cases with 8 coefficients comparing
+        # bound - eps_M^2 with exact - eps_M^2 in doubles says the bound fails
         rng = np.random.default_rng(length)
         coeffs = 0.9 ** np.arange(length) * (
             rng.standard_normal(length) + 1j * rng.standard_normal(length)
