@@ -26,9 +26,10 @@ functions; the integration measure is never reweighted (see README).
 
 Pointwise evaluation sums the basis by the upward recurrence
 U_m = U_{m-1} sqrt((2s+m-1)/m) conj(z), whose terms cannot overflow because
-sum_m |U_m(z)|^2 = <z|z> = 1, over fixed-size blocks of query points, so its
-memory does not grow with the number of points.  Where U_0 = (1-|z|^2)^s
-would underflow (large s near the rim) it uses the log-domain basis values.
+sum_m |U_m(z)|^2 = <z|z> = 1, each segment of indices as a polynomial in
+conj(z), over fixed-size blocks of query points, so its memory does not grow
+with the number of points.  Where U_0 = (1-|z|^2)^s would underflow (large s
+near the rim) it uses the log-domain basis values.
 
 All functions here are pure and operate on immutable values, so they are
 safe to call concurrently.
@@ -36,6 +37,7 @@ safe to call concurrently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +80,9 @@ _STIRLING_ERRORS = np.array([
 #: The deviance series stops once its ratio raised to the term count is
 #: below this (one unit in the last place of its first term).
 _DEVIANCE_SERIES_TOL = 2.0**-53
+
+#: d and -d for the deviances' two differences, x - M.
+_SIGNS = np.array([-1.0, 1.0])
 
 
 def _two_product(a, b):
@@ -143,15 +148,16 @@ def _stirling_error(n):
     return out
 
 
-def _saddle_point(twice_s: int, n):
+def _saddle_point(twice_s: int, n, twice_s_error):
     """log NB(n; 2s, p) at its saddle point p = 2s/(2s+n), for n >= 1:
-    Stirling errors plus the Gaussian normalisation, nothing that cancels."""
+    Stirling errors plus the Gaussian normalisation, nothing that cancels.
+    ``twice_s_error`` is ``_stirling_error(float(twice_s))``."""
     total = twice_s + n
     errors = _stirling_error(np.stack((total, n)))
     return (
         errors[0]
         - errors[1]
-        - _stirling_error(float(twice_s))
+        - twice_s_error
         + 0.5 * np.log(twice_s / (2.0 * np.pi * n * total))
     )
 
@@ -162,13 +168,19 @@ def _deviance(x, mean, diff):
     Where |v| < 0.1 for v = diff/(x+M) the value is the series
     v (diff + 2 x sum_{j>=1} v^(2j)/(2j+1)), summed to as many terms as the
     largest such v on the call needs; elsewhere it is x log1p(diff/M) - diff,
-    which loses at most a few digits there.
+    which loses at most a few digits there.  ``mean`` and ``diff`` have the
+    shape of the result; ``x`` broadcasts against them.  One full-size array
+    holds v, then the result.
     """
-    out = x * np.log1p(diff / mean) - diff
-    v = diff / (x + mean)
-    near = np.abs(v) < 0.1
-    if near.any():
-        v = v[near]
+    out = x + mean
+    np.divide(diff, out, out=out)
+    near = (out < 0.1) & (out > -0.1)
+    v = out[near]
+    np.divide(diff, mean, out=out)
+    np.log1p(out, out=out)
+    out *= x
+    out -= diff
+    if v.size:
         d = diff[near]
         w = v * v
         largest = w.max()
@@ -181,36 +193,53 @@ def _deviance(x, mean, diff):
     return out
 
 
-def _log_pmf(twice_s: int, n, rim) -> np.ndarray:
+def _deviance_terms(twice_s: int, n, total, rim):
+    """(x, M, x - M) of bd0(2s, T (1-|z|^2)) and bd0(n, T |z|^2), stacked on
+    a leading axis of two; x broadcasts against the other two.
+
+    x - M is -d for the first and d = n - T |z|^2 for the second; d is
+    formed from |z|^2 to about twice double precision, so it keeps its
+    accuracy up to the rim.
+    """
+    one_minus, _, mod2, mod2_lo = rim
+    mean, mean_lo = _two_product(total, mod2)
+    diff = (n - mean) - (mean_lo + total * mod2_lo)
+    means = np.empty((2,) + diff.shape)
+    means[0] = total * one_minus
+    means[1] = mean
+    x = np.empty((2,) + n.shape)
+    x[0] = twice_s
+    x[1] = n
+    x = x.reshape((2,) + (1,) * (diff.ndim - n.ndim) + n.shape)
+    return x, means, np.multiply.outer(_SIGNS, diff)
+
+
+def _log_pmf(twice_s: int, n, rim, twice_s_error=None) -> np.ndarray:
     """log NB(n; 2s, 1-|z|^2) = log[binom(2s+n-1, n) (1-|z|^2)^(2s) |z|^(2n)].
 
     ``rim`` is ``_one_minus_mod2(z)``; n (integer-valued) broadcasts against
-    it.  Loader's saddle-point form: with T = 2s + n,
+    it.  ``twice_s_error`` is ``_stirling_error(float(twice_s))``, computed
+    here unless the caller holds it.  Loader's saddle-point form: with
+    T = 2s + n,
 
         log NB = saddle(2s, n) - bd0(2s, T (1-|z|^2)) - bd0(n, T |z|^2).
 
     Every term is small near the mode, and the deviances grow without
-    cancellation away from it.  They read x - M, which is d = n - T |z|^2
-    for the second and -d for the first; d is formed from |z|^2 to about
-    twice double precision, so it keeps its accuracy up to the rim.  At
-    n = 0 the value is 2s log(1 - |z|^2); at z = 0 it is -inf for n >= 1.
-    Every binomial that meets a power of r or |z| in the package is taken
-    here.
+    cancellation away from it; both are taken in one pass.  At n = 0 the
+    value is 2s log(1 - |z|^2); at z = 0 it is -inf for n >= 1.  Every
+    binomial that meets a power of r or |z| in the package is taken here.
     """
-    one_minus, _, mod2, mod2_lo = rim
+    if twice_s_error is None:
+        twice_s_error = _stirling_error(float(twice_s))
     n = np.asarray(n, dtype=np.float64)
-    shape = np.broadcast_shapes(n.shape, np.shape(mod2))
-    n = np.atleast_1d(n)  # the deviances assign into their result
     total = twice_s + n
-    mean, mean_lo = _two_product(total, mod2)
-    diff = (n - mean) - (mean_lo + total * mod2_lo)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (
-            _saddle_point(twice_s, n)
-            - _deviance(float(twice_s), total * one_minus, -diff)
-            - _deviance(n, mean, diff)
-        )
-    return np.where(n == 0, twice_s * _log_one_minus_mod2(rim), out).reshape(shape)
+        deviances = _deviance(*_deviance_terms(twice_s, n, total, rim))
+        out = np.subtract(_saddle_point(twice_s, n, twice_s_error), deviances[0])
+    out -= deviances[1]
+    if (n == 0).any():
+        out = np.where(n == 0, twice_s * _log_one_minus_mod2(rim), out)
+    return out
 
 
 def log_binomial(twice_s: int, n) -> np.ndarray | float:
@@ -227,7 +256,7 @@ def log_binomial(twice_s: int, n) -> np.ndarray | float:
         raise ValueError("n must be a nonnegative integer")
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (
-            _saddle_point(twice_s, n_arr)
+            _saddle_point(twice_s, n_arr, _stirling_error(float(twice_s)))
             + twice_s * np.log1p(n_arr / twice_s)
             + n_arr * np.log1p(twice_s / n_arr)
         )
@@ -287,6 +316,12 @@ class DiskSignal:
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.coefficients) ** 2))
 
+    @functools.cached_property
+    def _segments(self):
+        """The segment polynomials :func:`evaluate_signal` sums, taken on its
+        first call (the coefficients are read-only)."""
+        return _segment_polynomials(self.twice_s, self.coefficients)
+
 
 @dataclass(frozen=True)
 class ResolutionSpectrum:
@@ -305,10 +340,13 @@ class ResolutionSpectrum:
         object.__setattr__(self, "twice_s", check_twice_s(self.twice_s))
         # derived from the fields once; not fields themselves
         object.__setattr__(self, "_rim", _one_minus_mod2(self.grid.radius))
+        object.__setattr__(self, "_twice_s_error", _stirling_error(float(self.twice_s)))
 
     def log_values(self, n) -> np.ndarray | float:
         """log lambda_n = log N + log NB(n; 2s, 1-r^2), any integer n >= 0."""
-        out = np.log(self.grid.n_samples) + _log_pmf(self.twice_s, n, self._rim)
+        out = np.log(self.grid.n_samples) + _log_pmf(
+            self.twice_s, n, self._rim, self._twice_s_error
+        )
         return out if isinstance(n, np.ndarray) else float(out)
 
     def values(self, n) -> np.ndarray | float:
@@ -375,14 +413,29 @@ def overlap(twice_s: int, z, w):
 #: over the N grid points) whatever the number of query points.
 _BLOCK = 1024
 
-#: Basis indices per segment of the upward recurrence; a point's sum may
-#: end at the end of any segment.
+#: Largest number of basis indices per segment of the upward recurrence;
+#: a point's sum may end at the end of any segment.
 _SEGMENT = 64
 
-#: Once a segment ends below this, a point's later terms are zero.  Without
-#: it a decaying term reaches the subnormal range, where arithmetic is slow
-#: and x * c rounds back up to the smallest subnormal for c > 1/2, so the
-#: terms would never reach zero.
+#: A segment is shorter than ``_SEGMENT`` where the product of its steps
+#: sqrt((2s+m-1)/m) would exceed exp(_LOG_STEPS_MAX) (2s above about
+#: 3.4e9), so that the folded coefficients stay finite.
+_LOG_STEPS_MAX = 600.0
+
+#: Coefficients of larger modulus are scaled down by a power of two before
+#: the sum and the sum scaled back, so that no intermediate overflows:
+#: each folded term is at most this times exp(_LOG_STEPS_MAX).
+_COEFFICIENT_MAX = 2.0**100
+
+#: Segments summed together are this many over the number of points: four
+#: per full block, so that a sum that ends early wastes little work, and
+#: many for a single point, so that it costs a few numpy calls.
+_GROUP = 4 * 1024
+
+#: Once a segment starts below this, a point's later terms are zero.
+#: Without it a decaying term reaches the subnormal range, where arithmetic
+#: is slow and x * c rounds back up to the smallest subnormal for c > 1/2,
+#: so the terms would never reach zero.
 _FLUSH = 2.0**-1000
 
 #: Points with log U_0(z) = s log(1 - |z|^2) below this are summed from
@@ -408,51 +461,105 @@ def _pointwise(values, z):
     return out.reshape(z_arr.shape)
 
 
-def _segment_rows(values: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _segment_length(twice_s: int) -> int:
+    """Indices per segment: ``_SEGMENT``, or as many as keep the product of
+    the steps sqrt((2s+m-1)/m) within exp(_LOG_STEPS_MAX).  The steps fall
+    with m, so the first segment's product is the largest."""
+    m = np.arange(1, _SEGMENT + 1, dtype=np.float64)
+    log_products = np.cumsum(0.5 * np.log1p((twice_s - 1.0) / m))
+    return max(1, int(np.searchsorted(log_products, _LOG_STEPS_MAX, side="right")))
+
+
+def _segment_rows(values: np.ndarray, length: int) -> np.ndarray:
     """``values`` zero-padded to whole segments, one segment per row."""
-    rows = np.zeros(-(-values.size // _SEGMENT) * _SEGMENT, dtype=values.dtype)
+    rows = np.zeros(-(-values.size // length) * length, dtype=values.dtype)
     rows[: values.size] = values
-    return rows.reshape(-1, _SEGMENT)
+    return rows.reshape(-1, length)
 
 
-def _add_segments(total, coefficients, terms):
-    """total + sum_k a_gk terms_qgk, added one segment g after another.
+def _real_form(coefficients: np.ndarray) -> np.ndarray:
+    """Rows of complex A_gk as a real (G, 2, 2K) array: row (g, 0) dotted with
+    the interleaved real and imaginary parts of w_k gives
+    Re sum_k A_gk w_k, row (g, 1) the imaginary part."""
+    out = np.empty(coefficients.shape[:1] + (2,) + coefficients.shape[1:] + (2,))
+    out[:, 0, :, 0] = coefficients.real
+    out[:, 0, :, 1] = -coefficients.imag
+    out[:, 1, :, 0] = coefficients.imag
+    out[:, 1, :, 1] = coefficients.real
+    return out.reshape(coefficients.shape[0], 2, 2 * coefficients.shape[1])
+
+
+def _segment_polynomials(twice_s: int, coefficients: np.ndarray):
+    """What :func:`evaluate_signal` needs of a signal, taken once per signal.
+
+    Returns (scale, a_0, rows, folded, ratios): the coefficients a_m for
+    m >= 1 as segment rows; their products with the running products P_gk
+    of the steps, in the real form of :func:`_real_form`; and each
+    segment's whole product P_g,K-1.  Where the largest coefficient exceeds
+    ``_COEFFICIENT_MAX`` in modulus, all are divided by ``scale``.
+    """
+    scale = 1.0
+    largest = np.abs(coefficients).max()
+    if largest > _COEFFICIENT_MAX:
+        # an exact power of two, so that only values below the normal range move
+        scale = 2.0 ** int(np.frexp(largest / _COEFFICIENT_MAX)[1])
+        coefficients = coefficients / scale
+    length = _segment_length(twice_s)
+    rows = _segment_rows(coefficients[1:], length)
+    m = np.arange(1, coefficients.size, dtype=np.float64)
+    products = np.multiply.accumulate(
+        _segment_rows(np.sqrt((twice_s - 1.0 + m) / m), length), axis=1
+    )
+    return scale, coefficients[0], rows, _real_form(rows * products), products[:, -1]
+
+
+def _add_in_order(total, sums):
+    """total + sum_g sums_qg, added one segment g after another.
 
     Every addition's order is fixed by m alone, so a point's sum is the
     same however many points and segments are evaluated together (a BLAS
     product's rounding depends on the shape of the whole operand).
     """
-    sums = np.einsum("qgk,gk->qg", terms, coefficients)
     return np.add.accumulate(np.hstack([total[:, np.newaxis], sums]), axis=1)[:, -1]
 
 
-def _upward_sum(a0, coefficients, steps, u0, conj_z):
+def _upward_sum(a0, folded, ratios, u0, conj_z):
     """sum_m a_m U_m at each point, from U_m = U_{m-1} steps_m conj(z), U_0 = u0.
 
-    ``coefficients`` and ``steps`` hold a_m and sqrt((2s+m-1)/m) for m >= 1
-    as segment rows.  |U_m| <= 1 because sum_m |U_m|^2 = <z|z> = 1, so no
-    term overflows.  Segments are taken ``_BLOCK // len(conj_z)`` at a time,
-    each point's terms one ``np.multiply.accumulate``, so a single point
-    costs a few numpy calls, not one per segment.  Once a segment ends below
-    ``_FLUSH``, the later terms of that point are zero (computed on to the
-    end of the group, then zeroed, which gives the same sum).  |U_m| only
-    falls once it falls, and u0 > _FLUSH, so this drops terms past the peak
-    only; the sum stops when it has happened at every point.
+    Segment g of K indices starts at S_g = U_{gK}, and its terms are
+    S_g P_gk conj(z)^(k+1) with P_gk the product of its first k+1 steps, so
+    its sum is S_g times the polynomial sum_k A_gk conj(z)^(k+1).  Its
+    coefficients A_gk = a_(gK+k+1) P_gk are folded once per signal, as the
+    real matrix ``folded`` that gives the real and imaginary parts of the
+    polynomials from the interleaved parts of the powers.  The starts follow
+    from S_(g+1) = S_g conj(z)^K P_g,K-1 (``ratios``).  They are true basis
+    values, |S_g| <= 1 because sum_m |U_m|^2 = <z|z> = 1, so no start
+    overflows.  Segments are taken ``_GROUP // len(conj_z)`` at a time.
+    Once a segment starts below ``_FLUSH``, the later terms of that point are
+    zero; |U_m| only falls once it falls, and u0 > _FLUSH, so this drops
+    terms past the peak only, and the sum stops when it has happened at
+    every point.
     """
+    # conj(z)^1..conj(z)^K, each the one before times conj(z) as in the recurrence
+    powers = np.empty((conj_z.size, folded.shape[2] // 2), dtype=np.complex128)
+    powers[:] = conj_z[:, np.newaxis]
+    np.multiply.accumulate(powers, axis=1, out=powers)
+    interleaved = powers.view(np.float64)
     total = a0 * u0
     start = u0.astype(np.complex128)
-    group = _BLOCK // conj_z.size
-    for first in range(0, steps.shape[0], group):
-        rows = steps[first : first + group]
-        terms = np.empty((conj_z.size, 1 + rows.size), dtype=np.complex128)
-        terms[:, 0] = start
-        np.multiply(rows.ravel(), conj_z[:, np.newaxis], out=terms[:, 1:])
-        np.multiply.accumulate(terms, axis=1, out=terms)
-        segments = terms[:, 1:].reshape(conj_z.size, rows.shape[0], _SEGMENT)
-        alive = np.logical_and.accumulate(np.abs(segments[:, :, -1]) >= _FLUSH, axis=1)
-        segments[:, 1:][~alive[:, :-1]] = 0.0
-        total = _add_segments(total, coefficients[first : first + group], segments)
-        start = np.where(alive[:, -1], segments[:, -1, -1], 0.0)
+    group = max(1, _GROUP // conj_z.size)
+    for first in range(0, folded.shape[0], group):
+        rows = folded[first : first + group]
+        starts = np.empty((conj_z.size, rows.shape[0] + 1), dtype=np.complex128)
+        starts[:, 0] = start
+        np.multiply(powers[:, -1:], ratios[first : first + rows.shape[0]], out=starts[:, 1:])
+        np.multiply.accumulate(starts, axis=1, out=starts)
+        starts[~np.logical_and.accumulate(np.abs(starts) >= _FLUSH, axis=1)] = 0.0
+        sums = np.einsum("qx,yx->qy", interleaved, rows.reshape(-1, rows.shape[2]))
+        sums = sums.view(np.complex128)
+        total = _add_in_order(total, np.multiply(sums, starts[:, :-1], out=sums))
+        start = starts[:, -1]
         if not start.any():
             break
     return total
@@ -464,9 +571,9 @@ def _log_domain_sum(twice_s, a0, coefficients, z):
     group = _BLOCK // z.size
     for first in range(0, coefficients.shape[0], group):
         rows = coefficients[first : first + group]
-        m = 1 + _SEGMENT * first + np.arange(rows.size).reshape(rows.shape)
+        m = 1 + rows.shape[1] * first + np.arange(rows.size).reshape(rows.shape)
         terms = _basis_values(twice_s, m[np.newaxis], z[:, np.newaxis, np.newaxis])
-        total = _add_segments(total, rows, terms)
+        total = _add_in_order(total, np.einsum("qgk,gk->qg", terms, rows))
     return total
 
 
@@ -474,17 +581,15 @@ def evaluate_signal(signal: DiskSignal, z):
     """Pointwise value sum_m a_m U_m(z) of a finite-coefficient signal.
 
     Evaluated by the upward recurrence U_m = U_{m-1} sqrt((2s+m-1)/m) conj(z)
-    from U_0 = (1-|z|^2)^s, over blocks of query points, so memory is
-    O(block) and no L x Q basis matrix is formed.  A point whose U_0 is
-    below about exp(-600) (large s near the rim, where U_0 may underflow)
-    is summed from log-domain basis values instead.  The choice is made per
-    point, so a value never depends on the rest of the query.
+    from U_0 = (1-|z|^2)^s, one segment of indices at a time as a polynomial
+    in conj(z), over blocks of query points, so memory is O(block) and no
+    L x Q basis matrix is formed.  A point whose U_0 is below about
+    exp(-600) (large s near the rim, where U_0 may underflow) is summed from
+    log-domain basis values instead.  The choice is made per point, so a
+    value never depends on the rest of the query.
     """
     twice_s = signal.twice_s
-    a0 = signal.coefficients[0]
-    coefficients = _segment_rows(signal.coefficients[1:])
-    m = np.arange(1, len(signal), dtype=np.float64)
-    steps = _segment_rows(np.sqrt((twice_s - 1.0 + m) / m))
+    scale, a0, coefficients, folded, ratios = signal._segments
 
     def values(z_flat):
         log_u0 = 0.5 * twice_s * _log_one_minus_mod2(_one_minus_mod2(z_flat))
@@ -493,11 +598,11 @@ def evaluate_signal(signal: DiskSignal, z):
         out = np.empty(z_flat.size, dtype=np.complex128)
         if inner.any():
             out[inner] = _upward_sum(
-                a0, coefficients, steps, np.exp(log_u0[inner]), np.conj(z_flat[inner])
+                a0, folded, ratios, np.exp(log_u0[inner]), np.conj(z_flat[inner])
             )
         if near_rim.any():
             out[near_rim] = _log_domain_sum(twice_s, a0, coefficients, z_flat[near_rim])
-        return out
+        return out if scale == 1.0 else out * scale
 
     return _pointwise(values, z)
 

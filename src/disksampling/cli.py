@@ -14,8 +14,7 @@ Exit codes: 0 success, 2 invalid input, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import itertools
 import json
 import os
 import sys
@@ -51,34 +50,30 @@ def _echo_tolerance() -> None:
     _diag(f"series truncation tolerance = {series_tolerance()!r} ({source})")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+def _render_table(columns: list[str], data: list, fmt: str) -> str:
+    """A table of ``data``, one array per column.
 
-
-def _complex_rows(values) -> list[tuple]:
-    """Rows (index, real part, imaginary part) of a complex vector."""
-    return [(k, v.real, v.imag) for k, v in enumerate(values)]
-
-
-def _render_table(columns: list[str], rows: list[tuple], fmt: str) -> str:
+    Integer columns are written as integers, float columns with 17
+    significant digits (``%.17g``, the same digits as ``format(x, ".17g")``);
+    the CSV text comes from one ``%``-format over all values.
+    """
+    data = [np.asarray(column) for column in data]
+    rows = list(zip(*(column.tolist() for column in data)))
     if fmt == "csv":
-        out = io.StringIO()
-        out.write(",".join(columns) + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(v) for v in row) + "\n")
-        return out.getvalue()
+        line = ",".join("%d" if column.dtype.kind in "iu" else "%.17g" for column in data)
+        values = tuple(itertools.chain.from_iterable(rows))
+        return ",".join(columns) + "\n" + ((line + "\n") * len(rows)) % values
     if fmt == "json":
-        payload = {
-            "columns": columns,
-            "rows": [[(int(v) if isinstance(v, (bool, int, np.bool_, np.integer)) else float(v))
-                      for v in row] for row in rows],
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def _complex_table(index: str, values, fmt: str) -> str:
+    """Table (index, re, im) of a complex vector."""
+    values = np.asarray(values)
+    return _render_table(
+        [index, "re", "im"], [np.arange(values.size), values.real, values.imag], fmt
+    )
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -125,48 +120,56 @@ def _read_signal(path: str, twice_s_flag: int | None) -> DiskSignal:
     return signal
 
 
-def _read_table(path: str) -> tuple[list[str], list[list[str]]]:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        rows = [row for row in reader if row]
-    if not rows:
+def _read_columns(path: str, kind: str, fields: list[tuple[str, type]]) -> np.ndarray:
+    """The named columns of a CSV file, parsed in bulk.
+
+    The first non-empty line names the columns; empty lines are skipped.
+    Returns one record per row with the given (name, type) fields.  A
+    missing column, a short row or a field that does not parse raises
+    ``ValueError`` naming the file.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = [line for line in handle.read().split("\n") if line]
+    if not lines:
         raise ValueError(f"{path} is empty")
-    return [name.strip() for name in rows[0]], rows[1:]
+    header = [name.strip() for name in lines[0].split(",")]
+    names = [name for name, _ in fields]
+    try:
+        columns = [header.index(name) for name in names]
+    except ValueError as exc:
+        raise ValueError(f"{kind} file {path} needs columns {', '.join(names)}") from exc
+    if len(lines) == 1:
+        return np.empty(0, dtype=fields)
+    try:
+        return np.loadtxt(
+            lines[1:], delimiter=",", comments=None, usecols=columns, dtype=fields, ndmin=1
+        )
+    except ValueError as exc:
+        raise ValueError(f"malformed {kind} file {path}: {exc}") from exc
 
 
 def _read_samples(path: str, n_samples: int) -> np.ndarray:
-    header, body = _read_table(path)
-    try:
-        k_col = header.index("k")
-        re_col = header.index("re")
-        im_col = header.index("im")
-    except ValueError as exc:
-        raise ValueError(f"sample file {path} needs columns k, re, im") from exc
+    table = _read_columns(path, "sample", [("k", np.int64), ("re", float), ("im", float)])
+    k = table["k"]
+    outside = (k < 0) | (k >= n_samples)
+    if outside.any():
+        raise ValueError(f"sample index {k[outside][0]} outside 0..{n_samples - 1}")
     values = np.zeros(n_samples, dtype=np.complex128)
+    values.real[k] = table["re"]
+    values.imag[k] = table["im"]
     seen = np.zeros(n_samples, dtype=bool)
-    for row in body:
-        k = int(row[k_col])
-        if not 0 <= k < n_samples:
-            raise ValueError(f"sample index {k} outside 0..{n_samples - 1}")
-        values[k] = complex(float(row[re_col]), float(row[im_col]))
-        seen[k] = True
+    seen[k] = True
     if not seen.all():
         raise ValueError(f"sample file {path} is missing indices for n={n_samples}")
     return values
 
 
 def _read_points(path: str) -> np.ndarray:
-    header, body = _read_table(path)
-    try:
-        re_col = header.index("re")
-        im_col = header.index("im")
-    except ValueError as exc:
-        raise ValueError(f"query file {path} needs columns re, im") from exc
-    pts = np.array(
-        [complex(float(row[re_col]), float(row[im_col])) for row in body],
-        dtype=np.complex128,
-    )
-    return as_disk_points(pts)
+    table = _read_columns(path, "query", [("re", float), ("im", float)])
+    points = np.empty(table.size, dtype=np.complex128)
+    points.real = table["re"]
+    points.imag = table["im"]
+    return as_disk_points(points)
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
@@ -204,16 +207,14 @@ def _operator(args, grid: SamplingGrid):
 
 def cmd_grid(args) -> int:
     grid = SamplingGrid(args.r, args.n)
-    rows = _complex_rows(grid.points)
-    _write_output(args.output, _render_table(["k", "re", "im"], rows, args.format))
+    _write_output(args.output, _complex_table("k", grid.points, args.format))
     return EXIT_OK
 
 
 def cmd_synthesize(args) -> int:
     signal = _read_signal(args.input, args.twice_s)
     grid = SamplingGrid(args.r, args.n)
-    rows = _complex_rows(sample_signal(signal, grid))
-    _write_output(args.output, _render_table(["k", "re", "im"], rows, args.format))
+    _write_output(args.output, _complex_table("k", sample_signal(signal, grid), args.format))
     return EXIT_OK
 
 
@@ -232,10 +233,9 @@ def cmd_reconstruct(args) -> int:
             ahat = us.dft_coefficients(operator, samples, args.n_max)
             _write_output(
                 f"{args.output}.ahat.{args.format}",
-                _render_table(["n", "re", "im"], _complex_rows(ahat), args.format),
+                _complex_table("n", ahat, args.format),
             )
-    rows = _complex_rows(values)
-    _write_output(args.output, _render_table(["k", "re", "im"], rows, args.format))
+    _write_output(args.output, _complex_table("k", values, args.format))
     return EXIT_OK
 
 
@@ -245,17 +245,15 @@ def cmd_dft(args) -> int:
     operator = _operator(args, grid)
     if args.mode == "bandlimited":
         coeffs = bl.fourier_coefficients(operator, samples)
-        text = _render_table(["m", "re", "im"], _complex_rows(coeffs), args.format)
+        text = _complex_table("m", coeffs, args.format)
     else:
         n_max = args.n_max if args.n_max is not None else grid.n_samples - 1
         ahat = us.dft_coefficients(operator, samples, n_max)
         rescaled = ahat * us._undo_filter(operator, n_max)
-        rows = [
-            (n, ahat[n].real, ahat[n].imag, rescaled[n].real, rescaled[n].imag)
-            for n in range(n_max + 1)
-        ]
         text = _render_table(
-            ["n", "re", "im", "re_rescaled", "im_rescaled"], rows, args.format
+            ["n", "re", "im", "re_rescaled", "im_rescaled"],
+            [np.arange(n_max + 1), ahat.real, ahat.imag, rescaled.real, rescaled.imag],
+            args.format,
         )
     _write_output(args.output, text)
     return EXIT_OK
@@ -286,13 +284,13 @@ def cmd_error_analysis(args) -> int:
                     error_sq / norm_sq,
                     bound.value,
                     bound.leading_order,
-                    margin >= 0.0,
+                    int(margin >= 0.0),
                 )
             )
     text = _render_table(
         ["r", "n", "epsilon_m", "exact_normalized_sq", "bound", "leading_bound",
          "bound_satisfied"],
-        rows,
+        list(zip(*rows)),
         args.format,
     )
     _write_output(args.output, text)
@@ -303,13 +301,20 @@ def cmd_critical_radius(args) -> int:
     twice_s = check_twice_s(args.twice_s)
     m_values = _parse_int_list(args.m_list, "--m-list")
     r_grid = np.linspace(0.0, args.r_max, args.r_count)
-    rows = []
+    r_critical, curves = [], []
     for m in m_values:
-        r_c = us.critical_radius(twice_s, m)
-        curve = np.atleast_1d(us.band_projection_curve(twice_s, m, r_grid))
-        for r, p in zip(r_grid, curve):
-            rows.append((m, r, p, r_c))
-    text = _render_table(["m", "r", "p", "r_critical"], rows, args.format)
+        r_critical.append(us.critical_radius(twice_s, m))
+        curves.append(np.atleast_1d(us.band_projection_curve(twice_s, m, r_grid)))
+    text = _render_table(
+        ["m", "r", "p", "r_critical"],
+        [
+            np.repeat(m_values, r_grid.size),
+            np.tile(r_grid, len(m_values)),
+            np.concatenate(curves),
+            np.repeat(r_critical, r_grid.size),
+        ],
+        args.format,
+    )
     _write_output(args.output, text)
     return EXIT_OK
 

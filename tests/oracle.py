@@ -57,6 +57,7 @@ __all__ = [
     "reference_text",
     "reference_values",
     "row_dft_eigenvalues",
+    "signal_values",
 ]
 
 # Decimal working precision of the quadrature and the test signals.
@@ -243,6 +244,32 @@ def dual_sinc_series(kernel: CirculantKernel, k: int, z):
         return prefactor * np.einsum("j,jq->q", inverse_eigenvalues, sections)
 
     return _pointwise(values, z)
+
+
+def signal_values(signal: DiskSignal, z, digits: int = 40) -> np.ndarray:
+    """sum_m a_m U_m(z) at each point by the upward recurrence in mpmath.
+
+    U_0 = (1-|z|^2)^s and U_m = U_{m-1} sqrt((2s+m-1)/m) conj(z), at
+    ``digits`` decimal digits, each point taken exactly as the double it is
+    (1 - |z|^2 from its real and imaginary parts, no rounded modulus).  One
+    term at a time: no segments, no flush, no log-domain route.
+    """
+    twice_s = signal.twice_s
+    points = np.atleast_1d(np.asarray(z, dtype=np.complex128)).ravel()
+    out = np.empty(points.size, dtype=np.complex128)
+    with mp.workdps(digits):
+        coefficients = [mp.mpc(a.real, a.imag) for a in signal.coefficients]
+        steps = [mp.sqrt(mp.mpf(twice_s + m - 1) / m) for m in range(1, len(coefficients))]
+        for i, point in enumerate(points):
+            x, y = mp.mpf(point.real), mp.mpf(point.imag)
+            conj_z = mp.mpc(x, -y)
+            term = (1 - (x * x + y * y)) ** (mp.mpf(twice_s) / 2)
+            total = coefficients[0] * term
+            for a, step in zip(coefficients[1:], steps):
+                term *= step * conj_z
+                total += a * term
+            out[i] = complex(total)
+    return out
 
 
 def alias_error(signal: DiskSignal, grid: SamplingGrid, digits: int = 40) -> float:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import disksampling as ds
 from disksampling.validation import NumericalRangeError
 
+import oracle
 from conftest import random_disk_points, sup_relative_error
 
 
@@ -264,15 +265,50 @@ class TestSignals:
     )
     def test_eval_near_the_rim_matches_extended_precision(self, twice_s, length, z):
         # 1 - |z|^2 rounded from x*x + y*y put 1e-12 to 3e-11 errors here
-        value = ds.evaluate_signal(ds.DiskSignal(twice_s, np.ones(length)), z)
-        with mp.workdps(50):
-            w = mp.mpc(complex(z).real, complex(z).imag)
-            prefactor = (1 - abs(w) ** 2) ** (mp.mpf(twice_s) / 2)
-            want = prefactor * mp.fsum(
-                mp.sqrt(mp.binomial(twice_s + m - 1, m)) * mp.conj(w) ** m for m in range(length)
-            )
-            want = complex(want)
+        signal = ds.DiskSignal(twice_s, np.ones(length))
+        value = ds.evaluate_signal(signal, z)
+        want = oracle.signal_values(signal, z, digits=50)[0]
         assert abs(value - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize(
+        "length, twice_s, max_radius",
+        [(1020, 2, 0.99), (2000, 40, 0.95), (300, 200, 0.9), (4096, 2, 0.7)],
+    )
+    def test_eval_matches_the_extended_precision_recurrence(self, length, twice_s, max_radius):
+        rng = np.random.default_rng(length + twice_s)
+        coeffs = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        signal = ds.DiskSignal(twice_s, coeffs)
+        z = random_disk_points(rng, 20, max_radius)
+        want = oracle.signal_values(signal, z)
+        assert sup_relative_error(ds.evaluate_signal(signal, z), want) < 1e-13
+
+    @pytest.mark.parametrize("twice_s", [10**10, 10**12, 10**14])
+    def test_eval_at_very_large_spin(self, twice_s):
+        # the steps sqrt((2s+m-1)/m) of 64 indices multiply to more than the
+        # double range here; at |z| above about sqrt(1200/2s), U_0 is below
+        # exp(-600) and the point takes the log-domain route
+        rng = np.random.default_rng(200)
+        coeffs = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+        z = 10.0 ** rng.uniform(-9.0, -4.0, 40) * np.exp(2j * np.pi * rng.random(40))
+        value = ds.evaluate_signal(ds.DiskSignal(twice_s, coeffs), z)
+        m = np.arange(coeffs.size)[:, np.newaxis]
+        direct = np.sum(coeffs[:, np.newaxis] * ds.basis_fn(twice_s, m, z), axis=0)
+        assert np.all(np.isfinite(value))
+        assert sup_relative_error(value, direct) < 1e-12
+
+    def test_eval_with_coefficients_near_the_double_range(self):
+        # at 2s = 1e8 the steps of the first 64 indices multiply to about
+        # exp(487), so a coefficient of 1e200 times them leaves the double
+        # range unless it is scaled first; |z| reaches 3.4e-3, where U_0 is
+        # about exp(-580)
+        rng = np.random.default_rng(1024)
+        coeffs = 1e200 * (rng.standard_normal(200) + 1j * rng.standard_normal(200))
+        z = np.geomspace(1e-4, 3.4e-3, 12) * np.exp(2j * np.pi * rng.random(12))
+        value = ds.evaluate_signal(ds.DiskSignal(10**8, coeffs), z)
+        m = np.arange(coeffs.size)[:, np.newaxis]
+        direct = np.sum(coeffs[:, np.newaxis] * ds.basis_fn(10**8, m, z), axis=0)
+        assert np.all(np.isfinite(value))
+        assert sup_relative_error(value, direct) < 1e-12
 
     def test_eval_linearity(self):
         rng = np.random.default_rng(10)

@@ -395,6 +395,103 @@ class TestCriticalRadius:
         assert float(rows[0][3]) == pytest.approx(2**-0.5, rel=1e-12)
 
 
+def _per_value_table(columns, rows, fmt):
+    """Tables as the CLI rendered them before its bulk writer: each value
+    formatted on its own, its type read per value."""
+
+    def cell(value):
+        if isinstance(value, (bool, np.bool_)):
+            return "1" if value else "0"
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return format(float(value), ".17g")
+
+    if fmt == "csv":
+        lines = [",".join(columns)] + [",".join(cell(v) for v in row) for row in rows]
+        return "".join(line + "\n" for line in lines)
+    payload = {
+        "columns": columns,
+        "rows": [
+            [int(v) if isinstance(v, (bool, int, np.bool_, np.integer)) else float(v) for v in row]
+            for row in rows
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+class TestTableIO:
+    VALUES = np.array(
+        [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1 + 0.2, 3.0, -7.0, 0.0, 2.0**53,
+         -1.5e-300, np.inf, np.nan]
+    )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("size", [0, 1, 12])
+    def test_bulk_writer_matches_per_value_rendering(self, fmt, size):
+        values = np.empty(size, dtype=np.complex128)
+        values.real = self.VALUES[:size]
+        values.imag = -self.VALUES[::-1][:size]
+        flags = values.real > 0.0
+        rows = [(k, v.real, v.imag, flag) for k, (v, flag) in enumerate(zip(values, flags))]
+        columns = ["k", "re", "im", "flag"]
+        data = [np.arange(size), values.real, values.imag, flags.astype(np.int64)]
+        assert cli._render_table(columns, data, fmt) == _per_value_table(columns, rows, fmt)
+        complex_rows = [(k, v.real, v.imag) for k, v in enumerate(values)]
+        assert cli._complex_table("k", values, fmt) == _per_value_table(
+            ["k", "re", "im"], complex_rows, fmt
+        )
+
+    @pytest.mark.parametrize(
+        "body", ["0.25,abc\n", "0.25\n", "0.25,\n", "  \n"],
+        ids=["non-number", "short row", "empty field", "blank-looking row"],
+    )
+    def test_malformed_points_file_is_named(self, tmp_path, sample_setup, capsys, body):
+        _, samples_path = sample_setup
+        points_path = tmp_path / "pts.csv"
+        points_path.write_text("re,im\n0.1,0.2\n" + body)
+        assert run_cli(
+            "reconstruct", "--twice-s", "2", "--r", "0.5", "--n", "2",
+            "--mode", "bandlimited", "--band-limit", "0",
+            "--input", str(samples_path), "--points", str(points_path),
+        ) == 2
+        assert str(points_path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "body", ["1,abc,0\n", "1,0.5\n", "1.0,0.5,0\n"],
+        ids=["non-number", "short row", "non-integer index"],
+    )
+    def test_malformed_samples_file_is_named(self, tmp_path, capsys, body):
+        samples_path = tmp_path / "samples.csv"
+        samples_path.write_text("k,re,im\n0,0.5,0\n" + body)
+        assert run_cli(
+            "dft", "--twice-s", "2", "--r", "0.5", "--n", "2",
+            "--mode", "bandlimited", "--band-limit", "0", "--input", str(samples_path),
+        ) == 2
+        assert str(samples_path) in capsys.readouterr().err
+
+    def test_blank_lines_and_padded_fields_are_read(self, tmp_path):
+        tidy = {"samples": "k,re,im\n0,0.75,0\n1,0.5,-0.25\n", "pts": "re,im\n0.25,-0.5\n0.1,0\n"}
+        loose = {
+            "samples": "\nk , re,im\n\n 0, 0.75 ,0\n1 ,0.5,  -0.25\n\n",
+            "pts": "re, im\n\n  0.25,-0.5 \n0.1 ,0\n\n\n",
+        }
+        outputs = []
+        for name, files in (("tidy", tidy), ("loose", loose)):
+            samples_path = tmp_path / f"{name}-samples.csv"
+            points_path = tmp_path / f"{name}-pts.csv"
+            samples_path.write_text(files["samples"])
+            points_path.write_text(files["pts"])
+            out = tmp_path / f"{name}.csv"
+            assert run_cli(
+                "reconstruct", "--twice-s", "2", "--r", "0.5", "--n", "2",
+                "--mode", "bandlimited", "--band-limit", "1",
+                "--input", str(samples_path), "--points", str(points_path),
+                "--output", str(out),
+            ) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 class TestDiagnosticsAndDeterminism:
     def test_tolerance_echo(self, capsys):
         run_cli("grid", "--r", "0.5", "--n", "1")

@@ -151,9 +151,12 @@ def test_pointwise_functions_keep_the_shape_of_the_query():
         )
     )
     cuts = [basis._BLOCK // 3, basis._BLOCK + 5]
+    # at 2s = 2 each block sums many segments before every point has ended
+    many_segments = ds.DiskSignal(2, rng.standard_normal(1025) + 1j * rng.standard_normal(1025))
     for function in (
         lambda p: ds.evaluate_signal(signal, p),
         lambda p: ds.evaluate_signal(long_signal, p),
+        lambda p: ds.evaluate_signal(many_segments, p),
         lambda p: ds.sinc_kernel(fm, 1, p),
         lambda p: ds.dual_sinc_kernel(kernel, 1, p),
         lambda p: oracle.dual_sinc_series(kernel, 1, p),
@@ -163,8 +166,11 @@ def test_pointwise_functions_keep_the_shape_of_the_query():
         assert values.shape == z.shape
         expected = [[function(complex(point)) for point in row] for row in z]
         assert np.allclose(values, expected, rtol=1e-13, atol=0.0)
-        # a point's value does not depend on the rest of the query
+        # a point's value does not depend on the rest of the query, also when
+        # it is the only one (numpy may round a complex product differently
+        # by the memory layout of its operands)
         whole = function(query)
+        assert np.array_equal([function(complex(point)) for point in query[:64]], whole[:64])
         parts = [function(part) for part in np.split(query, cuts)]
         assert np.array_equal(np.concatenate(parts), whole)
         assert np.array_equal(function(query[::-1])[::-1], whole)
