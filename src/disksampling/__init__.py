@@ -7,98 +7,76 @@ radius r.  With more samples than coefficients the recovery is exact
 sampled reproducing kernel still yields the best-possible partial
 reconstruction together with explicit error bounds
 (:mod:`disksampling.undersampled`).
+
+Public names are loaded from their submodules on first access (PEP 562), so
+``import disksampling`` itself loads no numpy.
 """
 
-from .basis import (
-    DiskSignal,
-    ResolutionSpectrum,
-    SamplingGrid,
-    basis_fn,
-    evaluate_signal,
-    log_binomial,
-    overlap,
-    sample_signal,
-)
-from .bandlimited import (
-    FrameMatrix,
-    fourier_coefficients,
-    frame_matrix,
-    reconstruct_bandlimited,
-    sample_space_projector,
-    sinc_kernel,
-)
-from .estimators import BandlimitedReconstructor, PartialReconstructor
-from .undersampled import (
-    CirculantKernel,
-    ErrorBound,
-    QuasiBandProfile,
-    RadiusEstimate,
-    alias_error,
-    band_projection_curve,
-    critical_radius,
-    dft_coefficients,
-    dual_sinc_kernel,
-    dual_weights,
-    error_bound,
-    invert_kernel,
-    leading_order_bound,
-    max_radius_estimate,
-    overlap_kernel,
-    partial_reconstruct,
-    projector_element,
-    quasi_band_profile,
-    rescale_truncate,
-    tail_excess,
-)
-from .validation import (
-    ConditioningWarning,
-    EigenvalueCrossCheckError,
-    NotFittedError,
-    NumericalRangeError,
-)
+import importlib
+
+_EXPORTS = {
+    "basis": (
+        "DiskSignal",
+        "ResolutionSpectrum",
+        "SamplingGrid",
+        "basis_fn",
+        "evaluate_signal",
+        "log_binomial",
+        "overlap",
+        "sample_signal",
+    ),
+    "bandlimited": (
+        "FrameMatrix",
+        "frame_matrix",
+        "fourier_coefficients",
+        "reconstruct_bandlimited",
+        "sample_space_projector",
+        "sinc_kernel",
+    ),
+    "undersampled": (
+        "CirculantKernel",
+        "ErrorBound",
+        "QuasiBandProfile",
+        "RadiusEstimate",
+        "alias_error",
+        "band_projection_curve",
+        "critical_radius",
+        "dft_coefficients",
+        "dual_sinc_kernel",
+        "dual_weights",
+        "error_bound",
+        "invert_kernel",
+        "leading_order_bound",
+        "max_radius_estimate",
+        "overlap_kernel",
+        "partial_reconstruct",
+        "projector_element",
+        "quasi_band_profile",
+        "rescale_truncate",
+        "tail_excess",
+    ),
+    "estimators": ("BandlimitedReconstructor", "PartialReconstructor"),
+    "validation": (
+        "ConditioningWarning",
+        "EigenvalueCrossCheckError",
+        "NotFittedError",
+        "NumericalRangeError",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DiskSignal",
-    "ResolutionSpectrum",
-    "SamplingGrid",
-    "basis_fn",
-    "evaluate_signal",
-    "log_binomial",
-    "overlap",
-    "sample_signal",
-    "FrameMatrix",
-    "frame_matrix",
-    "fourier_coefficients",
-    "reconstruct_bandlimited",
-    "sample_space_projector",
-    "sinc_kernel",
-    "CirculantKernel",
-    "ErrorBound",
-    "QuasiBandProfile",
-    "RadiusEstimate",
-    "alias_error",
-    "band_projection_curve",
-    "critical_radius",
-    "dft_coefficients",
-    "dual_sinc_kernel",
-    "dual_weights",
-    "error_bound",
-    "invert_kernel",
-    "leading_order_bound",
-    "max_radius_estimate",
-    "overlap_kernel",
-    "partial_reconstruct",
-    "projector_element",
-    "quasi_band_profile",
-    "rescale_truncate",
-    "tail_excess",
-    "BandlimitedReconstructor",
-    "PartialReconstructor",
-    "ConditioningWarning",
-    "EigenvalueCrossCheckError",
-    "NotFittedError",
-    "NumericalRangeError",
-    "__version__",
-]
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

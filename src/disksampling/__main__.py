@@ -1,5 +1,33 @@
+"""Entry point of ``python -m disksampling`` and the ``disksampling`` console script.
+
+A command process pays only for the work its command does.  No command
+calls BLAS (sums go through ``einsum`` without ``optimize``, transforms
+through numpy's pocketfft, the rest through mpmath), so the process asks
+OpenBLAS for one thread unless ``OPENBLAS_NUM_THREADS`` is already set,
+which spares the worker thread it would start while numpy loads.  Once
+the command has returned, with its output files closed, and stdout and
+stderr are flushed, the process ends without the interpreter's teardown;
+``atexit`` handlers therefore do not run.  A command that raises, an
+argparse exit and a failing flush take the normal exit path.
+"""
+
+import os
 import sys
 
-from .cli import main
 
-sys.exit(main())
+def main() -> int:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from .cli import main as run_command
+
+    code = run_command()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        # the interpreter's shutdown flushes again and reports the failure
+        return code
+    os._exit(code)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import basis
 from .basis import (
     DiskSignal,
     ResolutionSpectrum,
@@ -25,7 +26,6 @@ from .basis import (
     _log_one_minus_mod2,
     _one_minus_mod2,
     _pointwise,
-    evaluate_signal,
 )
 from .validation import (
     CONDITION_LIMIT,
@@ -153,7 +153,9 @@ def reconstruct_bandlimited(fm: FrameMatrix, samples, z):
     operator).
     """
     coeffs = fourier_coefficients(fm, samples)
-    return evaluate_signal(DiskSignal(fm.twice_s, coeffs), z)
+    # looked up in basis at each call, so that a wrapper put on
+    # basis.evaluate_signal (a profiler's) is seen here and taken off with it
+    return basis.evaluate_signal(DiskSignal(fm.twice_s, coeffs), z)
 
 
 def sample_space_projector(fm: FrameMatrix) -> np.ndarray:

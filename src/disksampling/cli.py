@@ -7,6 +7,8 @@ vectorised math and BLAS may differ in the last bit between builds.  Output
 files are written to a temporary name and atomically renamed; a failing
 command never leaves a partial file behind.  Diagnostics (the active
 series-truncation tolerance, conditioning warnings) go to stderr only.
+Each command imports only the modules it calls: ``bandlimited`` or
+``undersampled`` for its mode, ``json`` only to read a signal file.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure.
 """
@@ -15,16 +17,14 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from . import bandlimited as bl
-from . import undersampled as us
 from .basis import DiskSignal, ResolutionSpectrum, SamplingGrid, sample_signal
 from .validation import (
     CONDITION_LIMIT,
@@ -53,19 +53,41 @@ def _echo_tolerance() -> None:
 def _render_table(columns: list[str], data: list, fmt: str) -> str:
     """A table of ``data``, one array per column.
 
-    Integer columns are written as integers, float columns with 17
+    Integer columns are written as integers.  In CSV, float columns have 17
     significant digits (``%.17g``, the same digits as ``format(x, ".17g")``);
-    the CSV text comes from one ``%``-format over all values.
+    in JSON they are the shortest repr, as ``json.dumps(..., indent=2)``
+    writes them, with ``NaN``, ``Infinity`` and ``-Infinity``.  Either text
+    comes from one ``%``-format over all values.
     """
     data = [np.asarray(column) for column in data]
-    rows = list(zip(*(column.tolist() for column in data)))
+    count = len(data[0])
     if fmt == "csv":
         line = ",".join("%d" if column.dtype.kind in "iu" else "%.17g" for column in data)
-        values = tuple(itertools.chain.from_iterable(rows))
-        return ",".join(columns) + "\n" + ((line + "\n") * len(rows)) % values
+        values = tuple(itertools.chain.from_iterable(zip(*(c.tolist() for c in data))))
+        return ",".join(columns) + "\n" + ((line + "\n") * count) % values
     if fmt == "json":
-        return json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n"
+        head = '{\n  "columns": [\n%s\n  ],\n  "rows": ' % ",\n".join(
+            '    "%s"' % name for name in columns
+        )
+        if count == 0:
+            return head + "[]\n}\n"
+        row = "    [\n" + ",\n".join(["      %s"] * len(data)) + "\n    ]"
+        values = tuple(itertools.chain.from_iterable(zip(*map(_json_numbers, data))))
+        return head + "[\n" + ",\n".join([row] * count) % values + "\n  ]\n}\n"
     raise ValueError(f"unknown format {fmt!r}")
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_numbers(column: np.ndarray) -> list:
+    """The column's values, non-finite floats spelled as JSON spells them;
+    ``str`` of the others is their JSON text."""
+    values = column.tolist()
+    if column.dtype.kind == "f":
+        for index in np.flatnonzero(~np.isfinite(column)).tolist():
+            values[index] = _JSON_NONFINITE[repr(values[index])]
+    return values
 
 
 def _complex_table(index: str, values, fmt: str) -> str:
@@ -97,6 +119,8 @@ def _write_output(path: str | None, text: str) -> None:
 
 def _read_signal(path: str, twice_s_flag: int | None) -> DiskSignal:
     """Read a signal file; a given ``--twice-s`` must match the file's."""
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -126,26 +150,44 @@ def _read_columns(path: str, kind: str, fields: list[tuple[str, type]]) -> np.nd
     The first non-empty line names the columns; empty lines are skipped.
     Returns one record per row with the given (name, type) fields.  A
     missing column, a short row or a field that does not parse raises
-    ``ValueError`` naming the file.
+    ``ValueError`` naming the file and, for a row, its 1-based line.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [line for line in handle.read().split("\n") if line]
-    if not lines:
+        lines = handle.read().split("\n")
+    rows = [line for line in lines if line]
+    if not rows:
         raise ValueError(f"{path} is empty")
-    header = [name.strip() for name in lines[0].split(",")]
+    header = [name.strip() for name in rows.pop(0).split(",")]
     names = [name for name, _ in fields]
     try:
         columns = [header.index(name) for name in names]
     except ValueError as exc:
         raise ValueError(f"{kind} file {path} needs columns {', '.join(names)}") from exc
-    if len(lines) == 1:
+    if not rows:
         return np.empty(0, dtype=fields)
+
+    def parse(rows):
+        return np.loadtxt(rows, delimiter=",", comments=None, usecols=columns, dtype=fields,
+                          ndmin=1)
+
     try:
-        return np.loadtxt(
-            lines[1:], delimiter=",", comments=None, usecols=columns, dtype=fields, ndmin=1
-        )
+        return parse(rows)
     except ValueError as exc:
-        raise ValueError(f"malformed {kind} file {path}: {exc}") from exc
+        error = exc
+    # numpy numbers the rows it was given, not the file's lines: find the
+    # first rejected row by bisection, rows[:low] parsing and rows[:high] not
+    low, high = 0, len(rows)
+    while high - low > 1:
+        middle = (low + high) // 2
+        try:
+            parse(rows[:middle])
+            low = middle
+        except ValueError as exc:
+            high, error = middle, exc
+    # rows[high - 1] is the file's non-empty line number high, the header being 0
+    line = [number for number, text in enumerate(lines, 1) if text][high]
+    reason = re.sub(r" at row \d+", "", str(error))
+    raise ValueError(f"malformed {kind} file {path}, line {line}: {reason}")
 
 
 def _read_samples(path: str, n_samples: int) -> np.ndarray:
@@ -192,10 +234,14 @@ def _operator(args, grid: SamplingGrid):
     Ill-conditioning is reported on stderr.
     """
     if args.mode == "bandlimited":
+        from . import bandlimited as bl
+
         if args.band_limit is None:
             raise ValueError("bandlimited mode requires --band-limit")
         operator = bl.frame_matrix(args.twice_s, grid, args.band_limit)
     else:
+        from . import undersampled as us
+
         operator = us.overlap_kernel(args.twice_s, grid)
     if operator.is_ill_conditioned:
         _diag(
@@ -224,8 +270,12 @@ def cmd_reconstruct(args) -> int:
     points = _read_points(args.points)
     operator = _operator(args, grid)
     if args.mode == "bandlimited":
+        from . import bandlimited as bl
+
         values = np.atleast_1d(bl.reconstruct_bandlimited(operator, samples, points))
     else:
+        from . import undersampled as us
+
         values = np.atleast_1d(us.partial_reconstruct(operator, samples, points))
         if args.n_max is not None:
             if args.output is None:
@@ -244,9 +294,13 @@ def cmd_dft(args) -> int:
     samples = _read_samples(args.input, grid.n_samples)
     operator = _operator(args, grid)
     if args.mode == "bandlimited":
+        from . import bandlimited as bl
+
         coeffs = bl.fourier_coefficients(operator, samples)
         text = _complex_table("m", coeffs, args.format)
     else:
+        from . import undersampled as us
+
         n_max = args.n_max if args.n_max is not None else grid.n_samples - 1
         ahat = us.dft_coefficients(operator, samples, n_max)
         rescaled = ahat * us._undo_filter(operator, n_max)
@@ -260,6 +314,8 @@ def cmd_dft(args) -> int:
 
 
 def cmd_error_analysis(args) -> int:
+    from . import undersampled as us
+
     signal = _read_signal(args.input, args.twice_s)
     r_values = _parse_float_list(args.sweep_r, "--sweep-r") if args.sweep_r else [args.r]
     n_values = _parse_int_list(args.sweep_n, "--sweep-n") if args.sweep_n else [args.n]
@@ -298,6 +354,8 @@ def cmd_error_analysis(args) -> int:
 
 
 def cmd_critical_radius(args) -> int:
+    from . import undersampled as us
+
     twice_s = check_twice_s(args.twice_s)
     m_values = _parse_int_list(args.m_list, "--m-list")
     r_grid = np.linspace(0.0, args.r_max, args.r_count)

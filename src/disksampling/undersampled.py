@@ -23,8 +23,9 @@ in mpmath: O(N * sum of the prime factors of N) products, O(N log N) for
 smooth N, while a prime N stays O(N^2).  It yields the same doubles as the
 direct O(N^2) sum, which the tests keep as their reference.  mpmath is
 imported by the first kernel built, so work that needs no kernel (the error
-analysis) never loads it.  The independent check is the truncated lambda
-series in ordinary doubles.  The tail ratios
+analysis) never loads it.  The independent check is lhat_j as a lambda
+series in ordinary doubles, each residue class summed outward from its
+largest term (the class tails of the error analysis).  The tail ratios
 eps_n = (lhat_n - lambda_n)/lambda_n are never formed by subtraction; they
 get their own series, exact down to the underflow threshold, and are carried
 in the log domain where they leave the double range.
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import basis
 from .basis import (
     DiskSignal,
     ResolutionSpectrum,
@@ -46,7 +48,6 @@ from .basis import (
     _one_minus_mod2,
     _pointwise,
     log_binomial,
-    overlap,
 )
 from .validation import (
     CONDITION_LIMIT,
@@ -215,14 +216,6 @@ def _tail_negligible(last: np.ndarray, prev: np.ndarray, bound: np.ndarray) -> n
     return (last == 0.0) | ((ratio < 1.0) & (last < bound) & (tail < bound))
 
 
-def _eigenvalues_series(twice_s: int, grid: SamplingGrid, tol: float) -> np.ndarray:
-    """lhat_j = sum_q lambda_{j+qN}; the ratios tend to r^(2N)."""
-    n = grid.n_samples
-    spectrum = ResolutionSpectrum(twice_s, grid)
-    j = np.arange(n)[:, np.newaxis]
-    return _series_sum(lambda q: spectrum.log_values(j + q * n), tol, "eigenvalue")
-
-
 def _eigenvalues_dft(twice_s: int, grid: SamplingGrid) -> tuple[np.ndarray, float]:
     """Length-N DFT of the first row, in precision adapted to the spread.
 
@@ -315,7 +308,8 @@ def _cross_checked_eigenvalues(twice_s: int, grid: SamplingGrid) -> np.ndarray:
             f"kernel eigenvalue {j} not representable as a positive double",
             log_value=log_val,
         )
-    series_vals = _eigenvalues_series(twice_s, grid, series_tolerance())
+    spectrum = ResolutionSpectrum(twice_s, grid)
+    series_vals = np.exp(_log_class_tails(spectrum, np.arange(grid.n_samples), "eigenvalue"))
     gap = float(np.max(np.abs(dft_vals - series_vals) / dft_vals))
     if gap > _EIG_AGREE_RTOL:
         raise EigenvalueCrossCheckError(
@@ -370,9 +364,11 @@ def _coherent_sum(kernel: CirculantKernel, weights: np.ndarray, z):
     the number of points in the block.
     """
     points = kernel.grid.points[np.newaxis, :]
+    # basis.overlap is looked up at the call, as reconstruct_bandlimited
+    # looks up basis.evaluate_signal
     return _pointwise(
         lambda z_flat: np.einsum(
-            "qn,n->q", overlap(kernel.twice_s, z_flat[:, np.newaxis], points), weights
+            "qn,n->q", basis.overlap(kernel.twice_s, z_flat[:, np.newaxis], points), weights
         ),
         z,
     )

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -18,14 +20,39 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
-def run_module(*argv):
-    """Run ``python -m disksampling`` on the package this process imported."""
+CONSOLE_SCRIPT = "import sys; from disksampling.__main__ import main; sys.exit(main())"
+
+
+def process_env(**env):
+    """The environment of a child process that imports the package this
+    process imported, with ``PYTHONUNBUFFERED`` and ``OPENBLAS_NUM_THREADS``
+    unset unless given in ``env``."""
     package_root = str(pathlib.Path(ds.__file__).resolve().parent.parent)
-    search_path = [package_root, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search_path))}
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("PYTHONUNBUFFERED", "OPENBLAS_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**base, **env}
+
+
+def run_process(argv, entry="module", **env):
+    """A command as its own process, the way a user starts it, with stdout
+    and stderr as pipes: ``entry`` is ``"module"`` for ``python -m
+    disksampling`` or ``"script"`` for the console script's function."""
+    launch = ["-m", "disksampling"] if entry == "module" else ["-c", CONSOLE_SCRIPT]
     return subprocess.run(
-        [sys.executable, "-m", "disksampling", *argv], capture_output=True, env=env
+        [sys.executable, *launch, *argv], capture_output=True, env=process_env(**env)
     )
+
+
+def run_in_process(argv):
+    """(exit code, stdout bytes, stderr bytes) of ``cli.main`` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue().encode(), err.getvalue().encode()
 
 
 def read_csv(path):
@@ -171,6 +198,27 @@ class TestReconstruct:
         header, rows = read_csv(sibling)
         assert header == ["n", "re", "im"]
         assert float(rows[0][1]) == pytest.approx(1.125 / 1.36, rel=1e-12)
+
+    def test_undersampled_rim_kernel_answers(self, tmp_path):
+        # exited 3 ("implementation fault") while the eigenvalue check summed
+        # each class from q = 0, whose first terms underflow at this radius
+        grid = ds.SamplingGrid(0.999, 16)
+        signal = ds.DiskSignal(200, np.array([1.0, 0.5j, -0.25]))
+        samples = ds.sample_signal(signal, grid)
+        samples_path = tmp_path / "samples.csv"
+        samples_path.write_text(cli._complex_table("k", samples, "csv"))
+        points = np.array([0.3, 0.5j, -0.2 + 0.1j])
+        points_path = write_points(tmp_path / "pts.csv", points)
+        out = tmp_path / "values.csv"
+        assert run_cli(
+            "reconstruct", "--twice-s", "200", "--r", "0.999", "--n", "16",
+            "--mode", "undersampled", "--input", str(samples_path),
+            "--points", str(points_path), "--output", str(out),
+        ) == 0
+        _, rows = read_csv(out)
+        values = np.array([complex(float(re), float(im)) for _, re, im in rows])
+        expected = ds.partial_reconstruct(ds.overlap_kernel(200, grid), samples, points)
+        assert np.all(np.isfinite(values)) and np.array_equal(values, expected)
 
     def test_band_limit_too_large_leaves_no_output(self, tmp_path, sample_setup):
         _, samples_path = sample_setup
@@ -441,6 +489,33 @@ class TestTableIO:
             ["k", "re", "im"], complex_rows, fmt
         )
 
+    def test_json_writer_matches_json_dumps_on_many_rows(self):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)
+        values[::37] = [-0.0, 5e-324, 1e308, -np.inf, np.inf, np.nan, 0.1, -1.0,
+                        2.0**-1074, -2.2250738585072014e-308, 1e22, 1e16, 1.5e-7, 123456789.0]
+        data = [np.arange(500), values, values[::-1], rng.integers(-2**62, 2**62, 500)]
+        rows = [[int(k), float(a), float(b), int(c)] for k, a, b, c in zip(*data)]
+        columns = ["n", "re", "im", "count"]
+        expected = json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n"
+        assert cli._render_table(columns, data, "json") == expected
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [("k,re,im\n0,1,2\n1,3\n", 3), ("k,re,im\n0,1,2\n\n1,abc,2\n", 4),
+         ("\n\nk,re,im\n\n0,1,2\n1,2,3\n\n1.5,0,0\n", 8)],
+        ids=["short row", "bad field after a blank line", "leading blank lines"],
+    )
+    def test_malformed_row_names_the_line_of_the_file(self, tmp_path, capsys, body, line):
+        samples_path = tmp_path / "samples.csv"
+        samples_path.write_text(body)
+        assert run_cli(
+            "dft", "--twice-s", "2", "--r", "0.5", "--n", "2",
+            "--mode", "bandlimited", "--band-limit", "0", "--input", str(samples_path),
+        ) == 2
+        _, reason = capsys.readouterr().err.split(f"{samples_path}, line {line}: ")
+        assert "row" not in reason
+
     @pytest.mark.parametrize(
         "body", ["0.25,abc\n", "0.25\n", "0.25,\n", "  \n"],
         ids=["non-number", "short row", "empty field", "blank-looking row"],
@@ -556,7 +631,7 @@ class TestDiagnosticsAndDeterminism:
     def test_subprocess_entry_point(self, tmp_path):
         results = []
         for _ in range(2):
-            proc = run_module("grid", "--r", "0.5", "--n", "3")
+            proc = run_process(["grid", "--r", "0.5", "--n", "3"])
             assert proc.returncode == 0
             results.append(proc.stdout)
         assert results[0] == results[1]
@@ -580,8 +655,102 @@ class TestDiagnosticsAndDeterminism:
         assert proc.stdout.split() == ["[]", "[]", "True"]
 
     def test_bad_flag_exits_two(self):
-        proc = run_module("grid", "--r", "0.5")
+        proc = run_process(["grid", "--r", "0.5"])
         assert proc.returncode == 2
+
+
+class TestCommandProcess:
+    def test_import_loads_no_numpy_and_resolves_every_public_name(self):
+        script = (
+            "import importlib, json, sys\n"
+            "import disksampling as ds\n"
+            "report = {'numpy': 'numpy' in sys.modules}\n"
+            "report['missing_from_dir'] = sorted(set(ds.__all__) - set(dir(ds)))\n"
+            "names = [n for n in ds.__all__ if n != '__version__']\n"
+            "report['count'] = len(names)\n"
+            "report['not_identical'] = [\n"
+            "    n for n in names\n"
+            "    if getattr(ds, n) is not getattr(importlib.import_module(getattr(ds, n).__module__), n)\n"
+            "    or not getattr(ds, n).__module__.startswith('disksampling.')]\n"
+            "try:\n"
+            "    ds.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    report['unknown'] = str(exc)\n"
+            "print(json.dumps(report))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              check=True, env=process_env())
+        report = json.loads(proc.stdout)
+        assert report == {
+            "numpy": False, "missing_from_dir": [], "count": 40, "not_identical": [],
+            "unknown": "module 'disksampling' has no attribute 'no_such_name'",
+        }
+
+    def test_grid_loads_neither_kernel_modules_nor_mpmath(self):
+        proc = run_process(["grid", "--r", "0.5", "--n", "3"], PYTHONPROFILEIMPORTTIME="1")
+        assert proc.returncode == 0
+        loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.decode().splitlines()
+                  if line.startswith("import time:")}
+        assert "disksampling.cli" in loaded
+        assert not loaded & {"disksampling.undersampled", "disksampling.bandlimited",
+                             "disksampling.estimators", "mpmath"}
+
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    def test_exit_codes_and_stream_bytes_match_the_in_process_command(self, tmp_path, entry):
+        samples_path = tmp_path / "samples.csv"
+        samples_path.write_text("k,re,im\n" + "".join(f"{k},1,0\n" for k in range(60)))
+        out = tmp_path / "grid.json"
+        cases = [
+            (["grid", "--r", "0.5", "--n", "3"], 0),  # stdout still in its buffer at the end
+            (["grid", "--r", "0.5", "--n", "5000"], 0),  # stdout well past a pipe's buffer
+            (["grid", "--r", "0.5", "--n", "3", "--format", "json", "--output", str(out)], 0),
+            (["grid", "--r", "0.5"], 2),  # argparse exits
+            (["grid", "--r", "1.5", "--n", "3"], 2),
+            (["dft", "--twice-s", "2", "--r", "1e-3", "--n", "60", "--mode", "undersampled",
+              "--input", str(samples_path)], 3),
+        ]
+        for argv, code in cases:
+            out.unlink(missing_ok=True)
+            expected = run_in_process(argv)
+            written = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            proc = run_process(argv, entry=entry)
+            assert (proc.returncode, proc.stdout, proc.stderr) == expected, argv
+            assert expected[0] == code
+            assert (out.read_bytes() if out.exists() else None) == written
+
+    def test_output_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path, sample_setup):
+        _, samples_path = sample_setup
+        points_path = write_points(tmp_path / "pts.csv", [0.3 + 0.1j, -0.2j, 0.0])
+        commands = [
+            ["reconstruct", "--twice-s", "2", "--r", "0.5", "--n", "2", "--mode", "bandlimited",
+             "--band-limit", "1", "--input", str(samples_path), "--points", str(points_path)],
+            ["dft", "--twice-s", "2", "--r", "0.5", "--n", "2", "--mode", "undersampled",
+             "--n-max", "7", "--input", str(samples_path), "--format", "json"],
+        ]
+        for argv in commands:
+            runs = [run_process(argv, **threads) for threads in
+                    ({}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"})]
+            assert runs[0].returncode == 0
+            assert {(p.returncode, p.stdout, p.stderr) for p in runs} == {
+                (0, runs[0].stdout, runs[0].stderr)
+            }
+
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    def test_a_blas_thread_count_the_user_set_is_kept(self, entry):
+        # the command reports the variable as it runs, in place of its work
+        report = (
+            "import os, disksampling.cli as cli; "
+            "cli.main = lambda argv=None: print(os.environ.get('OPENBLAS_NUM_THREADS')) or 0; "
+        )
+        launch = "import runpy; runpy.run_module('disksampling', run_name='__main__')"
+        script = report + (launch if entry == "module" else CONSOLE_SCRIPT)
+        seen = [
+            subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           check=True, env=process_env(**threads)).stdout
+            for threads in ({}, {"OPENBLAS_NUM_THREADS": "2"})
+        ]
+        assert seen == ["1\n", "2\n"]
 
 
 COMMITTED_REFERENCE = pathlib.Path(__file__).parent / "fixtures" / "oracle_reference.json"

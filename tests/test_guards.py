@@ -16,11 +16,12 @@ from conftest import random_disk_points, unit_signal
 
 
 def test_eigenvalue_cross_check_trips_on_bad_series(monkeypatch):
-    # a wrong independent route must abort kernel construction
+    # a wrong independent route must abort kernel construction; the series
+    # route is the eigenvalue classes' tails, log 1 = 0 for every j here
     monkeypatch.setattr(
         undersampled,
-        "_eigenvalues_series",
-        lambda twice_s, grid, tol: np.full(grid.n_samples, 1.0),
+        "_log_class_tails",
+        lambda spectrum, starts, name: np.zeros(starts.size),
     )
     with pytest.raises(EigenvalueCrossCheckError):
         ds.overlap_kernel(2, ds.SamplingGrid(0.5, 4))

@@ -136,6 +136,18 @@ class TestKernelEigenvalues:
         assert np.all(kernel.eigenvalues > 0.0)
         assert np.sum(kernel.eigenvalues) == pytest.approx(n, rel=1e-12)
 
+    @pytest.mark.parametrize("radius, n", [(0.999, 16), (0.9995, 8)])
+    def test_rim_kernels_pass_the_cross_check(self, radius, n):
+        # every class's first 16 terms underflow here, and a series summed
+        # from q = 0 closed at 0, a false disagreement of 1.0
+        grid = ds.SamplingGrid(radius, n)
+        kernel = ds.overlap_kernel(200, grid)
+        expected, _ = oracle.row_dft_eigenvalues(200, grid)
+        assert np.array_equal(kernel.eigenvalues, expected)
+        tails = undersampled._log_class_tails(kernel.spectrum, np.arange(n), "eigenvalue")
+        gap = np.max(np.abs(np.exp(tails) / kernel.eigenvalues - 1.0))
+        assert gap <= undersampled._EIG_AGREE_RTOL
+
     def test_single_point_series_consistency(self):
         # N=1: the DFT route gives C_0 = 1 exactly; the series must agree
         for radius in (0.3, 0.8):
