@@ -29,6 +29,7 @@ from .basis import (
 )
 from .validation import (
     CONDITION_LIMIT,
+    NumericalRangeError,
     as_samples,
     check_band_limit,
     check_grid_index,
@@ -106,7 +107,10 @@ def sinc_kernel(fm: FrameMatrix, k: int, z):
         Xi_k(z) = (1/N) ((1-|z|^2)/(1-r^2))^s  sum_{m=0}^{M} (conj(z)/conj(z_k))^m.
 
     At the grid points, Xi_k(z_l) is the (l, k) entry of the sample-space
-    projector: the Kronecker delta at critical sampling N = M+1.
+    projector: the Kronecker delta at critical sampling N = M+1.  For
+    |z| > r the sum is taken as rho^M sum_m rho^(-m), rho = conj(z/z_k), with
+    rho^M in the log domain; a value beyond the double range raises
+    ``NumericalRangeError``.
     """
     n = fm.n_samples
     k = check_grid_index(k, n)
@@ -117,14 +121,22 @@ def sinc_kernel(fm: FrameMatrix, k: int, z):
 
     def values(z_flat):
         log_one_minus = _log_one_minus_mod2(_one_minus_mod2(z_flat))
-        prefactor = np.exp(s * (log_one_minus - log_one_minus_r2)) / n
         ratio = np.conj(z_flat) * np.exp(2j * np.pi * k / n) / r
-        acc = np.ones_like(ratio)
-        term = np.ones_like(ratio)
+        outer = np.abs(ratio) > 1.0
+        step = np.divide(1.0, ratio, out=ratio.copy(), where=outer)
+        acc = term = np.ones_like(ratio)
         for _ in range(fm.band_limit):
-            term = term * ratio
+            term = term * step
             acc = acc + term
-        return prefactor * acc
+        log_top = fm.band_limit * np.log(np.where(outer, ratio, 1.0))
+        # log(0) where the sum cancels exactly; exp overflows beyond the double range
+        with np.errstate(divide="ignore", over="ignore"):
+            log_value = s * (log_one_minus - log_one_minus_r2) - np.log(n) + log_top + np.log(acc)
+            out = np.exp(log_value)
+        if not np.isfinite(out).all():
+            worst = float(np.max(log_value.real))
+            raise NumericalRangeError("sinc kernel value beyond the double range", worst)
+        return out
 
     return _pointwise(values, z)
 

@@ -390,22 +390,25 @@ def basis_fn(twice_s: int, m, z):
 def overlap(twice_s: int, z, w):
     """Coherent-state overlap <z|w>; equals 1 at z = w, |overlap| <= 1.
 
-    The denominator (1 - w*conj(z))^(2s) is raised to the integer exponent
-    2s, so there is no branch ambiguity anywhere on the disk.
+    The integer power 2s of (1-|z|^2)^(1/2) (1-|w|^2)^(1/2) / (1 - w*conj(z)),
+    a base of modulus at most 1 (|1 - w conj(z)|^2 - (1-|z|^2)(1-|w|^2) =
+    |z - w|^2): no branch ambiguity anywhere on the disk, and near the rim no
+    quotient of two underflowed powers.
     """
     twice_s = check_twice_s(twice_s)
     z_arr = as_disk_points(z)
     w_arr = as_disk_points(w)
-    s = twice_s / 2.0
-    # (1-|z|^2)^s (1-|w|^2)^s: one exponential per point, not one per pair
-    numerator = np.exp(s * _log_one_minus_mod2(_one_minus_mod2(z_arr))) * np.exp(
-        s * _log_one_minus_mod2(_one_minus_mod2(w_arr))
+    # one exponential per point, not one per pair
+    root = np.exp(0.5 * _log_one_minus_mod2(_one_minus_mod2(z_arr))) * np.exp(
+        0.5 * _log_one_minus_mod2(_one_minus_mod2(w_arr))
     )
-    denominator = (1.0 - w_arr * np.conj(z_arr)) ** twice_s
-    if np.ndim(denominator) == 0:
-        return complex(numerator / denominator)
+    base = np.asarray(1.0 - w_arr * np.conj(z_arr))
     # in place: fewer large temporaries per block of points, fewer page faults
-    return np.divide(numerator, denominator, out=denominator)
+    np.divide(root, base, out=base)
+    if base.ndim == 0:
+        return complex(base**twice_s)
+    # ** keeps numpy's fast path for small exponents (a square at 2s = 2)
+    return base**twice_s
 
 
 #: Query points evaluated together.  Every pointwise function works on one

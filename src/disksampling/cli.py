@@ -321,7 +321,6 @@ def cmd_error_analysis(args) -> int:
     n_values = _parse_int_list(args.sweep_n, "--sweep-n") if args.sweep_n else [args.n]
     if any(v is None for v in r_values) or any(v is None for v in n_values):
         raise ValueError("provide --sweep-r/--sweep-n or single --r/--n values")
-    norm_sq = signal.norm_squared
     rows = []
     for n in n_values:
         # the profile does not depend on r; n is checked first so that a bad
@@ -329,20 +328,9 @@ def cmd_error_analysis(args) -> int:
         profile = us.quasi_band_profile(signal, check_n_samples(n) - 1)
         for r in r_values:
             spectrum = ResolutionSpectrum(signal.twice_s, SamplingGrid(r, n))
-            error_sq, exact_excess, log_captured = us._alias_sums(spectrum, signal)
-            bound, bound_parts = us._bound_terms(spectrum, profile, args.bound_variant)
-            margin, _ = us._bound_margin(bound_parts, exact_excess, log_captured, norm_sq)
-            rows.append(
-                (
-                    r,
-                    n,
-                    profile.epsilon_m,
-                    error_sq / norm_sq,
-                    bound.value,
-                    bound.leading_order,
-                    int(margin >= 0.0),
-                )
-            )
+            exact, bound, margin = us._error_row(spectrum, signal, profile, args.bound_variant)
+            flag = int(margin[0] >= 0.0)
+            rows.append((r, n, profile.epsilon_m, exact, bound.value, bound.leading_order, flag))
     text = _render_table(
         ["r", "n", "epsilon_m", "exact_normalized_sq", "bound", "leading_bound",
          "bound_satisfied"],

@@ -533,13 +533,13 @@ def alias_error(spectrum: ResolutionSpectrum, signal: DiskSignal) -> float:
     """Exact distance || psi - P psi || to the sampled-coherent-state span.
 
     The projector couples coefficients only within a residue class mod N, so
-    with v the class coefficients, mu the matching lambda values, S = sum(mu)
-    and T the lambda tail beyond the stored coefficients,
+    with v the class coefficients, x_p = lambda_{j+pN}^(1/2), S = sum x_p^2,
+    w = sum x_p v_p and T the lambda tail beyond the stored coefficients,
 
-        E^2 = sum_j [ (1/S_j) sum_{q<p} |sqrt(mu_q) v_p - sqrt(mu_p) v_q|^2
-                      + |w_j|^2 T_j / (S_j (S_j + T_j)) ],
+        E^2 = sum_j [ sum_p |v_p - x_p w_j/S_j|^2 + |w_j|^2 T_j / (S_j (S_j + T_j)) ]:
 
-    by the Lagrange identity.  Every term is nonnegative, so the result keeps
+    per class, the residual of v against x plus the part of v along x that
+    the tail takes away.  Every term is nonnegative, so the result keeps
     full relative precision even when the error is many orders below the
     signal norm (forming ||psi||^2 - <psi|P|psi> directly would cancel
     catastrophically there).  Each class term is homogeneous of degree 0 in
@@ -547,7 +547,7 @@ def alias_error(spectrum: ResolutionSpectrum, signal: DiskSignal) -> float:
     as T/(S+T) from log T: S_j is then at least 1, and no class underflows or
     overflows however small or large its lambda mass.  Zero exactly when psi
     lies in the span of the N sampled coherent states.  Needs only the
-    spectrum, not the kernel.
+    spectrum, not the kernel, and O(L + N) memory for L coefficients.
     """
     return float(np.sqrt(_alias_sums(spectrum, signal)[0]))
 
@@ -559,11 +559,13 @@ def _alias_sums(
     M = N-1, each without cancellation; E^2 is the class sum of
     :func:`alias_error`.
 
-    E^2 and the tail energy ||psi||^2 eps_M^2 share their leading digits
-    when the alias error is mostly the signal's own tail, so their
-    difference gets its own class sum.  With x_p = lambda_{j+pN}^(1/2),
-    u_j = sum_{p>=1} x_p v_p and t_j = lhat_j - lambda_j (the stored mu
-    beyond p = 0 plus T_j),
+    The L stored coefficients are laid out as a zero-padded ceil(L/N) x
+    min(N, L) matrix, column j holding class j, so every class quantity is
+    one column reduction and the memory is O(L + N).  E^2 and the tail
+    energy ||psi||^2 eps_M^2 share their leading digits when the alias
+    error is mostly the signal's own tail, so their difference gets its own
+    class sum.  With u_j = sum_{p>=1} x_p v_p and t_j = lhat_j - lambda_j
+    (the stored x_p^2 beyond p = 0 plus T_j),
 
         E^2 - ||psi||^2 eps_M^2
             = sum_j (|v_0|^2 t_j - 2 x_0 Re(v_0 conj(u_j)) - |u_j|^2) / lhat_j.
@@ -578,39 +580,33 @@ def _alias_sums(
         raise ValueError(
             f"signal twice_s {signal.twice_s} does not match spectrum twice_s {spectrum.twice_s}"
         )
-    n = spectrum.grid.n_samples
-    coeffs = signal.coefficients
-    log_lam = np.asarray(spectrum.log_values(np.arange(coeffs.size)), dtype=np.float64)
-    classes = np.arange(min(n, coeffs.size))
-    starts = classes + ((coeffs.size - 1 - classes) // n + 1) * n
-    log_tails = _log_class_tails(spectrum, starts, "lambda tail").tolist()
-    error_sq, excess, log_captured = 0.0, 0.0, -np.inf
-    for j, log_tail in zip(classes.tolist(), log_tails):
-        v = coeffs[j::n]
-        shift = float(np.max(log_lam[j::n]))
-        x = np.exp(0.5 * (log_lam[j::n] - shift))
-        stored = float(np.sum(x * x))
-        w = complex(np.sum(x * v))
-        cross = x[:, np.newaxis] * v[np.newaxis, :] - x[np.newaxis, :] * v[:, np.newaxis]
-        pair_sum = 0.5 * float(np.sum(np.abs(cross) ** 2))
-        # T/(S+T) and S/(S+T) from log(S/T), with S = stored e^shift and T = e^log_tail
-        log_ratio = np.log(stored) + shift - log_tail
-        projected = abs(w) ** 2 / stored
-        error_sq += pair_sum / stored + projected * np.exp(-np.logaddexp(0.0, log_ratio))
-        with np.errstate(divide="ignore"):
-            log_captured = np.logaddexp(
-                log_captured, np.log(projected) - np.logaddexp(0.0, -log_ratio)
-            )
-            log_t = np.logaddexp(np.log(np.sum(x[1:] * x[1:])) + shift, log_tail)
-        top = max(shift, log_t)
-        y = x * np.exp(0.5 * (shift - top))
-        t = float(np.exp(log_t - top))
-        u = complex(np.sum(y[1:] * v[1:]))
-        v0 = complex(v[0])
-        excess += (abs(v0) ** 2 * t - 2.0 * y[0] * (v0 * u.conjugate()).real - abs(u) ** 2) / (
-            y[0] * y[0] + t
-        )
-    return error_sq, excess, float(log_captured)
+    n, size = spectrum.grid.n_samples, signal.coefficients.size
+    shape = (-(-size // n), min(n, size))
+    pad = (0, shape[0] * shape[1] - size)
+    v = np.pad(signal.coefficients, pad).reshape(shape)
+    log_lam = np.pad(spectrum.log_values(np.arange(size)), pad, constant_values=-np.inf)
+    log_lam = log_lam.reshape(shape)
+    j = np.arange(shape[1])
+    log_tail = _log_class_tails(spectrum, j + ((size - 1 - j) // n + 1) * n, "lambda tail")
+    shift = np.max(log_lam, axis=0)
+    x = np.exp(0.5 * (log_lam - shift))
+    stored = np.sum(x * x, axis=0)
+    w = np.sum(x * v, axis=0)
+    residual = np.sum(np.abs(v - x * (w / stored)) ** 2, axis=0)
+    # T/(S+T) and S/(S+T) from log(S/T), with S = stored e^shift and T = e^log_tail
+    log_ratio = np.log(stored) + shift - log_tail
+    projected = np.abs(w) ** 2 / stored
+    error_sq = np.sum(residual + projected * np.exp(-np.logaddexp(0.0, log_ratio)))
+    with np.errstate(divide="ignore"):
+        log_captured = np.logaddexp.reduce(np.log(projected) - np.logaddexp(0.0, -log_ratio))
+        log_t = np.logaddexp(np.log(np.sum(x[1:] * x[1:], axis=0)) + shift, log_tail)
+    top = np.maximum(shift, log_t)
+    y = x * np.exp(0.5 * (shift - top))
+    t = np.exp(log_t - top)
+    u = np.sum(y[1:] * v[1:], axis=0)
+    v0, y0 = v[0], y[0]
+    excess = np.abs(v0) ** 2 * t - 2.0 * y0 * (v0 * u.conj()).real - np.abs(u) ** 2
+    return float(error_sq), float(np.sum(excess / (y0 * y0 + t))), float(log_captured)
 
 
 def leading_order_bound(
@@ -669,10 +665,10 @@ def error_bound(
 
 
 def _bound_terms(
-    spectrum: ResolutionSpectrum, profile: QuasiBandProfile, variant: str = "printed"
+    spectrum: ResolutionSpectrum, profile: QuasiBandProfile, variant: str
 ) -> tuple[ErrorBound, tuple[float, float, float]]:
     """(:func:`error_bound`, (A + C, log C, log D)): the bound's pieces for
-    a comparison with the exact error that subtracts nothing shared,
+    :func:`_error_row`'s comparison with the exact error,
 
         A = (1-eps_M^2) eps_0/(1+eps_0),  C = the cross term,
         D = (1-eps_M^2)/(1+eps_0),  bound = eps_M^2 + A + C = 1 - D + C.
@@ -703,28 +699,29 @@ def _bound_terms(
     return ErrorBound(value=float(em2 + excess), leading_order=leading), (excess, log_c, log_d)
 
 
-def _bound_margin(
-    bound_parts: tuple, exact_excess: float, log_captured: float, norm_sq: float
-) -> tuple[float, float]:
-    """bound - exact = m e^L as (m, L), from the :func:`_bound_terms` parts
-    and the :func:`_alias_sums` ones, in whichever form has the smaller
-    terms; the bound holds where m >= 0.
-
-    For eps_0 up to about 1 that is bound - eps_M^2 = A + C against
-    exact - eps_M^2, terms of the size of the lambda tails (L = 0).  Beyond,
-    it is 1 - exact = ||P psi||^2/||psi||^2 against 1 - bound = D - C, terms
-    of the size of D, which near the rim lies far below the double range;
-    so with Q = ||P psi||^2/||psi||^2 + C, L is the larger of log Q and
-    log D.  Either way nothing that bound and exact share (eps_M^2, or the
-    1) is subtracted.
+def _error_row(
+    spectrum: ResolutionSpectrum, signal: DiskSignal, profile: QuasiBandProfile, variant: str
+) -> tuple[float, ErrorBound, tuple[float, float]]:
+    """One error-analysis row: (exact normalized squared error,
+    :func:`error_bound`, (m, L)) with bound - exact = m e^L, so the bound
+    holds where m >= 0.  For eps_0 up to about 1, m compares bound - eps_M^2
+    = A + C with exact - eps_M^2, terms of the size of the lambda tails
+    (L = 0).  Beyond, it compares 1 - exact = ||P psi||^2/||psi||^2 with
+    1 - bound = D - C, terms of the size of D, far below the double range
+    near the rim; with Q = ||P psi||^2/||psi||^2 + C, L is the larger of
+    log Q and log D.  Either way nothing that bound and exact share
+    (eps_M^2, or the 1) is subtracted.
     """
-    excess, log_c, log_d = bound_parts
+    error_sq, exact_excess, log_captured = _alias_sums(spectrum, signal)
+    bound, (excess, log_c, log_d) = _bound_terms(spectrum, profile, variant)
+    norm_sq = signal.norm_squared
+    exact = error_sq / norm_sq
     if excess <= np.exp(log_d):
-        return float(excess - exact_excess / norm_sq), 0.0
+        return exact, bound, (float(excess - exact_excess / norm_sq), 0.0)
     log_q = float(np.logaddexp(log_captured - np.log(norm_sq), log_c))
     if log_q >= log_d:
-        return float(-np.expm1(log_d - log_q)), log_q
-    return float(np.expm1(log_q - log_d)), log_d
+        return exact, bound, (float(-np.expm1(log_d - log_q)), log_q)
+    return exact, bound, (float(np.expm1(log_q - log_d)), log_d)
 
 
 def max_radius_estimate(

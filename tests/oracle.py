@@ -273,16 +273,21 @@ def signal_values(signal: DiskSignal, z, digits: int = 40) -> np.ndarray:
 
 
 def alias_error(signal: DiskSignal, grid: SamplingGrid, digits: int = 40) -> float:
-    """Distance || psi - P psi || by the Lagrange-form class sum in mpmath.
+    """Distance || psi - P psi || from its definition, in mpmath.
 
     Every lambda_n is computed in ``digits``-digit arithmetic from the
     binomial and the powers of r, whose exponent range is unbounded, so no
     class underflows and no rescaling is needed.  Per residue class j, with
-    mu the stored lambdas, S their sum and T the lambda tail summed term by
-    term until a term is negligible (the terms fall by about r^(2N) per step,
-    so this suits rings with small r^(2N)),
+    v the class coefficients, w = sum_p lambda_{j+pN}^(1/2) v_p and lhat_j
+    the class's lambda mass (the stored lambdas plus the tail, summed term
+    by term until a term is negligible; the terms fall by about r^(2N) per
+    step, so this suits rings with small r^(2N)),
 
-        (1/S) sum_{q<p} |sqrt(mu_q) v_p - sqrt(mu_p) v_q|^2 + |w|^2 T / (S (S + T)).
+        E^2 = sum_j ( sum_p |v_p|^2 - |w|^2 / lhat_j ),
+
+    the signal energy less the captured energy.  The two share the leading
+    digits of ||psi||^2 - E^2, so ``digits`` must exceed 16 plus about
+    log10(||psi||^2 / E^2).  O(L) products for L coefficients.
     """
     twice_s, n = signal.twice_s, grid.n_samples
     with mp.workdps(digits):
@@ -296,14 +301,8 @@ def alias_error(signal: DiskSignal, grid: SamplingGrid, digits: int = 40) -> flo
         error_sq = mp.mpf(0)
         for j in range(min(n, len(coeffs))):
             v = coeffs[j::n]
-            x = [mp.sqrt(lam(j + q * n)) for q in range(len(v))]
-            stored = mp.fsum(xq * xq for xq in x)
-            w = mp.fsum(xq * vq for xq, vq in zip(x, v))
-            pairs = mp.fsum(
-                abs(x[q] * v[p] - x[p] * v[q]) ** 2
-                for p in range(len(v))
-                for q in range(p)
-            )
+            mu = [lam(j + q * n) for q in range(len(v))]
+            w = mp.fsum(mp.sqrt(mu_q) * v_q for mu_q, v_q in zip(mu, v))
             tail, m = mp.mpf(0), j + len(v) * n
             while True:
                 term = lam(m)
@@ -311,7 +310,7 @@ def alias_error(signal: DiskSignal, grid: SamplingGrid, digits: int = 40) -> flo
                 if term < mp.mpf(10) ** (-digits - 5) * tail:
                     break
                 m += n
-            error_sq += pairs / stored + abs(w) ** 2 * tail / (stored * (stored + tail))
+            error_sq += mp.fsum(abs(v_q) ** 2 for v_q in v) - abs(w) ** 2 / (mp.fsum(mu) + tail)
         return float(mp.sqrt(error_sq))
 
 

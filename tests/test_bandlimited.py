@@ -1,7 +1,9 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
 import disksampling as ds
+from disksampling.validation import NumericalRangeError
 
 from conftest import random_disk_points, sup_relative_error, unit_signal
 
@@ -108,6 +110,34 @@ class TestSincKernel:
             [ds.sinc_kernel(fm, k, grid.points) for k in range(7)]
         )
         assert np.allclose(kernel_matrix, ds.sample_space_projector(fm), atol=1e-12)
+
+    def test_outside_the_ring_sums_from_the_top_term(self):
+        # |conj(z)/conj(z_k)| = 9.9 at z = 0.99, r = 0.1, so the partial sums
+        # of 600 powers pass 1e308; at 2s = 1000 the prefactor is 1e-850 and
+        # the value 1.8e-255 is representable
+        fm = ds.frame_matrix(1000, ds.SamplingGrid(0.1, 600), 599)
+        with mp.workdps(40):
+            z, rho = mp.mpf(0.99), mp.mpf(0.99) * mp.expjpi(mp.mpf(6) / 600) / mp.mpf(0.1)
+            prefactor = ((1 - z**2) / (1 - mp.mpf(0.1) ** 2)) ** 500 / 600
+            expected = complex(prefactor * mp.fsum(rho**m for m in range(600)))
+        assert ds.sinc_kernel(fm, 3, 0.99) == pytest.approx(expected, rel=1e-11)
+        # outside, on and inside the ring, against the literal sum
+        fm = ds.frame_matrix(3, ds.SamplingGrid(0.5, 8), 7)
+        for point in (0.7 * np.exp(0.3j), -0.95j, 0.5 * np.exp(0.1j), 0.2 + 0.1j):
+            rho = np.conj(point) * np.exp(2j * np.pi * 2 / 8) / 0.5
+            prefactor = ((1 - abs(point) ** 2) / 0.75) ** 1.5 / 8
+            expected = prefactor * np.sum(rho ** np.arange(8))
+            assert ds.sinc_kernel(fm, 2, point) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("z", [0.99, 0.5])
+    def test_unrepresentable_value_raises(self, z):
+        # the true values are about 1e419 at z = 0.5 and 1e592 at z = 0.99
+        fm = ds.frame_matrix(2, ds.SamplingGrid(0.1, 600), 599)
+        with pytest.raises(NumericalRangeError, match="^sinc kernel value beyond the double range"):
+            ds.sinc_kernel(fm, 0, z)
+        assert ds.sinc_kernel(fm, 0, 0.05) == pytest.approx(
+            (1 - 0.05**2) / (1 - 0.1**2) / 600 * 2, rel=1e-13
+        )
 
     def test_index_validation(self):
         fm = ds.frame_matrix(2, ds.SamplingGrid(0.5, 2), 0)

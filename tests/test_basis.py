@@ -134,6 +134,14 @@ class TestOverlap:
         if abs(z - w) > 1e-3:
             assert abs(left) < 1.0
 
+    def test_diagonal_near_the_rim(self):
+        # (1-|z|^2)^200 and |1 - z conj(z)|^200 both underflow at |z| = 0.999,
+        # so their quotient would be NaN; the 1 - w conj(z) cancellation
+        # costs about 2s eps / (1-|z|^2), 1e-11 relative
+        z = 0.999 * np.exp(1j * np.array([0.0, 0.3, 2.0]))
+        assert np.allclose(ds.overlap(200, z, z), 1.0, rtol=0.0, atol=1e-11)
+        assert ds.overlap(200, complex(z[1]), complex(z[1])) == pytest.approx(1.0, abs=1e-11)
+
     def test_series_consistency(self):
         rng = np.random.default_rng(9)
         z = random_disk_points(rng, 6, max_radius=0.85)

@@ -388,6 +388,25 @@ class TestErrorAnalysis:
         assert len(rows) == 9
         assert all(0.0 < float(row[3]) < 1.0 for row in rows)
 
+    def test_single_sample_row_answers_for_a_long_signal(self, tmp_path):
+        # at N = 1 all 4096 coefficients form one residue class
+        rng = np.random.default_rng(4096)
+        coeffs = 0.999 ** np.arange(4096) * (
+            rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+        )
+        signal_path = write_signal(tmp_path / "sig.json", 2, coeffs)
+        out = tmp_path / "table.csv"
+        assert run_cli(
+            "error-analysis", "--input", str(signal_path),
+            "--r", "0.5", "--n", "1", "--output", str(out),
+        ) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 1 and rows[0][6] == "1"
+        signal = ds.DiskSignal(2, coeffs)
+        spectrum = ds.ResolutionSpectrum(2, ds.SamplingGrid(0.5, 1))
+        exact = ds.alias_error(spectrum, signal) ** 2 / signal.norm_squared
+        assert float(rows[0][3]) == pytest.approx(exact, rel=1e-15)
+
     def test_large_spin_rim_row_answers(self, tmp_path):
         # eps_0 is about exp(782) at 2s = 200, r = 0.99, N = 4
         signal_path = write_signal(tmp_path / "sig.json", 200, 0.9 ** np.arange(8))

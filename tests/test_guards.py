@@ -102,14 +102,24 @@ def test_each_series_names_itself_when_it_fails_to_terminate(monkeypatch, series
 
 @pytest.mark.parametrize(
     "twice_s, radius, n, length",
-    [(2, 0.3, 256, 2048), (2, 0.46, 256, 2048), (2, 0.2, 128, 2048), (400, 0.95, 64, 8)],
+    [
+        (2, 0.3, 256, 2048),
+        (2, 0.46, 256, 2048),
+        (2, 0.2, 128, 2048),
+        (400, 0.95, 64, 8),
+        (2, 0.5, 1, 2048),
+        (8, 0.7, 2, 2047),
+        (40, 0.9, 3, 1000),
+    ],
 )
 def test_alias_error_answers_where_class_masses_leave_the_double_range(
     twice_s, radius, n, length
 ):
     # at small r the lambda mass of the higher residue classes lies far below
     # 1e-308; at 2s = 400, r = 0.95 each class's lambda tail exceeds its
-    # stored lambdas by about exp(890)
+    # stored lambdas by about exp(890); at N <= 3 each class holds hundreds
+    # to thousands of coefficients, whose lambdas span far more than the
+    # double range
     rng = np.random.default_rng(2048)
     coeffs = 0.97 ** np.arange(length) * (
         rng.standard_normal(length) + 1j * rng.standard_normal(length)
@@ -118,6 +128,21 @@ def test_alias_error_answers_where_class_masses_leave_the_double_range(
     grid = ds.SamplingGrid(radius, n)
     got = ds.alias_error(ds.ResolutionSpectrum(twice_s, grid), signal)
     assert got == pytest.approx(oracle.alias_error(signal, grid), rel=1e-12)
+
+
+def test_alias_error_memory_does_not_grow_with_the_class_length():
+    # at N = 1 all 4096 coefficients form one class; a 4096 x 4096 complex
+    # matrix of its coefficient pairs would take 268 MB
+    rng = np.random.default_rng(6)
+    signal = unit_signal(rng, 2, 4095)
+    spectrum = ds.ResolutionSpectrum(2, ds.SamplingGrid(0.5, 1))
+    tracemalloc.start()
+    try:
+        ds.alias_error(spectrum, signal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_series_beyond_the_double_range_raise():

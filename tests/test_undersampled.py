@@ -21,9 +21,7 @@ def bound_margin(spectrum, signal):
     """bound - exact at band limit N-1 as (m, L) with the value m e^L, formed
     as the error-analysis flag forms it."""
     profile = ds.quasi_band_profile(signal, spectrum.grid.n_samples - 1)
-    _, exact_excess, log_captured = undersampled._alias_sums(spectrum, signal)
-    _, bound_parts = undersampled._bound_terms(spectrum, profile)
-    return undersampled._bound_margin(bound_parts, exact_excess, log_captured, signal.norm_squared)
+    return undersampled._error_row(spectrum, signal, profile, "printed")[2]
 
 
 def span_element_signal(kernel, weights, length):
@@ -227,6 +225,14 @@ class TestPartialReconstruct:
         rng = np.random.default_rng(21)
         kernel = ds.overlap_kernel(3, ds.SamplingGrid(0.5, 6))
         samples = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        at_grid = ds.partial_reconstruct(kernel, samples, kernel.grid.points)
+        assert sup_relative_error(at_grid, samples) < 1e-10
+
+    def test_interpolates_samples_on_a_rim_ring(self):
+        # at 2s = 200, r = 0.999 the powers (1-r^2)^100 underflow
+        rng = np.random.default_rng(23)
+        kernel = ds.overlap_kernel(200, ds.SamplingGrid(0.999, 16))
+        samples = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         at_grid = ds.partial_reconstruct(kernel, samples, kernel.grid.points)
         assert sup_relative_error(at_grid, samples) < 1e-10
 
