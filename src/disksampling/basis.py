@@ -393,17 +393,21 @@ def overlap(twice_s: int, z, w):
     The integer power 2s of (1-|z|^2)^(1/2) (1-|w|^2)^(1/2) / (1 - w*conj(z)),
     a base of modulus at most 1 (|1 - w conj(z)|^2 - (1-|z|^2)(1-|w|^2) =
     |z - w|^2): no branch ambiguity anywhere on the disk, and near the rim no
-    quotient of two underflowed powers.
+    quotient of two underflowed powers.  1 - w conj(z) is taken as
+    (1-|z|^2) + conj(z) (z - w), which does not cancel near the diagonal.
     """
     twice_s = check_twice_s(twice_s)
     z_arr = as_disk_points(z)
     w_arr = as_disk_points(w)
+    rim = _one_minus_mod2(z_arr)
     # one exponential per point, not one per pair
-    root = np.exp(0.5 * _log_one_minus_mod2(_one_minus_mod2(z_arr))) * np.exp(
+    root = np.exp(0.5 * _log_one_minus_mod2(rim)) * np.exp(
         0.5 * _log_one_minus_mod2(_one_minus_mod2(w_arr))
     )
-    base = np.asarray(1.0 - w_arr * np.conj(z_arr))
     # in place: fewer large temporaries per block of points, fewer page faults
+    base = np.asarray(z_arr - w_arr)
+    base *= np.conj(z_arr)
+    base += rim[0]
     np.divide(root, base, out=base)
     if base.ndim == 0:
         return complex(base**twice_s)

@@ -15,20 +15,16 @@ the best-possible partial reconstruction (the orthogonal projection onto the
 span of the sampled coherent states), a DFT-style coefficient transform, and
 computable error bounds for quasi-bandlimited signals.
 
-Numerical policy: the production eigenvalues come from a DFT of the first row
-carried out in adaptive extended precision, because in double precision the
-row DFT loses the small eigenvalues to cancellation as soon as the eigenvalue
-spread exceeds ~1e4.  That DFT is a mixed-radix decimation-in-time transform
-in mpmath: O(N * sum of the prime factors of N) products, O(N log N) for
-smooth N, while a prime N stays O(N^2).  It yields the same doubles as the
-direct O(N^2) sum, which the tests keep as their reference.  mpmath is
-imported by the first kernel built, so work that needs no kernel (the error
-analysis) never loads it.  The independent check is lhat_j as a lambda
-series in ordinary doubles, each residue class summed outward from its
-largest term (the class tails of the error analysis).  The tail ratios
-eps_n = (lhat_n - lambda_n)/lambda_n are never formed by subtraction; they
-get their own series, exact down to the underflow threshold, and are carried
-in the log domain where they leave the double range.
+Numerical policy: lhat_j is the class tail of j, the lambda series summed
+in doubles outward from its largest term, as the error analysis sums its
+tails.  Construction checks it against the first row, which the series
+never reads: the float64 FFT of the row agrees to 1e-12 relative, or to the
+FFT's rounding bound where that is larger, and where the bound cannot
+resolve some lhat_j, one extended-precision row sum (mpmath, loaded only
+here) checks the smallest lhat_j to 1e-12.  The tail ratios
+eps_n = (lhat_n - lambda_n)/lambda_n get their own series, never a
+subtraction, exact down to the underflow threshold and carried in the log
+domain where they leave the double range.
 """
 
 from __future__ import annotations
@@ -88,7 +84,7 @@ __all__ = [
 ]
 
 _EIG_AGREE_RTOL = 1e-12
-_EIG_IMAG_RTOL = 1e-13
+_UNIT_ROUNDOFF = 2.0**-53
 _MAX_SERIES_BLOCKS = 100_000
 _SERIES_BLOCK = 16
 
@@ -98,7 +94,9 @@ class CirculantKernel:
     """Sampled reproducing-kernel operator B in circulant form.
 
     ``first_row`` holds C_0..C_{N-1} with B[k, l] = C[(l-k) mod N];
-    ``eigenvalues`` holds the cross-checked lhat_0..lhat_{N-1}.
+    ``eigenvalues`` holds lhat_0..lhat_{N-1}, summed from the spectrum and
+    checked at construction against the row's FFT (and, where that cannot
+    resolve them, the smallest against an extended-precision row sum).
     Immutable after construction and safe to share across threads.
     """
 
@@ -169,15 +167,14 @@ def _circulant(row: np.ndarray) -> np.ndarray:
     return row[(np.arange(n)[np.newaxis, :] - np.arange(n)[:, np.newaxis]) % n]
 
 
-def _first_row(twice_s: int, grid: SamplingGrid) -> np.ndarray:
-    """C_l = ((1-r^2) / (1 - r^2 e^(i theta_l)))^(2s), the denominator taken as
-    (1-r^2) + 2 r^2 sin^2(theta_l/2) - i r^2 sin(theta_l), which does not
-    cancel near theta_l = 0 (C_0 = 1 exactly)."""
+def _row_denominator(grid: SamplingGrid) -> tuple[float, np.ndarray]:
+    """(1-r^2, d) for the first row C_l = ((1-r^2)/d_l)^(2s), d_l = 1 - r^2
+    e^(i theta_l) taken as (1-r^2) + 2 r^2 sin^2(theta_l/2) - i r^2 sin(theta_l),
+    which does not cancel near theta_l = 0 (C_0 = 1 exactly)."""
     one_minus, _, r2, _ = _one_minus_mod2(grid.radius)
     ang = grid.angles
     half_sin = np.sin(0.5 * ang)
-    base = one_minus / (one_minus + 2.0 * r2 * half_sin * half_sin - 1j * r2 * np.sin(ang))
-    return base**twice_s
+    return one_minus, one_minus + 2.0 * r2 * half_sin * half_sin - 1j * r2 * np.sin(ang)
 
 
 def _series_sum(log_terms, tol: float, name: str) -> np.ndarray:
@@ -216,118 +213,111 @@ def _tail_negligible(last: np.ndarray, prev: np.ndarray, bound: np.ndarray) -> n
     return (last == 0.0) | ((ratio < 1.0) & (last < bound) & (tail < bound))
 
 
-def _eigenvalues_dft(twice_s: int, grid: SamplingGrid) -> tuple[np.ndarray, float]:
-    """Length-N DFT of the first row, in precision adapted to the spread.
+def _fft_error_bound(twice_s: int, grid: SamplingGrid, row: np.ndarray) -> float:
+    """Bound on |fft(row)_j - lhat_j|, every j, to first order in the unit
+    roundoff u, for the first row of :func:`_row_denominator`.
 
-    Returns (eigenvalues as float64, worst relative imaginary residue over
-    all N complex outputs).  The working precision covers the gap between the
-    row scale (order 1) and the smallest eigenvalue, which double precision
-    cannot bridge once the spread passes ~1e4.  The transform is the
-    mixed-radix one of :func:`_mixed_radix_dft`, O(N * sum of the prime
-    factors of N) products; a prime N costs N^2.  Roots of unity and row
-    entries are computed for l <= N/2 only; the rest follow by conjugation,
-    exp(-2 pi i (N-l)/N) = conj exp(-2 pi i l/N) and C_{N-l} = conj C_l.
+    The row: C_l = b_l^(2s), b_l = (1-r^2)/d_l.  b_l is within 27u: 1-r^2
+    and r^2 round once, sin within 4 ulps (8u, the vectorised bound), the
+    products and the sum in d_l add 3u, Smith's division 6u.  The angle
+    2 pi l/N is off by 2.4u theta_l (two roundings and pi's), which moves
+    d_l by r^2 times that: 2.4u r^2 theta_l/|d_l|, up to N times more near
+    theta_l = 2 pi.  The power scales b_l's error by 2s and adds its own:
+    numpy's binary powering below 2s = 100 (at most 2 * 2s products, sqrt(5) u
+    each) or libm's cexp(2s clog b_l) (2s 6|log b_l| u + 5u).  Counting both,
+    |delta C_l| <= |C_l| u (2s (32 + 2.4 r^2 theta_l/|d_l| + 6|log b_l|) + 5),
+    and each output moves by at most sum |delta C_l|.  The FFT's rounding is
+    within log2(M) eta ||fft C||_2 in norm (Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm 24.2; eta < 6.7u a stage), taken thrice for
+    Bluestein's three transforms of length M < 4N; ||fft C||_2 = sqrt(N)
+    ||C||_2 bounds every output.  A worst case: the FFT errs far less.
     """
-    import mpmath as mp  # loaded by the first kernel, not by the package
+    one_minus, denominator = _row_denominator(grid)
+    slope = grid.radius**2 * grid.angles / np.abs(denominator)
+    log_base = np.abs(np.log(one_minus / denominator))
+    per_entry = twice_s * (32.0 + 2.4 * slope + 6.0 * log_base) + 5.0
+    row_error = np.sum(np.abs(row) * per_entry)
+    fft_error = 20.0 * np.log2(4 * row.size) * np.sqrt(row.size) * np.linalg.norm(row)
+    return float(_UNIT_ROUNDOFF * (row_error + fft_error))
+
+
+def _spot_log_eigenvalue(twice_s: int, grid: SamplingGrid, j: int, log_size: float) -> float:
+    """log lhat_j = log sum_l C_l exp(-2 pi i j l/N) in extended precision,
+    -inf if the sum is not positive.
+
+    C_{N-l} = conj C_l, so l <= N/2 is summed, as twice the real part.  |C_l|
+    falls as l rises to N/2, so terms below 1e-18 exp(``log_size``)/N, with
+    ``log_size`` about log lhat_j, are left out: O(N) products, far fewer for
+    a peaked row.  The precision spans the row scale 1 down to the smallest
+    lambda_j, j < N, with 30 digits to spare; the roots of unity, taken as
+    powers of the first, use about log10(N) of them.
+    """
+    import mpmath as mp  # the package's only use of mpmath
 
     n = grid.n_samples
-    spectrum = ResolutionSpectrum(twice_s, grid)
-    min_log = float(np.min(spectrum.log_values(np.arange(n))))
+    one_minus, denominator = _row_denominator(grid)
+    log_modulus = twice_s * (np.log(one_minus) - np.log(np.abs(denominator[: n // 2 + 1])))
+    count = max(1, int(np.count_nonzero(log_modulus >= log_size + np.log(1e-18 / n))))
+    min_log = float(np.min(ResolutionSpectrum(twice_s, grid).log_values(np.arange(n))))
     digits = 30 + int(np.ceil(max(0.0, -min_log) / np.log(10.0))) + int(np.log10(n) + 1)
-    half = range(n // 2 + 1)
-    mirror = range(n // 2 + 1, n)
     with mp.workdps(digits):
         r2 = mp.mpf(grid.radius) ** 2
-        one = mp.mpf(1)
-        roots = [mp.expjpi(mp.mpf(2 * k) / n) for k in half]
-        row = [((one - r2) / (one - r2 * roots[l])) ** twice_s for l in half]
-        twiddles = [mp.conj(w) for w in roots] + [roots[n - k] for k in mirror]
-        row += [mp.conj(row[n - l]) for l in mirror]
-        out = _mixed_radix_dft(row, twiddles, 1)
-        values = np.array([float(x.real) for x in out])
-        worst_imag = max(abs(x.imag) for x in out)
-        scale = max(values)
-        residue = float(worst_imag / scale) if scale > 0 else float(worst_imag)
-    return values, residue
+        step, turn = mp.expjpi(mp.mpf(2) / n), mp.expjpi(mp.mpf(-2 * j) / n)
+        root = twiddle = mp.mpc(1)
+        terms = []
+        for l in range(count):
+            term = ((1 - r2) / (1 - r2 * root)) ** twice_s * twiddle
+            terms.append(term.real if 2 * l in (0, n) else 2 * term.real)
+            root, twiddle = root * step, twiddle * turn
+        value = mp.fsum(terms)
+        return float(mp.log(value)) if value > 0 else -np.inf
 
 
-def _mixed_radix_dft(x: list, twiddles: list, stride: int) -> list:
-    """X_j = sum_l x_l w^(j l) for w = twiddles[stride], by decimation in time.
-
-    ``twiddles[k]`` is exp(-2 pi i k / N) for the full length N, and
-    len(x) * stride = N.  A length m = p q with p the smallest prime factor
-    splits into p interleaved length-q transforms; output k + b q is then the
-    length-p transform over a of the twiddled values w^(a k) P_a[k].  A prime
-    length is summed directly, each output one exact ``mp.fsum``.  Runs at
-    the caller's mpmath precision.
-    """
-    import mpmath as mp
-
-    m = len(x)
-    if m == 2:
-        # x_0 +- x_1 round once, as the two-term fsum does
-        return [x[0] + x[1], x[0] - x[1]]
-    p = _smallest_prime_factor(m)
-    if p == m:
-        return [
-            mp.fsum(_rotate(x[l], twiddles, (j * l) % m * stride) for l in range(m))
-            for j in range(m)
-        ]
-    q = m // p
-    parts = [_mixed_radix_dft(x[a::p], twiddles, stride * p) for a in range(p)]
-    out = [None] * m
-    for k in range(q):
-        column = [_rotate(parts[a][k], twiddles, a * k * stride) for a in range(p)]
-        out[k::q] = _mixed_radix_dft(column, twiddles, q * stride)
-    return out
-
-
-def _rotate(value, twiddles: list, k: int):
-    """value * twiddles[k], skipping the exact multiplication by twiddles[0] = 1."""
-    return value * twiddles[k] if k else value
-
-
-def _smallest_prime_factor(m: int) -> int:
-    """Smallest prime dividing m, or m itself when m is 1 or prime."""
-    for p in range(2, int(m**0.5) + 1):
-        if m % p == 0:
-            return p
-    return m
-
-
-def _cross_checked_eigenvalues(twice_s: int, grid: SamplingGrid) -> np.ndarray:
-    dft_vals, imag_residue = _eigenvalues_dft(twice_s, grid)
-    if imag_residue > _EIG_IMAG_RTOL:
-        raise EigenvalueCrossCheckError(
-            f"imaginary residue {imag_residue!r} of the row DFT exceeds {_EIG_IMAG_RTOL}"
-        )
-    if np.any(dft_vals <= 0.0):
-        j = int(np.argmin(dft_vals))
-        log_val = float(ResolutionSpectrum(twice_s, grid).log_values(j))
-        raise NumericalRangeError(
-            f"kernel eigenvalue {j} not representable as a positive double",
-            log_value=log_val,
-        )
+def _cross_checked_eigenvalues(twice_s: int, grid: SamplingGrid, row: np.ndarray) -> np.ndarray:
+    """lhat_j = exp(class tail of j), checked against the float64 FFT of
+    ``row`` at 1e-12 relative, or to :func:`_fft_error_bound` where that is
+    larger.  Where the bound is not below half the 1e-12 budget at some
+    lhat_j, :func:`_spot_log_eigenvalue` checks the smallest at 1e-12."""
     spectrum = ResolutionSpectrum(twice_s, grid)
-    series_vals = np.exp(_log_class_tails(spectrum, np.arange(grid.n_samples), "eigenvalue"))
-    gap = float(np.max(np.abs(dft_vals - series_vals) / dft_vals))
-    if gap > _EIG_AGREE_RTOL:
-        raise EigenvalueCrossCheckError(
-            f"row-DFT and series eigenvalues disagree by {gap!r} relative "
-            f"(limit {_EIG_AGREE_RTOL}); this indicates an implementation fault"
+    log_eig = _log_class_tails(spectrum, np.arange(grid.n_samples), "eigenvalue")
+    eig = np.exp(log_eig)
+    smallest = int(np.argmin(log_eig))
+    if eig[smallest] <= 0.0:
+        raise NumericalRangeError(
+            f"kernel eigenvalue {smallest} not representable as a positive double",
+            log_value=float(log_eig[smallest]),
         )
-    return dft_vals
+    bound = _fft_error_bound(twice_s, grid, row)
+    limit = np.maximum(_EIG_AGREE_RTOL * eig, bound)
+    miss = np.abs(np.fft.fft(row) - eig)
+    j = int(np.argmax(miss / limit))
+    if not miss[j] <= limit[j]:
+        raise _disagreement("fft", j, float(miss[j] / eig[j]), float(limit[j] / eig[j]))
+    if bound >= 0.5 * _EIG_AGREE_RTOL * eig[smallest]:
+        spot = _spot_log_eigenvalue(twice_s, grid, smallest, log_eig[smallest])
+        gap = float(abs(np.expm1(log_eig[smallest] - spot)))
+        if not gap <= _EIG_AGREE_RTOL:
+            raise _disagreement("spot", smallest, gap, _EIG_AGREE_RTOL)
+    return eig
+
+
+def _disagreement(check: str, j: int, gap: float, limit: float) -> EigenvalueCrossCheckError:
+    message = (f"class-tail and {check} values of eigenvalue {j} disagree by {gap!r} relative "
+               f"(limit {limit!r}); this indicates an implementation fault")
+    return EigenvalueCrossCheckError(message, j=j, gap=gap, check=check)
 
 
 def overlap_kernel(twice_s: int, grid: SamplingGrid) -> CirculantKernel:
     """Build the circulant Gram kernel for (twice_s, grid), eigenvalues included.
 
-    Construction runs the two independent eigenvalue computations and refuses
-    to return a kernel on disagreement.
+    The eigenvalues are the class tails; construction checks them against
+    the FFT of the row (and an extended-precision spot check where the FFT
+    cannot resolve them) and refuses to return a kernel on disagreement.
     """
     twice_s = check_twice_s(twice_s)
-    row = _first_row(twice_s, grid)
-    eig = _cross_checked_eigenvalues(twice_s, grid)
+    one_minus, denominator = _row_denominator(grid)
+    row = (one_minus / denominator) ** twice_s
+    eig = _cross_checked_eigenvalues(twice_s, grid, row)
     return CirculantKernel(twice_s=twice_s, grid=grid, first_row=row, eigenvalues=eig)
 
 

@@ -29,11 +29,15 @@ class NumericalRangeError(ArithmeticError):
 
 
 class EigenvalueCrossCheckError(RuntimeError):
-    """The two independent eigenvalue computations disagree.
-
-    This signals an implementation fault, not a data error: both routes are
-    exact for every admissible input.
+    """A kernel's eigenvalue check failed, or a series did not terminate: an
+    implementation fault, not a data error, since every check allows for its
+    own rounding.  ``check`` (``"fft"`` or ``"spot"``), the eigenvalue ``j``
+    and the relative ``gap`` name a failed check; they are None for a series.
     """
+
+    def __init__(self, message: str, j=None, gap=None, check=None):
+        super().__init__(message)
+        self.j, self.gap, self.check = j, gap, check
 
 
 class ConditioningWarning(UserWarning):

@@ -136,11 +136,29 @@ class TestOverlap:
 
     def test_diagonal_near_the_rim(self):
         # (1-|z|^2)^200 and |1 - z conj(z)|^200 both underflow at |z| = 0.999,
-        # so their quotient would be NaN; the 1 - w conj(z) cancellation
-        # costs about 2s eps / (1-|z|^2), 1e-11 relative
+        # so their quotient would be NaN
         z = 0.999 * np.exp(1j * np.array([0.0, 0.3, 2.0]))
         assert np.allclose(ds.overlap(200, z, z), 1.0, rtol=0.0, atol=1e-11)
         assert ds.overlap(200, complex(z[1]), complex(z[1])) == pytest.approx(1.0, abs=1e-11)
+
+    @pytest.mark.parametrize("twice_s", [2, 40, 200])
+    def test_near_the_diagonal_at_the_rim(self, twice_s):
+        # 1 - w conj(z) formed directly cancels to about 1e-5 here, which the
+        # power 2s magnifies: 1.0e-11, 2.0e-10 and 1.0e-9 relative at these points
+        rng = np.random.default_rng(31)
+        z = 0.99999 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 8))
+        step = np.exp(rng.uniform(np.log(1e-9), np.log(1e-6), 8)) * np.exp(
+            1j * rng.uniform(0.0, 2.0 * np.pi, 8)
+        )
+        w = np.concatenate([z, z + step])
+        z = np.concatenate([z, z])
+        values = ds.overlap(twice_s, z, w)
+        with mp.workdps(50):
+            for zi, wi, value in zip(z, w, values):
+                zm, wm = mp.mpc(zi), mp.mpc(wi)
+                root = mp.sqrt((1 - abs(zm) ** 2) * (1 - abs(wm) ** 2))
+                expected = (root / (1 - wm * mp.conj(zm))) ** twice_s
+                assert float(abs(mp.mpc(value) / expected - 1)) <= 3e-13
 
     def test_series_consistency(self):
         rng = np.random.default_rng(9)

@@ -656,7 +656,8 @@ class TestDiagnosticsAndDeterminism:
         assert results[0] == results[1]
 
     def test_import_loads_neither_scipy_nor_mpmath(self):
-        # mpmath is loaded by the first kernel only; scipy not at all
+        # this kernel's spread of 16 is within the FFT's resolution, so its
+        # eigenvalue check loads no mpmath either; nothing loads scipy
         package_root = str(pathlib.Path(ds.__file__).resolve().parent.parent)
         script = (
             "import sys\n"
@@ -671,7 +672,7 @@ class TestDiagnosticsAndDeterminism:
             [sys.executable, "-c", script], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": package_root}, check=True,
         )
-        assert proc.stdout.split() == ["[]", "[]", "True"]
+        assert proc.stdout.split() == ["[]", "[]", "False"]
 
     def test_bad_flag_exits_two(self):
         proc = run_process(["grid", "--r", "0.5"])
@@ -713,6 +714,23 @@ class TestCommandProcess:
         assert "disksampling.cli" in loaded
         assert not loaded & {"disksampling.undersampled", "disksampling.bandlimited",
                              "disksampling.estimators", "mpmath"}
+
+    def test_undersampled_dft_loads_mpmath_only_for_an_ill_conditioned_kernel(self, tmp_path):
+        # spreads of 1.4 and 1.2e13: the FFT resolves every eigenvalue of the
+        # first kernel, and the second needs the extended-precision spot check
+        samples = tmp_path / "samples.csv"
+        samples.write_text("k,re,im\n" + "".join(f"{k},1,0\n" for k in range(8)))
+        loaded = {}
+        for radius in ("0.9", "0.1"):
+            proc = run_process(["dft", "--twice-s", "2", "--r", radius, "--n", "8",
+                                "--mode", "undersampled", "--input", str(samples)],
+                               PYTHONPROFILEIMPORTTIME="1")
+            assert proc.returncode == 0
+            modules = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.decode().splitlines()
+                       if line.startswith("import time:")}
+            assert "disksampling.undersampled" in modules
+            loaded[radius] = "mpmath" in modules
+        assert loaded == {"0.9": False, "0.1": True}
 
     @pytest.mark.parametrize("entry", ["module", "script"])
     def test_exit_codes_and_stream_bytes_match_the_in_process_command(self, tmp_path, entry):

@@ -27,15 +27,31 @@ def test_eigenvalue_cross_check_trips_on_bad_series(monkeypatch):
         ds.overlap_kernel(2, ds.SamplingGrid(0.5, 4))
 
 
-def test_imaginary_residue_of_the_row_transform_is_checked(monkeypatch):
-    transform = undersampled._mixed_radix_dft
+def test_skewed_fft_trips_the_check(monkeypatch):
+    # lhat_3 = 0.42 is resolved by the FFT at (2, 0.5, 12): checked at 1e-12
+    transform = np.fft.fft
 
-    def skewed(x, twiddles, stride):
-        return [value + mp.mpc(0, 1e-9) for value in transform(x, twiddles, stride)]
+    def skewed(x, *args, **kwargs):
+        out = transform(x, *args, **kwargs)
+        out[3] *= 1.0 + 1e-9
+        return out
 
-    monkeypatch.setattr(undersampled, "_mixed_radix_dft", skewed)
-    with pytest.raises(EigenvalueCrossCheckError, match="imaginary residue"):
+    monkeypatch.setattr(np.fft, "fft", skewed)
+    with pytest.raises(EigenvalueCrossCheckError, match="disagree") as info:
         ds.overlap_kernel(2, ds.SamplingGrid(0.5, 12))
+    assert (info.value.check, info.value.j) == ("fft", 3)
+    assert info.value.gap == pytest.approx(1e-9, rel=1e-3)
+
+
+def test_skewed_spot_check_trips_the_check(monkeypatch):
+    # the spread of (5, 0.2, 12) passes 1e12, so the smallest lhat_j is
+    # below the FFT's resolution and only the spot check sees it
+    spot = undersampled._spot_log_eigenvalue
+    monkeypatch.setattr(undersampled, "_spot_log_eigenvalue", lambda *args: spot(*args) + 1e-9)
+    with pytest.raises(EigenvalueCrossCheckError, match="disagree") as info:
+        ds.overlap_kernel(5, ds.SamplingGrid(0.2, 12))
+    assert (info.value.check, info.value.j) == ("spot", 11)
+    assert info.value.gap == pytest.approx(1e-9, rel=1e-3)
 
 
 def test_kernel_construction_rejects_unrepresentable_eigenvalues():
@@ -43,7 +59,7 @@ def test_kernel_construction_rejects_unrepresentable_eigenvalues():
     with pytest.raises(NumericalRangeError) as info:
         ds.overlap_kernel(2, ds.SamplingGrid(1e-3, 60))
     assert info.value.log_value < -700
-    # the same through the radix-2 transform at a length of 256
+    # the same at a length of 256
     with pytest.raises(NumericalRangeError) as info:
         ds.overlap_kernel(8, ds.SamplingGrid(0.2, 256))
     assert info.value.log_value < -745
