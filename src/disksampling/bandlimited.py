@@ -73,8 +73,10 @@ class FrameMatrix:
 
     @property
     def condition_number(self) -> float:
-        """max lambda / min lambda of the diagonal resolution operator."""
-        return float(np.exp(np.max(self.log_lambda) - np.min(self.log_lambda)))
+        """max lambda / min lambda of the diagonal resolution operator, inf
+        where that leaves the double range."""
+        with np.errstate(over="ignore"):
+            return float(np.exp(np.max(self.log_lambda) - np.min(self.log_lambda)))
 
     @property
     def is_ill_conditioned(self) -> bool:

@@ -5,10 +5,10 @@ significant digits, '.' decimal separator, '\\n' line endings), so identical
 inputs produce byte-identical outputs for a given numpy build and CPU; numpy's
 vectorised math and BLAS may differ in the last bit between builds.  Output
 files are written to a temporary name and atomically renamed; a failing
-command never leaves a partial file behind.  Diagnostics (the active
-series-truncation tolerance, conditioning warnings) go to stderr only.
-Each command imports only the modules it calls: ``bandlimited`` or
-``undersampled`` for its mode, ``json`` only to read a signal file.
+command never leaves a partial file behind.  Diagnostics (conditioning
+warnings, errors) go to stderr only.  Each command imports only the modules
+it calls: ``bandlimited`` or ``undersampled`` for its mode, ``json`` only to
+read a signal file; none loads mpmath or scipy.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure.
 """
@@ -28,11 +28,9 @@ import numpy as np
 from .basis import DiskSignal, ResolutionSpectrum, SamplingGrid, sample_signal
 from .validation import (
     CONDITION_LIMIT,
-    SERIES_TOL_ENV,
     as_disk_points,
     check_n_samples,
     check_twice_s,
-    series_tolerance,
 )
 
 EXIT_OK = 0
@@ -42,12 +40,6 @@ EXIT_NUMERICAL = 3
 
 def _diag(message: str) -> None:
     print(f"disksampling: {message}", file=sys.stderr)
-
-
-def _echo_tolerance() -> None:
-    raw = os.environ.get(SERIES_TOL_ENV)
-    source = f"env {SERIES_TOL_ENV}={raw}" if raw is not None else f"env {SERIES_TOL_ENV} unset"
-    _diag(f"series truncation tolerance = {series_tolerance()!r} ({source})")
 
 
 def _render_table(columns: list[str], data: list, fmt: str) -> str:
@@ -438,7 +430,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _echo_tolerance()
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

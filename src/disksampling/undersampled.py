@@ -20,15 +20,16 @@ in doubles outward from its largest term, as the error analysis sums its
 tails.  Construction checks it against the first row, which the series
 never reads: the float64 FFT of the row agrees to 1e-12 relative, or to the
 FFT's rounding bound where that is larger, and where the bound cannot
-resolve some lhat_j, one extended-precision row sum (mpmath, loaded only
-here) checks the smallest lhat_j to 1e-12.  The tail ratios
-eps_n = (lhat_n - lambda_n)/lambda_n get their own series, never a
+resolve some lhat_j, one row sum in fixed-point Python integers, good to 30
+digits beyond the spread, checks the smallest lhat_j to 1e-12.  The tail
+ratios eps_n = (lhat_n - lambda_n)/lambda_n get their own series, never a
 subtraction, exact down to the underflow threshold and carried in the log
 domain where they leave the double range.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -57,7 +58,6 @@ from .validation import (
     check_n_samples,
     check_radius,
     check_twice_s,
-    series_tolerance,
 )
 
 __all__ = [
@@ -87,6 +87,7 @@ _EIG_AGREE_RTOL = 1e-12
 _UNIT_ROUNDOFF = 2.0**-53
 _MAX_SERIES_BLOCKS = 100_000
 _SERIES_BLOCK = 16
+_SERIES_TOL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ class CirculantKernel:
     ``first_row`` holds C_0..C_{N-1} with B[k, l] = C[(l-k) mod N];
     ``eigenvalues`` holds lhat_0..lhat_{N-1}, summed from the spectrum and
     checked at construction against the row's FFT (and, where that cannot
-    resolve them, the smallest against an extended-precision row sum).
+    resolve them, the smallest against a fixed-point integer row sum).
     Immutable after construction and safe to share across threads.
     """
 
@@ -119,7 +120,9 @@ class CirculantKernel:
 
     @property
     def condition_number(self) -> float:
-        return float(np.max(self.eigenvalues) / np.min(self.eigenvalues))
+        """max/min of the eigenvalues, inf where that leaves the double range."""
+        with np.errstate(over="ignore"):
+            return float(np.max(self.eigenvalues) / np.min(self.eigenvalues))
 
     @property
     def is_ill_conditioned(self) -> bool:
@@ -242,35 +245,120 @@ def _fft_error_bound(twice_s: int, grid: SamplingGrid, row: np.ndarray) -> float
 
 
 def _spot_log_eigenvalue(twice_s: int, grid: SamplingGrid, j: int, log_size: float) -> float:
-    """log lhat_j = log sum_l C_l exp(-2 pi i j l/N) in extended precision,
+    """log lhat_j = log sum_l C_l exp(-2 pi i j l/N) in fixed-point integers,
     -inf if the sum is not positive.
 
     C_{N-l} = conj C_l, so l <= N/2 is summed, as twice the real part.  |C_l|
     falls as l rises to N/2, so terms below 1e-18 exp(``log_size``)/N, with
     ``log_size`` about log lhat_j, are left out: O(N) products, far fewer for
-    a peaked row.  The precision spans the row scale 1 down to the smallest
-    lambda_j, j < N, with 30 digits to spare; the roots of unity, taken as
-    powers of the first, use about log10(N) of them.
-    """
-    import mpmath as mp  # the package's only use of mpmath
+    a peaked row.  P bits span the row scale 1 down to the smallest lambda_j,
+    j < N, and the digits of N, with 30 decimal digits to spare, so
+    2^-P <= 10^-30 lambda_min/N.
 
+    A value x is held as the integers x 2^B (real and imaginary part), and
+    B = P + G.  Each product or quotient is floored once, on operands of
+    modulus at most 1, so it errs by under u = 2^-B a part.  To first order
+    in u, the errors are:
+      r^2 (exact from r's integer ratio, then floored) and 1 - r^2: u;
+      w = e^(2 pi i/N): 2 sqrt(2) u (:func:`_fixed_root_of_unity`);
+      the table w^m = w^(m-1) w, m <= N/2: 3 sqrt(2) u a step, so 3N u
+        (w^(N-m) = conj w^m adds none);
+      d_l = 1 - r^2 w^l: u + 3N u + sqrt(2) u <= (3N + 3) u;
+      b_l = (1-r^2) conj(d_l)/|d_l|^2, one quotient: sqrt(2) u plus
+        (u + (3N + 3) u)/(1-r^2), since |db/dd| = |b|/|d| <= 1/(1-r^2),
+        in all at most (3N + 6) u/(1-r^2);
+      C_l = b_l^(2s) by binary powering, at most 2 bitlen(2s) products:
+        2s times b_l's error plus 3 bitlen(2s) u;
+      Re(C_l conj w^(jl mod N)), exact in integers: C_l's error plus 3N u.
+    The weights 1 and 2 add to at most N, so the sum errs by under K u,
+    K = N (2s (3N + 6)/(1-r^2) + 3 bitlen(2s) + 3N).  G is the bit length of
+    K, so K u < 2^-P: relative to lhat_j >= lambda_j >= lambda_min the sum
+    errs by under 10^-30/N, and all 30 spare digits are kept.  The log
+    splits the sum's power of two off exactly, so it is within a few ulps.
+    """
     n = grid.n_samples
-    one_minus, denominator = _row_denominator(grid)
-    log_modulus = twice_s * (np.log(one_minus) - np.log(np.abs(denominator[: n // 2 + 1])))
+    one_minus_float, denominator = _row_denominator(grid)
+    log_modulus = twice_s * (np.log(one_minus_float) - np.log(np.abs(denominator[: n // 2 + 1])))
     count = max(1, int(np.count_nonzero(log_modulus >= log_size + np.log(1e-18 / n))))
     min_log = float(np.min(ResolutionSpectrum(twice_s, grid).log_values(np.arange(n))))
     digits = 30 + int(np.ceil(max(0.0, -min_log) / np.log(10.0))) + int(np.log10(n) + 1)
-    with mp.workdps(digits):
-        r2 = mp.mpf(grid.radius) ** 2
-        step, turn = mp.expjpi(mp.mpf(2) / n), mp.expjpi(mp.mpf(-2 * j) / n)
-        root = twiddle = mp.mpc(1)
-        terms = []
-        for l in range(count):
-            term = ((1 - r2) / (1 - r2 * root)) ** twice_s * twiddle
-            terms.append(term.real if 2 * l in (0, n) else 2 * term.real)
-            root, twiddle = root * step, twiddle * turn
-        value = mp.fsum(terms)
-        return float(mp.log(value)) if value > 0 else -np.inf
+    bound = n * (twice_s * (3 * n + 6) / one_minus_float + 3 * twice_s.bit_length() + 3 * n)
+    bits = math.ceil(digits * math.log2(10.0)) + int(bound).bit_length()
+    one = 1 << bits
+    r_num, r_den = grid.radius.as_integer_ratio()
+    r2 = (r_num * r_num << bits) // (r_den * r_den)
+    one_minus = one - r2
+    step = _fixed_root_of_unity(n, bits)
+    roots = [(one, 0)]
+    for _ in range(n // 2):
+        roots.append(_fixed_product(roots[-1], step, bits))
+    total = 0
+    for l in range(count):
+        re, im = roots[l]
+        d_re, d_im = one - (r2 * re >> bits), -(r2 * im >> bits)
+        mod2 = d_re * d_re + d_im * d_im
+        base = ((one_minus * d_re << bits) // mod2, (-one_minus * d_im << bits) // mod2)
+        c_re, c_im = _fixed_power(base, twice_s, bits)
+        m = j * l % n
+        t_re, t_im = roots[m] if 2 * m <= n else (roots[n - m][0], -roots[n - m][1])
+        term = c_re * t_re + c_im * t_im
+        total += term if 2 * l in (0, n) else 2 * term
+    if total <= 0:
+        return -np.inf
+    size = total.bit_length() - 1
+    return math.log(total / (1 << size)) + (size - 2 * bits) * math.log(2.0)
+
+
+def _fixed_product(a: tuple[int, int], b: tuple[int, int], bits: int) -> tuple[int, int]:
+    """a b for complex fixed-point integers scaled by 2^bits, each part floored once."""
+    return (a[0] * b[0] - a[1] * b[1]) >> bits, (a[0] * b[1] + a[1] * b[0]) >> bits
+
+
+def _fixed_power(base: tuple[int, int], exponent: int, bits: int) -> tuple[int, int]:
+    """base^exponent, exponent >= 1, by binary powering: at most
+    2 bitlen(exponent) products."""
+    result = None
+    while True:
+        if exponent & 1:
+            result = base if result is None else _fixed_product(result, base, bits)
+        exponent >>= 1
+        if not exponent:
+            return result
+        base = _fixed_product(base, base, bits)
+
+
+def _fixed_root_of_unity(n: int, bits: int) -> tuple[int, int]:
+    """e^(2 pi i/n) as integers scaled by 2^bits, each part within 2 units.
+
+    pi = 16 arccot 5 - 4 arccot 239 (Machin) and e^(i theta) = sum_k
+    (i theta)^k/k! are summed at W = bits + 64 bits, each term floored once
+    (floor(floor(a/b)/c) = floor(a/(bc))).  So pi errs by under 4W units,
+    theta = 2 pi/n by under 8W + 1, and the Taylor sum, of at most W + 35
+    terms that carry theta's error and their predecessor's at most
+    e^theta <= e^pi fold (n >= 2, the lengths that use the root), by under
+    6000 W^2 units.  For W under 5e7 that is below the 2^64 units the final
+    shift floors away, and the shift adds the second unit.
+    """
+    work = bits + 64
+    one = 1 << work
+
+    def arccot(x: int) -> int:
+        # floor(floor(a/b)/c) = floor(a/(bc)): each term is floored once
+        power = total = one // x
+        k = 1
+        while power:
+            power //= x * x
+            k += 2
+            total += power // k if k % 4 == 1 else -(power // k)
+        return total
+
+    theta = 2 * (16 * arccot(5) - 4 * arccot(239)) // n
+    parts, term, k = [0, 0], one, 0
+    while term:
+        parts[k & 1] += -term if k & 2 else term
+        k += 1
+        term = (term * theta >> work) // k
+    return parts[0] >> 64, parts[1] >> 64
 
 
 def _cross_checked_eigenvalues(twice_s: int, grid: SamplingGrid, row: np.ndarray) -> np.ndarray:
@@ -311,7 +399,7 @@ def overlap_kernel(twice_s: int, grid: SamplingGrid) -> CirculantKernel:
     """Build the circulant Gram kernel for (twice_s, grid), eigenvalues included.
 
     The eigenvalues are the class tails; construction checks them against
-    the FFT of the row (and an extended-precision spot check where the FFT
+    the FFT of the row (and a fixed-point integer spot check where the FFT
     cannot resolve them) and refuses to return a kernel on disagreement.
     """
     twice_s = check_twice_s(twice_s)
@@ -502,7 +590,7 @@ def _log_class_tails(spectrum: ResolutionSpectrum, starts: np.ndarray, name: str
         log_lam = spectrum.log_values(np.where(inside, first + q * step, 0))
         return np.where(inside, log_lam - shift, -np.inf)
 
-    sums = _series_sum(log_terms, series_tolerance(), name)
+    sums = _series_sum(log_terms, _SERIES_TOL, name)
     total = sums[: top.size]
     total[down] += sums[top.size :]
     return peak + np.log(total)

@@ -2,18 +2,10 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 #: Condition numbers above this are flagged as ill-conditioned.
 CONDITION_LIMIT = 1e12
-
-#: Default relative tolerance for truncating geometrically convergent series.
-DEFAULT_SERIES_TOL = 1e-16
-
-#: Environment variable overriding the series truncation tolerance.
-SERIES_TOL_ENV = "DISKSAMPLING_SERIES_TOL"
 
 
 class NumericalRangeError(ArithmeticError):
@@ -46,21 +38,6 @@ class ConditioningWarning(UserWarning):
 
 class NotFittedError(ValueError):
     """An estimator method requiring a fit was called before ``fit``."""
-
-
-def series_tolerance() -> float:
-    """Relative series-truncation tolerance, overridable via the environment.
-
-    Reads ``DISKSAMPLING_SERIES_TOL`` each call so a change takes effect
-    without re-importing.
-    """
-    raw = os.environ.get(SERIES_TOL_ENV)
-    if raw is None:
-        return DEFAULT_SERIES_TOL
-    tol = float(raw)
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"series tolerance must lie in (0, 1), got {tol!r}")
-    return tol
 
 
 def check_twice_s(twice_s) -> int:

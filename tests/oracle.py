@@ -57,6 +57,7 @@ __all__ = [
     "reference_text",
     "reference_values",
     "row_dft_eigenvalues",
+    "row_dft_log_eigenvalue",
     "signal_values",
 ]
 
@@ -211,6 +212,26 @@ def row_dft_eigenvalues(twice_s: int, grid: SamplingGrid) -> tuple[np.ndarray, f
         scale = max(values)
         residue = float(worst_imag / scale) if scale > 0 else float(worst_imag)
     return values, residue
+
+
+def row_dft_log_eigenvalue(twice_s: int, grid: SamplingGrid, j: int) -> float:
+    """log lhat_j by the direct sum of all N terms of the first row's DFT at
+    the one index j, with 50 digits to spare: the working precision adds the
+    decimal orders between 1 and the smallest lambda_i, i < N, and the
+    digits of N.  Every root is computed on its own; no symmetry is used and
+    no term is left out.
+    """
+    n = grid.n_samples
+    min_log = float(np.min(ResolutionSpectrum(twice_s, grid).log_values(np.arange(n))))
+    digits = 50 + int(np.ceil(max(0.0, -min_log) / np.log(10.0))) + int(np.log10(n) + 1)
+    with mp.workdps(digits):
+        r2 = mp.mpf(grid.radius) ** 2
+        total = mp.fsum(
+            ((1 - r2) / (1 - r2 * mp.expjpi(mp.mpf(2 * l) / n))) ** twice_s
+            * mp.expjpi(mp.mpf(-2 * (j * l % n)) / n)
+            for l in range(n)
+        )
+        return float(mp.log(total.real))
 
 
 def dual_sinc_series(kernel: CirculantKernel, k: int, z):

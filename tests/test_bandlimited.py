@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -53,6 +55,12 @@ class TestFrameMatrix:
         assert not fm.is_ill_conditioned
         skinny = ds.frame_matrix(2, ds.SamplingGrid(0.1, 16), 15)
         assert skinny.is_ill_conditioned
+
+    def test_condition_number_beyond_the_double_range_is_inf_without_a_warning(self):
+        fm = ds.frame_matrix(2, ds.SamplingGrid(0.01, 400), 390)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fm.condition_number == np.inf
 
     def test_condition_number_formula_when_monotone(self):
         # with s r^2 small the eigenvalues decrease, so cond = 1/(binom r^(2M))

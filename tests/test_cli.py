@@ -587,18 +587,6 @@ class TestTableIO:
 
 
 class TestDiagnosticsAndDeterminism:
-    def test_tolerance_echo(self, capsys):
-        run_cli("grid", "--r", "0.5", "--n", "1")
-        err = capsys.readouterr().err
-        assert "series truncation tolerance = 1e-16" in err
-
-    def test_tolerance_env_override(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("DISKSAMPLING_SERIES_TOL", "1e-14")
-        out = tmp_path / "grid.csv"
-        assert run_cli("grid", "--r", "0.5", "--n", "2", "--output", str(out)) == 0
-        err = capsys.readouterr().err
-        assert "tolerance = 1e-14" in err and "DISKSAMPLING_SERIES_TOL=1e-14" in err
-
     def test_conditioning_warning_still_succeeds(self, tmp_path, capsys):
         samples_path = tmp_path / "s.csv"
         samples_path.write_text(
@@ -656,8 +644,8 @@ class TestDiagnosticsAndDeterminism:
         assert results[0] == results[1]
 
     def test_import_loads_neither_scipy_nor_mpmath(self):
-        # this kernel's spread of 16 is within the FFT's resolution, so its
-        # eigenvalue check loads no mpmath either; nothing loads scipy
+        # the FFT resolves every eigenvalue of the first kernel (spread 16);
+        # the second (spread 1.2e13) also runs the spot check
         package_root = str(pathlib.Path(ds.__file__).resolve().parent.parent)
         script = (
             "import sys\n"
@@ -666,6 +654,7 @@ class TestDiagnosticsAndDeterminism:
             "    return sorted(m for m in sys.modules if m == name or m.startswith(name + '.'))\n"
             "before = loaded('scipy') + loaded('mpmath')\n"
             "ds.overlap_kernel(2, ds.SamplingGrid(0.5, 4))\n"
+            "ds.overlap_kernel(2, ds.SamplingGrid(0.1, 8))\n"
             "print(before, loaded('scipy'), 'mpmath' in sys.modules)\n"
         )
         proc = subprocess.run(
@@ -715,22 +704,39 @@ class TestCommandProcess:
         assert not loaded & {"disksampling.undersampled", "disksampling.bandlimited",
                              "disksampling.estimators", "mpmath"}
 
-    def test_undersampled_dft_loads_mpmath_only_for_an_ill_conditioned_kernel(self, tmp_path):
-        # spreads of 1.4 and 1.2e13: the FFT resolves every eigenvalue of the
-        # first kernel, and the second needs the extended-precision spot check
+    def test_no_command_loads_mpmath(self, tmp_path):
+        # kernel spreads of 1.4 and 1.2e13: the FFT resolves every eigenvalue
+        # of the first, and the second also runs the spot check
         samples = tmp_path / "samples.csv"
         samples.write_text("k,re,im\n" + "".join(f"{k},1,0\n" for k in range(8)))
-        loaded = {}
-        for radius in ("0.9", "0.1"):
-            proc = run_process(["dft", "--twice-s", "2", "--r", radius, "--n", "8",
-                                "--mode", "undersampled", "--input", str(samples)],
-                               PYTHONPROFILEIMPORTTIME="1")
-            assert proc.returncode == 0
+        points = write_points(tmp_path / "points.csv", [0.05 + 0j])
+        signal = write_signal(tmp_path / "signal.json", 2, [1.0, 0.5])
+        commands = [
+            ["dft", "--twice-s", "2", "--r", radius, "--n", "8", "--mode", "undersampled",
+             "--input", str(samples)] for radius in ("0.9", "0.1")
+        ] + [
+            ["reconstruct", "--twice-s", "2", "--r", "0.1", "--n", "8", "--mode", "undersampled",
+             "--input", str(samples), "--points", str(points)],
+            ["error-analysis", "--input", str(signal), "--sweep-r", "0.4,0.2", "--n", "4"],
+            ["critical-radius", "--twice-s", "2", "--m-list", "1,5", "--r-count", "20"],
+        ]
+        for argv in commands:
+            proc = run_process(argv, PYTHONPROFILEIMPORTTIME="1")
+            assert proc.returncode == 0, argv
             modules = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.decode().splitlines()
                        if line.startswith("import time:")}
-            assert "disksampling.undersampled" in modules
-            loaded[radius] = "mpmath" in modules
-        assert loaded == {"0.9": False, "0.1": True}
+            assert "disksampling.cli" in modules and "mpmath" not in modules, argv
+
+    def test_kernel_condition_beyond_the_double_range_warns_once(self, tmp_path):
+        # the spread of (2, 0.7, 1024) leaves the double range: the kernel
+        # reports inf, and numpy's overflow warning stays out of stderr
+        samples = tmp_path / "samples.csv"
+        samples.write_text("k,re,im\n" + "".join(f"{k},1,0\n" for k in range(1024)))
+        proc = run_process(["dft", "--twice-s", "2", "--r", "0.7", "--n", "1024",
+                            "--mode", "undersampled", "--input", str(samples)])
+        assert proc.returncode == 0
+        err = proc.stderr.decode()
+        assert "warning: condition number inf exceeds" in err and "RuntimeWarning" not in err
 
     @pytest.mark.parametrize("entry", ["module", "script"])
     def test_exit_codes_and_stream_bytes_match_the_in_process_command(self, tmp_path, entry):

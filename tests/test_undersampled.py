@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -10,6 +12,21 @@ from disksampling.validation import ConditioningWarning
 
 import oracle
 from conftest import random_disk_points, sup_relative_error
+
+
+# prime, prime-power and mixed lengths, the rim, and a prime length whose
+# spread of 1e44 only the spot check covers
+DIRECT_DFT_KERNELS = [
+    (2, 0.5, 1), (5, 0.9, 1), (2, 0.3, 2), (8, 0.7, 2), (3, 0.5, 3),
+    (40, 0.9, 3), (2, 0.9, 5), (5, 0.3, 5), (3, 0.7, 7), (8, 0.5, 7),
+    (2, 0.7, 12), (40, 0.5, 12), (5, 0.5, 30), (2, 0.9, 30), (3, 0.3, 60),
+    (8, 0.9, 60), (2, 0.5, 63), (5, 0.7, 63), (40, 0.9, 64), (2, 0.3, 64),
+    (3, 0.9, 96), (8, 0.5, 96), (2, 0.7, 97), (5, 0.9, 97), (2, 0.5, 128),
+    (40, 0.7, 128), (3, 0.6, 256), (200, 0.999, 16), (200, 0.9995, 8), (2, 0.9, 509),
+]
+LARGE_SPIN_KERNELS = [
+    (200, 0.9, 256), (200, 0.9, 512), (1000, 0.5, 64), (2000, 0.7, 128), (40, 0.95, 512),
+]
 
 
 @pytest.fixture(scope="module")
@@ -103,30 +120,15 @@ class TestKernelEigenvalues:
         assert kernel.eigenvalues[0] == pytest.approx(5.0, rel=1e-6)
         assert np.all(kernel.eigenvalues[1:] < 1e-6)
 
-    @pytest.mark.parametrize(
-        "twice_s,radius,n",
-        [
-            (2, 0.5, 1), (5, 0.9, 1), (2, 0.3, 2), (8, 0.7, 2), (3, 0.5, 3),
-            (40, 0.9, 3), (2, 0.9, 5), (5, 0.3, 5), (3, 0.7, 7), (8, 0.5, 7),
-            (2, 0.7, 12), (40, 0.5, 12), (5, 0.5, 30), (2, 0.9, 30), (3, 0.3, 60),
-            (8, 0.9, 60), (2, 0.5, 63), (5, 0.7, 63), (40, 0.9, 64), (2, 0.3, 64),
-            (3, 0.9, 96), (8, 0.5, 96), (2, 0.7, 97), (5, 0.9, 97), (2, 0.5, 128),
-            (40, 0.7, 128), (3, 0.6, 256), (200, 0.999, 16), (200, 0.9995, 8), (2, 0.9, 509),
-        ],
-    )
+    @pytest.mark.parametrize("twice_s,radius,n", DIRECT_DFT_KERNELS)
     def test_class_tails_match_the_direct_dft(self, twice_s, radius, n):
-        # prime, prime-power and mixed lengths, the rim, and a prime length
-        # whose spread of 1e44 only the spot check covers
         grid = ds.SamplingGrid(radius, n)
         kernel = ds.overlap_kernel(twice_s, grid)
         expected, _ = oracle.row_dft_eigenvalues(twice_s, grid)
         gap = np.max(np.abs(kernel.eigenvalues / expected - 1.0))
         assert gap <= undersampled._EIG_AGREE_RTOL
 
-    @pytest.mark.parametrize(
-        "twice_s, radius, n",
-        [(200, 0.9, 256), (200, 0.9, 512), (1000, 0.5, 64), (2000, 0.7, 128), (40, 0.95, 512)],
-    )
+    @pytest.mark.parametrize("twice_s, radius, n", LARGE_SPIN_KERNELS)
     def test_large_spin_kernels_pass_the_cross_check(self, twice_s, radius, n):
         # the series route read lambda_n from log-gamma differences, whose
         # rounding (1e-12 to 7e-12 relative here) tripped the 1e-12 limit
@@ -134,6 +136,27 @@ class TestKernelEigenvalues:
         kernel = ds.overlap_kernel(twice_s, ds.SamplingGrid(radius, n))
         assert np.all(kernel.eigenvalues > 0.0)
         assert np.sum(kernel.eigenvalues) == pytest.approx(n, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "twice_s, radius, n",
+        DIRECT_DFT_KERNELS + LARGE_SPIN_KERNELS + [(2, 0.5, 509), (200, 0.9, 1024), (2, 0.7, 1024)],
+    )
+    def test_spot_sum_matches_the_extended_precision_row_sum(self, twice_s, radius, n):
+        # at the smallest lhat_j, where construction runs it; (2, 0.7, 1024)'s
+        # is subnormal
+        grid = ds.SamplingGrid(radius, n)
+        eigenvalues = ds.overlap_kernel(twice_s, grid).eigenvalues
+        j = int(np.argmin(eigenvalues))
+        spot = undersampled._spot_log_eigenvalue(twice_s, grid, j, float(np.log(eigenvalues[j])))
+        assert abs(spot - oracle.row_dft_log_eigenvalue(twice_s, grid, j)) <= 5e-13
+
+    def test_condition_number_beyond_the_double_range_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ds.overlap_kernel(2, ds.SamplingGrid(0.7, 1024)).condition_number == np.inf
+            kernel = ds.overlap_kernel(2, ds.SamplingGrid(0.1, 8))
+            finite = kernel.condition_number
+        assert finite == float(np.max(kernel.eigenvalues) / np.min(kernel.eigenvalues))
 
     @pytest.mark.parametrize("radius, n", [(0.999, 16), (0.9995, 8)])
     def test_rim_kernels_pass_the_cross_check(self, radius, n):
