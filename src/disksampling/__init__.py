@@ -30,7 +30,6 @@ _EXPORTS = {
         "frame_matrix",
         "fourier_coefficients",
         "reconstruct_bandlimited",
-        "sample_space_projector",
         "sinc_kernel",
     ),
     "undersampled": (
@@ -45,7 +44,6 @@ _EXPORTS = {
         "dual_sinc_kernel",
         "dual_weights",
         "error_bound",
-        "invert_kernel",
         "leading_order_bound",
         "max_radius_estimate",
         "overlap_kernel",

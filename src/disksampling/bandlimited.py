@@ -8,8 +8,7 @@ band limit M to its N ring values factors as
 an N x (M+1) rectangular Fourier matrix scaled by the square roots of the
 resolution eigenvalues.  The factored form makes T*T exactly diagonal and
 turns reconstruction and coefficient recovery into one FFT plus a diagonal
-rescaling.  The dense matrix is never needed in the hot paths; ``toarray``
-materializes it for tests and small problems only.
+rescaling.  The dense matrix is never formed.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ __all__ = [
     "sinc_kernel",
     "reconstruct_bandlimited",
     "fourier_coefficients",
-    "sample_space_projector",
 ]
 
 
@@ -51,7 +49,7 @@ class FrameMatrix:
     """Factored sampling operator for band limit ``band_limit`` < ``n_samples``.
 
     Stores only ``log_lambda`` (the diagonal factor, log domain); the Fourier
-    factor is synthesized on demand.
+    factor is applied as an FFT.
     """
 
     twice_s: int
@@ -81,17 +79,6 @@ class FrameMatrix:
     @property
     def is_ill_conditioned(self) -> bool:
         return self.condition_number > CONDITION_LIMIT
-
-    def fourier_factor(self) -> np.ndarray:
-        """Rectangular Fourier factor F[k, n] = exp(-2*pi*i*k*n/N)/sqrt(N)."""
-        n = self.n_samples
-        k = np.arange(n)[:, np.newaxis]
-        m = np.arange(self.band_limit + 1)[np.newaxis, :]
-        return np.exp(-2j * np.pi * k * m / n) / np.sqrt(n)
-
-    def toarray(self) -> np.ndarray:
-        """Dense N x (M+1) sampling matrix; small problems only."""
-        return np.exp(0.5 * self.log_lambda)[np.newaxis, :] * self.fourier_factor()
 
 
 def frame_matrix(twice_s: int, grid: SamplingGrid, band_limit: int) -> FrameMatrix:
@@ -170,14 +157,3 @@ def reconstruct_bandlimited(fm: FrameMatrix, samples, z):
     # looked up in basis at each call, so that a wrapper put on
     # basis.evaluate_signal (a profiler's) is seen here and taken off with it
     return basis.evaluate_signal(DiskSignal(fm.twice_s, coeffs), z)
-
-
-def sample_space_projector(fm: FrameMatrix) -> np.ndarray:
-    """Orthogonal projector P = T (T*T)^(-1) T* onto the range of T.
-
-    In factored form this collapses to F F* with F the rectangular Fourier
-    factor; it is idempotent, self-adjoint and of trace M+1 (the identity at
-    critical sampling).
-    """
-    f = fm.fourier_factor()
-    return f @ f.conj().T

@@ -21,6 +21,7 @@ import os
 import re
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ import numpy as np
 from .basis import DiskSignal, ResolutionSpectrum, SamplingGrid, sample_signal
 from .validation import (
     CONDITION_LIMIT,
+    ConditioningWarning,
     as_disk_points,
     check_n_samples,
     check_twice_s,
@@ -188,13 +190,14 @@ def _read_samples(path: str, n_samples: int) -> np.ndarray:
     outside = (k < 0) | (k >= n_samples)
     if outside.any():
         raise ValueError(f"sample index {k[outside][0]} outside 0..{n_samples - 1}")
+    counts = np.bincount(k, minlength=n_samples)
+    if (counts > 1).any():
+        raise ValueError(f"sample file {path} lists index {np.argmax(counts > 1)} twice")
+    if not counts.all():
+        raise ValueError(f"sample file {path} is missing indices for n={n_samples}")
     values = np.zeros(n_samples, dtype=np.complex128)
     values.real[k] = table["re"]
     values.imag[k] = table["im"]
-    seen = np.zeros(n_samples, dtype=bool)
-    seen[k] = True
-    if not seen.all():
-        raise ValueError(f"sample file {path} is missing indices for n={n_samples}")
     return values
 
 
@@ -223,7 +226,8 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 def _operator(args, grid: SamplingGrid):
     """The frame (bandlimited mode) or kernel (undersampled mode) for ``--mode``.
 
-    Ill-conditioning is reported on stderr.
+    Ill-conditioning is reported on stderr, once: :func:`main` silences the
+    library's :class:`ConditioningWarning`.
     """
     if args.mode == "bandlimited":
         from . import bandlimited as bl
@@ -257,6 +261,8 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    if args.n_max is not None and args.mode == "undersampled" and args.output is None:
+        raise ValueError("--n-max requires --output (coefficients go to a sibling file)")
     grid = SamplingGrid(args.r, args.n)
     samples = _read_samples(args.input, grid.n_samples)
     points = _read_points(args.points)
@@ -270,8 +276,6 @@ def cmd_reconstruct(args) -> int:
 
         values = np.atleast_1d(us.partial_reconstruct(operator, samples, points))
         if args.n_max is not None:
-            if args.output is None:
-                raise ValueError("--n-max requires --output (coefficients go to a sibling file)")
             ahat = us.dft_coefficients(operator, samples, args.n_max)
             _write_output(
                 f"{args.output}.ahat.{args.format}",
@@ -431,7 +435,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            return args.func(args)
     except (ValueError, OSError) as exc:
         _diag(f"error: {exc}")
         return EXIT_INVALID

@@ -102,7 +102,8 @@ class PartialReconstructor(_ParamsMixin):
     ``predict`` evaluates the alias (the orthogonal projection onto the span
     of the sampled coherent states), which interpolates the samples exactly.
     ``dft_coefficients`` and ``truncated_signal`` expose the filtered DFT and
-    the truncate-and-rescale recovery.
+    the truncate-and-rescale recovery.  ``fit`` and ``predict`` emit
+    ``ConditioningWarning`` on an ill-conditioned kernel.
     """
 
     def __init__(self, twice_s: int = 2, radius: float = 0.5, n_samples: int = 2):

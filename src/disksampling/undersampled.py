@@ -66,7 +66,6 @@ __all__ = [
     "ErrorBound",
     "RadiusEstimate",
     "overlap_kernel",
-    "invert_kernel",
     "dual_weights",
     "dual_sinc_kernel",
     "partial_reconstruct",
@@ -128,10 +127,6 @@ class CirculantKernel:
     def is_ill_conditioned(self) -> bool:
         return self.condition_number > CONDITION_LIMIT
 
-    def dense(self) -> np.ndarray:
-        """Assemble the dense N x N Gram matrix from the circulant row."""
-        return _circulant(self.first_row)
-
 
 @dataclass(frozen=True)
 class QuasiBandProfile:
@@ -162,12 +157,6 @@ class RadiusEstimate:
 
     value: float
     clamped: bool
-
-
-def _circulant(row: np.ndarray) -> np.ndarray:
-    """Dense N x N circulant matrix with entry [k, l] = row[(l - k) mod N]."""
-    n = row.size
-    return row[(np.arange(n)[np.newaxis, :] - np.arange(n)[:, np.newaxis]) % n]
 
 
 def _row_denominator(grid: SamplingGrid) -> tuple[float, np.ndarray]:
@@ -409,38 +398,43 @@ def overlap_kernel(twice_s: int, grid: SamplingGrid) -> CirculantKernel:
     return CirculantKernel(twice_s=twice_s, grid=grid, first_row=row, eigenvalues=eig)
 
 
-def invert_kernel(kernel: CirculantKernel) -> np.ndarray:
-    """Dense inverse of B via the eigen-decomposition:
-
-        (B^-1)[l, k] = (1/N) sum_j lhat_j^(-1) exp(2*pi*i*j*(k-l)/N).
-    """
+def dual_weights(kernel: CirculantKernel, samples) -> np.ndarray:
+    """Apply B^-1 to a sample vector using two FFTs (no dense matrix); warns
+    with :class:`ConditioningWarning` on an ill-conditioned kernel."""
+    values = as_samples(samples, kernel.n_samples)
     if kernel.is_ill_conditioned:
         warnings.warn(
             f"kernel condition number {kernel.condition_number:.3e} exceeds "
-            f"{CONDITION_LIMIT:.0e}; inverse entries lose up to all digits",
+            f"{CONDITION_LIMIT:.0e}; dual weights lose up to all digits",
             ConditioningWarning,
             stacklevel=2,
         )
-    return _circulant(_inverse_row(kernel))
-
-
-def dual_weights(kernel: CirculantKernel, samples) -> np.ndarray:
-    """Apply B^-1 to a sample vector using two FFTs (no dense matrix)."""
-    values = as_samples(samples, kernel.n_samples)
     return np.fft.fft(np.fft.ifft(values) / kernel.eigenvalues)
 
 
-def _inverse_row(kernel: CirculantKernel) -> np.ndarray:
-    """First row g of the circulant B^-1: (B^-1)[l, k] = g[(k - l) mod N]."""
-    return np.fft.ifft(1.0 / kernel.eigenvalues)
+def dual_sinc_kernel(kernel: CirculantKernel, k: int, z):
+    """Dual-frame interpolating kernel XiHat_k(z) = sum_l (B^-1)[l, k] <z|z_l>.
 
-
-def _coherent_sum(kernel: CirculantKernel, weights: np.ndarray, z):
-    """sum_l weights_l <z|z_l> over the sampled coherent states, at point(s) z.
-
-    Summed by ``np.einsum``, not a BLAS product, whose rounding depends on
-    the number of points in the block.
+    The partial reconstruction of the unit sample vector e_k, since
+    ``dual_weights`` of e_k is column k of B^-1.  Satisfies
+    XiHat_k(z_l) = delta_kl on the grid.
     """
+    n = kernel.n_samples
+    unit = np.zeros(n)
+    unit[check_grid_index(k, n)] = 1.0
+    return partial_reconstruct(kernel, unit, z)
+
+
+def partial_reconstruct(kernel: CirculantKernel, samples, z):
+    """Evaluate the alias sum_k XiHat_k(z) Psi(z_k) at point(s) z.
+
+    The alias is the orthogonal projection of the signal onto the span of the
+    N sampled coherent states; it interpolates the samples exactly.  It is
+    sum_l w_l <z|z_l> with w the :func:`dual_weights`, summed by
+    ``np.einsum``, not a BLAS product, whose rounding depends on the number
+    of points in the block.
+    """
+    weights = dual_weights(kernel, samples)
     points = kernel.grid.points[np.newaxis, :]
     # basis.overlap is looked up at the call, as reconstruct_bandlimited
     # looks up basis.evaluate_signal
@@ -450,25 +444,6 @@ def _coherent_sum(kernel: CirculantKernel, weights: np.ndarray, z):
         ),
         z,
     )
-
-
-def dual_sinc_kernel(kernel: CirculantKernel, k: int, z):
-    """Dual-frame interpolating kernel XiHat_k(z) = sum_l (B^-1)[l, k] <z|z_l>.
-
-    Satisfies XiHat_k(z_l) = delta_kl on the grid.
-    """
-    n = kernel.n_samples
-    k = check_grid_index(k, n)
-    return _coherent_sum(kernel, _inverse_row(kernel)[(k - np.arange(n)) % n], z)
-
-
-def partial_reconstruct(kernel: CirculantKernel, samples, z):
-    """Evaluate the alias sum_k XiHat_k(z) Psi(z_k) at point(s) z.
-
-    The alias is the orthogonal projection of the signal onto the span of the
-    N sampled coherent states; it interpolates the samples exactly.
-    """
-    return _coherent_sum(kernel, dual_weights(kernel, samples), z)
 
 
 def dft_coefficients(kernel: CirculantKernel, samples, n_max: int) -> np.ndarray:

@@ -4,6 +4,9 @@ Everything here deliberately avoids the factored/circulant shortcuts used by
 the production paths: frames are materialized densely from the basis
 functions, the Gram matrix is inverted by a generic Hermitian solve, and the
 continuous resolution of unity is checked by plain tensor-product quadrature.
+The exceptions are :func:`fourier_factor`, :func:`factored_frame`,
+:func:`sample_space_projector` and :func:`circulant`, the dense forms of the
+package's factored operators, which only tests need.
 Desk scale only (L <= 128, N <= 64; the direct row DFT up to N = 256, the
 alias error up to L = 2048); no performance targets.
 
@@ -34,6 +37,7 @@ from disksampling.basis import (
     basis_fn,
     overlap,
 )
+from disksampling.bandlimited import FrameMatrix
 from disksampling.undersampled import CirculantKernel
 from disksampling.validation import (
     CONDITION_LIMIT,
@@ -47,9 +51,12 @@ __all__ = [
     "QuadratureError",
     "alias_error",
     "bound_and_exact",
+    "circulant",
     "dense_frame",
     "dense_projector",
     "dual_sinc_series",
+    "factored_frame",
+    "fourier_factor",
     "quadrature_basis",
     "quadrature_inner",
     "quadrature_norm",
@@ -58,6 +65,7 @@ __all__ = [
     "reference_values",
     "row_dft_eigenvalues",
     "row_dft_log_eigenvalue",
+    "sample_space_projector",
     "signal_values",
 ]
 
@@ -83,6 +91,36 @@ def dense_frame(twice_s: int, grid: SamplingGrid, n_coefficients: int) -> np.nda
     points = grid.points
     m = np.arange(n_coefficients)
     return basis_fn(twice_s, m[np.newaxis, :], points[:, np.newaxis])
+
+
+def fourier_factor(fm: FrameMatrix) -> np.ndarray:
+    """Rectangular Fourier factor F[k, n] = exp(-2*pi*i*k*n/N)/sqrt(N), N x (M+1)."""
+    n = fm.n_samples
+    k = np.arange(n)[:, np.newaxis]
+    m = np.arange(fm.band_limit + 1)[np.newaxis, :]
+    return np.exp(-2j * np.pi * k * m / n) / np.sqrt(n)
+
+
+def factored_frame(fm: FrameMatrix) -> np.ndarray:
+    """Dense N x (M+1) sampling matrix lambda_n^(1/2) F[k, n] from the factored form."""
+    return np.exp(0.5 * fm.log_lambda)[np.newaxis, :] * fourier_factor(fm)
+
+
+def sample_space_projector(fm: FrameMatrix) -> np.ndarray:
+    """Orthogonal projector P = T (T*T)^(-1) T* onto the range of T.
+
+    In factored form this collapses to F F* with F the rectangular Fourier
+    factor; it is idempotent, self-adjoint and of trace M+1 (the identity at
+    critical sampling).
+    """
+    f = fourier_factor(fm)
+    return f @ f.conj().T
+
+
+def circulant(row: np.ndarray) -> np.ndarray:
+    """Dense N x N circulant matrix with entry [k, l] = row[(l - k) mod N]."""
+    n = row.size
+    return row[(np.arange(n)[np.newaxis, :] - np.arange(n)[:, np.newaxis]) % n]
 
 
 def _gram_digits(twice_s: int, grid: SamplingGrid) -> int:

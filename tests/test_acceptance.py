@@ -53,7 +53,7 @@ def bandlimited_sweep():
                 for radius in SWEEP_RADII:
                     grid = ds.SamplingGrid(radius, n)
                     fm = ds.frame_matrix(twice_s, grid, band)
-                    dense = fm.toarray()
+                    dense = oracle.factored_frame(fm)
                     signals = _unit_rows(rng, SIGNALS_PER_CONFIG, band + 1)
                     sample_block = signals @ dense.T
                     points = _disk_points(rng, POINTS_PER_CONFIG)

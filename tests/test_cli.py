@@ -220,6 +220,16 @@ class TestReconstruct:
         expected = ds.partial_reconstruct(ds.overlap_kernel(200, grid), samples, points)
         assert np.all(np.isfinite(values)) and np.array_equal(values, expected)
 
+    def test_n_max_without_output_is_refused_before_any_file_is_read(self, tmp_path, capsys):
+        points_path = write_points(tmp_path / "pts.csv", [0.1])
+        assert run_cli(
+            "reconstruct", "--twice-s", "2", "--r", "0.5", "--n", "2",
+            "--mode", "undersampled", "--n-max", "2",
+            "--input", str(tmp_path / "missing.csv"), "--points", str(points_path),
+        ) == 2
+        err = capsys.readouterr().err
+        assert "--n-max requires --output" in err and "missing.csv" not in err
+
     def test_band_limit_too_large_leaves_no_output(self, tmp_path, sample_setup):
         _, samples_path = sample_setup
         points_path = write_points(tmp_path / "pts.csv", [0.1])
@@ -563,6 +573,16 @@ class TestTableIO:
         ) == 2
         assert str(samples_path) in capsys.readouterr().err
 
+    def test_duplicate_sample_index_is_named(self, tmp_path, capsys):
+        samples_path = tmp_path / "samples.csv"
+        samples_path.write_text("k,re,im\n0,1,0\n1,2,0\n1,5,0\n")
+        assert run_cli(
+            "dft", "--twice-s", "2", "--r", "0.5", "--n", "2",
+            "--mode", "bandlimited", "--band-limit", "0", "--input", str(samples_path),
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"sample file {samples_path} lists index 1 twice" in err
+
     def test_blank_lines_and_padded_fields_are_read(self, tmp_path):
         tidy = {"samples": "k,re,im\n0,0.75,0\n1,0.5,-0.25\n", "pts": "re,im\n0.25,-0.5\n0.1,0\n"}
         loose = {
@@ -691,7 +711,7 @@ class TestCommandProcess:
                               check=True, env=process_env())
         report = json.loads(proc.stdout)
         assert report == {
-            "numpy": False, "missing_from_dir": [], "count": 40, "not_identical": [],
+            "numpy": False, "missing_from_dir": [], "count": 38, "not_identical": [],
             "unknown": "module 'disksampling' has no attribute 'no_such_name'",
         }
 
@@ -737,6 +757,20 @@ class TestCommandProcess:
         assert proc.returncode == 0
         err = proc.stderr.decode()
         assert "warning: condition number inf exceeds" in err and "RuntimeWarning" not in err
+
+    def test_ill_conditioned_reconstruction_reports_the_condition_once(self, tmp_path):
+        # partial_reconstruct warns as a library call; the command prints its
+        # own line and silences the library's warning
+        samples = tmp_path / "samples.csv"
+        samples.write_text("k,re,im\n" + "".join(f"{k},1,0\n" for k in range(14)))
+        points = write_points(tmp_path / "pts.csv", [0.05 + 0j])
+        proc = run_process(["reconstruct", "--twice-s", "2", "--r", "0.1", "--n", "14",
+                            "--mode", "undersampled", "--input", str(samples),
+                            "--points", str(points)])
+        assert proc.returncode == 0
+        lines = proc.stderr.decode().splitlines()
+        assert sum("condition number" in line for line in lines) == 1
+        assert not any("ConditioningWarning" in line for line in lines)
 
     @pytest.mark.parametrize("entry", ["module", "script"])
     def test_exit_codes_and_stream_bytes_match_the_in_process_command(self, tmp_path, entry):

@@ -2,6 +2,7 @@
 
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +10,11 @@ import pytest
 
 import disksampling as ds
 from disksampling import basis, undersampled
-from disksampling.validation import EigenvalueCrossCheckError, NumericalRangeError
+from disksampling.validation import (
+    ConditioningWarning,
+    EigenvalueCrossCheckError,
+    NumericalRangeError,
+)
 
 import oracle
 from conftest import random_disk_points, unit_signal
@@ -230,9 +235,12 @@ def test_pointwise_memory_does_not_grow_with_the_query(function):
     else:
         kernel = ds.overlap_kernel(2, ds.SamplingGrid(0.6, 256))
         args = (kernel, rng.standard_normal(256) + 1j * rng.standard_normal(256), points)
+    # the kernel's condition number is 5.4e110
+    warns = nullcontext() if function == "evaluate_signal" else pytest.warns(ConditioningWarning)
     tracemalloc.start()
     try:
-        getattr(ds, function)(*args)
+        with warns:
+            getattr(ds, function)(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -71,11 +71,11 @@ class TestOverlapKernel:
         kernel = ds.overlap_kernel(twice_s, ds.SamplingGrid(radius, n))
         pts = kernel.grid.points
         gram = ds.overlap(twice_s, pts[:, np.newaxis], pts[np.newaxis, :])
-        assert np.max(np.abs(kernel.dense() - gram)) < 1e-13
+        assert np.max(np.abs(oracle.circulant(kernel.first_row) - gram)) < 1e-13
 
     def test_hermitian_positive_definite(self):
         kernel = ds.overlap_kernel(3, ds.SamplingGrid(0.7, 6))
-        dense = kernel.dense()
+        dense = oracle.circulant(kernel.first_row)
         assert np.max(np.abs(dense - dense.conj().T)) < 1e-14
         assert np.min(np.linalg.eigvalsh(dense)) > 0
 
@@ -110,7 +110,7 @@ class TestKernelEigenvalues:
         n = 6
         k = np.arange(n)
         fourier = np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
-        diagonalized = fourier.conj().T @ kernel.dense() @ fourier
+        diagonalized = fourier.conj().T @ oracle.circulant(kernel.first_row) @ fourier
         off = diagonalized - np.diag(np.diag(diagonalized))
         assert np.max(np.abs(off)) <= 1e-12 * np.max(kernel.eigenvalues)
         assert np.allclose(np.diag(diagonalized).real, kernel.eigenvalues, rtol=1e-11)
@@ -172,9 +172,14 @@ class TestKernelEigenvalues:
             assert kernel.eigenvalues[0] == pytest.approx(1.0, rel=1e-12)
 
 
+def inverse_matrix(kernel):
+    """B^-1 column by column: column k is the dual weights of the unit sample e_k."""
+    return np.column_stack([ds.dual_weights(kernel, unit) for unit in np.eye(kernel.n_samples)])
+
+
 class TestInvertKernel:
     def test_hand_values(self, fixture_kernel):
-        inverse = ds.invert_kernel(fixture_kernel)
+        inverse = inverse_matrix(fixture_kernel)
         assert inverse[0, 0] == pytest.approx(1.1488970588235294, rel=1e-13)
         assert inverse[0, 1] == pytest.approx(-0.4136029411764706, rel=1e-13)
         assert inverse[1, 0] == pytest.approx(inverse[0, 1], rel=1e-13)
@@ -183,12 +188,12 @@ class TestInvertKernel:
     def test_roundtrip_identity(self, twice_s, n, radius):
         kernel = ds.overlap_kernel(twice_s, ds.SamplingGrid(radius, n))
         assert kernel.condition_number < 1e4
-        residue = kernel.dense() @ ds.invert_kernel(kernel) - np.eye(n)
+        residue = oracle.circulant(kernel.first_row) @ inverse_matrix(kernel) - np.eye(n)
         assert np.max(np.abs(residue)) <= 1e-11
 
     def test_roundtrip_relaxed_when_ill_conditioned(self):
         kernel = ds.overlap_kernel(2, ds.SamplingGrid(0.3, 10))
-        residue = kernel.dense() @ ds.invert_kernel(kernel) - np.eye(10)
+        residue = oracle.circulant(kernel.first_row) @ inverse_matrix(kernel) - np.eye(10)
         floor = kernel.condition_number * 10 * np.finfo(float).eps
         assert np.max(np.abs(residue)) <= 100 * floor
 
@@ -196,15 +201,36 @@ class TestInvertKernel:
         # all coherent states collapse onto the lowest state as r -> 0, so the
         # Gram matrix tends to the all-ones matrix; only N=1 gives B -> I
         kernel = ds.overlap_kernel(2, ds.SamplingGrid(1e-4, 4))
-        assert np.allclose(kernel.dense(), np.ones((4, 4)), atol=1e-7)
+        assert np.allclose(oracle.circulant(kernel.first_row), np.ones((4, 4)), atol=1e-7)
         single = ds.overlap_kernel(2, ds.SamplingGrid(1e-4, 1))
-        assert np.allclose(ds.invert_kernel(single), np.eye(1), atol=1e-7)
+        assert np.allclose(inverse_matrix(single), np.eye(1), atol=1e-7)
 
     def test_conditioning_warning(self):
         kernel = ds.overlap_kernel(2, ds.SamplingGrid(0.1, 14))
         assert kernel.is_ill_conditioned
         with pytest.warns(ConditioningWarning):
-            ds.invert_kernel(kernel)
+            ds.dual_weights(kernel, np.eye(14)[0])
+
+
+class TestConditioningWarning:
+    CALLS = {
+        "dual_weights": ds.dual_weights,
+        "partial_reconstruct": lambda kernel, unit: ds.partial_reconstruct(kernel, unit, 0.2j),
+        "dual_sinc_kernel": lambda kernel, unit: ds.dual_sinc_kernel(kernel, 0, 0.2j),
+    }
+
+    # dual_weights itself: TestInvertKernel.test_conditioning_warning
+    @pytest.mark.parametrize("name", ["partial_reconstruct", "dual_sinc_kernel"])
+    def test_pointwise_call_warns_when_ill_conditioned(self, name):
+        kernel = ds.overlap_kernel(2, ds.SamplingGrid(0.1, 14))
+        with pytest.warns(ConditioningWarning, match="condition number 7.143e\\+24"):
+            self.CALLS[name](kernel, np.eye(14)[0])
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_no_warning_when_well_conditioned(self, name, fixture_kernel):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.CALLS[name](fixture_kernel, np.eye(2)[0])
 
 
 class TestDualSinc:
