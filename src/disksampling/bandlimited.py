@@ -33,6 +33,7 @@ from .validation import (
     check_band_limit,
     check_grid_index,
     check_twice_s,
+    times_exp,
 )
 
 __all__ = [
@@ -136,13 +137,14 @@ def fourier_coefficients(fm: FrameMatrix, samples) -> np.ndarray:
         a_m = (N lambda_m)^(-1/2) sum_k exp(2*pi*i*k*m/N) Psi(z_k)
 
     Exact on bandlimited data; otherwise this is the least-squares fit
-    given by the left pseudoinverse of the sampling operator.
+    given by the left pseudoinverse of the sampling operator.  Where
+    (N lambda_m)^(-1/2) leaves the double range, a_m is taken in one
+    exponent; a coefficient beyond the range raises ``NumericalRangeError``.
     """
     n = fm.n_samples
     values = as_samples(samples, n)
     plus_dft = n * np.fft.ifft(values)
-    scale = np.exp(-0.5 * (np.log(n) + fm.log_lambda))
-    return plus_dft[: fm.band_limit + 1] * scale
+    return times_exp(plus_dft[: fm.band_limit + 1], -0.5 * (np.log(n) + fm.log_lambda), "a")
 
 
 def reconstruct_bandlimited(fm: FrameMatrix, samples, z):

@@ -28,8 +28,8 @@ Pointwise evaluation sums the basis by the upward recurrence
 U_m = U_{m-1} sqrt((2s+m-1)/m) conj(z), whose terms cannot overflow because
 sum_m |U_m(z)|^2 = <z|z> = 1, each segment of indices as a polynomial in
 conj(z), over fixed-size blocks of query points, so its memory does not grow
-with the number of points.  Where U_0 = (1-|z|^2)^s would underflow (large s
-near the rim) it uses the log-domain basis values.
+with the number of points.  Where U_0 = (1-|z|^2)^s is below the flush level
+(large s near the rim), it starts from one basis value in the log domain.
 
 All functions here are pure and operate on immutable values, so they are
 safe to call concurrently.
@@ -361,12 +361,12 @@ class ResolutionSpectrum:
         return vals if isinstance(n, np.ndarray) else float(vals)
 
 
-def _basis_values(twice_s: int, m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Broadcast evaluation of U_m(z) = NB(m; 2s, 1-|z|^2)^(1/2) e^(-i m arg z);
-    inputs already validated."""
+def _basis_values(twice_s: int, m: np.ndarray, z: np.ndarray, log_scale=0.0) -> np.ndarray:
+    """Broadcast evaluation of U_m(z) = NB(m; 2s, 1-|z|^2)^(1/2) e^(-i m arg z),
+    times exp(log_scale); inputs already validated."""
     # at the origin the pmf is 1 at m = 0 and 0 (log -inf) above
     log_mag = 0.5 * _log_pmf(twice_s, m, _one_minus_mod2(z))
-    return np.exp(log_mag) * np.exp(-1j * m * np.angle(z))
+    return np.exp(log_mag + log_scale) * np.exp(-1j * m * np.angle(z))
 
 
 def basis_fn(twice_s: int, m, z):
@@ -381,10 +381,7 @@ def basis_fn(twice_s: int, m, z):
         raise ValueError("basis index m must be nonnegative")
     z_arr = as_disk_points(z)
     out = _basis_values(twice_s, m_arr, z_arr)
-    if np.isscalar(m) or m_arr.ndim == 0:
-        if np.isscalar(z) or z_arr.ndim == 0:
-            return complex(out)
-    return out
+    return complex(out) if m_arr.ndim == 0 and z_arr.ndim == 0 else out
 
 
 def overlap(twice_s: int, z, w):
@@ -445,9 +442,9 @@ _GROUP = 4 * 1024
 #: so the terms would never reach zero.
 _FLUSH = 2.0**-1000
 
-#: Points with log U_0(z) = s log(1 - |z|^2) below this are summed from
-#: log-domain basis values: U_0 may underflow while later U_m do not.
-_LOG_U0_MIN = -600.0
+#: Seeds are carried times this, the first power of two above exp(_LOG_STEPS_MAX),
+#: the most a segment rises: one whose segment reaches ``_FLUSH`` is normal scaled.
+_SEED_SCALE = 2.0 ** int(np.ceil(_LOG_STEPS_MAX / np.log(2.0)))
 
 
 def _pointwise(values, z):
@@ -485,26 +482,16 @@ def _segment_rows(values: np.ndarray, length: int) -> np.ndarray:
     return rows.reshape(-1, length)
 
 
-def _real_form(coefficients: np.ndarray) -> np.ndarray:
-    """Rows of complex A_gk as a real (G, 2, 2K) array: row (g, 0) dotted with
-    the interleaved real and imaginary parts of w_k gives
-    Re sum_k A_gk w_k, row (g, 1) the imaginary part."""
-    out = np.empty(coefficients.shape[:1] + (2,) + coefficients.shape[1:] + (2,))
-    out[:, 0, :, 0] = coefficients.real
-    out[:, 0, :, 1] = -coefficients.imag
-    out[:, 1, :, 0] = coefficients.imag
-    out[:, 1, :, 1] = coefficients.real
-    return out.reshape(coefficients.shape[0], 2, 2 * coefficients.shape[1])
-
-
 def _segment_polynomials(twice_s: int, coefficients: np.ndarray):
     """What :func:`evaluate_signal` needs of a signal, taken once per signal.
 
-    Returns (scale, a_0, rows, folded, ratios): the coefficients a_m for
-    m >= 1 as segment rows; their products with the running products P_gk
-    of the steps, in the real form of :func:`_real_form`; and each
-    segment's whole product P_g,K-1.  Where the largest coefficient exceeds
-    ``_COEFFICIENT_MAX`` in modulus, all are divided by ``scale``.
+    Returns (scale, a_0, folded, ratios).  ``folded`` holds the segment rows
+    A_gk = a_(gK+k+1) P_gk, P_gk the running products of the steps, as a real
+    (G, 2, 2K) array: row (g, 0) dotted with the interleaved real and
+    imaginary parts of w_k gives Re sum_k A_gk w_k, row (g, 1) the imaginary
+    part.  ``ratios`` is each segment's whole product P_g,K-1.  Where the
+    largest coefficient exceeds ``_COEFFICIENT_MAX`` in modulus, all are
+    divided by ``scale``.
     """
     scale = 1.0
     largest = np.abs(coefficients).max()
@@ -513,74 +500,97 @@ def _segment_polynomials(twice_s: int, coefficients: np.ndarray):
         scale = 2.0 ** int(np.frexp(largest / _COEFFICIENT_MAX)[1])
         coefficients = coefficients / scale
     length = _segment_length(twice_s)
-    rows = _segment_rows(coefficients[1:], length)
     m = np.arange(1, coefficients.size, dtype=np.float64)
     products = np.multiply.accumulate(
         _segment_rows(np.sqrt((twice_s - 1.0 + m) / m), length), axis=1
     )
-    return scale, coefficients[0], rows, _real_form(rows * products), products[:, -1]
+    rows = _segment_rows(coefficients[1:], length) * products
+    folded = np.empty((rows.shape[0], 2, 2 * rows.shape[1]))
+    folded[:, 0, 0::2] = folded[:, 1, 1::2] = rows.real
+    folded[:, 0, 1::2] = -rows.imag
+    folded[:, 1, 0::2] = rows.imag
+    return scale, coefficients[0], folded, products[:, -1]
 
 
-def _add_in_order(total, sums):
-    """total + sum_g sums_qg, added one segment g after another.
+def _seeds(twice_s: int, length: int, count: int, z: np.ndarray):
+    """(g0, U_{g0 K}(z) ``_SEED_SCALE``) at points z whose U_0 is below ``_FLUSH``.
 
-    Every addition's order is fixed by m alone, so a point's sum is the
-    same however many points and segments are evaluated together (a BLAS
-    product's rounding depends on the shape of the whole operand).
+    g0 <= ``count`` is the last g with U_gK below ``_FLUSH`` and gK at most
+    the mode (2s-1)|z|^2 / (1-|z|^2), up to which |U_m| rises, so every term
+    left out, m <= g0 K, is below ``_FLUSH``; found by bisection.
     """
-    return np.add.accumulate(np.hstack([total[:, np.newaxis], sums]), axis=1)[:, -1]
+    rim = _one_minus_mod2(z)
+    mode = (twice_s - 1.0) * rim[2] / rim[0]
+    low, high = np.zeros(z.size, dtype=np.int64), np.full(z.size, count + 1)
+    while (high - low > 1).any():
+        middle = (low + high) // 2
+        m = length * middle
+        below = (m <= mode) & (_log_pmf(twice_s, m, rim) < 2.0 * np.log(_FLUSH))
+        low, high = np.where(below, middle, low), np.where(below, high, middle)
+    return low, _basis_values(twice_s, length * low, z, np.log(_SEED_SCALE))
 
 
-def _upward_sum(a0, folded, ratios, u0, conj_z):
-    """sum_m a_m U_m at each point, from U_m = U_{m-1} steps_m conj(z), U_0 = u0.
+def _upward_sum(twice_s, a0, folded, ratios, z):
+    """sum_m a_m U_m(z) at each point, from U_m = U_{m-1} steps_m conj(z).
 
     Segment g of K indices starts at S_g = U_{gK}, and its terms are
     S_g P_gk conj(z)^(k+1) with P_gk the product of its first k+1 steps, so
-    its sum is S_g times the polynomial sum_k A_gk conj(z)^(k+1).  Its
-    coefficients A_gk = a_(gK+k+1) P_gk are folded once per signal, as the
-    real matrix ``folded`` that gives the real and imaginary parts of the
-    polynomials from the interleaved parts of the powers.  The starts follow
-    from S_(g+1) = S_g conj(z)^K P_g,K-1 (``ratios``).  They are true basis
+    its sum is S_g times the polynomial sum_k A_gk conj(z)^(k+1), whose
+    coefficients are ``folded``.  The starts follow from
+    S_(g+1) = S_g conj(z)^K P_g,K-1 (``ratios``).  They are true basis
     values, |S_g| <= 1 because sum_m |U_m|^2 = <z|z> = 1, so no start
-    overflows.  Segments are taken ``_GROUP // len(conj_z)`` at a time.
-    Once a segment starts below ``_FLUSH``, the later terms of that point are
-    zero; |U_m| only falls once it falls, and u0 > _FLUSH, so this drops
-    terms past the peak only, and the sum stops when it has happened at
-    every point.
+    overflows.  Once a segment starts below ``_FLUSH``, the later terms of
+    that point are zero; |U_m| only falls once it falls, and S_0 = U_0 is at
+    least ``_FLUSH``, so this drops terms past the peak only.  A point whose
+    U_0 is below it starts at S_entry = seed from :func:`_seeds` instead, and
+    carries its starts, flush level and sum times ``_SEED_SCALE``.
     """
+    conj_z = np.conj(z)
     # conj(z)^1..conj(z)^K, each the one before times conj(z) as in the recurrence
-    powers = np.empty((conj_z.size, folded.shape[2] // 2), dtype=np.complex128)
+    powers = np.empty((z.size, folded.shape[2] // 2), dtype=np.complex128)
     powers[:] = conj_z[:, np.newaxis]
     np.multiply.accumulate(powers, axis=1, out=powers)
     interleaved = powers.view(np.float64)
+    u0 = np.exp(0.5 * twice_s * _log_one_minus_mod2(_one_minus_mod2(z)))
     total = a0 * u0
     start = u0.astype(np.complex128)
-    group = max(1, _GROUP // conj_z.size)
-    for first in range(0, folded.shape[0], group):
+    seeded = u0 < _FLUSH
+    flush, lowest, last = _FLUSH, 0, -1
+    if seeded.any():
+        entry, seed = np.full(z.size, -1), np.zeros(z.size, dtype=np.complex128)
+        entry[seeded], seed[seeded] = _seeds(twice_s, powers.shape[1], len(ratios), z[seeded])
+        total[seeded] = 0.0
+        flush = np.where(seeded, _FLUSH * _SEED_SCALE, _FLUSH)[:, np.newaxis]
+        lowest, last = max(0, entry.min()), entry.max()
+    group = max(1, _GROUP // z.size)
+    for first in range(lowest, folded.shape[0], group):
         rows = folded[first : first + group]
-        starts = np.empty((conj_z.size, rows.shape[0] + 1), dtype=np.complex128)
+        starts = np.empty((z.size, rows.shape[0] + 1), dtype=np.complex128)
         starts[:, 0] = start
         np.multiply(powers[:, -1:], ratios[first : first + rows.shape[0]], out=starts[:, 1:])
-        np.multiply.accumulate(starts, axis=1, out=starts)
-        starts[~np.logical_and.accumulate(np.abs(starts) >= _FLUSH, axis=1)] = 0.0
+        if first > last:
+            np.multiply.accumulate(starts, axis=1, out=starts)
+            starts[~np.logical_and.accumulate(np.abs(starts) >= flush, axis=1)] = 0.0
+        else:
+            # columns before a seed's are 1 through the products, then 0
+            column = np.arange(starts.shape[1]) - (entry - first)[:, np.newaxis]
+            before, at = column < 0, column == 0
+            starts[before] = 1.0
+            starts[at] = seed[at.any(axis=1)]
+            np.multiply.accumulate(starts, axis=1, out=starts)
+            live = (np.abs(starts) >= flush) | before | at
+            starts[before | ~np.logical_and.accumulate(live, axis=1)] = 0.0
         sums = np.einsum("qx,yx->qy", interleaved, rows.reshape(-1, rows.shape[2]))
         sums = sums.view(np.complex128)
-        total = _add_in_order(total, np.multiply(sums, starts[:, :-1], out=sums))
+        np.multiply(sums, starts[:, :-1], out=sums)
+        # one segment after another, an order fixed by m alone: a BLAS
+        # product's rounding would depend on the shape of the whole operand
+        total = np.add.accumulate(np.hstack([total[:, np.newaxis], sums]), axis=1)[:, -1]
         start = starts[:, -1]
-        if not start.any():
+        if not start.any() and first + rows.shape[0] >= last:
             break
-    return total
-
-
-def _log_domain_sum(twice_s, a0, coefficients, z):
-    """sum_m a_m U_m(z) with every U_m taken from the log domain."""
-    total = a0 * _basis_values(twice_s, 0, z)
-    group = _BLOCK // z.size
-    for first in range(0, coefficients.shape[0], group):
-        rows = coefficients[first : first + group]
-        m = 1 + rows.shape[1] * first + np.arange(rows.size).reshape(rows.shape)
-        terms = _basis_values(twice_s, m[np.newaxis], z[:, np.newaxis, np.newaxis])
-        total = _add_in_order(total, np.einsum("qgk,gk->qg", terms, rows))
+    if last >= 0:
+        total[seeded] /= _SEED_SCALE
     return total
 
 
@@ -590,25 +600,15 @@ def evaluate_signal(signal: DiskSignal, z):
     Evaluated by the upward recurrence U_m = U_{m-1} sqrt((2s+m-1)/m) conj(z)
     from U_0 = (1-|z|^2)^s, one segment of indices at a time as a polynomial
     in conj(z), over blocks of query points, so memory is O(block) and no
-    L x Q basis matrix is formed.  A point whose U_0 is below about
-    exp(-600) (large s near the rim, where U_0 may underflow) is summed from
-    log-domain basis values instead.  The choice is made per point, so a
-    value never depends on the rest of the query.
+    L x Q basis matrix is formed.  Where U_0 is below the flush level 2^-1000
+    (large s near the rim), it starts later, at the last segment start below
+    that level on the rising side of |U_m|, taken once from the log domain.
+    Every choice is made per point, so a value never depends on the query.
     """
-    twice_s = signal.twice_s
-    scale, a0, coefficients, folded, ratios = signal._segments
+    scale, a0, folded, ratios = signal._segments
 
     def values(z_flat):
-        log_u0 = 0.5 * twice_s * _log_one_minus_mod2(_one_minus_mod2(z_flat))
-        near_rim = log_u0 < _LOG_U0_MIN
-        inner = ~near_rim
-        out = np.empty(z_flat.size, dtype=np.complex128)
-        if inner.any():
-            out[inner] = _upward_sum(
-                a0, folded, ratios, np.exp(log_u0[inner]), np.conj(z_flat[inner])
-            )
-        if near_rim.any():
-            out[near_rim] = _log_domain_sum(twice_s, a0, coefficients, z_flat[near_rim])
+        out = _upward_sum(signal.twice_s, a0, folded, ratios, z_flat)
         return out if scale == 1.0 else out * scale
 
     return _pointwise(values, z)

@@ -232,8 +232,6 @@ def _operator(args, grid: SamplingGrid):
     if args.mode == "bandlimited":
         from . import bandlimited as bl
 
-        if args.band_limit is None:
-            raise ValueError("bandlimited mode requires --band-limit")
         operator = bl.frame_matrix(args.twice_s, grid, args.band_limit)
     else:
         from . import undersampled as us
@@ -245,6 +243,19 @@ def _operator(args, grid: SamplingGrid):
             f"{CONDITION_LIMIT:.0e}; results may be inaccurate"
         )
     return operator
+
+
+def _check_mode_flags(args) -> None:
+    """Refuse a missing --band-limit in bandlimited mode and a flag the mode
+    does not read (--n-max there, --band-limit in undersampled mode), before
+    any file is read."""
+    if args.mode == "bandlimited":
+        if args.band_limit is None:
+            raise ValueError("bandlimited mode requires --band-limit")
+        if args.n_max is not None:
+            raise ValueError("--n-max does not apply to --mode bandlimited")
+    elif args.band_limit is not None:
+        raise ValueError("--band-limit does not apply to --mode undersampled")
 
 
 def cmd_grid(args) -> int:
@@ -261,6 +272,7 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    _check_mode_flags(args)
     if args.n_max is not None and args.mode == "undersampled" and args.output is None:
         raise ValueError("--n-max requires --output (coefficients go to a sibling file)")
     grid = SamplingGrid(args.r, args.n)
@@ -286,6 +298,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_dft(args) -> int:
+    _check_mode_flags(args)
     grid = SamplingGrid(args.r, args.n)
     samples = _read_samples(args.input, grid.n_samples)
     operator = _operator(args, grid)
@@ -299,7 +312,7 @@ def cmd_dft(args) -> int:
 
         n_max = args.n_max if args.n_max is not None else grid.n_samples - 1
         ahat = us.dft_coefficients(operator, samples, n_max)
-        rescaled = ahat * us._undo_filter(operator, n_max)
+        rescaled = us._rescaled_dft(operator, samples, n_max)
         text = _render_table(
             ["n", "re", "im", "re_rescaled", "im_rescaled"],
             [np.arange(n_max + 1), ahat.real, ahat.imag, rescaled.real, rescaled.imag],

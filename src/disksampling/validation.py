@@ -1,4 +1,4 @@
-"""Input validation helpers and shared error types."""
+"""Input validation helpers, a range-checked scaling and shared error types."""
 
 from __future__ import annotations
 
@@ -18,6 +18,33 @@ class NumericalRangeError(ArithmeticError):
     def __init__(self, message: str, log_value: float):
         super().__init__(f"{message} (log value {log_value!r})")
         self.log_value = log_value
+
+
+def times_exp(values: np.ndarray, log_factor: np.ndarray, name: str) -> np.ndarray:
+    """values * exp(log_factor), where the factor may leave the double range.
+
+    Where the plain product is finite it is returned as it is; elsewhere the
+    product is taken in one exponent, exp(log|v| + log_factor) times v/|v|,
+    so a zero or small value times a factor beyond the range is finite.  A
+    product beyond the range raises ``NumericalRangeError`` naming entry j
+    as ``name``_j, with the log of its modulus.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = values * np.exp(log_factor)
+        wide = np.flatnonzero(~np.isfinite(out))
+        if wide.size:
+            modulus = np.abs(values[wide])
+            log_modulus = np.log(modulus) + log_factor[wide]
+            phase = np.divide(values[wide], modulus, out=np.zeros(wide.size, complex),
+                              where=modulus > 0)
+            out[wide] = np.exp(log_modulus) * phase
+            beyond = ~np.isfinite(out[wide])
+            if beyond.any():
+                j = int(np.argmax(beyond))
+                raise NumericalRangeError(
+                    f"{name}_{wide[j]} beyond the double range", float(log_modulus[j])
+                )
+    return out
 
 
 class EigenvalueCrossCheckError(RuntimeError):

@@ -227,6 +227,26 @@ class TestFourierCoefficients:
             recovered = ds.fourier_coefficients(fm, ds.sample_signal(signal, grid))
             assert np.max(np.abs(recovered - signal.coefficients)) < 1e-10
 
+    def test_coefficient_beyond_the_double_range_raises_with_its_log(self):
+        # (N lambda_m)^(-1/2) passes 1e308 from m = 313 at r = 0.1; the DFT of
+        # the constant samples there is rounding noise, so a_327 has log 711.5
+        fm = ds.frame_matrix(2, ds.SamplingGrid(0.1, 701), 700)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalRangeError, match=r"^a_\d+ beyond the double range") as err:
+                ds.fourier_coefficients(fm, np.ones(701, dtype=complex))
+        assert err.value.log_value > np.log(np.finfo(float).max)
+
+    def test_zero_coefficient_stays_zero_where_the_filter_overflows(self):
+        # the DFT of constant samples is exactly zero above m = 0 at N = 512,
+        # and (N lambda_m)^(-1/2) leaves the double range from m = 313
+        fm = ds.frame_matrix(2, ds.SamplingGrid(0.1, 512), 511)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coeffs = ds.fourier_coefficients(fm, np.ones(512))
+        assert coeffs[0] == pytest.approx(1.0 / 0.99, rel=1e-13)
+        assert np.all(coeffs[1:] == 0)
+
 
 class TestSampleSpaceProjector:
     def test_identity_at_critical_sampling(self):

@@ -297,6 +297,22 @@ class TestSignals:
         assert abs(value - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize(
+        "twice_s, length, modulus", [(200, 1024, 0.9999), (2000, 2048, 0.85), (1000, 1024, 0.95)]
+    )
+    def test_eval_from_a_seed_matches_extended_precision(self, twice_s, length, modulus):
+        # U_0 is exp(-852), exp(-1282) and exp(-1164), below the flush level
+        # 2^-1000, so every point starts from one log-domain basis value; the
+        # phase e^(-i m arg z) of each of the L terms put up to 1.4e-12 here
+        rng = np.random.default_rng(length)
+        signal = ds.DiskSignal(
+            twice_s, rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        )
+        z = modulus * np.exp(1j * rng.uniform(-np.pi, np.pi, 40))
+        value = ds.evaluate_signal(signal, z)
+        want = oracle.signal_values(signal, z, digits=50)
+        assert np.all(np.abs(value - want) <= 1e-12 * np.abs(want))
+
+    @pytest.mark.parametrize(
         "length, twice_s, max_radius",
         [(1020, 2, 0.99), (2000, 40, 0.95), (300, 200, 0.9), (4096, 2, 0.7)],
     )
@@ -311,8 +327,8 @@ class TestSignals:
     @pytest.mark.parametrize("twice_s", [10**10, 10**12, 10**14])
     def test_eval_at_very_large_spin(self, twice_s):
         # the steps sqrt((2s+m-1)/m) of 64 indices multiply to more than the
-        # double range here; at |z| above about sqrt(1200/2s), U_0 is below
-        # exp(-600) and the point takes the log-domain route
+        # double range here; at |z| above about sqrt(1386/2s), U_0 is below
+        # the flush level 2^-1000 and the point starts from a seed
         rng = np.random.default_rng(200)
         coeffs = rng.standard_normal(200) + 1j * rng.standard_normal(200)
         z = 10.0 ** rng.uniform(-9.0, -4.0, 40) * np.exp(2j * np.pi * rng.random(40))

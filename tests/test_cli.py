@@ -5,7 +5,9 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -291,6 +293,78 @@ class TestDft:
         ) == 0
         _, rows = read_csv(out)
         assert all(row[1] == "0" and row[2] == "0" for row in rows)
+
+    @pytest.mark.parametrize("command", ["dft", "reconstruct"])
+    def test_bandlimited_coefficient_beyond_the_double_range_exits_three(
+        self, tmp_path, capsys, command
+    ):
+        # (N lambda_m)^(-1/2) leaves the double range at r = 0.1, N = 701
+        samples_path = tmp_path / "samples.csv"
+        samples_path.write_text("k,re,im\n" + "".join(f"{k},1,0\n" for k in range(701)))
+        points = ["--points", str(write_points(tmp_path / "pts.csv", [0.1]))]
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(
+                command, "--twice-s", "2", "--r", "0.1", "--n", "701",
+                "--mode", "bandlimited", "--band-limit", "700",
+                "--input", str(samples_path), "--output", str(out),
+                *(points if command == "reconstruct" else []),
+            ) == 3
+        assert "numerical failure: a_327 beyond the double range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_undersampled_rescaled_columns_in_one_exponent(self, tmp_path, capsys):
+        # lambda_n^(-1/2) is 1e179 at n = 600 and passes the double range from
+        # n = 1031, while lhat_0 / lambda_600 alone is 1e358
+        samples_path = tmp_path / "samples.csv"
+        samples_path.write_text("k,re,im\n" + "".join(f"{k},1,0.5\n" for k in range(8)))
+        out = tmp_path / "coeffs.csv"
+
+        def dft(n_max, samples=samples_path):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return run_cli(
+                    "dft", "--twice-s", "2", "--r", "0.5", "--n", "8", "--mode", "undersampled",
+                    "--n-max", str(n_max), "--input", str(samples), "--output", str(out),
+                )
+
+        assert dft(1000) == 0
+        _, rows = read_csv(out)
+        with mp.workdps(30):
+            for n in (600, 1000):
+                lam = 8 * (n + 1) * mp.mpf(0.75) ** 2 / 4**n
+                want = mp.sqrt(8) * mp.mpc(1, 0.5) / mp.sqrt(lam)
+                got = complex(float(rows[n][3]), float(rows[n][4]))
+                assert got == pytest.approx(complex(want), rel=1e-12)
+        # constant samples have a zero DFT off residue 0, which stays 0 at
+        # n = 1100 (residue 4), where lambda_n^(-1/2) is beyond the range
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("k,re,im\n" + "".join(f"{k},1e-100,5e-101\n" for k in range(8)))
+        assert dft(1100, tiny) == 0
+        _, rows = read_csv(out)
+        assert rows[1100][3:] == ["0", "0"] and float(rows[1096][3]) > 1e228
+        # at n = 1032 (residue 0) the value itself is beyond the range
+        assert dft(1200) == 3
+        assert "rescaled ahat_1032 beyond the double range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["dft", "reconstruct"])
+    @pytest.mark.parametrize(
+        "mode, flag", [("bandlimited", "--n-max"), ("undersampled", "--band-limit")]
+    )
+    def test_flag_of_the_other_mode_is_refused_before_any_file_is_read(
+        self, tmp_path, capsys, command, mode, flag
+    ):
+        argv = [command, "--twice-s", "2", "--r", "0.5", "--n", "4", "--mode", mode,
+                flag, "3", "--input", str(tmp_path / "missing.csv")]
+        if mode == "bandlimited":
+            argv += ["--band-limit", "1"]
+        if command == "reconstruct":
+            argv += ["--points", str(tmp_path / "missing_points.csv"),
+                     "--output", str(tmp_path / "out.csv")]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} does not apply to --mode {mode}" in err and "missing" not in err
 
 
 class TestErrorAnalysis:

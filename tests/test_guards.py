@@ -225,13 +225,20 @@ def test_pointwise_functions_keep_the_shape_of_the_query():
         assert empty.shape == (0,) and empty.dtype == np.complex128
 
 
-@pytest.mark.parametrize("function", ["evaluate_signal", "partial_reconstruct"])
+@pytest.mark.parametrize("function", ["evaluate_signal", "partial_reconstruct", "seeded"])
 def test_pointwise_memory_does_not_grow_with_the_query(function):
     # dense L x Q or Q x N intermediates would take about 1 GB and 200 MB here
     rng = np.random.default_rng(5)
     points = random_disk_points(rng, 20_000)
     if function == "evaluate_signal":
         args = (unit_signal(rng, 2, 1024), points)
+    elif function == "seeded":
+        # U_0 = exp(-5025) at |z| = 0.1, and the first term at the flush
+        # level is near m = 5300: each point starts from a seed found without
+        # a points x segments array (2,048 x 2,048 here)
+        function = "evaluate_signal"
+        points = 0.1 * np.exp(2j * np.pi * rng.random(2048)) * rng.uniform(0.999, 1.001, 2048)
+        args = (unit_signal(rng, 10**6, 2**17 - 1), points)
     else:
         kernel = ds.overlap_kernel(2, ds.SamplingGrid(0.6, 256))
         args = (kernel, rng.standard_normal(256) + 1j * rng.standard_normal(256), points)
