@@ -408,8 +408,9 @@ def overlap(twice_s: int, z, w):
     np.divide(root, base, out=base)
     if base.ndim == 0:
         return complex(base**twice_s)
-    # ** keeps numpy's fast path for small exponents (a square at 2s = 2)
-    return base**twice_s
+    # **= keeps numpy's fast path for small exponents (a square at 2s = 2)
+    base **= twice_s
+    return base
 
 
 #: Query points evaluated together.  Every pointwise function works on one

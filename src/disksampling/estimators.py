@@ -17,7 +17,7 @@ import numpy as np
 from . import bandlimited as bl
 from . import undersampled as us
 from .basis import DiskSignal, SamplingGrid, evaluate_signal
-from .validation import NotFittedError, as_samples
+from .validation import NotFittedError, as_samples, check_band_limit
 
 __all__ = ["BandlimitedReconstructor", "PartialReconstructor"]
 
@@ -102,8 +102,8 @@ class PartialReconstructor(_ParamsMixin):
     ``predict`` evaluates the alias (the orthogonal projection onto the span
     of the sampled coherent states), which interpolates the samples exactly.
     ``dft_coefficients`` and ``truncated_signal`` expose the filtered DFT and
-    the truncate-and-rescale recovery.  ``fit`` and ``predict`` emit
-    ``ConditioningWarning`` on an ill-conditioned kernel.
+    the truncate-and-rescale recovery, from the samples.  ``fit`` emits
+    ``ConditioningWarning`` on an ill-conditioned kernel, once.
     """
 
     def __init__(self, twice_s: int = 2, radius: float = 0.5, n_samples: int = 2):
@@ -123,7 +123,7 @@ class PartialReconstructor(_ParamsMixin):
 
     def predict(self, points) -> np.ndarray:
         self._check_fitted("kernel_")
-        return us.partial_reconstruct(self.kernel_, self.samples_, points)
+        return us._coherent_sum(self.kernel_, self.dual_weights_, points)
 
     def dft_coefficients(self, n_max: int) -> np.ndarray:
         self._check_fitted("kernel_")
@@ -131,5 +131,6 @@ class PartialReconstructor(_ParamsMixin):
 
     def truncated_signal(self, band_limit: int) -> DiskSignal:
         self._check_fitted("kernel_")
-        coeffs = us.dft_coefficients(self.kernel_, self.samples_, band_limit)
-        return us.rescale_truncate(self.kernel_, coeffs, band_limit)
+        band_limit = check_band_limit(band_limit, n_samples=self.kernel_.n_samples)
+        rescaled = us._rescaled_dft(self.kernel_, self.samples_, band_limit)
+        return DiskSignal(self.kernel_.twice_s, rescaled)

@@ -320,35 +320,30 @@ def _fixed_power(base: tuple[int, int], exponent: int, bits: int) -> tuple[int, 
 def _fixed_root_of_unity(n: int, bits: int) -> tuple[int, int]:
     """e^(2 pi i/n) as integers scaled by 2^bits, each part within 2 units.
 
-    pi = 16 arccot 5 - 4 arccot 239 (Machin) and e^(i theta) = sum_k
-    (i theta)^k/k! are summed at W = bits + 64 bits, each term floored once
-    (floor(floor(a/b)/c) = floor(a/(bc))).  So pi errs by under 4W units,
-    theta = 2 pi/n by under 8W + 1, and the Taylor sum, of at most W + 35
-    terms that carry theta's error and their predecessor's at most
-    e^theta <= e^pi fold (n >= 2, the lengths that use the root), by under
-    6000 W^2 units.  For W under 5e7 that is below the 2^64 units the final
-    shift floors away, and the shift adds the second unit.
+    Newton's method on z^n = 1, z <- z - z (z^n - 1)/n, from the float root:
+    its angle 2 pi/n is off by under 1.5 units at p = 52 bits, cos and sin
+    add an ulp each and the floor to p bits a unit each, so z is within 4
+    units of w = e^(2 pi i/n).  If z = w (1 + e), a step leaves
+    w (1 - (n+1)/2 e^2 + ...): under half a unit at q = 2p - bitlen(n) - 4
+    bits.  At q the powering errs by under sqrt(2) (n - 1) units, which the
+    division by n brings to sqrt(2), and the product and quotient floor once
+    (floor(floor(a/b)/c) = floor(a/(bc))), sqrt(2) more: to first order z is
+    again within 4 units, now at q.  q > p while p > bitlen(n) + 4, so for
+    every n < 2^47; a larger n is never reached, its first row alone taking
+    2 PiB.  The last step runs at W = bits + 64, and the final shift floors
+    W's 4 units away and adds the second.
     """
-    work = bits + 64
-    one = 1 << work
-
-    def arccot(x: int) -> int:
-        # floor(floor(a/b)/c) = floor(a/(bc)): each term is floored once
-        power = total = one // x
-        k = 1
-        while power:
-            power //= x * x
-            k += 2
-            total += power // k if k % 4 == 1 else -(power // k)
-        return total
-
-    theta = 2 * (16 * arccot(5) - 4 * arccot(239)) // n
-    parts, term, k = [0, 0], one, 0
-    while term:
-        parts[k & 1] += -term if k & 2 else term
-        k += 1
-        term = (term * theta >> work) // k
-    return parts[0] >> 64, parts[1] >> 64
+    work, prec = bits + 64, 52
+    theta = 2.0 * math.pi / n
+    z = tuple(math.floor(math.ldexp(part(theta), prec)) for part in (math.cos, math.sin))
+    while prec < work:
+        grown = min(work, 2 * prec - n.bit_length() - 4)
+        z = (z[0] << grown - prec, z[1] << grown - prec)
+        prec = grown
+        power = _fixed_power(z, n, prec)
+        re, im = _fixed_product(z, (power[0] - (1 << prec), power[1]), prec)
+        z = (z[0] - re // n, z[1] - im // n)
+    return z[0] >> 64, z[1] >> 64
 
 
 def _cross_checked_eigenvalues(twice_s: int, grid: SamplingGrid, row: np.ndarray) -> np.ndarray:
@@ -431,11 +426,14 @@ def partial_reconstruct(kernel: CirculantKernel, samples, z):
 
     The alias is the orthogonal projection of the signal onto the span of the
     N sampled coherent states; it interpolates the samples exactly.  It is
-    sum_l w_l <z|z_l> with w the :func:`dual_weights`, summed by
-    ``np.einsum``, not a BLAS product, whose rounding depends on the number
-    of points in the block.
+    sum_l w_l <z|z_l> with w the :func:`dual_weights`.
     """
-    weights = dual_weights(kernel, samples)
+    return _coherent_sum(kernel, dual_weights(kernel, samples), z)
+
+
+def _coherent_sum(kernel: CirculantKernel, weights: np.ndarray, z):
+    """sum_l w_l <z|z_l> at point(s) z, summed by ``np.einsum``, not a BLAS
+    product, whose rounding depends on the number of points in the block."""
     points = kernel.grid.points[np.newaxis, :]
     # basis.overlap is looked up at the call, as reconstruct_bandlimited
     # looks up basis.evaluate_signal
@@ -484,25 +482,30 @@ def _rescaled_dft(kernel: CirculantKernel, samples, n_max: int) -> np.ndarray:
 def rescale_truncate(kernel: CirculantKernel, dft_coeffs, band_limit: int) -> DiskSignal:
     """Truncate the alias coefficients at ``band_limit`` < N and undo the filter.
 
-    Multiplying ahat_n by lhat_n/lambda_n recovers the bandlimited
-    reconstruction exactly when the samples came from a signal of band limit
-    <= band_limit.
+    Multiplying ahat_n by lhat_n/lambda_n, in one exponent, recovers the
+    bandlimited reconstruction exactly when the samples came from a signal of
+    band limit <= band_limit.  Where that factor leaves the double range, a
+    zero or subnormal ahat_n has lost its digits: ``NumericalRangeError``.
     """
-    n = kernel.n_samples
-    band_limit = check_band_limit(band_limit, n_samples=n)
+    band_limit = check_band_limit(band_limit, n_samples=kernel.n_samples)
     coeffs = np.asarray(dft_coeffs, dtype=np.complex128)
     if coeffs.ndim != 1 or coeffs.size < band_limit + 1:
         raise ValueError(
             f"need at least {band_limit + 1} alias coefficients, got shape {coeffs.shape}"
         )
-    return DiskSignal(kernel.twice_s, _undo_filter(kernel, band_limit) * coeffs[: band_limit + 1])
-
-
-def _undo_filter(kernel: CirculantKernel, n_max: int) -> np.ndarray:
-    """lhat_{n mod N} / lambda_n for n = 0..n_max, the inverse of the DFT filter."""
-    idx = np.arange(n_max + 1)
-    log_lam = np.asarray(kernel.spectrum.log_values(idx), dtype=np.float64)
-    return np.exp(np.log(kernel.eigenvalues[idx % kernel.n_samples]) - log_lam)
+    coeffs = coeffs[: band_limit + 1]
+    idx = np.arange(band_limit + 1)
+    log_factor = np.log(kernel.eigenvalues[idx]) - kernel.spectrum.log_values(idx)
+    with np.errstate(over="ignore"):
+        lost = np.isinf(np.exp(log_factor)) & (np.abs(coeffs) < np.finfo(np.float64).tiny)
+    if lost.any():
+        j = int(np.argmax(lost))
+        raise NumericalRangeError(
+            f"ahat_{j} has lost its digits: lhat_{j}/lambda_{j} leaves the double range; "
+            "rescale from the samples",
+            float(log_factor[j]),
+        )
+    return DiskSignal(kernel.twice_s, times_exp(coeffs, log_factor, "rescaled ahat"))
 
 
 def projector_element(kernel: CirculantKernel, m: int, n: int) -> float:

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import disksampling as ds
-from disksampling.validation import NotFittedError
+from disksampling.validation import ConditioningWarning, NotFittedError
 
 from conftest import random_disk_points, sup_relative_error, unit_signal
 
@@ -88,6 +90,26 @@ class TestPartialReconstructor:
         )
         recovered = est.truncated_signal(2)
         assert np.max(np.abs(recovered.coefficients - signal.coefficients)) < 1e-10
+
+    def test_truncated_signal_at_the_rim_comes_from_the_samples(self):
+        # the filtered coefficients underflow to 0 here, and rescale_truncate raises
+        coeffs = np.array([1.0, 0.5j, -0.25])
+        grid = ds.SamplingGrid(0.999, 16)
+        est = ds.PartialReconstructor(200, 0.999, 16).fit(
+            ds.sample_signal(ds.DiskSignal(200, coeffs), grid)
+        )
+        assert np.all(est.dft_coefficients(2) == 0)
+        recovered = est.truncated_signal(2)
+        assert np.max(np.abs(recovered.coefficients - coeffs)) < 1e-14
+        with pytest.raises(ValueError):
+            est.truncated_signal(16)
+
+    def test_fit_and_predict_warn_once_on_an_ill_conditioned_kernel(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est = ds.PartialReconstructor(2, 0.1, 14).fit(np.ones(14))
+            est.predict(np.array([0.05, 0.02j]))
+        assert [w.category for w in caught] == [ConditioningWarning]
 
     def test_unfitted_methods_raise(self):
         est = ds.PartialReconstructor()

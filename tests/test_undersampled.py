@@ -139,7 +139,9 @@ class TestKernelEigenvalues:
 
     @pytest.mark.parametrize(
         "twice_s, radius, n",
-        DIRECT_DFT_KERNELS + LARGE_SPIN_KERNELS + [(2, 0.5, 509), (200, 0.9, 1024), (2, 0.7, 1024)],
+        DIRECT_DFT_KERNELS
+        + LARGE_SPIN_KERNELS
+        + [(2, 0.5, 509), (200, 0.9, 1024), (2, 0.7, 1024), (2000, 0.99, 64)],
     )
     def test_spot_sum_matches_the_extended_precision_row_sum(self, twice_s, radius, n):
         # at the smallest lhat_j, where construction runs it; (2, 0.7, 1024)'s
@@ -157,6 +159,14 @@ class TestKernelEigenvalues:
             kernel = ds.overlap_kernel(2, ds.SamplingGrid(0.1, 8))
             finite = kernel.condition_number
         assert finite == float(np.max(kernel.eigenvalues) / np.min(kernel.eigenvalues))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 59, 64, 509, 4096, 8192])
+    @pytest.mark.parametrize("bits", [60, 150, 1000, 5000])
+    def test_fixed_root_of_unity_is_within_two_units(self, n, bits):
+        re, im = undersampled._fixed_root_of_unity(n, bits)
+        with mp.workdps(int(bits * 0.302) + 40):
+            root = mp.expjpi(mp.mpf(2) / n) * mp.mpf(2) ** bits
+            assert abs(re - root.real) <= 2 and abs(im - root.imag) <= 2
 
     @pytest.mark.parametrize("radius, n", [(0.999, 16), (0.9995, 8)])
     def test_rim_kernels_pass_the_cross_check(self, radius, n):
@@ -359,6 +369,24 @@ class TestRescaleTruncate:
     def test_requires_band_limit_below_n(self, fixture_kernel):
         with pytest.raises(ValueError):
             ds.rescale_truncate(fixture_kernel, np.zeros(4, dtype=complex), 2)
+
+    def test_underflowed_coefficients_at_the_rim_raise_without_a_warning(self):
+        # lhat_n/lambda_n is about e^1240 while ahat_0..2 have underflowed to 0
+        kernel = ds.overlap_kernel(200, ds.SamplingGrid(0.999, 16))
+        samples = ds.sample_signal(ds.DiskSignal(200, np.array([1.0, 0.5j, -0.25])), kernel.grid)
+        ahat = ds.dft_coefficients(kernel, samples, 2)
+        assert np.all(ahat == 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ds.NumericalRangeError, match="ahat_0 has lost its digits"):
+                ds.rescale_truncate(kernel, ahat, 2)
+
+    def test_factor_beyond_the_range_times_a_normal_coefficient_is_one_exponent(self):
+        kernel = ds.overlap_kernel(200, ds.SamplingGrid(0.999, 16))
+        log_factor = np.log(kernel.eigenvalues[0]) - kernel.spectrum.log_values(np.array([0]))[0]
+        assert log_factor > 1000.0
+        out = ds.rescale_truncate(kernel, np.array([1e-300, 0.0]), 0).coefficients[0]
+        assert out == pytest.approx(np.exp(np.log(1e-300) + log_factor), rel=1e-12)
 
     @pytest.mark.parametrize("twice_s,n,radius,band", [(2, 4, 0.5, 2), (4, 9, 0.7, 5)])
     def test_round_trip_identity(self, twice_s, n, radius, band):
