@@ -242,6 +242,13 @@ def _log_pmf(twice_s: int, n, rim, twice_s_error=None) -> np.ndarray:
     return out
 
 
+def _check_nonnegative_integers(values: np.ndarray, message: str) -> None:
+    """Raise ``ValueError(message)`` unless every entry is a nonnegative
+    integer value (integer-valued floats included; NaN is refused)."""
+    if not np.all((values >= 0) & (values == np.floor(values))):
+        raise ValueError(message)
+
+
 def log_binomial(twice_s: int, n) -> np.ndarray | float:
     """Natural log of binom(2s+n-1, n) = Gamma(2s+n) / (Gamma(n+1) Gamma(2s)).
 
@@ -252,8 +259,7 @@ def log_binomial(twice_s: int, n) -> np.ndarray | float:
     """
     twice_s = check_twice_s(twice_s)
     n_arr = np.asarray(n, dtype=np.float64)
-    if not np.all((n_arr >= 0) & (n_arr == np.floor(n_arr))):
-        raise ValueError("n must be a nonnegative integer")
+    _check_nonnegative_integers(n_arr, "n must be a nonnegative integer")
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (
             _saddle_point(twice_s, n_arr, _stirling_error(float(twice_s)))
@@ -377,8 +383,7 @@ def basis_fn(twice_s: int, m, z):
     """
     twice_s = check_twice_s(twice_s)
     m_arr = np.asarray(m)
-    if np.any(m_arr < 0):
-        raise ValueError("basis index m must be nonnegative")
+    _check_nonnegative_integers(m_arr, "basis index m must be a nonnegative integer")
     z_arr = as_disk_points(z)
     out = _basis_values(twice_s, m_arr, z_arr)
     return complex(out) if m_arr.ndim == 0 and z_arr.ndim == 0 else out

@@ -209,18 +209,17 @@ def _read_points(path: str) -> np.ndarray:
     return as_disk_points(points)
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, kind=float) -> list:
+    """The comma-separated entries of ``text``, each parsed by ``kind``
+    (``float`` or ``int``), so an integer flag refuses "2.9" and "inf"."""
+    noun = "integers" if kind is int else "numbers"
     try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
+        values = [kind(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
-        raise ValueError(f"{flag} expects a comma-separated list of numbers") from exc
+        raise ValueError(f"{flag} expects a comma-separated list of {noun}") from exc
     if not values:
         raise ValueError(f"{flag} must contain at least one value")
     return values
-
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    return [int(v) for v in _parse_float_list(text, flag)]
 
 
 def _operator(args, grid: SamplingGrid):
@@ -326,8 +325,8 @@ def cmd_error_analysis(args) -> int:
     from . import undersampled as us
 
     signal = _read_signal(args.input, args.twice_s)
-    r_values = _parse_float_list(args.sweep_r, "--sweep-r") if args.sweep_r else [args.r]
-    n_values = _parse_int_list(args.sweep_n, "--sweep-n") if args.sweep_n else [args.n]
+    r_values = _parse_list(args.sweep_r, "--sweep-r") if args.sweep_r else [args.r]
+    n_values = _parse_list(args.sweep_n, "--sweep-n", int) if args.sweep_n else [args.n]
     if any(v is None for v in r_values) or any(v is None for v in n_values):
         raise ValueError("provide --sweep-r/--sweep-n or single --r/--n values")
     rows = []
@@ -354,7 +353,7 @@ def cmd_critical_radius(args) -> int:
     from . import undersampled as us
 
     twice_s = check_twice_s(args.twice_s)
-    m_values = _parse_int_list(args.m_list, "--m-list")
+    m_values = _parse_list(args.m_list, "--m-list", int)
     r_grid = np.linspace(0.0, args.r_max, args.r_count)
     r_critical, curves = [], []
     for m in m_values:

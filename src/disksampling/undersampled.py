@@ -21,10 +21,10 @@ tails.  Construction checks it against the first row, which the series
 never reads: the float64 FFT of the row agrees to 1e-12 relative, or to the
 FFT's rounding bound where that is larger, and where the bound cannot
 resolve some lhat_j, one row sum in fixed-point Python integers, good to 30
-digits beyond the spread, checks the smallest lhat_j to 1e-12.  The tail
-ratios eps_n = (lhat_n - lambda_n)/lambda_n get their own series, never a
-subtraction, exact down to the underflow threshold and carried in the log
-domain where they leave the double range.
+digits relative to the value it checks, checks the smallest lhat_j to
+1e-12.  The tail ratios eps_n = (lhat_n - lambda_n)/lambda_n get their own
+series, never a subtraction, exact down to the underflow threshold and
+carried in the log domain where they leave the double range.
 """
 
 from __future__ import annotations
@@ -88,6 +88,7 @@ _UNIT_ROUNDOFF = 2.0**-53
 _MAX_SERIES_BLOCKS = 100_000
 _SERIES_BLOCK = 16
 _SERIES_TOL = 1e-16
+_CURVE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -238,12 +239,12 @@ def _spot_log_eigenvalue(twice_s: int, grid: SamplingGrid, j: int, log_size: flo
     """log lhat_j = log sum_l C_l exp(-2 pi i j l/N) in fixed-point integers,
     -inf if the sum is not positive.
 
-    C_{N-l} = conj C_l, so l <= N/2 is summed, as twice the real part.  |C_l|
-    falls as l rises to N/2, so terms below 1e-18 exp(``log_size``)/N, with
-    ``log_size`` about log lhat_j, are left out: O(N) products, far fewer for
-    a peaked row.  P bits span the row scale 1 down to the smallest lambda_j,
-    j < N, and the digits of N, with 30 decimal digits to spare, so
-    2^-P <= 10^-30 lambda_min/N.
+    C_{N-l} = conj C_l, so l <= N/2 is summed, as twice the real part.
+    ``log_size`` is log C for the value C under check, the class tail of j.
+    |C_l| falls as l rises to N/2, so terms below 1e-18 C/N are left out:
+    O(N) products, far fewer for a peaked row.  P bits span the row scale 1
+    down to C and the digits of N, with 30 decimal digits to spare, so
+    2^-P <= 10^-30 C/N.
 
     A value x is held as the integers x 2^B (real and imaginary part), and
     B = P + G.  Each product or quotient is floored once, on operands of
@@ -262,16 +263,17 @@ def _spot_log_eigenvalue(twice_s: int, grid: SamplingGrid, j: int, log_size: flo
       Re(C_l conj w^(jl mod N)), exact in integers: C_l's error plus 3N u.
     The weights 1 and 2 add to at most N, so the sum errs by under K u,
     K = N (2s (3N + 6)/(1-r^2) + 3 bitlen(2s) + 3N).  G is the bit length of
-    K, so K u < 2^-P: relative to lhat_j >= lambda_j >= lambda_min the sum
-    errs by under 10^-30/N, and all 30 spare digits are kept.  The log
-    splits the sum's power of two off exactly, so it is within a few ulps.
+    K, so K u < 2^-P: the sum errs by under 10^-30 C/N, and the left-out
+    terms, weights at most N in all, add under 10^-18 C.  The log splits
+    the sum's power of two off exactly, so it is within a few ulps.  A
+    result within 1e-12 relative of C therefore certifies |C - lhat_j| <=
+    (1e-12 + 2e-18) C, and a C off by more fails, above or below lhat_j.
     """
     n = grid.n_samples
     one_minus_float, denominator = _row_denominator(grid)
     log_modulus = twice_s * (np.log(one_minus_float) - np.log(np.abs(denominator[: n // 2 + 1])))
     count = max(1, int(np.count_nonzero(log_modulus >= log_size + np.log(1e-18 / n))))
-    min_log = float(np.min(ResolutionSpectrum(twice_s, grid).log_values(np.arange(n))))
-    digits = 30 + int(np.ceil(max(0.0, -min_log) / np.log(10.0))) + int(np.log10(n) + 1)
+    digits = 30 + int(np.ceil(max(0.0, -log_size) / np.log(10.0))) + int(np.log10(n) + 1)
     bound = n * (twice_s * (3 * n + 6) / one_minus_float + 3 * twice_s.bit_length() + 3 * n)
     bits = math.ceil(digits * math.log2(10.0)) + int(bound).bit_length()
     one = 1 << bits
@@ -847,17 +849,24 @@ def band_projection_curve(twice_s: int, band_limit: int, radius) -> np.ndarray |
     through 1/2 near the critical radius when s and M are large.  Accepts a
     scalar or array radius in [0, 1); each term is the pmf NB(m; 2s, 1-r^2),
     summed in the log domain relative to its largest term, so s and M in the
-    thousands are fine.
+    thousands are fine.  m runs in blocks of _CURVE_BLOCK, so memory does
+    not grow with M; the sum so far is rescaled when a block holds a larger
+    term, so a curve with M < _CURVE_BLOCK is one block, summed as one array.
     """
     twice_s = check_twice_s(twice_s)
     band_limit = check_band_limit(band_limit)
     r_arr = np.atleast_1d(np.asarray(radius, dtype=np.float64))
-    if np.any(r_arr < 0.0) or np.any(r_arr >= 1.0):
+    if not np.all((r_arr >= 0.0) & (r_arr < 1.0)):
         raise ValueError("radius must lie in [0, 1)")
-    m = np.arange(band_limit + 1, dtype=np.float64)
-    log_terms = _log_pmf(twice_s, m[np.newaxis, :], _one_minus_mod2(r_arr[:, np.newaxis]))
-    peak = np.max(log_terms, axis=1)
-    out = np.exp(peak) * np.sum(np.exp(log_terms - peak[:, np.newaxis]), axis=1)
+    rim = _one_minus_mod2(r_arr[:, np.newaxis])
+    peak, total = -np.inf, 0.0
+    for start in range(0, band_limit + 1, _CURVE_BLOCK):
+        m = np.arange(start, min(start + _CURVE_BLOCK, band_limit + 1), dtype=np.float64)
+        log_terms = _log_pmf(twice_s, m, rim)
+        grown = np.maximum(peak, np.max(log_terms, axis=1))
+        block = np.sum(np.exp(log_terms - grown[:, np.newaxis]), axis=1)
+        total, peak = total * np.exp(peak - grown) + block, grown
+    out = np.exp(peak) * total
     if np.isscalar(radius) or np.asarray(radius).ndim == 0:
         return float(out[0])
     return out.reshape(np.asarray(radius).shape)

@@ -118,6 +118,13 @@ class TestBasisFn:
         with pytest.raises(ValueError):
             ds.basis_fn(2, 0, 1.0 + 0j)
 
+    def test_index_must_be_a_nonnegative_integer(self):
+        for m in (1.5, -1, np.nan, [0.0, 2.5]):
+            with pytest.raises(ValueError, match="nonnegative integer"):
+                ds.basis_fn(2, m, 0.5)
+        expected = ds.basis_fn(2, np.array([0, 3]), 0.5)
+        assert np.array_equal(ds.basis_fn(2, np.array([0.0, 3.0]), 0.5), expected)
+
 
 class TestOverlap:
     def test_hand_values(self):

@@ -533,7 +533,26 @@ class TestErrorAnalysis:
         assert "n_samples must be a positive integer, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ["3.9", "inf", "4,x"])
+@pytest.mark.parametrize("command", ["error-analysis", "critical-radius"])
+def test_non_integer_list_entry_exits_two_and_names_the_flag(tmp_path, capsys, command, entry):
+    # a fractional entry is not truncated, and inf is invalid input, not a numerical failure
+    if command == "error-analysis":
+        signal_path = write_signal(tmp_path / "sig.json", 2, 0.5 ** np.arange(8))
+        argv, flag = ["--input", str(signal_path), "--r", "0.5", "--sweep-n", entry], "--sweep-n"
+    else:
+        argv, flag = ["--twice-s", "2", "--r-count", "3", "--m-list", entry], "--m-list"
+    assert run_cli(command, *argv) == 2
+    assert f"{flag} expects a comma-separated list of integers" in capsys.readouterr().err
+
+
 class TestCriticalRadius:
+    def test_nan_radius_exits_two(self, capsys):
+        assert run_cli(
+            "critical-radius", "--twice-s", "2", "--m-list", "3", "--r-count", "3", "--r-max", "nan",
+        ) == 2
+        assert "radius must lie in [0, 1)" in capsys.readouterr().err
+
     def test_columns_and_values(self, tmp_path):
         out = tmp_path / "curve.csv"
         assert run_cli(

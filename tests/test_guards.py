@@ -166,6 +166,18 @@ def test_alias_error_memory_does_not_grow_with_the_class_length():
     assert peak < 32 * 2**20
 
 
+def test_band_projection_curve_memory_does_not_grow_with_the_band_limit():
+    # the (radii x (M+1)) log-terms of one array would take 215 MB here
+    radii = np.linspace(0.0, 0.999, 200)
+    tracemalloc.start()
+    try:
+        ds.band_projection_curve(2, 20_000, radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 def test_series_beyond_the_double_range_raise():
     # eps_0 is about exp(782) at 2s = 200, r = 0.99, N = 4
     spectrum = ds.ResolutionSpectrum(200, ds.SamplingGrid(0.99, 4))

@@ -152,6 +152,26 @@ class TestKernelEigenvalues:
         spot = undersampled._spot_log_eigenvalue(twice_s, grid, j, float(np.log(eigenvalues[j])))
         assert abs(spot - oracle.row_dft_log_eigenvalue(twice_s, grid, j)) <= 5e-13
 
+    @pytest.mark.parametrize(
+        "twice_s, radius, n", [(200, 0.999, 16), (2000, 0.99, 64), (2000, 0.9, 1024), (5, 0.2, 12)]
+    )
+    def test_spot_sum_passes_the_class_tail_and_fails_a_skewed_value(self, twice_s, radius, n):
+        # the value under check sets the sum's cutoff and working precision,
+        # so a value off by more than the tolerance must fail on either side
+        grid = ds.SamplingGrid(radius, n)
+        spectrum = ds.ResolutionSpectrum(twice_s, grid)
+        log_eig = undersampled._log_class_tails(spectrum, np.arange(n), "eigenvalue")
+        j = int(np.argmin(log_eig))
+
+        def gap(skew):
+            log_size = float(log_eig[j]) + skew
+            spot = undersampled._spot_log_eigenvalue(twice_s, grid, j, log_size)
+            return abs(np.expm1(log_size - spot))
+
+        assert gap(0.0) <= undersampled._EIG_AGREE_RTOL
+        for skew in (1e-11, -1e-11, 10.0, -10.0, 300.0, -300.0):
+            assert not gap(skew) <= undersampled._EIG_AGREE_RTOL, skew
+
     def test_condition_number_beyond_the_double_range_is_inf_without_a_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -726,9 +746,12 @@ class TestCriticalRadius:
         lambda: ds.max_radius_estimate(2, 2.7, 0.2, 0.1),
         lambda: ds.tail_excess(ds.ResolutionSpectrum(2, ds.SamplingGrid(0.5, 2)), 0.5),
         lambda: ds.critical_radius(2, 2.5),
+        lambda: ds.band_projection_curve(2, 5, float("nan")),
+        lambda: ds.band_projection_curve(2, 5, [0.5, float("nan")]),
     ],
     ids=["radius-above-one", "negative-radius", "fractional-n-bound",
-         "fractional-n-estimate", "fractional-index", "fractional-band-limit"],
+         "fractional-n-estimate", "fractional-index", "fractional-band-limit",
+         "nan-curve-radius", "nan-among-curve-radii"],
 )
 def test_analytic_helpers_reject_invalid_arguments(call):
     with pytest.raises(ValueError):
