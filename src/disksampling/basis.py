@@ -471,7 +471,6 @@ def _pointwise(values, z):
     return out.reshape(z_arr.shape)
 
 
-@functools.lru_cache(maxsize=64)
 def _segment_length(twice_s: int) -> int:
     """Indices per segment: ``_SEGMENT``, or as many as keep the product of
     the steps sqrt((2s+m-1)/m) within exp(_LOG_STEPS_MAX).  The steps fall

@@ -10,7 +10,7 @@ evaluates the reconstruction at complex query points inside the disk.
 
 from __future__ import annotations
 
-import inspect
+import dataclasses
 
 import numpy as np
 
@@ -23,18 +23,13 @@ __all__ = ["BandlimitedReconstructor", "PartialReconstructor"]
 
 
 class _ParamsMixin:
-    """get_params/set_params over the constructor signature, sklearn style."""
-
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        signature = inspect.signature(cls.__init__)
-        return [name for name in signature.parameters if name != "self"]
+    """get_params/set_params over the dataclass fields, sklearn style."""
 
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
 
     def set_params(self, **params):
-        valid = set(self._param_names())
+        valid = {field.name for field in dataclasses.fields(self)}
         for name, value in params.items():
             if name not in valid:
                 raise ValueError(
@@ -44,10 +39,6 @@ class _ParamsMixin:
             setattr(self, name, value)
         return self
 
-    def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
-
     def _check_fitted(self, attribute: str):
         if not hasattr(self, attribute):
             raise NotFittedError(
@@ -55,6 +46,7 @@ class _ParamsMixin:
             )
 
 
+@dataclasses.dataclass(eq=False)
 class BandlimitedReconstructor(_ParamsMixin):
     """Exact reconstruction of a bandlimited signal from ring samples.
 
@@ -74,12 +66,10 @@ class BandlimitedReconstructor(_ParamsMixin):
     max lambda / min lambda of the resolution operator.
     """
 
-    def __init__(self, twice_s: int = 2, radius: float = 0.5, n_samples: int = 2,
-                 band_limit: int = 0):
-        self.twice_s = twice_s
-        self.radius = radius
-        self.n_samples = n_samples
-        self.band_limit = band_limit
+    twice_s: int = 2
+    radius: float = 0.5
+    n_samples: int = 2
+    band_limit: int = 0
 
     def fit(self, samples, y=None):
         grid = SamplingGrid(self.radius, self.n_samples)
@@ -95,6 +85,7 @@ class BandlimitedReconstructor(_ParamsMixin):
         return evaluate_signal(self.signal_, points)
 
 
+@dataclasses.dataclass(eq=False)
 class PartialReconstructor(_ParamsMixin):
     """Best-possible partial reconstruction of an arbitrary signal.
 
@@ -106,10 +97,9 @@ class PartialReconstructor(_ParamsMixin):
     ``ConditioningWarning`` on an ill-conditioned kernel, once.
     """
 
-    def __init__(self, twice_s: int = 2, radius: float = 0.5, n_samples: int = 2):
-        self.twice_s = twice_s
-        self.radius = radius
-        self.n_samples = n_samples
+    twice_s: int = 2
+    radius: float = 0.5
+    n_samples: int = 2
 
     def fit(self, samples, y=None):
         grid = SamplingGrid(self.radius, self.n_samples)

@@ -40,7 +40,6 @@ from .basis import (
     DiskSignal,
     ResolutionSpectrum,
     SamplingGrid,
-    _log_one_minus_mod2,
     _log_pmf,
     _one_minus_mod2,
     _pointwise,
@@ -53,6 +52,7 @@ from .validation import (
     NumericalRangeError,
     as_samples,
     check_band_limit,
+    check_epsilon_m,
     check_grid_index,
     check_index,
     check_n_samples,
@@ -139,8 +139,7 @@ class QuasiBandProfile:
 
     def __post_init__(self):
         check_band_limit(self.band_limit)
-        if not 0.0 <= self.epsilon_m < 1.0:
-            raise ValueError(f"epsilon_m must lie in [0, 1), got {self.epsilon_m!r}")
+        check_epsilon_m(self.epsilon_m)
 
 
 @dataclass(frozen=True)
@@ -566,9 +565,17 @@ def _log_class_tails(spectrum: ResolutionSpectrum, starts: np.ndarray, name: str
     the start.  Both sides then fall term by term, as the truncation test of
     :func:`_series_sum` assumes, and every term is taken relative to the
     peak, so none overflows and the peak term itself is 1.
+
+    A step of N multiplies lambda by at least rho = r^(2N), so the upward
+    row's k-th term is at least rho^(k-j) times its j-th, and its
+    geometric-majorant tail drops below tol times its sum only once
+    rho^(k+1) < tol/(1+tol).  Where the series may not sum that many terms,
+    rho = 1 included, this raises at once rather than sum to the cap.
     """
     n_s = spectrum.grid.n_samples
     one_minus, _, r2, _ = _one_minus_mod2(spectrum.grid.radius)
+    if _MAX_SERIES_BLOCKS * _SERIES_BLOCK * n_s * np.log1p(-one_minus) >= np.log(_SERIES_TOL):
+        raise EigenvalueCrossCheckError(f"{name} series failed to terminate")
     mode = np.floor((spectrum.twice_s - 1) * r2 / one_minus)
     rise = np.maximum(0, np.ceil((mode - starts) / n_s)).astype(np.int64)
     top = starts + rise * n_s
@@ -686,37 +693,40 @@ def _alias_sums(
 def leading_order_bound(
     twice_s: int, radius: float, n_samples: int, epsilon_m: float, variant: str = "printed"
 ) -> float:
-    """Leading-order normalized squared-error bound, two published variants.
+    """Leading-order normalized squared-error bound eps_M^2 + c r^N, two
+    published variants of the cross term (:func:`_log_cross_coefficient`):
 
-    "printed":  eps_M^2 + sqrt(1-eps_M^2) eps_M sqrt(N) binom(2s+N-1, N)^(1/2) r^N
-    "derived":  eps_M^2 + 2 sqrt(1-eps_M^2) eps_M sqrt(N) binom(2s+N-1, N) r^N
+    "printed":  c = sqrt(1-eps_M^2) eps_M sqrt(N) binom(2s+N-1, N)^(1/2)
+    "derived":  c = 2 sqrt(1-eps_M^2) eps_M sqrt(N) binom(2s+N-1, N)
 
     The second is what the printed radius estimate implies when inverted; the
     two are mutually inconsistent by the factor 2 binom^(1/2) (see README).
-    binom r^(2N) is taken as the pmf NB(N; 2s, 1-r^2) / (1-r^2)^(2s).
+    """
+    radius = check_radius(radius)
+    log_c = _log_cross_coefficient(twice_s, n_samples, epsilon_m, variant, "printed")
+    return float(epsilon_m * epsilon_m + np.exp(log_c + int(n_samples) * np.log(radius)))
+
+
+def _log_cross_coefficient(
+    twice_s: int, n_samples: int, epsilon_m: float, variant: str, half_variant: str
+) -> float:
+    """log c of the cross term c r^N, -inf where eps_M = 0 and there is none:
+    sqrt(1-eps_M^2) eps_M sqrt(N) binom(2s+N-1, N)^(1/2) for ``half_variant``,
+    twice that times binom^(1/2) for the other.  The bound gives "printed" the
+    half form and the estimate the full form, so each estimate variant
+    inverts the other bound variant.
     """
     twice_s = check_twice_s(twice_s)
-    radius = check_radius(radius)
     n = check_n_samples(n_samples)
-    if not 0.0 <= epsilon_m < 1.0:
-        raise ValueError(f"epsilon_m must lie in [0, 1), got {epsilon_m!r}")
-    if epsilon_m == 0.0:
-        return 0.0
-    rim = _one_minus_mod2(radius)
-    # log(binom^(1/2) r^N)
-    log_half = 0.5 * (float(_log_pmf(twice_s, n, rim)) - twice_s * _log_one_minus_mod2(rim))
-    log_common = (
-        0.5 * np.log1p(-epsilon_m * epsilon_m)
-        + np.log(epsilon_m)
-        + 0.5 * np.log(n)
-    )
-    if variant == "printed":
-        cross = np.exp(log_common + log_half)
-    elif variant == "derived":
-        cross = 2.0 * np.exp(log_common + 2.0 * log_half - n * np.log(radius))
-    else:
+    epsilon_m = check_epsilon_m(epsilon_m)
+    if variant not in ("printed", "derived"):
         raise ValueError(f"variant must be 'printed' or 'derived', got {variant!r}")
-    return float(epsilon_m * epsilon_m + cross)
+    if epsilon_m == 0.0:
+        return -math.inf
+    log_common = 0.5 * (math.log1p(-epsilon_m * epsilon_m) + math.log(n)) + math.log(epsilon_m)
+    if variant == half_variant:
+        return log_common + 0.5 * log_binomial(twice_s, n)
+    return log_common + math.log(2.0) + log_binomial(twice_s, n)
 
 
 def error_bound(
@@ -807,34 +817,22 @@ def max_radius_estimate(
 ) -> RadiusEstimate:
     """Analytic upper estimate of the ring radius keeping the error below epsilon.
 
-    "printed" variant (default):
+    r <= ((eps^2 - eps_M^2)/c)^(1/N), with the cross coefficient c of
+    :func:`_log_cross_coefficient`.  "printed" (default) takes the full form
 
         r <= ((eps^2 - eps_M^2) / (2 sqrt((1-eps_M^2) N) eps_M binom(2s+N-1, N)))^(1/N)
 
-    "derived" solves the leading-order printed bound instead (drops the
-    factor 2, square-roots the binomial).  Computed in the log domain and
-    clamped to 1.0 with ``clamped=True`` when the raw value is >= 1.
+    and so inverts the "derived" leading-order bound; "derived" takes the
+    half form (drops the factor 2, square-roots the binomial) and inverts
+    the "printed" bound.  Computed in the log domain and clamped to 1.0 with
+    ``clamped=True`` when the raw value is >= 1, as it is for eps_M = 0.
     """
-    twice_s = check_twice_s(twice_s)
-    n = check_n_samples(n_samples)
-    if not 0.0 <= epsilon_m < 1.0:
-        raise ValueError(f"epsilon_m must lie in [0, 1), got {epsilon_m!r}")
+    log_c = _log_cross_coefficient(twice_s, n_samples, epsilon_m, variant, "derived")
     if not epsilon > epsilon_m:
         raise ValueError(
             f"target epsilon {epsilon!r} must exceed the tail epsilon_m {epsilon_m!r}"
         )
-    if epsilon_m == 0.0:
-        return RadiusEstimate(value=1.0, clamped=True)
-    lb = log_binomial(twice_s, n)
-    log_num = np.log(epsilon * epsilon - epsilon_m * epsilon_m)
-    log_half_den = 0.5 * (np.log1p(-epsilon_m * epsilon_m) + np.log(n)) + np.log(epsilon_m)
-    if variant == "printed":
-        log_den = np.log(2.0) + log_half_den + lb
-    elif variant == "derived":
-        log_den = log_half_den + 0.5 * lb
-    else:
-        raise ValueError(f"variant must be 'printed' or 'derived', got {variant!r}")
-    raw_log = (log_num - log_den) / n
+    raw_log = (np.log(epsilon * epsilon - epsilon_m * epsilon_m) - log_c) / int(n_samples)
     if raw_log >= 0.0:
         return RadiusEstimate(value=1.0, clamped=True)
     return RadiusEstimate(value=float(np.exp(raw_log)), clamped=False)

@@ -50,8 +50,11 @@ def times_exp(values: np.ndarray, log_factor: np.ndarray, name: str) -> np.ndarr
 class EigenvalueCrossCheckError(RuntimeError):
     """A kernel's eigenvalue check failed, or a series did not terminate: an
     implementation fault, not a data error, since every check allows for its
-    own rounding.  ``check`` (``"fft"`` or ``"spot"``), the eigenvalue ``j``
-    and the relative ``gap`` name a failed check; they are None for a series.
+    own rounding.  A series that did not terminate may also converge but
+    need more terms than its cap, as the class tails do where r^(2N) exceeds
+    about 1 - 2.3e-5.  ``check`` (``"fft"`` or ``"spot"``), the eigenvalue
+    ``j`` and the relative ``gap`` name a failed check; they are None for a
+    series.
     """
 
     def __init__(self, message: str, j=None, gap=None, check=None):
@@ -104,6 +107,13 @@ def check_band_limit(band_limit, n_samples=None) -> int:
             f"(n_samples={n_samples})"
         )
     return value
+
+
+def check_epsilon_m(epsilon_m) -> float:
+    """Validate a relative tail amplitude eps_M in [0, 1)."""
+    if not 0.0 <= epsilon_m < 1.0:
+        raise ValueError(f"epsilon_m must lie in [0, 1), got {epsilon_m!r}")
+    return epsilon_m
 
 
 def check_index(n, name: str = "n") -> int:

@@ -34,6 +34,11 @@ class TestParamsProtocol:
         text = repr(ds.BandlimitedReconstructor(twice_s=5, radius=0.2, n_samples=9, band_limit=4))
         assert "twice_s=5" in text and "band_limit=4" in text
 
+    def test_set_params_shows_in_repr_and_get_params(self):
+        est = ds.PartialReconstructor(twice_s=4, radius=0.3, n_samples=6).set_params(radius=0.7)
+        assert repr(est) == "PartialReconstructor(twice_s=4, radius=0.7, n_samples=6)"
+        assert est.get_params() == {"twice_s": 4, "radius": 0.7, "n_samples": 6}
+
 
 class TestBandlimitedReconstructor:
     def test_matches_functional_path(self):

@@ -122,6 +122,28 @@ def test_each_series_names_itself_when_it_fails_to_terminate(monkeypatch, series
 
 
 @pytest.mark.parametrize(
+    "series, build",
+    [
+        ("eigenvalue series", lambda spectrum, signal: ds.overlap_kernel(2, spectrum.grid)),
+        ("lambda tail series", lambda spectrum, signal: undersampled._error_row(
+            spectrum, signal, ds.quasi_band_profile(signal, 2), "printed")),
+    ],
+)
+def test_a_series_that_cannot_finish_fails_before_summing(monkeypatch, series, build):
+    # at r = 1 - 1e-6, N = 3 a class falls by no more than r^6 a step, so its
+    # tail needs at least log(1e-16)/log(r^6), about 6.1 million terms, more
+    # than the 1.6 million the series may sum
+    def refuse(*args):
+        raise AssertionError("summed a series that cannot finish")
+
+    monkeypatch.setattr(undersampled, "_series_sum", refuse)
+    spectrum = ds.ResolutionSpectrum(2, ds.SamplingGrid(0.999999, 3))
+    signal = ds.DiskSignal(2, [1.0, 0.5, 0.25, 0.1])
+    with pytest.raises(EigenvalueCrossCheckError, match=f"^{series} failed to terminate$"):
+        build(spectrum, signal)
+
+
+@pytest.mark.parametrize(
     "twice_s, radius, n, length",
     [
         (2, 0.3, 256, 2048),

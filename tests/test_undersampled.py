@@ -660,6 +660,31 @@ class TestErrorBound:
         with pytest.raises(ValueError):
             ds.leading_order_bound(2, 0.4, 6, 0.1, variant="other")
 
+    @pytest.mark.parametrize(
+        "twice_s, radius, n, eps_m",
+        [(2, 0.4, 6, 0.1), (200, 0.999, 16, 0.3), (2000, 0.99, 64, 0.2),
+         (2000, 0.9, 8, 1e-3), (40, 0.9, 256, 0.05), (400, 0.95, 64, 0.5)],
+    )
+    def test_leading_order_matches_extended_precision(self, twice_s, radius, n, eps_m):
+        # large spin near the rim: binom r^(2N) formed as the pmf
+        # NB(N; 2s, 1-r^2) over (1-r^2)^(2s) would subtract 2s log(1-r^2),
+        # about -7,800 at (2000, 0.99, 64), and lose digits to it
+        with mp.workdps(50):
+            em, r = mp.mpf(eps_m), mp.mpf(radius)
+            binom = mp.binomial(twice_s + n - 1, n)
+            half = mp.sqrt(1 - em**2) * em * mp.sqrt(n) * r**n
+            expected = {"printed": em**2 + half * mp.sqrt(binom),
+                        "derived": em**2 + 2 * half * binom}
+            for variant, want in expected.items():
+                got = ds.leading_order_bound(twice_s, radius, n, eps_m, variant=variant)
+                assert abs(float((got - want) / want)) < 2e-13
+
+    def test_unknown_variant_is_refused_without_a_cross_term(self):
+        with pytest.raises(ValueError, match="variant"):
+            ds.leading_order_bound(2, 0.5, 4, 0.0, variant="bogus")
+        with pytest.raises(ValueError, match="variant"):
+            ds.max_radius_estimate(2, 8, 0.1, 0.0, variant="bogus")
+
 
 class TestMaxRadiusEstimate:
     def test_printed_fixture(self):
@@ -689,6 +714,14 @@ class TestMaxRadiusEstimate:
             est_p = ds.max_radius_estimate(3, n, 0.2, 0.05, variant="printed")
             back_p = ds.leading_order_bound(3, est_p.value, n, 0.05, variant="derived")
             assert back_p == pytest.approx(0.2**2, rel=1e-10)
+
+    @pytest.mark.parametrize("twice_s, n", [(200, 16), (2000, 64)])
+    @pytest.mark.parametrize("estimate, bound", [("derived", "printed"), ("printed", "derived")])
+    def test_round_trip_at_large_spin(self, twice_s, n, estimate, bound):
+        est = ds.max_radius_estimate(twice_s, n, 0.2, 0.05, variant=estimate)
+        assert not est.clamped
+        back = ds.leading_order_bound(twice_s, est.value, n, 0.05, variant=bound)
+        assert back == pytest.approx(0.2**2, rel=1e-10)
 
 
 class TestBandProjectionCurve:
