@@ -222,39 +222,35 @@ def _parse_list(text: str, flag: str, kind=float) -> list:
     return values
 
 
-def _operator(args, grid: SamplingGrid):
-    """The frame (bandlimited mode) or kernel (undersampled mode) for ``--mode``.
-
-    Ill-conditioning is reported on stderr, once: :func:`main` silences the
-    library's :class:`ConditioningWarning`.
-    """
+def _mode_module(args):
+    """The module of ``--mode``, once a missing --band-limit or any --n-max in
+    bandlimited mode, or --band-limit in undersampled mode, is refused."""
     if args.mode == "bandlimited":
-        from . import bandlimited as bl
-
-        operator = bl.frame_matrix(args.twice_s, grid, args.band_limit)
+        if args.band_limit is None:
+            raise ValueError("bandlimited mode requires --band-limit")
+        if args.n_max is not None:
+            raise ValueError("--n-max does not apply to --mode bandlimited")
+        from . import bandlimited as module
     else:
-        from . import undersampled as us
+        if args.band_limit is not None:
+            raise ValueError("--band-limit does not apply to --mode undersampled")
+        from . import undersampled as module
+    return module
 
-        operator = us.overlap_kernel(args.twice_s, grid)
+
+def _operator(args, module, grid: SamplingGrid):
+    """The frame or kernel of the mode's ``module``, its ill-conditioning
+    reported on stderr, once: :func:`main` silences ConditioningWarning."""
+    if args.mode == "bandlimited":
+        operator = module.frame_matrix(args.twice_s, grid, args.band_limit)
+    else:
+        operator = module.overlap_kernel(args.twice_s, grid)
     if operator.is_ill_conditioned:
         _diag(
             f"warning: condition number {operator.condition_number:.3e} exceeds "
             f"{CONDITION_LIMIT:.0e}; results may be inaccurate"
         )
     return operator
-
-
-def _check_mode_flags(args) -> None:
-    """Refuse a missing --band-limit in bandlimited mode and a flag the mode
-    does not read (--n-max there, --band-limit in undersampled mode), before
-    any file is read."""
-    if args.mode == "bandlimited":
-        if args.band_limit is None:
-            raise ValueError("bandlimited mode requires --band-limit")
-        if args.n_max is not None:
-            raise ValueError("--n-max does not apply to --mode bandlimited")
-    elif args.band_limit is not None:
-        raise ValueError("--band-limit does not apply to --mode undersampled")
 
 
 def cmd_grid(args) -> int:
@@ -271,47 +267,37 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    _check_mode_flags(args)
-    if args.n_max is not None and args.mode == "undersampled" and args.output is None:
+    module = _mode_module(args)
+    if args.n_max is not None and args.output is None:
         raise ValueError("--n-max requires --output (coefficients go to a sibling file)")
     grid = SamplingGrid(args.r, args.n)
     samples = _read_samples(args.input, grid.n_samples)
     points = _read_points(args.points)
-    operator = _operator(args, grid)
+    operator = _operator(args, module, grid)
     if args.mode == "bandlimited":
-        from . import bandlimited as bl
-
-        values = np.atleast_1d(bl.reconstruct_bandlimited(operator, samples, points))
+        values = np.atleast_1d(module.reconstruct_bandlimited(operator, samples, points))
     else:
-        from . import undersampled as us
-
-        values = np.atleast_1d(us.partial_reconstruct(operator, samples, points))
+        values = np.atleast_1d(module.partial_reconstruct(operator, samples, points))
         if args.n_max is not None:
-            ahat = us.dft_coefficients(operator, samples, args.n_max)
-            _write_output(
-                f"{args.output}.ahat.{args.format}",
-                _complex_table("n", ahat, args.format),
-            )
+            ahat = module.dft_coefficients(operator, samples, args.n_max)
+            path = f"{args.output}.ahat.{args.format}"
+            _write_output(path, _complex_table("n", ahat, args.format))
     _write_output(args.output, _complex_table("k", values, args.format))
     return EXIT_OK
 
 
 def cmd_dft(args) -> int:
-    _check_mode_flags(args)
+    module = _mode_module(args)
     grid = SamplingGrid(args.r, args.n)
     samples = _read_samples(args.input, grid.n_samples)
-    operator = _operator(args, grid)
+    operator = _operator(args, module, grid)
     if args.mode == "bandlimited":
-        from . import bandlimited as bl
-
-        coeffs = bl.fourier_coefficients(operator, samples)
+        coeffs = module.fourier_coefficients(operator, samples)
         text = _complex_table("m", coeffs, args.format)
     else:
-        from . import undersampled as us
-
         n_max = args.n_max if args.n_max is not None else grid.n_samples - 1
-        ahat = us.dft_coefficients(operator, samples, n_max)
-        rescaled = us._rescaled_dft(operator, samples, n_max)
+        ahat = module.dft_coefficients(operator, samples, n_max)
+        rescaled = module._rescaled_dft(operator, samples, n_max)
         text = _render_table(
             ["n", "re", "im", "re_rescaled", "im_rescaled"],
             [np.arange(n_max + 1), ahat.real, ahat.imag, rescaled.real, rescaled.imag],
@@ -380,6 +366,17 @@ def _add_io_flags(sub, with_input=True):
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+def _add_mode_flags(sub):
+    """The flags ``reconstruct`` and ``dft`` share."""
+    sub.add_argument("--twice-s", type=int, required=True)
+    sub.add_argument("--r", type=float, required=True)
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--mode", choices=("bandlimited", "undersampled"), required=True)
+    sub.add_argument("--band-limit", type=int, default=None, help="bandlimited mode: band limit M")
+    sub.add_argument("--n-max", type=int, default=None,
+                     help="undersampled mode: the alias DFT coefficients 0..n_max")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="disksampling",
@@ -401,24 +398,13 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.set_defaults(func=cmd_synthesize)
 
     rec = sub.add_parser("reconstruct", help="reconstruct from ring samples at query points")
-    rec.add_argument("--twice-s", type=int, required=True)
-    rec.add_argument("--r", type=float, required=True)
-    rec.add_argument("--n", type=int, required=True)
-    rec.add_argument("--mode", choices=("bandlimited", "undersampled"), required=True)
-    rec.add_argument("--band-limit", type=int, default=None)
+    _add_mode_flags(rec)
     rec.add_argument("--points", required=True, help="CSV of query points (re, im)")
-    rec.add_argument("--n-max", type=int, default=None,
-                     help="undersampled mode: also emit alias DFT coefficients 0..n_max")
     _add_io_flags(rec)
     rec.set_defaults(func=cmd_reconstruct)
 
     dft = sub.add_parser("dft", help="Fourier coefficients from ring samples")
-    dft.add_argument("--twice-s", type=int, required=True)
-    dft.add_argument("--r", type=float, required=True)
-    dft.add_argument("--n", type=int, required=True)
-    dft.add_argument("--mode", choices=("bandlimited", "undersampled"), required=True)
-    dft.add_argument("--band-limit", type=int, default=None)
-    dft.add_argument("--n-max", type=int, default=None)
+    _add_mode_flags(dft)
     _add_io_flags(dft)
     dft.set_defaults(func=cmd_dft)
 

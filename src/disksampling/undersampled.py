@@ -206,37 +206,41 @@ def _tail_negligible(last: np.ndarray, prev: np.ndarray, bound: np.ndarray) -> n
     return (last == 0.0) | ((ratio < 1.0) & (last < bound) & (tail < bound))
 
 
-def _fft_error_bound(twice_s: int, grid: SamplingGrid, row: np.ndarray) -> float:
+def _fft_error_bound(twice_s: int, grid: SamplingGrid, denominator, row: np.ndarray) -> float:
     """Bound on |fft(row)_j - lhat_j|, every j, to first order in the unit
-    roundoff u, for the first row of :func:`_row_denominator`.
+    roundoff u, for the row raised from ``denominator``, the (1-r^2, d) of
+    :func:`_row_denominator`.
 
-    The row: C_l = b_l^(2s), b_l = (1-r^2)/d_l.  b_l is within 27u: 1-r^2
-    and r^2 round once, sin within 4 ulps (8u, the vectorised bound), the
-    products and the sum in d_l add 3u, Smith's division 6u.  The angle
+    The row: C_l = b_l^(2s), b_l = (1-r^2)/d_l.  theta_0 = 0 makes d_0 =
+    1-r^2 and b_0 = 1, so C_0 = 1 exactly.  For l >= 1, b_l is within 27u:
+    1-r^2 and r^2 round once, sin within 4 ulps (8u, the vectorised bound),
+    the products and the sum in d_l add 3u, Smith's division 6u.  The angle
     2 pi l/N is off by 2.4u theta_l (two roundings and pi's), which moves
     d_l by r^2 times that: 2.4u r^2 theta_l/|d_l|, up to N times more near
     theta_l = 2 pi.  The power scales b_l's error by 2s and adds its own:
     numpy's binary powering below 2s = 100 (at most 2 * 2s products, sqrt(5) u
     each) or libm's cexp(2s clog b_l) (2s 6|log b_l| u + 5u).  Counting both,
     |delta C_l| <= |C_l| u (2s (32 + 2.4 r^2 theta_l/|d_l| + 6|log b_l|) + 5),
-    and each output moves by at most sum |delta C_l|.  The FFT's rounding is
-    within log2(M) eta ||fft C||_2 in norm (Higham, Accuracy and Stability of
-    Numerical Algorithms, Thm 24.2; eta < 6.7u a stage), taken thrice for
-    Bluestein's three transforms of length M < 4N; ||fft C||_2 = sqrt(N)
-    ||C||_2 bounds every output.  A worst case: the FFT errs far less.
+    and each output moves by at most sum_{l>=1} |delta C_l|.  The FFT's
+    rounding is within log2(M) eta ||fft C||_2 in norm (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 24.2; eta < 6.7u a stage), taken
+    thrice for Bluestein's three transforms of length M < 4N; ||fft C||_2 =
+    sqrt(N) ||C||_2 bounds every output.  A worst case: the FFT errs far less.
     """
-    one_minus, denominator = _row_denominator(grid)
-    slope = grid.radius**2 * grid.angles / np.abs(denominator)
-    log_base = np.abs(np.log(one_minus / denominator))
+    one_minus, d = denominator[0], denominator[1][1:]
+    slope = grid.radius**2 * grid.angles[1:] / np.abs(d)
+    log_base = np.abs(np.log(one_minus / d))
     per_entry = twice_s * (32.0 + 2.4 * slope + 6.0 * log_base) + 5.0
-    row_error = np.sum(np.abs(row) * per_entry)
+    row_error = np.sum(np.abs(row[1:]) * per_entry)
     fft_error = 20.0 * np.log2(4 * row.size) * np.sqrt(row.size) * np.linalg.norm(row)
     return float(_UNIT_ROUNDOFF * (row_error + fft_error))
 
 
-def _spot_log_eigenvalue(twice_s: int, grid: SamplingGrid, j: int, log_size: float) -> float:
+def _spot_log_eigenvalue(
+    twice_s: int, grid: SamplingGrid, denominator, j: int, log_size: float
+) -> float:
     """log lhat_j = log sum_l C_l exp(-2 pi i j l/N) in fixed-point integers,
-    -inf if the sum is not positive.
+    -inf if the sum is not positive; ``denominator`` is :func:`_row_denominator`'s.
 
     C_{N-l} = conj C_l, so l <= N/2 is summed, as twice the real part.
     ``log_size`` is log C for the value C under check, the class tail of j.
@@ -269,8 +273,8 @@ def _spot_log_eigenvalue(twice_s: int, grid: SamplingGrid, j: int, log_size: flo
     (1e-12 + 2e-18) C, and a C off by more fails, above or below lhat_j.
     """
     n = grid.n_samples
-    one_minus_float, denominator = _row_denominator(grid)
-    log_modulus = twice_s * (np.log(one_minus_float) - np.log(np.abs(denominator[: n // 2 + 1])))
+    one_minus_float, d = denominator
+    log_modulus = twice_s * (np.log(one_minus_float) - np.log(np.abs(d[: n // 2 + 1])))
     count = max(1, int(np.count_nonzero(log_modulus >= log_size + np.log(1e-18 / n))))
     digits = 30 + int(np.ceil(max(0.0, -log_size) / np.log(10.0))) + int(np.log10(n) + 1)
     bound = n * (twice_s * (3 * n + 6) / one_minus_float + 3 * twice_s.bit_length() + 3 * n)
@@ -347,34 +351,6 @@ def _fixed_root_of_unity(n: int, bits: int) -> tuple[int, int]:
     return z[0] >> 64, z[1] >> 64
 
 
-def _cross_checked_eigenvalues(twice_s: int, grid: SamplingGrid, row: np.ndarray) -> np.ndarray:
-    """lhat_j = exp(class tail of j), checked against the float64 FFT of
-    ``row`` at 1e-12 relative, or to :func:`_fft_error_bound` where that is
-    larger.  Where the bound is not below half the 1e-12 budget at some
-    lhat_j, :func:`_spot_log_eigenvalue` checks the smallest at 1e-12."""
-    spectrum = ResolutionSpectrum(twice_s, grid)
-    log_eig = _log_class_tails(spectrum, np.arange(grid.n_samples), "eigenvalue")
-    eig = np.exp(log_eig)
-    smallest = int(np.argmin(log_eig))
-    if eig[smallest] <= 0.0:
-        raise NumericalRangeError(
-            f"kernel eigenvalue {smallest} not representable as a positive double",
-            log_value=float(log_eig[smallest]),
-        )
-    bound = _fft_error_bound(twice_s, grid, row)
-    limit = np.maximum(_EIG_AGREE_RTOL * eig, bound)
-    miss = np.abs(np.fft.fft(row) - eig)
-    j = int(np.argmax(miss / limit))
-    if not miss[j] <= limit[j]:
-        raise _disagreement("fft", j, float(miss[j] / eig[j]), float(limit[j] / eig[j]))
-    if bound >= 0.5 * _EIG_AGREE_RTOL * eig[smallest]:
-        spot = _spot_log_eigenvalue(twice_s, grid, smallest, log_eig[smallest])
-        gap = float(abs(np.expm1(log_eig[smallest] - spot)))
-        if not gap <= _EIG_AGREE_RTOL:
-            raise _disagreement("spot", smallest, gap, _EIG_AGREE_RTOL)
-    return eig
-
-
 def _disagreement(check: str, j: int, gap: float, limit: float) -> EigenvalueCrossCheckError:
     message = (f"class-tail and {check} values of eigenvalue {j} disagree by {gap!r} relative "
                f"(limit {limit!r}); this indicates an implementation fault")
@@ -384,14 +360,36 @@ def _disagreement(check: str, j: int, gap: float, limit: float) -> EigenvalueCro
 def overlap_kernel(twice_s: int, grid: SamplingGrid) -> CirculantKernel:
     """Build the circulant Gram kernel for (twice_s, grid), eigenvalues included.
 
-    The eigenvalues are the class tails; construction checks them against
-    the FFT of the row (and a fixed-point integer spot check where the FFT
-    cannot resolve them) and refuses to return a kernel on disagreement.
+    The eigenvalues are the class tails, checked against the float64 FFT of
+    the row at 1e-12 relative, or to :func:`_fft_error_bound` where that is
+    larger, and where that bound is not below half the 1e-12 budget at some
+    lhat_j, the smallest by :func:`_spot_log_eigenvalue` at 1e-12.  Both
+    checks read the (1-r^2, d) the row is raised from.  On disagreement no
+    kernel is returned.
     """
     twice_s = check_twice_s(twice_s)
-    one_minus, denominator = _row_denominator(grid)
-    row = (one_minus / denominator) ** twice_s
-    eig = _cross_checked_eigenvalues(twice_s, grid, row)
+    denominator = _row_denominator(grid)
+    row = (denominator[0] / denominator[1]) ** twice_s
+    spectrum = ResolutionSpectrum(twice_s, grid)
+    log_eig = _log_class_tails(spectrum, np.arange(grid.n_samples), "eigenvalue")
+    eig = np.exp(log_eig)
+    smallest = int(np.argmin(log_eig))
+    if eig[smallest] <= 0.0:
+        raise NumericalRangeError(
+            f"kernel eigenvalue {smallest} not representable as a positive double",
+            log_value=float(log_eig[smallest]),
+        )
+    bound = _fft_error_bound(twice_s, grid, denominator, row)
+    limit = np.maximum(_EIG_AGREE_RTOL * eig, bound)
+    miss = np.abs(np.fft.fft(row) - eig)
+    j = int(np.argmax(miss / limit))
+    if not miss[j] <= limit[j]:
+        raise _disagreement("fft", j, float(miss[j] / eig[j]), float(limit[j] / eig[j]))
+    if bound >= 0.5 * _EIG_AGREE_RTOL * eig[smallest]:
+        spot = _spot_log_eigenvalue(twice_s, grid, denominator, smallest, log_eig[smallest])
+        gap = float(abs(np.expm1(log_eig[smallest] - spot)))
+        if not gap <= _EIG_AGREE_RTOL:
+            raise _disagreement("spot", smallest, gap, _EIG_AGREE_RTOL)
     return CirculantKernel(twice_s=twice_s, grid=grid, first_row=row, eigenvalues=eig)
 
 
@@ -566,19 +564,34 @@ def _log_class_tails(spectrum: ResolutionSpectrum, starts: np.ndarray, name: str
     :func:`_series_sum` assumes, and every term is taken relative to the
     peak, so none overflows and the peak term itself is 1.
 
-    A step of N multiplies lambda by at least rho = r^(2N), so the upward
-    row's k-th term is at least rho^(k-j) times its j-th, and its
-    geometric-majorant tail drops below tol times its sum only once
-    rho^(k+1) < tol/(1+tol).  Where the series may not sum that many terms,
-    rho = 1 included, this raises at once rather than sum to the cap.
+    A step of N multiplies lambda by at least rho = r^(2N), so an upward
+    row's geometric-majorant tail drops below tol times its sum only once
+    rho^(q+1) < tol/(1+tol): never within the cap of C terms where
+    C N log rho >= log tol, rho = 1 included.  Near a wide mode the terms fall
+    far more slowly.  From the mode on, D(n) = log(lambda_{n+1}/lambda_n) =
+    log r^2 + log1p((2s-1)/(n+1)) is negative, convex and falling, so within
+    the cap a row from index t falls by at most F = -C N D(t + C N/2)
+    (Jensen), a step by at most d = -N D(t + C N).  Its sum is at most C
+    times its first term, its tail at least its last over expm1(d), so
+    :func:`_tail_negligible` cannot pass it where F + log expm1(d) <=
+    -log(C tol), likeliest at the lowest t.  Either way this raises at once,
+    with log r^2 = log1p(-(1-r^2)) from the compensated 1-r^2.
     """
     n_s = spectrum.grid.n_samples
     one_minus, _, r2, _ = _one_minus_mod2(spectrum.grid.radius)
-    if _MAX_SERIES_BLOCKS * _SERIES_BLOCK * n_s * np.log1p(-one_minus) >= np.log(_SERIES_TOL):
+    cap, log_r2 = _MAX_SERIES_BLOCKS * _SERIES_BLOCK, np.log1p(-one_minus)
+    if cap * n_s * log_r2 >= np.log(_SERIES_TOL):
         raise EigenvalueCrossCheckError(f"{name} series failed to terminate")
     mode = np.floor((spectrum.twice_s - 1) * r2 / one_minus)
     rise = np.maximum(0, np.ceil((mode - starts) / n_s)).astype(np.int64)
     top = starts + rise * n_s
+    lowest, span = np.min(top), cap * n_s
+    fall = -span * (log_r2 + np.log1p((spectrum.twice_s - 1) / (lowest + span / 2 + 1)))
+    step = max(0.0, -n_s * (log_r2 + np.log1p((spectrum.twice_s - 1) / (lowest + span + 1))))
+    with np.errstate(divide="ignore"):  # log expm1(step), without overflow
+        log_majorant = step + np.log(-np.expm1(-step))
+    if fall + log_majorant <= -np.log(cap * _SERIES_TOL):
+        raise EigenvalueCrossCheckError(f"{name} series failed to terminate")
     down = np.flatnonzero(rise > 0)
     peak = spectrum.log_values(top)
     peak[down] = np.maximum(peak[down], spectrum.log_values(top[down] - n_s))

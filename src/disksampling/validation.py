@@ -52,9 +52,9 @@ class EigenvalueCrossCheckError(RuntimeError):
     implementation fault, not a data error, since every check allows for its
     own rounding.  A series that did not terminate may also converge but
     need more terms than its cap, as the class tails do where r^(2N) exceeds
-    about 1 - 2.3e-5.  ``check`` (``"fft"`` or ``"spot"``), the eigenvalue
-    ``j`` and the relative ``gap`` name a failed check; they are None for a
-    series.
+    about 1 - 2.3e-5 or around a wide mode (2s = 2000, r = 0.9999, N = 1).
+    ``check`` (``"fft"`` or ``"spot"``), the eigenvalue ``j`` and the
+    relative ``gap`` name a failed check; they are None for a series.
     """
 
     def __init__(self, message: str, j=None, gap=None, check=None):

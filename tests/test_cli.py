@@ -817,6 +817,24 @@ class TestCommandProcess:
         assert not loaded & {"disksampling.undersampled", "disksampling.bandlimited",
                              "disksampling.estimators", "mpmath"}
 
+    @pytest.mark.parametrize(
+        "mode, flags, other",
+        [("bandlimited", ["--band-limit", "3"], "disksampling.undersampled"),
+         ("undersampled", [], "disksampling.bandlimited")],
+    )
+    def test_a_mode_loads_only_its_own_module(self, tmp_path, mode, flags, other):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("k,re,im\n" + "".join(f"{k},1,0\n" for k in range(8)))
+        points = write_points(tmp_path / "points.csv", [0.05 + 0j])
+        common = ["--twice-s", "2", "--r", "0.5", "--n", "8", "--mode", mode, *flags,
+                  "--input", str(samples)]
+        for argv in (["reconstruct", *common, "--points", str(points)], ["dft", *common]):
+            proc = run_process(argv, PYTHONPROFILEIMPORTTIME="1")
+            assert proc.returncode == 0, argv
+            loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.decode().splitlines()
+                      if line.startswith("import time:")}
+            assert f"disksampling.{mode}" in loaded and other not in loaded, argv
+
     def test_no_command_loads_mpmath(self, tmp_path):
         # kernel spreads of 1.4 and 1.2e13: the FFT resolves every eigenvalue
         # of the first, and the second also runs the spot check

@@ -30,6 +30,22 @@ class TestParamsProtocol:
         clone = sklearn_base.clone(est)
         assert clone.get_params() == est.get_params()
 
+    @pytest.mark.parametrize(
+        "est",
+        [ds.BandlimitedReconstructor(twice_s=3, radius=0.4, n_samples=7, band_limit=2),
+         ds.PartialReconstructor(twice_s=4, radius=0.3, n_samples=6)],
+    )
+    def test_rebuilt_from_its_params_as_clone_does(self, est):
+        # what sklearn.base.clone relies on, without scikit-learn: the class
+        # called with get_params() gives equal params and no fitted attribute
+        for fitted in (False, True):
+            if fitted:
+                est.fit(np.ones(est.n_samples))
+            clone = type(est)(**est.get_params())
+            assert clone.get_params() == est.get_params()
+            assert [name for name in vars(clone) if name.endswith("_")] == []
+        assert [name for name in vars(est) if name.endswith("_")] != []
+
     def test_repr_shows_params(self):
         text = repr(ds.BandlimitedReconstructor(twice_s=5, radius=0.2, n_samples=9, band_limit=4))
         assert "twice_s=5" in text and "band_limit=4" in text

@@ -144,6 +144,28 @@ def test_a_series_that_cannot_finish_fails_before_summing(monkeypatch, series, b
 
 
 @pytest.mark.parametrize(
+    "series, build",
+    [
+        ("eigenvalue series", lambda spectrum, signal: ds.overlap_kernel(2000, spectrum.grid)),
+        ("lambda tail series", lambda spectrum, signal: undersampled._error_row(
+            spectrum, signal, ds.quasi_band_profile(signal, 0), "printed")),
+    ],
+)
+def test_a_wide_mode_that_cannot_finish_fails_before_summing(monkeypatch, series, build):
+    # at 2s = 2000, r = 0.9999 the spectrum peaks near index 1e7 and is about
+    # 2.2e5 indices wide; at N = 1 its terms fall so slowly there that a class
+    # tail cannot finish within 1.6 million terms, though at r^2 a step it would
+    def refuse(*args):
+        raise AssertionError("summed a series that cannot finish")
+
+    monkeypatch.setattr(undersampled, "_series_sum", refuse)
+    spectrum = ds.ResolutionSpectrum(2000, ds.SamplingGrid(0.9999, 1))
+    signal = ds.DiskSignal(2000, [1.0, 0.5, 0.25, 0.1])
+    with pytest.raises(EigenvalueCrossCheckError, match=f"^{series} failed to terminate$"):
+        build(spectrum, signal)
+
+
+@pytest.mark.parametrize(
     "twice_s, radius, n, length",
     [
         (2, 0.3, 256, 2048),

@@ -149,7 +149,9 @@ class TestKernelEigenvalues:
         grid = ds.SamplingGrid(radius, n)
         eigenvalues = ds.overlap_kernel(twice_s, grid).eigenvalues
         j = int(np.argmin(eigenvalues))
-        spot = undersampled._spot_log_eigenvalue(twice_s, grid, j, float(np.log(eigenvalues[j])))
+        denominator = undersampled._row_denominator(grid)
+        spot = undersampled._spot_log_eigenvalue(
+            twice_s, grid, denominator, j, float(np.log(eigenvalues[j])))
         assert abs(spot - oracle.row_dft_log_eigenvalue(twice_s, grid, j)) <= 5e-13
 
     @pytest.mark.parametrize(
@@ -165,7 +167,8 @@ class TestKernelEigenvalues:
 
         def gap(skew):
             log_size = float(log_eig[j]) + skew
-            spot = undersampled._spot_log_eigenvalue(twice_s, grid, j, log_size)
+            spot = undersampled._spot_log_eigenvalue(
+                twice_s, grid, undersampled._row_denominator(grid), j, log_size)
             return abs(np.expm1(log_size - spot))
 
         assert gap(0.0) <= undersampled._EIG_AGREE_RTOL
@@ -194,6 +197,49 @@ class TestKernelEigenvalues:
         # from q = 0 closed at 0, a false disagreement of 1.0
         kernel = ds.overlap_kernel(200, ds.SamplingGrid(radius, n))
         assert np.sum(kernel.eigenvalues) == pytest.approx(n, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "twice_s, radius, n",
+        [(200, 0.999, 16), (200, 0.9995, 8), (2000, 0.99, 64), (2, 0.9999, 3)],
+    )
+    def test_the_fft_alone_checks_a_peaked_rim_row(self, monkeypatch, twice_s, radius, n):
+        # C_0 = 1 exactly and is charged no rounding, so the FFT's bound lies
+        # below half the 1e-12 budget at every lhat_j and no spot sum runs;
+        # the class tails of (2, 0.9999, 3) are long, yet within their budget
+        def refuse(*args):
+            raise AssertionError("ran the spot sum")
+
+        monkeypatch.setattr(undersampled, "_spot_log_eigenvalue", refuse)
+        kernel = ds.overlap_kernel(twice_s, ds.SamplingGrid(radius, n))
+        assert kernel.first_row[0] == 1.0
+        assert np.sum(kernel.eigenvalues) == pytest.approx(n, rel=1e-12)
+
+    @pytest.mark.parametrize("twice_s, radius, n", [(5, 0.2, 12), (8, 0.9, 59)])
+    def test_a_spread_spectrum_still_runs_the_spot_sum(self, monkeypatch, twice_s, radius, n):
+        checked = []
+        spot = undersampled._spot_log_eigenvalue
+
+        def recorded(twice_s, grid, denominator, j, log_size):
+            checked.append(j)
+            return spot(twice_s, grid, denominator, j, log_size)
+
+        monkeypatch.setattr(undersampled, "_spot_log_eigenvalue", recorded)
+        kernel = ds.overlap_kernel(twice_s, ds.SamplingGrid(radius, n))
+        assert checked == [int(np.argmin(kernel.eigenvalues))]
+
+    def test_both_checks_read_the_row_the_kernel_stores(self, monkeypatch):
+        # (5, 0.2, 12) runs the FFT check and the spot sum; both take the
+        # denominator the stored row is raised from
+        formed = []
+        denominator = undersampled._row_denominator
+        monkeypatch.setattr(
+            undersampled, "_row_denominator", lambda grid: formed.append(grid) or denominator(grid)
+        )
+        grid = ds.SamplingGrid(0.2, 12)
+        kernel = ds.overlap_kernel(5, grid)
+        assert formed == [grid]
+        one_minus, d = denominator(grid)
+        assert np.array_equal(kernel.first_row, (one_minus / d) ** 5)
 
     def test_single_point_series_consistency(self):
         # N=1: the row DFT is C_0 = 1 exactly; the series must agree
