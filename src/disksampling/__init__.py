@@ -59,6 +59,7 @@ _EXPORTS = {
         "EigenvalueCrossCheckError",
         "NotFittedError",
         "NumericalRangeError",
+        "SeriesBudgetError",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

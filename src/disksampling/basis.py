@@ -320,7 +320,22 @@ class DiskSignal:
 
     @property
     def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.coefficients) ** 2))
+        """sum |a_m|^2, inf or 0 only where the value leaves the double range."""
+        scale, _, energies = self._scaled
+        return float(energies.sum()) * scale * scale
+
+    @functools.cached_property
+    def _scaled(self):
+        """(scale, a/scale, |a/scale|^2) for a power of two ``scale``: 1.0
+        where the largest |a_m| lies within a factor ``_COEFFICIENT_MAX`` of
+        1, else the one that brings it into [1, 2), so that no square leaves
+        the double range.  Ratios of sums of squares do not depend on it."""
+        largest = np.abs(self.coefficients).max()
+        scale = 1.0
+        if largest > 0.0 and not 1.0 / _COEFFICIENT_MAX <= largest <= _COEFFICIENT_MAX:
+            scale = 2.0 ** (int(np.frexp(largest)[1]) - 1)
+        scaled = self.coefficients / scale
+        return scale, scaled, np.abs(scaled) ** 2
 
     @functools.cached_property
     def _segments(self):
@@ -349,11 +364,14 @@ class ResolutionSpectrum:
         object.__setattr__(self, "_twice_s_error", _stirling_error(float(self.twice_s)))
 
     def log_values(self, n) -> np.ndarray | float:
-        """log lambda_n = log N + log NB(n; 2s, 1-r^2), any integer n >= 0."""
+        """log lambda_n = log N + log NB(n; 2s, 1-r^2), any integer n >= 0;
+        an array for any array-like ``n``.  Anything else raises ``ValueError``."""
+        n_arr = np.asarray(n, dtype=np.float64)
+        _check_nonnegative_integers(n_arr, "n must be a nonnegative integer")
         out = np.log(self.grid.n_samples) + _log_pmf(
-            self.twice_s, n, self._rim, self._twice_s_error
+            self.twice_s, n_arr, self._rim, self._twice_s_error
         )
-        return out if isinstance(n, np.ndarray) else float(out)
+        return float(out) if np.isscalar(n) else out
 
     def values(self, n) -> np.ndarray | float:
         logs = np.asarray(self.log_values(n), dtype=np.float64)
@@ -364,7 +382,7 @@ class ResolutionSpectrum:
             raise NumericalRangeError(
                 "lambda_n not representable in double precision", log_value=worst
             )
-        return vals if isinstance(n, np.ndarray) else float(vals)
+        return float(vals) if np.isscalar(n) else vals
 
 
 def _basis_values(twice_s: int, m: np.ndarray, z: np.ndarray, log_scale=0.0) -> np.ndarray:
@@ -434,7 +452,9 @@ _LOG_STEPS_MAX = 600.0
 
 #: Coefficients of larger modulus are scaled down by a power of two before
 #: the sum and the sum scaled back, so that no intermediate overflows:
-#: each folded term is at most this times exp(_LOG_STEPS_MAX).
+#: each folded term is at most this times exp(_LOG_STEPS_MAX).  Sums of
+#: squares scale where the largest lies outside [1/this, this]
+#: (``DiskSignal._scaled``).
 _COEFFICIENT_MAX = 2.0**100
 
 #: Segments summed together are this many over the number of points: four

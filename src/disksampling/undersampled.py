@@ -50,6 +50,7 @@ from .validation import (
     ConditioningWarning,
     EigenvalueCrossCheckError,
     NumericalRangeError,
+    SeriesBudgetError,
     as_samples,
     check_band_limit,
     check_epsilon_m,
@@ -174,27 +175,22 @@ def _series_sum(log_terms, tol: float, name: str) -> np.ndarray:
     """Row sums of positive series, truncated under the global policy.
 
     ``log_terms`` maps a block of term indices q = 0, 1, ... to the
-    rows x block array of log-terms.  Terms are positive with eventually
-    decreasing ratios, so a geometric majorant built from the last observed
-    ratio bounds the tail.  Each row stops at its own first negligible block,
-    so a row's sum does not depend on the rows summed with it.  A sum beyond
-    the double range raises ``OverflowError``.  Every series in this module
-    is summed here.
+    rows x block array of log-terms, none above 0.  Terms are positive with
+    eventually decreasing ratios, so a geometric majorant built from the last
+    observed ratio bounds the tail.  Each row stops at its own first
+    negligible block, so a row's sum does not depend on the rows summed with
+    it.  Every series in this module is summed here; one still open after
+    the budget of terms raises ``SeriesBudgetError``.
     """
     total, open_rows = 0.0, True
     for block in range(_MAX_SERIES_BLOCKS):
         q = np.arange(block * _SERIES_BLOCK, (block + 1) * _SERIES_BLOCK)
-        with np.errstate(over="ignore"):
-            terms = np.exp(log_terms(q))
-            total = np.where(open_rows, total + terms.sum(axis=1), total)
-        if np.isinf(total).any():
-            raise OverflowError(f"{name} series exceeds the double range")
+        terms = np.exp(log_terms(q))
+        total = np.where(open_rows, total + terms.sum(axis=1), total)
         open_rows = open_rows & ~_tail_negligible(terms[:, -1], terms[:, -2], tol * total)
         if not open_rows.any():
-            break
-    else:
-        raise EigenvalueCrossCheckError(f"{name} series failed to terminate")
-    return total
+            return total
+    raise SeriesBudgetError(name, _MAX_SERIES_BLOCKS * _SERIES_BLOCK)
 
 
 def _tail_negligible(last: np.ndarray, prev: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -562,36 +558,14 @@ def _log_class_tails(spectrum: ResolutionSpectrum, starts: np.ndarray, name: str
     index at or above the mode, and downward from the index below that to
     the start.  Both sides then fall term by term, as the truncation test of
     :func:`_series_sum` assumes, and every term is taken relative to the
-    peak, so none overflows and the peak term itself is 1.
-
-    A step of N multiplies lambda by at least rho = r^(2N), so an upward
-    row's geometric-majorant tail drops below tol times its sum only once
-    rho^(q+1) < tol/(1+tol): never within the cap of C terms where
-    C N log rho >= log tol, rho = 1 included.  Near a wide mode the terms fall
-    far more slowly.  From the mode on, D(n) = log(lambda_{n+1}/lambda_n) =
-    log r^2 + log1p((2s-1)/(n+1)) is negative, convex and falling, so within
-    the cap a row from index t falls by at most F = -C N D(t + C N/2)
-    (Jensen), a step by at most d = -N D(t + C N).  Its sum is at most C
-    times its first term, its tail at least its last over expm1(d), so
-    :func:`_tail_negligible` cannot pass it where F + log expm1(d) <=
-    -log(C tol), likeliest at the lowest t.  Either way this raises at once,
-    with log r^2 = log1p(-(1-r^2)) from the compensated 1-r^2.
+    peak, so none overflows and the peak term itself is 1.  A row that
+    cannot finish within the budget is refused first (:func:`_check_budget`).
     """
     n_s = spectrum.grid.n_samples
     one_minus, _, r2, _ = _one_minus_mod2(spectrum.grid.radius)
-    cap, log_r2 = _MAX_SERIES_BLOCKS * _SERIES_BLOCK, np.log1p(-one_minus)
-    if cap * n_s * log_r2 >= np.log(_SERIES_TOL):
-        raise EigenvalueCrossCheckError(f"{name} series failed to terminate")
     mode = np.floor((spectrum.twice_s - 1) * r2 / one_minus)
     rise = np.maximum(0, np.ceil((mode - starts) / n_s)).astype(np.int64)
     top = starts + rise * n_s
-    lowest, span = np.min(top), cap * n_s
-    fall = -span * (log_r2 + np.log1p((spectrum.twice_s - 1) / (lowest + span / 2 + 1)))
-    step = max(0.0, -n_s * (log_r2 + np.log1p((spectrum.twice_s - 1) / (lowest + span + 1))))
-    with np.errstate(divide="ignore"):  # log expm1(step), without overflow
-        log_majorant = step + np.log(-np.expm1(-step))
-    if fall + log_majorant <= -np.log(cap * _SERIES_TOL):
-        raise EigenvalueCrossCheckError(f"{name} series failed to terminate")
     down = np.flatnonzero(rise > 0)
     peak = spectrum.log_values(top)
     peak[down] = np.maximum(peak[down], spectrum.log_values(top[down] - n_s))
@@ -606,16 +580,32 @@ def _log_class_tails(spectrum: ResolutionSpectrum, starts: np.ndarray, name: str
         log_lam = spectrum.log_values(np.where(inside, first + q * step, 0))
         return np.where(inside, log_lam - shift, -np.inf)
 
+    _check_budget(log_terms, name)
     sums = _series_sum(log_terms, _SERIES_TOL, name)
     total = sums[: top.size]
     total[down] += sums[top.size :]
     return peak + np.log(total)
 
 
+def _check_budget(log_terms, name: str) -> None:
+    """Raise ``SeriesBudgetError`` where some row fails the stopping test of
+    :func:`_series_sum` at every block end of its budget of C terms.  A
+    row's terms fall and are log-concave (the negative-binomial pmf is, for
+    2s >= 1), so its last term and majorant tail only fall with q and its
+    sum is at most C times its first term: failing the test at its C-th term
+    against tol C times its first, it fails at every block end."""
+    budget = _MAX_SERIES_BLOCKS * _SERIES_BLOCK
+    terms = np.exp(log_terms(np.array([0, budget - 2, budget - 1])))
+    if not _tail_negligible(terms[:, 2], terms[:, 1], _SERIES_TOL * budget * terms[:, 0]).all():
+        raise SeriesBudgetError(name, budget)
+
+
 def quasi_band_profile(signal: DiskSignal, band_limit: int) -> QuasiBandProfile:
-    """Exact tail profile of a stored signal: eps^2 = tail energy / total energy."""
+    """Exact tail profile of a stored signal: eps^2 = tail energy / total
+    energy, taken from the power-of-two scaled coefficients, so that it
+    holds for coefficients of any finite size."""
     band_limit = check_band_limit(band_limit)
-    energies = np.abs(signal.coefficients) ** 2
+    energies = signal._scaled[2]
     total = float(energies.sum())
     if total == 0.0:
         raise ValueError("zero signal has no quasi-bandlimited profile")
@@ -643,15 +633,16 @@ def alias_error(spectrum: ResolutionSpectrum, signal: DiskSignal) -> float:
     lies in the span of the N sampled coherent states.  Needs only the
     spectrum, not the kernel, and O(L + N) memory for L coefficients.
     """
-    return float(np.sqrt(_alias_sums(spectrum, signal)[0]))
+    return float(signal._scaled[0] * np.sqrt(_alias_sums(spectrum, signal)[0]))
 
 
 def _alias_sums(
     spectrum: ResolutionSpectrum, signal: DiskSignal
 ) -> tuple[float, float, float]:
     """(E^2, E^2 - ||psi||^2 eps_M^2, log ||P psi||^2) for band limit
-    M = N-1, each without cancellation; E^2 is the class sum of
-    :func:`alias_error`.
+    M = N-1, each without cancellation, of the signal divided by its
+    power-of-two scale (``DiskSignal._scaled``); E^2 is the class sum of
+    :func:`alias_error`, which scales it back.
 
     The L stored coefficients are laid out as a zero-padded ceil(L/N) x
     min(N, L) matrix, column j holding class j, so every class quantity is
@@ -677,7 +668,7 @@ def _alias_sums(
     n, size = spectrum.grid.n_samples, signal.coefficients.size
     shape = (-(-size // n), min(n, size))
     pad = (0, shape[0] * shape[1] - size)
-    v = np.pad(signal.coefficients, pad).reshape(shape)
+    v = np.pad(signal._scaled[1], pad).reshape(shape)
     log_lam = np.pad(spectrum.log_values(np.arange(size)), pad, constant_values=-np.inf)
     log_lam = log_lam.reshape(shape)
     j = np.arange(shape[1])
@@ -811,7 +802,7 @@ def _error_row(
     """
     error_sq, exact_excess, log_captured = _alias_sums(spectrum, signal)
     bound, (excess, log_c, log_d) = _bound_terms(spectrum, profile, variant)
-    norm_sq = signal.norm_squared
+    norm_sq = float(signal._scaled[2].sum())  # in the scale of _alias_sums
     exact = error_sq / norm_sq
     if excess <= np.exp(log_d):
         return exact, bound, (float(excess - exact_excess / norm_sq), 0.0)

@@ -48,18 +48,26 @@ def times_exp(values: np.ndarray, log_factor: np.ndarray, name: str) -> np.ndarr
 
 
 class EigenvalueCrossCheckError(RuntimeError):
-    """A kernel's eigenvalue check failed, or a series did not terminate: an
-    implementation fault, not a data error, since every check allows for its
-    own rounding.  A series that did not terminate may also converge but
-    need more terms than its cap, as the class tails do where r^(2N) exceeds
-    about 1 - 2.3e-5 or around a wide mode (2s = 2000, r = 0.9999, N = 1).
-    ``check`` (``"fft"`` or ``"spot"``), the eigenvalue ``j`` and the
-    relative ``gap`` name a failed check; they are None for a series.
+    """A kernel's eigenvalue check failed: an implementation fault, not a
+    data error, since every check allows for its own rounding.  ``check``
+    (``"fft"`` or ``"spot"``) names the check, ``j`` the eigenvalue and
+    ``gap`` its relative gap.
     """
 
     def __init__(self, message: str, j=None, gap=None, check=None):
         super().__init__(message)
         self.j, self.gap, self.check = j, gap, check
+
+
+class SeriesBudgetError(ArithmeticError):
+    """A series needs more terms than its budget to reach its tolerance: a
+    limit of the summation, not a fault in the data or the code.  ``series``
+    names the series and ``budget`` is the number of terms it may sum.
+    """
+
+    def __init__(self, series: str, budget: int):
+        super().__init__(f"{series} series needs more than its budget of {budget} terms")
+        self.series, self.budget = series, budget
 
 
 class ConditioningWarning(UserWarning):

@@ -234,6 +234,19 @@ class TestSpectrum:
         assert np.max(np.abs(np.expm1(got - want)[moderate])) <= 1e-13
         assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-14
 
+    def test_index_must_be_a_nonnegative_integer(self):
+        spectrum = ds.ResolutionSpectrum(2, ds.SamplingGrid(0.5, 4))
+        for call in (spectrum.log_values, spectrum.values):
+            for n in (-1, 2.5, np.array([0, -3])):
+                with pytest.raises(ValueError, match="^n must be a nonnegative integer$"):
+                    call(n)
+        # any array-like index gives an array, a scalar one a float
+        got = spectrum.log_values([0, 1])
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got, spectrum.log_values(np.array([0, 1])))
+        assert np.array_equal(spectrum.values((0, 1)), spectrum.values(np.array([0, 1])))
+        assert isinstance(spectrum.log_values(np.int64(1)), float)
+
     def test_underflow_raises_with_log(self):
         spectrum = ds.ResolutionSpectrum(2, ds.SamplingGrid(0.5, 2))
         with pytest.raises(NumericalRangeError) as info:

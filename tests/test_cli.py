@@ -441,6 +441,33 @@ class TestErrorAnalysis:
             "--input", str(samples_path),
         ) == 3
 
+    def test_series_beyond_its_budget_exits_three_and_names_it(self, tmp_path, capsys):
+        # at r = 1 - 1e-6, N = 3 a class tail needs over 6 million terms
+        signal_path = write_signal(tmp_path / "sig.json", 2, [1.0, 0.5, 0.25, 0.1])
+        assert run_cli(
+            "error-analysis", "--input", str(signal_path), "--r", "0.999999", "--n", "3",
+        ) == 3
+        assert capsys.readouterr().err == (
+            "disksampling: numerical failure: lambda tail series needs more than its "
+            "budget of 1600000 terms\n"
+        )
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-170])
+    def test_coefficients_of_any_finite_size(self, tmp_path, scale):
+        # their squares leave the double range; the table does not depend on
+        # the scale
+        coefficients = np.array([1.0, 0.5, 0.25, 0.1])
+        tables = []
+        for factor in (1.0, scale):
+            signal_path = write_signal(tmp_path / "sig.json", 2, factor * coefficients)
+            out = tmp_path / "table.csv"
+            assert run_cli(
+                "error-analysis", "--input", str(signal_path), "--r", "0.5", "--n", "3",
+                "--output", str(out),
+            ) == 0
+            tables.append(np.array(read_csv(out)[1], dtype=float))
+        assert np.allclose(tables[1], tables[0], rtol=1e-14, atol=0.0)
+
     def test_builds_no_kernel(self, tmp_path, monkeypatch):
         def refuse(twice_s, grid):
             raise AssertionError("error-analysis built a kernel")
@@ -804,7 +831,7 @@ class TestCommandProcess:
                               check=True, env=process_env())
         report = json.loads(proc.stdout)
         assert report == {
-            "numpy": False, "missing_from_dir": [], "count": 38, "not_identical": [],
+            "numpy": False, "missing_from_dir": [], "count": 39, "not_identical": [],
             "unknown": "module 'disksampling' has no attribute 'no_such_name'",
         }
 

@@ -14,6 +14,7 @@ from disksampling.validation import (
     ConditioningWarning,
     EigenvalueCrossCheckError,
     NumericalRangeError,
+    SeriesBudgetError,
 )
 
 import oracle
@@ -117,7 +118,9 @@ def test_each_series_names_itself_when_it_fails_to_terminate(monkeypatch, series
     kernel = ds.overlap_kernel(2, ds.SamplingGrid(0.9, 2))
     signal = ds.DiskSignal(2, [1.0, 0.5, 0.25])
     monkeypatch.setattr(undersampled, "_MAX_SERIES_BLOCKS", 1)
-    with pytest.raises(EigenvalueCrossCheckError, match=f"^{series} failed to terminate$"):
+    with pytest.raises(
+        SeriesBudgetError, match=f"^{series} needs more than its budget of 16 terms$"
+    ):
         build(kernel, signal)
 
 
@@ -139,30 +142,75 @@ def test_a_series_that_cannot_finish_fails_before_summing(monkeypatch, series, b
     monkeypatch.setattr(undersampled, "_series_sum", refuse)
     spectrum = ds.ResolutionSpectrum(2, ds.SamplingGrid(0.999999, 3))
     signal = ds.DiskSignal(2, [1.0, 0.5, 0.25, 0.1])
-    with pytest.raises(EigenvalueCrossCheckError, match=f"^{series} failed to terminate$"):
+    with pytest.raises(
+        SeriesBudgetError, match=f"^{series} needs more than its budget of 1600000 terms$"
+    ):
         build(spectrum, signal)
 
 
 @pytest.mark.parametrize(
+    "twice_s, radius, n",
+    [(2000, 0.9999, 1), (200, 0.99995783, 1), (40, 0.999994377, 4), (2000, 0.99994043, 2)],
+)
+@pytest.mark.parametrize(
     "series, build",
     [
-        ("eigenvalue series", lambda spectrum, signal: ds.overlap_kernel(2000, spectrum.grid)),
+        ("eigenvalue series", lambda spectrum, signal: ds.overlap_kernel(
+            spectrum.twice_s, spectrum.grid)),
         ("lambda tail series", lambda spectrum, signal: undersampled._error_row(
-            spectrum, signal, ds.quasi_band_profile(signal, 0), "printed")),
+            spectrum, signal, ds.quasi_band_profile(signal, spectrum.grid.n_samples - 1),
+            "printed")),
     ],
 )
-def test_a_wide_mode_that_cannot_finish_fails_before_summing(monkeypatch, series, build):
+def test_a_wide_mode_that_cannot_finish_fails_before_summing(
+    monkeypatch, series, build, twice_s, radius, n
+):
     # at 2s = 2000, r = 0.9999 the spectrum peaks near index 1e7 and is about
     # 2.2e5 indices wide; at N = 1 its terms fall so slowly there that a class
-    # tail cannot finish within 1.6 million terms, though at r^2 a step it would
+    # tail cannot finish within 1.6 million terms, though at r^2 a step it would;
+    # the other three lie near the refusal boundary, and each sums the whole
+    # budget, for over 20 s, where it is not refused first
     def refuse(*args):
         raise AssertionError("summed a series that cannot finish")
 
     monkeypatch.setattr(undersampled, "_series_sum", refuse)
-    spectrum = ds.ResolutionSpectrum(2000, ds.SamplingGrid(0.9999, 1))
-    signal = ds.DiskSignal(2000, [1.0, 0.5, 0.25, 0.1])
-    with pytest.raises(EigenvalueCrossCheckError, match=f"^{series} failed to terminate$"):
+    spectrum = ds.ResolutionSpectrum(twice_s, ds.SamplingGrid(radius, n))
+    signal = ds.DiskSignal(twice_s, [1.0, 0.5, 0.25, 0.1])
+    with pytest.raises(
+        SeriesBudgetError, match=f"^{series} needs more than its budget of 1600000 terms$"
+    ):
         build(spectrum, signal)
+
+
+@pytest.mark.parametrize("kind", ["kernel", "tail"])
+def test_the_budget_check_never_refuses_a_series_that_would_finish(monkeypatch, kind):
+    # with a budget of 64 terms, a grid across the refusal boundary: wherever
+    # the check refuses, the series summed anyway must run out at the cap
+    class Summed(Exception):
+        pass
+
+    def summed(*args):
+        raise Summed
+
+    monkeypatch.setattr(undersampled, "_MAX_SERIES_BLOCKS", 4)
+    for twice_s in (2, 3, 8, 40, 200):
+        for n in (1, 2, 3, 8, 64):
+            starts = np.arange(n) + (n if kind == "tail" else 0)
+            verdicts = []
+            for one_minus_r in np.geomspace(0.9, 1e-4, 24):
+                spectrum = ds.ResolutionSpectrum(twice_s, ds.SamplingGrid(1.0 - one_minus_r, n))
+                with monkeypatch.context() as patch:
+                    patch.setattr(undersampled, "_series_sum", summed)
+                    with pytest.raises((SeriesBudgetError, Summed)) as info:
+                        undersampled._log_class_tails(spectrum, starts, "class")
+                verdicts.append(info.type is SeriesBudgetError)
+                if verdicts[-1]:
+                    with monkeypatch.context() as patch:
+                        patch.setattr(undersampled, "_check_budget", lambda *args: None)
+                        with pytest.raises(SeriesBudgetError):
+                            undersampled._log_class_tails(spectrum, starts, "class")
+            # the grid straddles the boundary at every (2s, N)
+            assert 0 < sum(verdicts) < len(verdicts)
 
 
 @pytest.mark.parametrize(

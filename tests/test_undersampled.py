@@ -587,6 +587,22 @@ class TestAliasError:
         with pytest.raises(ValueError):
             ds.alias_error(fixture_kernel.spectrum, ds.DiskSignal(3, [1.0]))
 
+    @pytest.mark.parametrize("k", [-600, 0, 600])
+    def test_error_analysis_for_coefficients_of_any_size(self, k):
+        # the squares of 2^600 a leave the double range, those of 2^-600 a
+        # underflow; the row is scale-free and the alias error scales with a
+        spectrum = ds.ResolutionSpectrum(2, ds.SamplingGrid(0.5, 3))
+        a = np.array([1.0, 0.5, 0.25, 0.1])
+
+        def row(coeffs):
+            signal = ds.DiskSignal(2, coeffs)
+            profile = ds.quasi_band_profile(signal, 2)
+            return undersampled._error_row(spectrum, signal, profile, "printed")
+
+        assert row(2.0**k * a) == row(a)
+        scaled = ds.alias_error(spectrum, ds.DiskSignal(2, 2.0**k * a))
+        assert scaled == 2.0**k * ds.alias_error(spectrum, ds.DiskSignal(2, a))
+
     def test_matches_dense_quadratic_form(self):
         rng = np.random.default_rng(36)
         kernel = ds.overlap_kernel(2, ds.SamplingGrid(0.45, 4))
