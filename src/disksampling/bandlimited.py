@@ -25,6 +25,7 @@ from .basis import (
     _log_one_minus_mod2,
     _one_minus_mod2,
     _pointwise,
+    _ring_coefficients,
 )
 from .validation import (
     CONDITION_LIMIT,
@@ -33,7 +34,6 @@ from .validation import (
     check_band_limit,
     check_grid_index,
     check_twice_s,
-    times_exp,
 )
 
 __all__ = [
@@ -86,8 +86,7 @@ def frame_matrix(twice_s: int, grid: SamplingGrid, band_limit: int) -> FrameMatr
     """Build the factored sampling operator; requires n_samples > band_limit."""
     twice_s = check_twice_s(twice_s)
     band_limit = check_band_limit(band_limit, n_samples=grid.n_samples)
-    spectrum = ResolutionSpectrum(twice_s, grid)
-    logs = np.asarray(spectrum.log_values(np.arange(band_limit + 1)), dtype=np.float64)
+    logs = ResolutionSpectrum(twice_s, grid).log_values(np.arange(band_limit + 1))
     return FrameMatrix(twice_s=twice_s, grid=grid, band_limit=band_limit, log_lambda=logs)
 
 
@@ -134,17 +133,15 @@ def sinc_kernel(fm: FrameMatrix, k: int, z):
 def fourier_coefficients(fm: FrameMatrix, samples) -> np.ndarray:
     """Recover a_0..a_M from ring samples: one DFT then a diagonal filter.
 
-        a_m = (N lambda_m)^(-1/2) sum_k exp(2*pi*i*k*m/N) Psi(z_k)
+        a_m = (N lambda_m)^(-1/2) sum_k exp(2*pi*i*k*m/N) Psi(z_k) = d_m / U_m(r),
 
-    Exact on bandlimited data; otherwise this is the least-squares fit
-    given by the left pseudoinverse of the sampling operator.  Where
-    (N lambda_m)^(-1/2) leaves the double range, a_m is taken in one
-    exponent; a coefficient beyond the range raises ``NumericalRangeError``.
+    the ring transform of both modes (``basis._ring_coefficients``).  Exact
+    on bandlimited data; otherwise the least-squares fit given by the left
+    pseudoinverse of the sampling operator.  A coefficient beyond the double
+    range raises ``NumericalRangeError``.
     """
-    n = fm.n_samples
-    values = as_samples(samples, n)
-    plus_dft = n * np.fft.ifft(values)
-    return times_exp(plus_dft[: fm.band_limit + 1], -0.5 * (np.log(n) + fm.log_lambda), "a")
+    values = as_samples(samples, fm.n_samples)
+    return _ring_coefficients(fm.twice_s, fm.grid, values, fm.band_limit, "a")
 
 
 def reconstruct_bandlimited(fm: FrameMatrix, samples, z):

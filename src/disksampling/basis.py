@@ -49,6 +49,7 @@ from .validation import (
     check_n_samples,
     check_radius,
     check_twice_s,
+    times_exp,
 )
 
 __all__ = [
@@ -255,7 +256,7 @@ def log_binomial(twice_s: int, n) -> np.ndarray | float:
     The saddle-point terms of :func:`_log_pmf` plus the entropy
     2s log(1 + n/2s) + n log(1 + 2s/n); stable for arbitrarily large ``n``
     and exact (0.0) at n = 0.  ``n`` may be a nonnegative integer scalar or
-    array; anything else raises ``ValueError``.
+    array-like (giving an array); anything else raises ``ValueError``.
     """
     twice_s = check_twice_s(twice_s)
     n_arr = np.asarray(n, dtype=np.float64)
@@ -267,7 +268,7 @@ def log_binomial(twice_s: int, n) -> np.ndarray | float:
             + n_arr * np.log1p(twice_s / n_arr)
         )
     out = np.where(n_arr == 0, 0.0, out)
-    return out if isinstance(n, np.ndarray) else float(out)
+    return float(out) if np.isscalar(n) else out
 
 
 @dataclass(frozen=True)
@@ -328,8 +329,8 @@ class DiskSignal:
     def _scaled(self):
         """(scale, a/scale, |a/scale|^2) for a power of two ``scale``: 1.0
         where the largest |a_m| lies within a factor ``_COEFFICIENT_MAX`` of
-        1, else the one that brings it into [1, 2), so that no square leaves
-        the double range.  Ratios of sums of squares do not depend on it."""
+        1, else the one that brings it into [1, 2).  The signal's one scale:
+        every sum over the coefficients is of a/scale (:func:`_scale_back`)."""
         largest = np.abs(self.coefficients).max()
         scale = 1.0
         if largest > 0.0 and not 1.0 / _COEFFICIENT_MAX <= largest <= _COEFFICIENT_MAX:
@@ -341,7 +342,7 @@ class DiskSignal:
     def _segments(self):
         """The segment polynomials :func:`evaluate_signal` sums, taken on its
         first call (the coefficients are read-only)."""
-        return _segment_polynomials(self.twice_s, self.coefficients)
+        return _segment_polynomials(self.twice_s, self._scaled[1])
 
 
 @dataclass(frozen=True)
@@ -450,11 +451,10 @@ _SEGMENT = 64
 #: 3.4e9), so that the folded coefficients stay finite.
 _LOG_STEPS_MAX = 600.0
 
-#: Coefficients of larger modulus are scaled down by a power of two before
-#: the sum and the sum scaled back, so that no intermediate overflows:
-#: each folded term is at most this times exp(_LOG_STEPS_MAX).  Sums of
-#: squares scale where the largest lies outside [1/this, this]
-#: (``DiskSignal._scaled``).
+#: A signal's sums are of its coefficients divided by a power of two where
+#: the largest modulus lies outside [1/this, this] (``DiskSignal._scaled``),
+#: so no square overflows and each folded term is at most this times
+#: exp(_LOG_STEPS_MAX).
 _COEFFICIENT_MAX = 2.0**100
 
 #: Segments summed together are this many over the number of points: four
@@ -510,20 +510,12 @@ def _segment_rows(values: np.ndarray, length: int) -> np.ndarray:
 def _segment_polynomials(twice_s: int, coefficients: np.ndarray):
     """What :func:`evaluate_signal` needs of a signal, taken once per signal.
 
-    Returns (scale, a_0, folded, ratios).  ``folded`` holds the segment rows
-    A_gk = a_(gK+k+1) P_gk, P_gk the running products of the steps, as a real
-    (G, 2, 2K) array: row (g, 0) dotted with the interleaved real and
-    imaginary parts of w_k gives Re sum_k A_gk w_k, row (g, 1) the imaginary
-    part.  ``ratios`` is each segment's whole product P_g,K-1.  Where the
-    largest coefficient exceeds ``_COEFFICIENT_MAX`` in modulus, all are
-    divided by ``scale``.
+    Returns (a_0, folded, ratios) of the scaled coefficients a (``DiskSignal._scaled``).
+    ``folded`` holds the segment rows A_gk = a_(gK+k+1) P_gk, P_gk the running
+    products of the steps, as a real (G, 2, 2K) array: row (g, 0) dotted with
+    the interleaved real and imaginary parts of w_k gives Re sum_k A_gk w_k,
+    row (g, 1) the imaginary part.  ``ratios`` is each segment's product P_g,K-1.
     """
-    scale = 1.0
-    largest = np.abs(coefficients).max()
-    if largest > _COEFFICIENT_MAX:
-        # an exact power of two, so that only values below the normal range move
-        scale = 2.0 ** int(np.frexp(largest / _COEFFICIENT_MAX)[1])
-        coefficients = coefficients / scale
     length = _segment_length(twice_s)
     m = np.arange(1, coefficients.size, dtype=np.float64)
     products = np.multiply.accumulate(
@@ -534,7 +526,7 @@ def _segment_polynomials(twice_s: int, coefficients: np.ndarray):
     folded[:, 0, 0::2] = folded[:, 1, 1::2] = rows.real
     folded[:, 0, 1::2] = -rows.imag
     folded[:, 1, 0::2] = rows.imag
-    return scale, coefficients[0], folded, products[:, -1]
+    return coefficients[0], folded, products[:, -1]
 
 
 def _seeds(twice_s: int, length: int, count: int, z: np.ndarray):
@@ -629,28 +621,54 @@ def evaluate_signal(signal: DiskSignal, z):
     (large s near the rim), it starts later, at the last segment start below
     that level on the rising side of |U_m|, taken once from the log domain.
     Every choice is made per point, so a value never depends on the query.
+    A value beyond the double range raises ``NumericalRangeError`` naming it.
     """
-    scale, a0, folded, ratios = signal._segments
+    values = _pointwise(lambda z_flat: _upward_sum(signal.twice_s, *signal._segments, z_flat), z)
+    return _scale_back(signal, values, "value")
 
-    def values(z_flat):
-        out = _upward_sum(signal.twice_s, a0, folded, ratios, z_flat)
-        return out if scale == 1.0 else out * scale
 
-    return _pointwise(values, z)
+def _scale_back(signal: DiskSignal, values, name: str):
+    """``values``, sums of ``signal``'s a/scale, times its ``scale``: exact, or
+    ``NumericalRangeError`` naming flat entry j as ``name``_j beyond the double range."""
+    scale = signal._scaled[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = values if scale == 1.0 else values * scale
+    wide = np.flatnonzero(~np.isfinite(out))
+    if wide.size:
+        log_modulus = np.log(np.abs(np.ravel(values)[wide[0]])) + np.log(scale)
+        raise NumericalRangeError(f"{name}_{wide[0]} beyond the double range", float(log_modulus))
+    return out
+
+
+def _log_ring_weights(twice_s: int, radius: float, count: int) -> np.ndarray:
+    """log U_n(r) = log NB(n; 2s, 1-r^2)^(1/2), n = 0..count-1: a_n's weight in a ring sample."""
+    return 0.5 * _log_pmf(twice_s, np.arange(count, dtype=np.float64), _one_minus_mod2(radius))
 
 
 def sample_signal(signal: DiskSignal, grid: SamplingGrid) -> np.ndarray:
     """Signal values at all grid points via one length-N forward DFT.
 
-    The weighted coefficients binom^(1/2) a_m r^m (1-r^2)^s are folded by
-    residue m mod N, so the cost is O(L + N log N) instead of O(L*N).
-    Agrees with :func:`evaluate_signal` at every grid point to 1e-12
-    relative.
+    The scaled coefficients a_m U_m(r), U_m(r) = binom^(1/2) r^m (1-r^2)^s,
+    are folded by residue m mod N, so the cost is O(L + N log N) instead of
+    O(L*N); :func:`_ring_coefficients` inverts it.  A sample beyond the
+    double range raises ``NumericalRangeError`` naming it.  Agrees with
+    :func:`evaluate_signal` at every grid point to 1e-12 relative.
     """
-    n = grid.n_samples
-    m = np.arange(len(signal), dtype=np.float64)
-    log_w = 0.5 * _log_pmf(signal.twice_s, m, _one_minus_mod2(grid.radius))
-    weighted = signal.coefficients * np.exp(log_w)
-    folded = np.zeros(n, dtype=np.complex128)
-    np.add.at(folded, np.arange(len(signal)) % n, weighted)
-    return np.fft.fft(folded)
+    weights = np.exp(_log_ring_weights(signal.twice_s, grid.radius, len(signal)))
+    folded = np.zeros(grid.n_samples, dtype=np.complex128)
+    np.add.at(folded, np.arange(len(signal)) % grid.n_samples, signal._scaled[1] * weights)
+    return _scale_back(signal, np.fft.fft(folded), "sample")
+
+
+def _ring_dft(samples: np.ndarray, n_max: int) -> np.ndarray:
+    """d_(n mod N), n = 0..n_max, with d_j = (1/N) sum_k e^(2 pi i jk/N) Psi(z_k),
+    the inverse of :func:`sample_signal`'s DFT: the class sums of a_n U_n(r)."""
+    return np.fft.ifft(samples)[np.arange(n_max + 1) % samples.size]
+
+
+def _ring_coefficients(twice_s: int, grid: SamplingGrid, samples, n_max: int, name: str):
+    """a_n = d_(n mod N) / U_n(r), n = 0..n_max, from validated samples, in
+    one exponent: a signal of band limit n_max < N, or the alias rescaled.
+    A value beyond the double range raises ``NumericalRangeError`` (``name``_n)."""
+    log_weights = _log_ring_weights(twice_s, grid.radius, n_max + 1)
+    return times_exp(_ring_dft(samples, n_max), -log_weights, name)

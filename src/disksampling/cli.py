@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import DiskSignal, ResolutionSpectrum, SamplingGrid, sample_signal
+from .basis import DiskSignal, ResolutionSpectrum, SamplingGrid, _ring_coefficients, sample_signal
 from .validation import (
     CONDITION_LIMIT,
     ConditioningWarning,
@@ -297,12 +297,10 @@ def cmd_dft(args) -> int:
     else:
         n_max = args.n_max if args.n_max is not None else grid.n_samples - 1
         ahat = module.dft_coefficients(operator, samples, n_max)
-        rescaled = module._rescaled_dft(operator, samples, n_max)
-        text = _render_table(
-            ["n", "re", "im", "re_rescaled", "im_rescaled"],
-            [np.arange(n_max + 1), ahat.real, ahat.imag, rescaled.real, rescaled.imag],
-            args.format,
-        )
+        rescaled = _ring_coefficients(operator.twice_s, grid, samples, n_max, "rescaled ahat")
+        columns = ["n", "re", "im", "re_rescaled", "im_rescaled"]
+        data = [np.arange(n_max + 1), ahat.real, ahat.imag, rescaled.real, rescaled.imag]
+        text = _render_table(columns, data, args.format)
     _write_output(args.output, text)
     return EXIT_OK
 

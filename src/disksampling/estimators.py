@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bandlimited as bl
 from . import undersampled as us
-from .basis import DiskSignal, SamplingGrid, evaluate_signal
+from .basis import DiskSignal, SamplingGrid, _ring_coefficients, evaluate_signal
 from .validation import NotFittedError, as_samples, check_band_limit
 
 __all__ = ["BandlimitedReconstructor", "PartialReconstructor"]
@@ -121,6 +121,7 @@ class PartialReconstructor(_ParamsMixin):
 
     def truncated_signal(self, band_limit: int) -> DiskSignal:
         self._check_fitted("kernel_")
-        band_limit = check_band_limit(band_limit, n_samples=self.kernel_.n_samples)
-        rescaled = us._rescaled_dft(self.kernel_, self.samples_, band_limit)
-        return DiskSignal(self.kernel_.twice_s, rescaled)
+        twice_s, grid = self.kernel_.twice_s, self.kernel_.grid
+        band_limit = check_band_limit(band_limit, n_samples=grid.n_samples)
+        coeffs = _ring_coefficients(twice_s, grid, self.samples_, band_limit, "rescaled ahat")
+        return DiskSignal(twice_s, coeffs)

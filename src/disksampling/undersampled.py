@@ -41,8 +41,10 @@ from .basis import (
     ResolutionSpectrum,
     SamplingGrid,
     _log_pmf,
+    _log_ring_weights,
     _one_minus_mod2,
     _pointwise,
+    _ring_dft,
     log_binomial,
 )
 from .validation import (
@@ -443,35 +445,16 @@ def _coherent_sum(kernel: CirculantKernel, weights: np.ndarray, z):
 def dft_coefficients(kernel: CirculantKernel, samples, n_max: int) -> np.ndarray:
     """Filtered DFT coefficients of the alias:
 
-        ahat_n = (lambda_n^(1/2) / lhat_{n mod N}) (1/sqrt(N)) sum_k e^{2 pi i n k / N} Psi(z_k).
+        ahat_n = (lambda_n^(1/2) / lhat_{n mod N}) (1/sqrt(N)) sum_k e^{2 pi i n k / N} Psi(z_k)
+               = N U_n(r) d_{n mod N} / lhat_{n mod N}.
 
-    One length-N DFT of the samples serves every n; coefficients repeat
-    across residue classes up to the factor sqrt(lambda_{n+pN}/lambda_n).
+    One DFT of the samples, ``basis._ring_dft``, serves every n; coefficients
+    repeat across residue classes up to the factor sqrt(lambda_{n+pN}/lambda_n).
     """
-    plus_dft, log_lam, residues = _class_dft(kernel, samples, n_max)
-    scale = np.exp(0.5 * log_lam - np.log(kernel.eigenvalues[residues]))
-    return scale * plus_dft
-
-
-def _class_dft(kernel: CirculantKernel, samples, n_max: int):
-    """(d_{n mod N}, log lambda_n, n mod N) for n = 0..n_max, where
-    d_j = (1/sqrt(N)) sum_k e^{2 pi i j k / N} Psi(z_k)."""
-    n_max = check_index(n_max, "n_max")
-    n = kernel.n_samples
-    plus_dft = np.sqrt(n) * np.fft.ifft(as_samples(samples, n))
-    idx = np.arange(n_max + 1)
-    residues = idx % n
-    log_lam = np.asarray(kernel.spectrum.log_values(idx), dtype=np.float64)
-    return plus_dft[residues], log_lam, residues
-
-
-def _rescaled_dft(kernel: CirculantKernel, samples, n_max: int) -> np.ndarray:
-    """ahat_n lhat_{n mod N} / lambda_n = d_{n mod N} lambda_n^(-1/2) for
-    n = 0..n_max, the filter undone, in one exponent: a zero d_j stays 0
-    where lambda_n^(-1/2) leaves the double range, and a value beyond the
-    range raises ``NumericalRangeError``."""
-    plus_dft, log_lam, _ = _class_dft(kernel, samples, n_max)
-    return times_exp(plus_dft, -0.5 * log_lam, "rescaled ahat")
+    n_max, n = check_index(n_max, "n_max"), kernel.n_samples
+    log_weights = _log_ring_weights(kernel.twice_s, kernel.grid.radius, n_max + 1)
+    log_eig = np.log(kernel.eigenvalues)[np.arange(n_max + 1) % n]
+    return np.exp(np.log(n) + log_weights - log_eig) * _ring_dft(as_samples(samples, n), n_max)
 
 
 def rescale_truncate(kernel: CirculantKernel, dft_coeffs, band_limit: int) -> DiskSignal:

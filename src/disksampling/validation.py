@@ -78,11 +78,21 @@ class NotFittedError(ValueError):
     """An estimator method requiring a fit was called before ``fit``."""
 
 
+def _integer(value, message: str, least=None) -> int:
+    """int(value), or ``ValueError(message)`` where value is not an integer
+    (None, NaN and the infinities included) or is below ``least``."""
+    try:
+        result = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(message) from None
+    if result != value or (least is not None and result < least):
+        raise ValueError(message)
+    return result
+
+
 def check_twice_s(twice_s) -> int:
     """Validate a doubled spin index 2s (integer, at least 2)."""
-    value = int(twice_s)
-    if value != twice_s:
-        raise ValueError(f"twice_s must be an integer, got {twice_s!r}")
+    value = _integer(twice_s, f"twice_s must be an integer, got {twice_s!r}")
     if value < 2:
         raise ValueError(f"twice_s must be >= 2 (s >= 1), got {value}")
     return value
@@ -98,17 +108,13 @@ def check_radius(radius) -> float:
 
 def check_n_samples(n_samples) -> int:
     """Validate a sample count (integer, at least 1)."""
-    value = int(n_samples)
-    if value != n_samples or value < 1:
-        raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
-    return value
+    return _integer(n_samples, f"n_samples must be a positive integer, got {n_samples!r}", 1)
 
 
 def check_band_limit(band_limit, n_samples=None) -> int:
     """Validate a band limit M >= 0, optionally requiring M < n_samples."""
-    value = int(band_limit)
-    if value != band_limit or value < 0:
-        raise ValueError(f"band limit must be a nonnegative integer, got {band_limit!r}")
+    message = f"band limit must be a nonnegative integer, got {band_limit!r}"
+    value = _integer(band_limit, message, 0)
     if n_samples is not None and value >= n_samples:
         raise ValueError(
             f"band limit {value} too large: need more samples than coefficients "
@@ -126,10 +132,7 @@ def check_epsilon_m(epsilon_m) -> float:
 
 def check_index(n, name: str = "n") -> int:
     """Validate a nonnegative integer index."""
-    value = int(n)
-    if value != n or value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
-    return value
+    return _integer(n, f"{name} must be a nonnegative integer, got {n!r}", 0)
 
 
 def check_grid_index(k, n_samples: int) -> int:

@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -44,6 +46,11 @@ class TestLogBinomial:
         assert vec.shape == (6,)
         for i in range(6):
             assert vec[i] == ds.log_binomial(5, int(i))
+        # any array-like index gives an array
+        for index in ([1, 2], (1, 2)):
+            got = ds.log_binomial(2, index)
+            assert isinstance(got, np.ndarray)
+            assert np.array_equal(got, ds.log_binomial(2, np.array([1, 2])))
 
     def test_rejects_bad_domain(self):
         with pytest.raises(ValueError):
@@ -371,6 +378,18 @@ class TestSignals:
         direct = np.sum(coeffs[:, np.newaxis] * ds.basis_fn(10**8, m, z), axis=0)
         assert np.all(np.isfinite(value))
         assert sup_relative_error(value, direct) < 1e-12
+
+    def test_eval_beyond_the_double_range_raises_without_a_warning(self):
+        # each coefficient fits a double, their sum at 0.5 does not; at 0.1j it does
+        signal = ds.DiskSignal(2, [1.7e308] * 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z, entry in ((0.5, 0), (np.array([0.1j, 0.5]), 1)):
+                with pytest.raises(NumericalRangeError,
+                                   match=f"^value_{entry} beyond the double range"):
+                    ds.evaluate_signal(signal, z)
+            with pytest.raises(NumericalRangeError, match="^sample_0 beyond the double range"):
+                ds.sample_signal(signal, ds.SamplingGrid(0.5, 1))
 
     def test_eval_linearity(self):
         rng = np.random.default_rng(10)

@@ -146,6 +146,19 @@ class TestSynthesize:
         bad.write_text("{not json")
         assert run_cli("synthesize", "--r", "0.5", "--n", "2", "--input", str(bad)) == 2
 
+    def test_sample_beyond_the_double_range_exits_three_and_names_it(self, tmp_path, capsys):
+        # each coefficient fits a double, their sample at r = 0.5 does not
+        signal_path = write_signal(tmp_path / "sig.json", 2, [1.7e308] * 4)
+        out = tmp_path / "samples.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(
+                "synthesize", "--r", "0.5", "--n", "1",
+                "--input", str(signal_path), "--output", str(out),
+            ) == 3
+        assert "numerical failure: sample_0 beyond the double range" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReconstruct:
     def test_bandlimited_round_trip(self, tmp_path):
@@ -347,6 +360,29 @@ class TestDft:
         # at n = 1032 (residue 0) the value itself is beyond the range
         assert dft(1200) == 3
         assert "rescaled ahat_1032 beyond the double range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("twice_s, radius", [(2, 0.5), (7, 0.3), (40, 0.8)])
+    def test_rescaled_columns_print_the_bandlimited_coefficients(
+        self, tmp_path, twice_s, radius
+    ):
+        # at n_max = band limit = N - 1 both modes print one ring transform
+        rng = np.random.default_rng(twice_s)
+        samples = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        samples_path = tmp_path / "samples.csv"
+        samples_path.write_text(
+            "k,re,im\n"
+            + "".join(f"{k},{v.real!r},{v.imag!r}\n" for k, v in enumerate(samples.tolist()))
+        )
+        common = ["--twice-s", str(twice_s), "--r", str(radius), "--n", "12",
+                  "--input", str(samples_path)]
+        bandlimited, undersampled_ = tmp_path / "bl.csv", tmp_path / "us.csv"
+        assert run_cli("dft", *common, "--mode", "bandlimited", "--band-limit", "11",
+                       "--output", str(bandlimited)) == 0
+        assert run_cli("dft", *common, "--mode", "undersampled", "--n-max", "11",
+                       "--output", str(undersampled_)) == 0
+        _, rows = read_csv(bandlimited)
+        _, alias_rows = read_csv(undersampled_)
+        assert [row[1:] for row in rows] == [row[3:] for row in alias_rows]
 
     @pytest.mark.parametrize("command", ["dft", "reconstruct"])
     @pytest.mark.parametrize(

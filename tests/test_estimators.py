@@ -125,6 +125,22 @@ class TestPartialReconstructor:
         with pytest.raises(ValueError):
             est.truncated_signal(16)
 
+    def test_truncated_signal_is_the_bandlimited_transform_bit_for_bit(self):
+        # both modes take their coefficients from one ring transform
+        rng = np.random.default_rng(230)
+        for _ in range(40):
+            twice_s, radius = int(rng.integers(2, 300)), float(rng.uniform(0.05, 0.95))
+            n = int(rng.integers(2, 40))
+            samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            frame = ds.frame_matrix(twice_s, ds.SamplingGrid(radius, n), n - 1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConditioningWarning)
+                est = ds.PartialReconstructor(twice_s, radius, n).fit(samples)
+            assert np.array_equal(
+                est.truncated_signal(n - 1).coefficients,
+                ds.fourier_coefficients(frame, samples),
+            ), (twice_s, radius, n)
+
     def test_fit_and_predict_warn_once_on_an_ill_conditioned_kernel(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -77,6 +77,31 @@ def test_dual_weights_rejects_wrong_sample_count():
         ds.dual_weights(kernel, np.zeros(3))
 
 
+def _kernel():
+    return ds.overlap_kernel(2, ds.SamplingGrid(0.5, 4))
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: ds.SamplingGrid(0.5, float("inf")), "n_samples"),
+        (lambda: ds.SamplingGrid(0.5, None), "n_samples"),
+        (lambda: ds.DiskSignal(float("inf"), [1.0]), "twice_s"),
+        (lambda: ds.DiskSignal(float("nan"), [1.0]), "twice_s"),
+        (lambda: ds.frame_matrix(2, ds.SamplingGrid(0.5, 4), float("inf")), "band limit"),
+        (lambda: ds.projector_element(_kernel(), float("-inf"), 0), "m"),
+        (lambda: ds.PartialReconstructor(2, 0.5, float("inf")).fit([1.0]), "n_samples"),
+        (lambda: ds.dft_coefficients(_kernel(), np.ones(4), float("nan")), "n_max"),
+        (lambda: ds.dual_sinc_kernel(_kernel(), None, 0.1), "k"),
+    ],
+    ids=["grid-inf", "grid-none", "signal-inf", "signal-nan", "frame-inf",
+         "projector-minus-inf", "estimator-inf", "dft-nan", "dual-sinc-none"],
+)
+def test_integer_parameters_refuse_what_is_no_integer_by_name(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()
+
+
 def test_shared_objects_are_thread_safe():
     rng = np.random.default_rng(77)
     grid = ds.SamplingGrid(0.55, 6)
