@@ -14,6 +14,7 @@ Public names are loaded from their submodules on first access (PEP 562), so
 
 import importlib
 
+# the package's one list of public names: each submodule's __all__ is read from it
 _EXPORTS = {
     "basis": (
         "DiskSignal",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import basis
+from . import _EXPORTS, basis
 from .basis import (
     DiskSignal,
     ResolutionSpectrum,
@@ -36,13 +36,7 @@ from .validation import (
     check_twice_s,
 )
 
-__all__ = [
-    "FrameMatrix",
-    "frame_matrix",
-    "sinc_kernel",
-    "reconstruct_bandlimited",
-    "fourier_coefficients",
-]
+__all__ = list(_EXPORTS["bandlimited"])
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .validation import (
     NumericalRangeError,
     as_coefficients,
@@ -49,19 +50,11 @@ from .validation import (
     check_n_samples,
     check_radius,
     check_twice_s,
+    in_range,
     times_exp,
 )
 
-__all__ = [
-    "SamplingGrid",
-    "DiskSignal",
-    "ResolutionSpectrum",
-    "log_binomial",
-    "basis_fn",
-    "overlap",
-    "evaluate_signal",
-    "sample_signal",
-]
+__all__ = list(_EXPORTS["basis"])
 
 
 #: Veltkamp's splitting constant 2^27 + 1.
@@ -250,13 +243,21 @@ def _check_nonnegative_integers(values: np.ndarray, message: str) -> None:
         raise ValueError(message)
 
 
+def _scalar_or_array(values, *arguments):
+    """``values`` as the package returns them: a Python scalar where every
+    argument is a scalar or 0-d, else an array of the arguments' broadcast shape."""
+    shape = np.broadcast_shapes(*map(np.shape, arguments))
+    values = np.asarray(values)
+    return values.item() if shape == () else values.reshape(shape)
+
+
 def log_binomial(twice_s: int, n) -> np.ndarray | float:
     """Natural log of binom(2s+n-1, n) = Gamma(2s+n) / (Gamma(n+1) Gamma(2s)).
 
     The saddle-point terms of :func:`_log_pmf` plus the entropy
     2s log(1 + n/2s) + n log(1 + 2s/n); stable for arbitrarily large ``n``
     and exact (0.0) at n = 0.  ``n`` may be a nonnegative integer scalar or
-    array-like (giving an array); anything else raises ``ValueError``.
+    array-like (giving a float or an array); anything else raises ``ValueError``.
     """
     twice_s = check_twice_s(twice_s)
     n_arr = np.asarray(n, dtype=np.float64)
@@ -267,8 +268,7 @@ def log_binomial(twice_s: int, n) -> np.ndarray | float:
             + twice_s * np.log1p(n_arr / twice_s)
             + n_arr * np.log1p(twice_s / n_arr)
         )
-    out = np.where(n_arr == 0, 0.0, out)
-    return float(out) if np.isscalar(n) else out
+    return _scalar_or_array(np.where(n_arr == 0, 0.0, out), n)
 
 
 @dataclass(frozen=True)
@@ -330,7 +330,7 @@ class DiskSignal:
         """(scale, a/scale, |a/scale|^2) for a power of two ``scale``: 1.0
         where the largest |a_m| lies within a factor ``_COEFFICIENT_MAX`` of
         1, else the one that brings it into [1, 2).  The signal's one scale:
-        every sum over the coefficients is of a/scale (:func:`_scale_back`)."""
+        every sum over the coefficients is of a/scale, scaled back by ``in_range``."""
         largest = np.abs(self.coefficients).max()
         scale = 1.0
         if largest > 0.0 and not 1.0 / _COEFFICIENT_MAX <= largest <= _COEFFICIENT_MAX:
@@ -372,18 +372,16 @@ class ResolutionSpectrum:
         out = np.log(self.grid.n_samples) + _log_pmf(
             self.twice_s, n_arr, self._rim, self._twice_s_error
         )
-        return float(out) if np.isscalar(n) else out
+        return _scalar_or_array(out, n)
 
     def values(self, n) -> np.ndarray | float:
-        logs = np.asarray(self.log_values(n), dtype=np.float64)
+        logs = np.asarray(self.log_values(n))
         vals = np.exp(logs)
         bad = (vals == 0.0) | ~np.isfinite(vals)
         if np.any(bad):
-            worst = float(np.asarray(logs)[bad].flat[0])
-            raise NumericalRangeError(
-                "lambda_n not representable in double precision", log_value=worst
-            )
-        return float(vals) if np.isscalar(n) else vals
+            worst = float(logs[bad].flat[0])
+            raise NumericalRangeError("lambda_n not representable in double precision", worst)
+        return _scalar_or_array(vals, n)
 
 
 def _basis_values(twice_s: int, m: np.ndarray, z: np.ndarray, log_scale=0.0) -> np.ndarray:
@@ -404,8 +402,7 @@ def basis_fn(twice_s: int, m, z):
     m_arr = np.asarray(m)
     _check_nonnegative_integers(m_arr, "basis index m must be a nonnegative integer")
     z_arr = as_disk_points(z)
-    out = _basis_values(twice_s, m_arr, z_arr)
-    return complex(out) if m_arr.ndim == 0 and z_arr.ndim == 0 else out
+    return _scalar_or_array(_basis_values(twice_s, m_arr, z_arr), m_arr, z_arr)
 
 
 def overlap(twice_s: int, z, w):
@@ -430,11 +427,9 @@ def overlap(twice_s: int, z, w):
     base *= np.conj(z_arr)
     base += rim[0]
     np.divide(root, base, out=base)
-    if base.ndim == 0:
-        return complex(base**twice_s)
     # **= keeps numpy's fast path for small exponents (a square at 2s = 2)
     base **= twice_s
-    return base
+    return _scalar_or_array(base, z_arr, w_arr)
 
 
 #: Query points evaluated together.  Every pointwise function works on one
@@ -478,17 +473,14 @@ def _pointwise(values, z):
 
     ``values`` maps a 1-d block of at most ``_BLOCK`` points to one complex
     value per point.  It must treat each point on its own, so that a
-    point's value does not depend on the rest of the query.  A scalar ``z``
-    gives a Python complex.
+    point's value does not depend on the rest of the query.
     """
     z_arr = as_disk_points(z)
     z_flat = z_arr.ravel()
     out = np.empty(z_flat.size, dtype=np.complex128)
     for start in range(0, z_flat.size, _BLOCK):
         out[start : start + _BLOCK] = values(z_flat[start : start + _BLOCK])
-    if np.isscalar(z) or z_arr.ndim == 0:
-        return complex(out[0])
-    return out.reshape(z_arr.shape)
+    return _scalar_or_array(out, z_arr)
 
 
 def _segment_length(twice_s: int) -> int:
@@ -529,15 +521,21 @@ def _segment_polynomials(twice_s: int, coefficients: np.ndarray):
     return coefficients[0], folded, products[:, -1]
 
 
+def _mode(twice_s: int, rim):
+    """(2s-1)|z|^2 / (1-|z|^2) from ``rim = _one_minus_mod2(z)``: NB(m; 2s, 1-|z|^2),
+    hence |U_m(z)| and lambda_m at r = |z|, rises in m up to its floor and falls after."""
+    return (twice_s - 1.0) * rim[2] / rim[0]
+
+
 def _seeds(twice_s: int, length: int, count: int, z: np.ndarray):
     """(g0, U_{g0 K}(z) ``_SEED_SCALE``) at points z whose U_0 is below ``_FLUSH``.
 
     g0 <= ``count`` is the last g with U_gK below ``_FLUSH`` and gK at most
-    the mode (2s-1)|z|^2 / (1-|z|^2), up to which |U_m| rises, so every term
-    left out, m <= g0 K, is below ``_FLUSH``; found by bisection.
+    the :func:`_mode`, up to which |U_m| rises, so every term left out,
+    m <= g0 K, is below ``_FLUSH``; found by bisection.
     """
     rim = _one_minus_mod2(z)
-    mode = (twice_s - 1.0) * rim[2] / rim[0]
+    mode = _mode(twice_s, rim)
     low, high = np.zeros(z.size, dtype=np.int64), np.full(z.size, count + 1)
     while (high - low > 1).any():
         middle = (low + high) // 2
@@ -623,21 +621,11 @@ def evaluate_signal(signal: DiskSignal, z):
     Every choice is made per point, so a value never depends on the query.
     A value beyond the double range raises ``NumericalRangeError`` naming it.
     """
-    values = _pointwise(lambda z_flat: _upward_sum(signal.twice_s, *signal._segments, z_flat), z)
-    return _scale_back(signal, values, "value")
-
-
-def _scale_back(signal: DiskSignal, values, name: str):
-    """``values``, sums of ``signal``'s a/scale, times its ``scale``: exact, or
-    ``NumericalRangeError`` naming flat entry j as ``name``_j beyond the double range."""
-    scale = signal._scaled[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = values if scale == 1.0 else values * scale
-    wide = np.flatnonzero(~np.isfinite(out))
-    if wide.size:
-        log_modulus = np.log(np.abs(np.ravel(values)[wide[0]])) + np.log(scale)
-        raise NumericalRangeError(f"{name}_{wide[0]} beyond the double range", float(log_modulus))
-    return out
+    sums = _pointwise(
+        lambda block: _upward_sum(signal.twice_s, *signal._segments, block),
+        as_disk_points(z).ravel(),
+    )
+    return _scalar_or_array(in_range(lambda v: v * signal._scaled[0], sums, "value"), z)
 
 
 def _log_ring_weights(twice_s: int, radius: float, count: int) -> np.ndarray:
@@ -657,13 +645,14 @@ def sample_signal(signal: DiskSignal, grid: SamplingGrid) -> np.ndarray:
     weights = np.exp(_log_ring_weights(signal.twice_s, grid.radius, len(signal)))
     folded = np.zeros(grid.n_samples, dtype=np.complex128)
     np.add.at(folded, np.arange(len(signal)) % grid.n_samples, signal._scaled[1] * weights)
-    return _scale_back(signal, np.fft.fft(folded), "sample")
+    return in_range(lambda f: np.fft.fft(f) * signal._scaled[0], folded, "sample")
 
 
 def _ring_dft(samples: np.ndarray, n_max: int) -> np.ndarray:
     """d_(n mod N), n = 0..n_max, with d_j = (1/N) sum_k e^(2 pi i jk/N) Psi(z_k),
-    the inverse of :func:`sample_signal`'s DFT: the class sums of a_n U_n(r)."""
-    return np.fft.ifft(samples)[np.arange(n_max + 1) % samples.size]
+    the inverse of :func:`sample_signal`'s DFT: the class sums of a_n U_n(r).
+    A d_j beyond the double range raises ``NumericalRangeError`` (``in_range``)."""
+    return in_range(np.fft.ifft, samples, "d")[np.arange(n_max + 1) % samples.size]
 
 
 def _ring_coefficients(twice_s: int, grid: SamplingGrid, samples, n_max: int, name: str):

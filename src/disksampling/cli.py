@@ -440,7 +440,3 @@ def main(argv=None) -> int:
     except (ArithmeticError, RuntimeError) as exc:
         _diag(f"numerical failure: {exc}")
         return EXIT_NUMERICAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

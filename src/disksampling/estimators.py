@@ -14,12 +14,12 @@ import dataclasses
 
 import numpy as np
 
-from . import bandlimited as bl
+from . import _EXPORTS, bandlimited as bl
 from . import undersampled as us
 from .basis import DiskSignal, SamplingGrid, _ring_coefficients, evaluate_signal
 from .validation import NotFittedError, as_samples, check_band_limit
 
-__all__ = ["BandlimitedReconstructor", "PartialReconstructor"]
+__all__ = list(_EXPORTS["estimators"])
 
 
 class _ParamsMixin:

@@ -35,16 +35,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import basis
+from . import _EXPORTS, basis
 from .basis import (
     DiskSignal,
     ResolutionSpectrum,
     SamplingGrid,
     _log_pmf,
     _log_ring_weights,
+    _mode,
     _one_minus_mod2,
     _pointwise,
     _ring_dft,
+    _scalar_or_array,
     log_binomial,
 )
 from .validation import (
@@ -53,6 +55,8 @@ from .validation import (
     EigenvalueCrossCheckError,
     NumericalRangeError,
     SeriesBudgetError,
+    _real,
+    as_disk_points,
     as_samples,
     check_band_limit,
     check_epsilon_m,
@@ -61,30 +65,11 @@ from .validation import (
     check_n_samples,
     check_radius,
     check_twice_s,
+    in_range,
     times_exp,
 )
 
-__all__ = [
-    "CirculantKernel",
-    "QuasiBandProfile",
-    "ErrorBound",
-    "RadiusEstimate",
-    "overlap_kernel",
-    "dual_weights",
-    "dual_sinc_kernel",
-    "partial_reconstruct",
-    "dft_coefficients",
-    "rescale_truncate",
-    "projector_element",
-    "tail_excess",
-    "quasi_band_profile",
-    "alias_error",
-    "error_bound",
-    "leading_order_bound",
-    "max_radius_estimate",
-    "band_projection_curve",
-    "critical_radius",
-]
+__all__ = list(_EXPORTS["undersampled"])
 
 _EIG_AGREE_RTOL = 1e-12
 _UNIT_ROUNDOFF = 2.0**-53
@@ -230,7 +215,7 @@ def _fft_error_bound(twice_s: int, grid: SamplingGrid, denominator, row: np.ndar
     log_base = np.abs(np.log(one_minus / d))
     per_entry = twice_s * (32.0 + 2.4 * slope + 6.0 * log_base) + 5.0
     row_error = np.sum(np.abs(row[1:]) * per_entry)
-    fft_error = 20.0 * np.log2(4 * row.size) * np.sqrt(row.size) * np.linalg.norm(row)
+    fft_error = 20.0 * np.log2(4 * row.size) * np.sqrt(row.size * np.sum(np.abs(row) ** 2))
     return float(_UNIT_ROUNDOFF * (row_error + fft_error))
 
 
@@ -392,8 +377,10 @@ def overlap_kernel(twice_s: int, grid: SamplingGrid) -> CirculantKernel:
 
 
 def dual_weights(kernel: CirculantKernel, samples) -> np.ndarray:
-    """Apply B^-1 to a sample vector using two FFTs (no dense matrix); warns
-    with :class:`ConditioningWarning` on an ill-conditioned kernel."""
+    """Apply B^-1 = F diag(1/lhat) F^-1 to a sample vector: the samples' DFT d
+    (``basis._ring_dft``) over lhat, then one FFT (no dense matrix).  Warns with
+    :class:`ConditioningWarning` on an ill-conditioned kernel; a d_j/lhat_j or
+    weight beyond the double range raises ``NumericalRangeError``."""
     values = as_samples(samples, kernel.n_samples)
     if kernel.is_ill_conditioned:
         warnings.warn(
@@ -402,7 +389,9 @@ def dual_weights(kernel: CirculantKernel, samples) -> np.ndarray:
             ConditioningWarning,
             stacklevel=2,
         )
-    return np.fft.fft(np.fft.ifft(values) / kernel.eigenvalues)
+    d = _ring_dft(values, kernel.n_samples - 1)
+    quotient = in_range(lambda x: x / kernel.eigenvalues, d, "d/lhat")
+    return in_range(np.fft.fft, quotient, "w")
 
 
 def dual_sinc_kernel(kernel: CirculantKernel, k: int, z):
@@ -430,16 +419,17 @@ def partial_reconstruct(kernel: CirculantKernel, samples, z):
 
 def _coherent_sum(kernel: CirculantKernel, weights: np.ndarray, z):
     """sum_l w_l <z|z_l> at point(s) z, summed by ``np.einsum``, not a BLAS
-    product, whose rounding depends on the number of points in the block."""
-    points = kernel.grid.points[np.newaxis, :]
-    # basis.overlap is looked up at the call, as reconstruct_bandlimited
-    # looks up basis.evaluate_signal
-    return _pointwise(
-        lambda z_flat: np.einsum(
-            "qn,n->q", basis.overlap(kernel.twice_s, z_flat[:, np.newaxis], points), weights
-        ),
-        z,
-    )
+    product, whose rounding depends on the number of points in the block.
+    A sum beyond the double range raises ``NumericalRangeError`` (value_j)."""
+    points, z_flat = kernel.grid.points[np.newaxis, :], as_disk_points(z).ravel()
+
+    def sums(w):
+        # looked up at the call, as reconstruct_bandlimited looks up evaluate_signal
+        return _pointwise(lambda block: np.einsum(
+            "qn,n->q", basis.overlap(kernel.twice_s, block[:, np.newaxis], points), w
+        ), z_flat)
+
+    return _scalar_or_array(in_range(sums, weights, "value"), z)
 
 
 def dft_coefficients(kernel: CirculantKernel, samples, n_max: int) -> np.ndarray:
@@ -450,11 +440,13 @@ def dft_coefficients(kernel: CirculantKernel, samples, n_max: int) -> np.ndarray
 
     One DFT of the samples, ``basis._ring_dft``, serves every n; coefficients
     repeat across residue classes up to the factor sqrt(lambda_{n+pN}/lambda_n).
+    A coefficient beyond the double range raises ``NumericalRangeError`` (ahat_n).
     """
     n_max, n = check_index(n_max, "n_max"), kernel.n_samples
     log_weights = _log_ring_weights(kernel.twice_s, kernel.grid.radius, n_max + 1)
     log_eig = np.log(kernel.eigenvalues)[np.arange(n_max + 1) % n]
-    return np.exp(np.log(n) + log_weights - log_eig) * _ring_dft(as_samples(samples, n), n_max)
+    d = _ring_dft(as_samples(samples, n), n_max)
+    return times_exp(d, np.log(n) + log_weights - log_eig, "ahat")
 
 
 def rescale_truncate(kernel: CirculantKernel, dft_coeffs, band_limit: int) -> DiskSignal:
@@ -514,16 +506,14 @@ def tail_excess(spectrum: ResolutionSpectrum, n) -> np.ndarray | float:
     reads eps_n in the log domain and has no such limit.
     """
     n_s = spectrum.grid.n_samples
-    n_arr = np.array([check_index(v) for v in np.atleast_1d(n)], dtype=np.int64)
+    n_arr = np.array([check_index(v) for v in np.ravel(n)], dtype=np.int64)
     if np.any(n_arr >= n_s):
         raise ValueError(f"n must satisfy 0 <= n < {n_s}")
     with np.errstate(over="ignore"):
         total = np.exp(_log_tail_excess(spectrum, n_arr))
     if np.isinf(total).any():
         raise OverflowError("tail-excess series exceeds the double range")
-    if np.ndim(n) == 0:
-        return float(total[0])
-    return total
+    return _scalar_or_array(total, n)
 
 
 def _log_tail_excess(spectrum: ResolutionSpectrum, n: np.ndarray) -> np.ndarray:
@@ -536,8 +526,8 @@ def _log_class_tails(spectrum: ResolutionSpectrum, starts: np.ndarray, name: str
     """log sum_{q>=0} lambda_{start+qN} for each start: the spectrum mass at
     and above start in its residue class, of any size.
 
-    lambda_m rises up to the mode floor((2s-1) r^2/(1-r^2)) and falls after
-    it, so each class is summed outward from its peak: upward from its first
+    lambda_m rises up to the floor of the :func:`~basis._mode` and falls
+    after it, so each class is summed outward from its peak: upward from its first
     index at or above the mode, and downward from the index below that to
     the start.  Both sides then fall term by term, as the truncation test of
     :func:`_series_sum` assumes, and every term is taken relative to the
@@ -545,8 +535,7 @@ def _log_class_tails(spectrum: ResolutionSpectrum, starts: np.ndarray, name: str
     cannot finish within the budget is refused first (:func:`_check_budget`).
     """
     n_s = spectrum.grid.n_samples
-    one_minus, _, r2, _ = _one_minus_mod2(spectrum.grid.radius)
-    mode = np.floor((spectrum.twice_s - 1) * r2 / one_minus)
+    mode = np.floor(_mode(spectrum.twice_s, spectrum._rim))
     rise = np.maximum(0, np.ceil((mode - starts) / n_s)).astype(np.int64)
     top = starts + rise * n_s
     down = np.flatnonzero(rise > 0)
@@ -815,7 +804,7 @@ def max_radius_estimate(
     ``clamped=True`` when the raw value is >= 1, as it is for eps_M = 0.
     """
     log_c = _log_cross_coefficient(twice_s, n_samples, epsilon_m, variant, "derived")
-    if not epsilon > epsilon_m:
+    if not _real(epsilon, "epsilon") > epsilon_m:
         raise ValueError(
             f"target epsilon {epsilon!r} must exceed the tail epsilon_m {epsilon_m!r}"
         )
@@ -840,7 +829,7 @@ def band_projection_curve(twice_s: int, band_limit: int, radius) -> np.ndarray |
     """
     twice_s = check_twice_s(twice_s)
     band_limit = check_band_limit(band_limit)
-    r_arr = np.atleast_1d(np.asarray(radius, dtype=np.float64))
+    r_arr = np.ravel(np.asarray(radius, dtype=np.float64))
     if not np.all((r_arr >= 0.0) & (r_arr < 1.0)):
         raise ValueError("radius must lie in [0, 1)")
     rim = _one_minus_mod2(r_arr[:, np.newaxis])
@@ -851,10 +840,7 @@ def band_projection_curve(twice_s: int, band_limit: int, radius) -> np.ndarray |
         grown = np.maximum(peak, np.max(log_terms, axis=1))
         block = np.sum(np.exp(log_terms - grown[:, np.newaxis]), axis=1)
         total, peak = total * np.exp(peak - grown) + block, grown
-    out = np.exp(peak) * total
-    if np.isscalar(radius) or np.asarray(radius).ndim == 0:
-        return float(out[0])
-    return out.reshape(np.asarray(radius).shape)
+    return _scalar_or_array(np.exp(peak) * total, radius)
 
 
 def critical_radius(twice_s: int, band_limit: int) -> float:

@@ -47,6 +47,28 @@ def times_exp(values: np.ndarray, log_factor: np.ndarray, name: str) -> np.ndarr
     return out
 
 
+def in_range(apply, vector: np.ndarray, name: str) -> np.ndarray:
+    """``apply(vector)`` for a linear map ``apply`` of 1-d arrays.  An entry
+    it leaves non-finite is taken again from the vector over a power of two,
+    then multiplied back, both exact; one still not finite raises
+    ``NumericalRangeError`` naming entry j as ``name``_j, with log |entry|."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = apply(vector)
+        wide = np.flatnonzero(~np.isfinite(out))
+        if wide.size:
+            scale = 2.0 ** (int(np.frexp(np.abs(vector).max())[1]) - 1)
+            scaled = apply(vector / scale)[wide]
+            out[wide] = scaled * scale
+            beyond = ~np.isfinite(out[wide])
+            if beyond.any():
+                j = int(np.argmax(beyond))
+                log_modulus = np.log(np.abs(scaled[j])) + np.log(scale)
+                raise NumericalRangeError(
+                    f"{name}_{wide[j]} beyond the double range", float(log_modulus)
+                )
+    return out
+
+
 class EigenvalueCrossCheckError(RuntimeError):
     """A kernel's eigenvalue check failed: an implementation fault, not a
     data error, since every check allows for its own rounding.  ``check``
@@ -90,6 +112,16 @@ def _integer(value, message: str, least=None) -> int:
     return result
 
 
+def _real(value, name: str) -> float:
+    """float(value), or ``ValueError`` naming ``name`` for None, a string or a complex."""
+    if not isinstance(value, (str, bytes)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def check_twice_s(twice_s) -> int:
     """Validate a doubled spin index 2s (integer, at least 2)."""
     value = _integer(twice_s, f"twice_s must be an integer, got {twice_s!r}")
@@ -100,7 +132,7 @@ def check_twice_s(twice_s) -> int:
 
 def check_radius(radius) -> float:
     """Validate a sampling-ring radius, strictly inside (0, 1)."""
-    value = float(radius)
+    value = _real(radius, "ring radius")
     if not 0.0 < value < 1.0:
         raise ValueError(f"ring radius must satisfy 0 < r < 1, got {value!r}")
     return value
@@ -125,9 +157,10 @@ def check_band_limit(band_limit, n_samples=None) -> int:
 
 def check_epsilon_m(epsilon_m) -> float:
     """Validate a relative tail amplitude eps_M in [0, 1)."""
-    if not 0.0 <= epsilon_m < 1.0:
+    value = _real(epsilon_m, "epsilon_m")
+    if not 0.0 <= value < 1.0:
         raise ValueError(f"epsilon_m must lie in [0, 1), got {epsilon_m!r}")
-    return epsilon_m
+    return value
 
 
 def check_index(n, name: str = "n") -> int:

@@ -273,6 +273,10 @@ class TestSignals:
         with pytest.raises(ValueError):
             sig.coefficients[0] = 0.0
 
+    def test_band_limit_is_the_largest_stored_index(self):
+        assert ds.DiskSignal(2, [1.0, 2.0, 0.0]).band_limit == 2
+        assert ds.DiskSignal(3, 5.0).band_limit == 0
+
     def test_eval_hand_values(self):
         assert ds.evaluate_signal(ds.DiskSignal(2, [1.0]), 0j) == pytest.approx(1.0)
         lone = ds.evaluate_signal(ds.DiskSignal(2, [0.0, 1.0]), 0.5)

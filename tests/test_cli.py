@@ -73,6 +73,13 @@ def write_signal(path, twice_s, coefficients):
     return path
 
 
+def write_samples(path, samples):
+    values = np.asarray(samples, complex)
+    lines = ["k,re,im"] + [f"{k},{v.real!r},{v.imag!r}" for k, v in enumerate(values.tolist())]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def write_points(path, points):
     lines = ["re,im"] + [
         f"{float(z.real)!r},{float(z.imag)!r}" for z in np.asarray(points, complex)
@@ -145,6 +152,28 @@ class TestSynthesize:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run_cli("synthesize", "--r", "0.5", "--n", "2", "--input", str(bad)) == 2
+
+    @pytest.mark.parametrize(
+        "payload", [{"coefficients": [[1.0, 0.0]]}, {"twice_s": 2}],
+        ids=["no twice_s", "no coefficients"],
+    )
+    def test_signal_file_without_a_field_is_named(self, tmp_path, capsys, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert run_cli("synthesize", "--r", "0.5", "--n", "2", "--input", str(bad)) == 2
+        assert f"signal file {bad} must hold twice_s and [re, im] pairs" in capsys.readouterr().err
+
+    def test_output_naming_a_directory_leaves_no_temporary_file(self, tmp_path, capsys):
+        signal_path = write_signal(tmp_path / "sig.json", 2, [1.0])
+        target = tmp_path / "out"
+        target.mkdir()
+        assert run_cli(
+            "synthesize", "--r", "0.5", "--n", "2",
+            "--input", str(signal_path), "--output", str(target),
+        ) == 2
+        assert "error:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "sig.json"]
+        assert not list(target.iterdir())
 
     def test_sample_beyond_the_double_range_exits_three_and_names_it(self, tmp_path, capsys):
         # each coefficient fits a double, their sample at r = 0.5 does not
@@ -234,6 +263,32 @@ class TestReconstruct:
         values = np.array([complex(float(re), float(im)) for _, re, im in rows])
         expected = ds.partial_reconstruct(ds.overlap_kernel(200, grid), samples, points)
         assert np.all(np.isfinite(values)) and np.array_equal(values, expected)
+
+    @pytest.mark.parametrize(
+        "radius, n, samples, entry",
+        [
+            # d_7/lhat_7 = 1e306/0.0022 at condition number 2048
+            (0.5, 8, 1e306 * np.exp(-2j * np.pi * 7 * np.arange(8) / 8), "d/lhat_7"),
+            (0.9, 3300, np.eye(1, 3300)[0] * 1e300, "d/lhat_176"),
+        ],
+        ids=["one class", "one sample"],
+    )
+    def test_undersampled_result_beyond_the_double_range_exits_three_and_names_it(
+        self, tmp_path, capsys, radius, n, samples, entry
+    ):
+        samples_path = write_samples(tmp_path / "samples.csv", samples)
+        points_path = write_points(tmp_path / "pts.csv", [0.1, -0.2j, 0.0])
+        out = tmp_path / "values.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(
+                "reconstruct", "--twice-s", "2", "--r", str(radius), "--n", str(n),
+                "--mode", "undersampled", "--n-max", "15", "--input", str(samples_path),
+                "--points", str(points_path), "--output", str(out),
+            ) == 3
+        err = capsys.readouterr().err
+        assert f"numerical failure: {entry} beyond the double range" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pts.csv", "samples.csv"]
 
     def test_n_max_without_output_is_refused_before_any_file_is_read(self, tmp_path, capsys):
         points_path = write_points(tmp_path / "pts.csv", [0.1])
@@ -401,6 +456,16 @@ class TestDft:
         assert run_cli(*argv) == 2
         err = capsys.readouterr().err
         assert f"{flag} does not apply to --mode {mode}" in err and "missing" not in err
+
+
+    @pytest.mark.parametrize("command", ["dft", "reconstruct"])
+    def test_bandlimited_mode_without_a_band_limit_is_refused(self, tmp_path, capsys, command):
+        argv = [command, "--twice-s", "2", "--r", "0.5", "--n", "4", "--mode", "bandlimited",
+                "--input", str(tmp_path / "missing.csv")]
+        if command == "reconstruct":
+            argv += ["--points", str(tmp_path / "missing_points.csv")]
+        assert run_cli(*argv) == 2
+        assert "bandlimited mode requires --band-limit" in capsys.readouterr().err
 
 
 class TestErrorAnalysis:
@@ -587,6 +652,18 @@ class TestErrorAnalysis:
         assert float(rows[0][4]) == pytest.approx(bound, rel=1e-12)
         assert rows[0][6] == "1"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--sweep-r", ","], "--sweep-r must contain at least one value"),
+         (["--n", "4"], "provide --sweep-r/--sweep-n or single --r/--n values")],
+        ids=["empty sweep", "no radius"],
+    )
+    def test_missing_radii_are_refused(self, tmp_path, capsys, flags, message):
+        signal_path = write_signal(tmp_path / "sig.json", 2, 0.5 ** np.arange(8))
+        argv = ["error-analysis", "--input", str(signal_path), "--n", "4", *flags]
+        assert run_cli(*argv) == 2
+        assert message in capsys.readouterr().err
+
     def test_bad_sample_count_is_named(self, tmp_path, capsys):
         signal_path = write_signal(tmp_path / "sig.json", 2, 0.5 ** np.arange(40))
         assert run_cli(
@@ -688,8 +765,10 @@ class TestTableIO:
     @pytest.mark.parametrize(
         "body, line",
         [("k,re,im\n0,1,2\n1,3\n", 3), ("k,re,im\n0,1,2\n\n1,abc,2\n", 4),
-         ("\n\nk,re,im\n\n0,1,2\n1,2,3\n\n1.5,0,0\n", 8)],
-        ids=["short row", "bad field after a blank line", "leading blank lines"],
+         ("\n\nk,re,im\n\n0,1,2\n1,2,3\n\n1.5,0,0\n", 8),
+         ("k,re,im\n0,abc,2\n1,3,4\n2,5,6\n", 2)],
+        ids=["short row", "bad field after a blank line", "leading blank lines",
+             "bad row in the first half"],
     )
     def test_malformed_row_names_the_line_of_the_file(self, tmp_path, capsys, body, line):
         samples_path = tmp_path / "samples.csv"
@@ -738,6 +817,25 @@ class TestTableIO:
         ) == 2
         err = capsys.readouterr().err
         assert f"sample file {samples_path} lists index 1 twice" in err
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [("k,re,im\n0,1,0\n2,2,0\n", "sample index 2 outside 0..1"),
+         ("k,re,im\n1,2,0\n", "sample file {} is missing indices for n=2"),
+         ("k,re,im\n", "sample file {} is missing indices for n=2"),
+         ("\n\n", "{} is empty"),
+         ("k,re\n0,1\n1,2\n", "sample file {} needs columns k, re, im")],
+        ids=["index outside", "missing index", "header only", "empty file",
+             "missing column"],
+    )
+    def test_sample_file_errors_are_named(self, tmp_path, capsys, body, message):
+        samples_path = tmp_path / "samples.csv"
+        samples_path.write_text(body)
+        assert run_cli(
+            "dft", "--twice-s", "2", "--r", "0.5", "--n", "2",
+            "--mode", "bandlimited", "--band-limit", "0", "--input", str(samples_path),
+        ) == 2
+        assert message.format(samples_path) in capsys.readouterr().err
 
     def test_blank_lines_and_padded_fields_are_read(self, tmp_path):
         tidy = {"samples": "k,re,im\n0,0.75,0\n1,0.5,-0.25\n", "pts": "re,im\n0.25,-0.5\n0.1,0\n"}

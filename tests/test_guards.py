@@ -1,6 +1,7 @@
 """Failure-path wiring and the documented concurrency guarantees."""
 
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
@@ -100,6 +101,136 @@ def _kernel():
 def test_integer_parameters_refuse_what_is_no_integer_by_name(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: ds.SamplingGrid(None, 4), "ring radius"),
+        (lambda: ds.SamplingGrid("x", 4), "ring radius"),
+        (lambda: ds.SamplingGrid("0.5", 4), "ring radius"),
+        (lambda: ds.leading_order_bound(2, 0.5, 4, None), "epsilon_m"),
+        (lambda: ds.QuasiBandProfile(3, None), "epsilon_m"),
+        (lambda: ds.QuasiBandProfile(3, "0.1"), "epsilon_m"),
+        (lambda: ds.max_radius_estimate(2, 4, None, 0.1), "epsilon"),
+        (lambda: ds.max_radius_estimate(2, 4, 0.5j, 0.1), "epsilon"),
+    ],
+    ids=["grid-none", "grid-text", "grid-numeric-text", "bound-none", "profile-none",
+         "profile-text", "estimate-none", "estimate-complex"],
+)
+def test_real_parameters_refuse_what_is_no_real_number_by_name(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ds.QuasiBandProfile(3, 1.5), "epsilon_m must lie in [0, 1), got 1.5"),
+        (lambda: ds.evaluate_signal(ds.DiskSignal(2, [1.0]), [0.1, np.nan]),
+         "disk points must be finite"),
+        (lambda: ds.DiskSignal(2, [1.0, np.inf]), "coefficients must be finite"),
+        (lambda: ds.DiskSignal(2, [[1.0, 2.0], [3.0, 4.0]]),
+         "coefficients must be one-dimensional, got shape (2, 2)"),
+        (lambda: ds.dual_weights(_kernel(), [1.0, np.nan, 0.0, 0.0]), "samples must be finite"),
+        (lambda: ds.rescale_truncate(ds.overlap_kernel(2, ds.SamplingGrid(0.5, 2)), [1.0], 1),
+         "need at least 2 alias coefficients, got shape (1,)"),
+    ],
+    ids=["epsilon-m-range", "nan-point", "inf-coefficient", "2d-coefficients", "nan-sample",
+         "too-few-alias-coefficients"],
+)
+def test_invalid_values_are_refused_with_their_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_zero_dimensional_arguments_give_python_scalars():
+    grid = ds.SamplingGrid(0.5, 4)
+    spectrum = ds.ResolutionSpectrum(2, grid)
+    kernel = ds.overlap_kernel(2, grid)
+    signal = ds.DiskSignal(2, [1.0, 0.5j])
+    n, z = np.array(2), np.array(0.3 + 0.1j)
+    results = {
+        "log_binomial": (ds.log_binomial(2, n), float),
+        "log_values": (spectrum.log_values(n), float),
+        "values": (spectrum.values(n), float),
+        "basis_fn": (ds.basis_fn(2, n, z), complex),
+        "overlap": (ds.overlap(2, z, np.array(0.2j)), complex),
+        "evaluate_signal": (ds.evaluate_signal(signal, z), complex),
+        "sinc_kernel": (ds.sinc_kernel(ds.frame_matrix(2, grid, 2), 1, z), complex),
+        "partial_reconstruct": (ds.partial_reconstruct(kernel, np.ones(4), z), complex),
+        "tail_excess": (ds.tail_excess(spectrum, n), float),
+        "band_projection_curve": (ds.band_projection_curve(2, 3, np.array(0.5)), float),
+    }
+    for name, (value, kind) in results.items():
+        assert type(value) is kind, name
+    # and an array argument of any shape keeps its shape
+    assert ds.log_binomial(2, [[1, 2, 3]]).shape == (1, 3)
+    assert spectrum.values(np.arange(6).reshape(2, 3)).shape == (2, 3)
+    assert ds.basis_fn(2, np.arange(3)[:, None], np.array([0.1, 0.2])).shape == (3, 2)
+    assert ds.band_projection_curve(2, 3, np.full((2, 2), 0.5)).shape == (2, 2)
+    assert ds.tail_excess(spectrum, np.arange(4).reshape(2, 2)).shape == (2, 2)
+    assert ds.partial_reconstruct(kernel, np.ones(4), np.full((2, 1), 0.1)).shape == (2, 1)
+
+
+def test_no_module_calls_blas():
+    # a BLAS product's rounding depends on its operands' shapes and threads,
+    # and each command process asks OpenBLAS for no worker thread
+    import ast
+    import pathlib
+
+    banned = {"linalg", "dot", "vdot", "inner", "matmul", "tensordot"}
+    found = []
+    for path in sorted(pathlib.Path(ds.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if isinstance(node, ast.alias):
+                name = node.name.split(".")[-1]
+            if name in banned or isinstance(node, ast.MatMult) or (
+                isinstance(node, ast.keyword) and node.arg == "optimize"
+            ):
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert not found
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # d_7 = 1e306 over lhat_7 = 0.0022, condition number 2048
+        (lambda: ds.dual_weights(
+            ds.overlap_kernel(2, ds.SamplingGrid(0.5, 8)),
+            1e306 * np.exp(-2j * np.pi * 7 * np.arange(8) / 8),
+        ), "d/lhat_7"),
+        # the weights are 1.29e308 each, and the alias at 0 is 1.5 times that
+        (lambda: ds.partial_reconstruct(
+            ds.overlap_kernel(2, ds.SamplingGrid(0.5, 2)), np.full(2, 1.76e308), [0.9, 0.0]
+        ), "value_1"),
+        (lambda: ds.dft_coefficients(
+            ds.overlap_kernel(2, ds.SamplingGrid(0.9, 3300)), np.eye(1, 3300)[0] * 1e300, 3400
+        ), "ahat_269"),
+    ],
+    ids=["dual-weights", "partial-reconstruct", "dft-coefficients"],
+)
+def test_undersampled_results_beyond_the_double_range_raise_without_a_warning(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalRangeError, match=f"^{message} beyond") as info:
+            call()
+    assert 709.7 < info.value.log_value < 711.0
+
+
+def test_ring_dft_of_samples_near_the_top_of_the_range_answers():
+    # the transform's own sums of 1.7e308 leave the double range, its result does not
+    frame = ds.frame_matrix(2, ds.SamplingGrid(1e-3, 4), 0)
+    samples = np.full(4, 1.7e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coefficients = ds.fourier_coefficients(frame, samples)
+        kernel = ds.overlap_kernel(2, ds.SamplingGrid(0.5, 2))
+        weights = ds.dual_weights(kernel, np.full(2, 1.76e308))
+    assert np.array_equal(coefficients, 2.0 * ds.fourier_coefficients(frame, samples / 2.0))
+    assert np.array_equal(weights, 2.0 * ds.dual_weights(kernel, np.full(2, 0.88e308)))
 
 
 def test_shared_objects_are_thread_safe():
