@@ -13,7 +13,7 @@ rescaling.  The dense matrix is never formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,19 +41,24 @@ __all__ = list(_EXPORTS["bandlimited"])
 
 @dataclass(frozen=True)
 class FrameMatrix:
-    """Factored sampling operator for band limit ``band_limit`` < ``n_samples``.
-
-    Stores only ``log_lambda`` (the diagonal factor, log domain); the Fourier
-    factor is applied as an FFT.
+    """Factored sampling operator for band limit ``band_limit`` < ``n_samples``,
+    built from its three inputs: it derives ``log_lambda`` (the diagonal factor,
+    log domain, read-only); the Fourier factor is applied as an FFT.
     """
 
     twice_s: int
     grid: SamplingGrid
     band_limit: int
-    log_lambda: np.ndarray
+    log_lambda: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.log_lambda.flags.writeable = False
+        spectrum = ResolutionSpectrum(self.twice_s, self.grid)  # checks twice_s, then grid
+        band_limit = check_band_limit(self.band_limit, n_samples=self.grid.n_samples)
+        logs = spectrum.log_values(np.arange(band_limit + 1))
+        logs.flags.writeable = False
+        object.__setattr__(self, "twice_s", spectrum.twice_s)
+        object.__setattr__(self, "band_limit", band_limit)
+        object.__setattr__(self, "log_lambda", logs)
 
     @property
     def n_samples(self) -> int:
@@ -78,10 +83,7 @@ class FrameMatrix:
 
 def frame_matrix(twice_s: int, grid: SamplingGrid, band_limit: int) -> FrameMatrix:
     """Build the factored sampling operator; requires n_samples > band_limit."""
-    twice_s = check_twice_s(twice_s)
-    band_limit = check_band_limit(band_limit, n_samples=grid.n_samples)
-    logs = ResolutionSpectrum(twice_s, grid).log_values(np.arange(band_limit + 1))
-    return FrameMatrix(twice_s=twice_s, grid=grid, band_limit=band_limit, log_lambda=logs)
+    return FrameMatrix(twice_s, grid, band_limit)
 
 
 def sinc_kernel(fm: FrameMatrix, k: int, z):

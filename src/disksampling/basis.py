@@ -298,9 +298,16 @@ class SamplingGrid:
         return self.radius * (np.cos(ang) + 1j * np.sin(ang))
 
 
-@dataclass(frozen=True)
+def _check_grid(grid) -> None:
+    """Raise ``ValueError`` naming ``grid`` unless it is a :class:`SamplingGrid`."""
+    if not isinstance(grid, SamplingGrid):
+        raise ValueError(f"grid must be a SamplingGrid, got {grid!r}")
+
+
+@dataclass(frozen=True, eq=False)
 class DiskSignal:
-    """A spin-``twice_s``/2 signal given by finitely many coefficients."""
+    """A spin-``twice_s``/2 signal given by finitely many coefficients; its
+    input is an array, so it equals and hashes by identity."""
 
     twice_s: int
     coefficients: np.ndarray
@@ -360,6 +367,7 @@ class ResolutionSpectrum:
 
     def __post_init__(self):
         object.__setattr__(self, "twice_s", check_twice_s(self.twice_s))
+        _check_grid(self.grid)
         # derived from the fields once; not fields themselves
         object.__setattr__(self, "_rim", _one_minus_mod2(self.grid.radius))
         object.__setattr__(self, "_twice_s_error", _stirling_error(float(self.twice_s)))
@@ -642,6 +650,7 @@ def sample_signal(signal: DiskSignal, grid: SamplingGrid) -> np.ndarray:
     double range raises ``NumericalRangeError`` naming it.  Agrees with
     :func:`evaluate_signal` at every grid point to 1e-12 relative.
     """
+    _check_grid(grid)
     weights = np.exp(_log_ring_weights(signal.twice_s, grid.radius, len(signal)))
     folded = np.zeros(grid.n_samples, dtype=np.complex128)
     np.add.at(folded, np.arange(len(signal)) % grid.n_samples, signal._scaled[1] * weights)

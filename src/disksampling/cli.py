@@ -440,3 +440,9 @@ def main(argv=None) -> int:
     except (ArithmeticError, RuntimeError) as exc:
         _diag(f"numerical failure: {exc}")
         return EXIT_NUMERICAL
+
+
+if __name__ == "__main__":
+    # the package's __main__ is the one entry point: it sets the process policy
+    _diag("error: run commands as python -m disksampling <command>")
+    sys.exit(EXIT_INVALID)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,31 +81,56 @@ _CURVE_BLOCK = 1024
 
 @dataclass(frozen=True)
 class CirculantKernel:
-    """Sampled reproducing-kernel operator B in circulant form.
+    """Sampled reproducing-kernel operator B in circulant form, built from
+    (twice_s, grid) alone.
 
-    ``first_row`` holds C_0..C_{N-1} with B[k, l] = C[(l-k) mod N];
-    ``eigenvalues`` holds lhat_0..lhat_{N-1}, summed from the spectrum and
-    checked at construction against the row's FFT (and, where that cannot
-    resolve them, the smallest against a fixed-point integer row sum).
-    Immutable after construction and safe to share across threads.
+    It derives, once, ``first_row`` C_0..C_{N-1} with B[k, l] = C[(l-k) mod N],
+    ``eigenvalues`` lhat_0..lhat_{N-1} and the ``spectrum`` they are summed
+    from.  The eigenvalues are checked against the row's float64 FFT at 1e-12
+    relative, or to :func:`_fft_error_bound` where that is larger, and where
+    that bound is not below half of 1e-12 at some lhat_j, the smallest by
+    :func:`_spot_log_eigenvalue` at 1e-12; both read the (1-r^2, d) the row is
+    raised from.  On disagreement no kernel is built.  Immutable, its arrays
+    read-only, and safe to share across threads.
     """
 
     twice_s: int
     grid: SamplingGrid
-    first_row: np.ndarray
-    eigenvalues: np.ndarray
+    first_row: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    spectrum: ResolutionSpectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.first_row.flags.writeable = False
-        self.eigenvalues.flags.writeable = False
+        spectrum = ResolutionSpectrum(self.twice_s, self.grid)  # checks twice_s, then grid
+        twice_s, grid = spectrum.twice_s, self.grid
+        denominator = _row_denominator(grid)
+        row = (denominator[0] / denominator[1]) ** twice_s
+        log_eig = _log_class_tails(spectrum, np.arange(grid.n_samples), "eigenvalue")
+        eig = np.exp(log_eig)
+        smallest = int(np.argmin(log_eig))
+        if eig[smallest] <= 0.0:
+            message = f"kernel eigenvalue {smallest} not representable as a positive double"
+            raise NumericalRangeError(message, log_value=float(log_eig[smallest]))
+        bound = _fft_error_bound(twice_s, grid, denominator, row)
+        limit = np.maximum(_EIG_AGREE_RTOL * eig, bound)
+        miss = np.abs(np.fft.fft(row) - eig)
+        j = int(np.argmax(miss / limit))
+        if not miss[j] <= limit[j]:
+            raise _disagreement("fft", j, float(miss[j] / eig[j]), float(limit[j] / eig[j]))
+        if bound >= 0.5 * _EIG_AGREE_RTOL * eig[smallest]:
+            spot = _spot_log_eigenvalue(twice_s, grid, denominator, smallest, log_eig[smallest])
+            gap = float(abs(np.expm1(log_eig[smallest] - spot)))
+            if not gap <= _EIG_AGREE_RTOL:
+                raise _disagreement("spot", smallest, gap, _EIG_AGREE_RTOL)
+        row.flags.writeable = eig.flags.writeable = False
+        object.__setattr__(self, "twice_s", twice_s)
+        object.__setattr__(self, "first_row", row)
+        object.__setattr__(self, "eigenvalues", eig)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def n_samples(self) -> int:
         return self.grid.n_samples
-
-    @property
-    def spectrum(self) -> ResolutionSpectrum:
-        return ResolutionSpectrum(self.twice_s, self.grid)
 
     @property
     def condition_number(self) -> float:
@@ -126,8 +151,8 @@ class QuasiBandProfile:
     epsilon_m: float
 
     def __post_init__(self):
-        check_band_limit(self.band_limit)
-        check_epsilon_m(self.epsilon_m)
+        object.__setattr__(self, "band_limit", check_band_limit(self.band_limit))
+        object.__setattr__(self, "epsilon_m", check_epsilon_m(self.epsilon_m))
 
 
 @dataclass(frozen=True)
@@ -341,39 +366,8 @@ def _disagreement(check: str, j: int, gap: float, limit: float) -> EigenvalueCro
 
 
 def overlap_kernel(twice_s: int, grid: SamplingGrid) -> CirculantKernel:
-    """Build the circulant Gram kernel for (twice_s, grid), eigenvalues included.
-
-    The eigenvalues are the class tails, checked against the float64 FFT of
-    the row at 1e-12 relative, or to :func:`_fft_error_bound` where that is
-    larger, and where that bound is not below half the 1e-12 budget at some
-    lhat_j, the smallest by :func:`_spot_log_eigenvalue` at 1e-12.  Both
-    checks read the (1-r^2, d) the row is raised from.  On disagreement no
-    kernel is returned.
-    """
-    twice_s = check_twice_s(twice_s)
-    denominator = _row_denominator(grid)
-    row = (denominator[0] / denominator[1]) ** twice_s
-    spectrum = ResolutionSpectrum(twice_s, grid)
-    log_eig = _log_class_tails(spectrum, np.arange(grid.n_samples), "eigenvalue")
-    eig = np.exp(log_eig)
-    smallest = int(np.argmin(log_eig))
-    if eig[smallest] <= 0.0:
-        raise NumericalRangeError(
-            f"kernel eigenvalue {smallest} not representable as a positive double",
-            log_value=float(log_eig[smallest]),
-        )
-    bound = _fft_error_bound(twice_s, grid, denominator, row)
-    limit = np.maximum(_EIG_AGREE_RTOL * eig, bound)
-    miss = np.abs(np.fft.fft(row) - eig)
-    j = int(np.argmax(miss / limit))
-    if not miss[j] <= limit[j]:
-        raise _disagreement("fft", j, float(miss[j] / eig[j]), float(limit[j] / eig[j]))
-    if bound >= 0.5 * _EIG_AGREE_RTOL * eig[smallest]:
-        spot = _spot_log_eigenvalue(twice_s, grid, denominator, smallest, log_eig[smallest])
-        gap = float(abs(np.expm1(log_eig[smallest] - spot)))
-        if not gap <= _EIG_AGREE_RTOL:
-            raise _disagreement("spot", smallest, gap, _EIG_AGREE_RTOL)
-    return CirculantKernel(twice_s=twice_s, grid=grid, first_row=row, eigenvalues=eig)
+    """The checked circulant Gram kernel for (twice_s, grid): :class:`CirculantKernel`."""
+    return CirculantKernel(twice_s, grid)
 
 
 def dual_weights(kernel: CirculantKernel, samples) -> np.ndarray:
@@ -680,6 +674,7 @@ def leading_order_bound(
     """
     radius = check_radius(radius)
     log_c = _log_cross_coefficient(twice_s, n_samples, epsilon_m, variant, "printed")
+    epsilon_m = check_epsilon_m(epsilon_m)
     return float(epsilon_m * epsilon_m + np.exp(log_c + int(n_samples) * np.log(radius)))
 
 
@@ -804,7 +799,8 @@ def max_radius_estimate(
     ``clamped=True`` when the raw value is >= 1, as it is for eps_M = 0.
     """
     log_c = _log_cross_coefficient(twice_s, n_samples, epsilon_m, variant, "derived")
-    if not _real(epsilon, "epsilon") > epsilon_m:
+    epsilon, epsilon_m = _real(epsilon, "epsilon"), check_epsilon_m(epsilon_m)
+    if not epsilon > epsilon_m:
         raise ValueError(
             f"target epsilon {epsilon!r} must exceed the tail epsilon_m {epsilon_m!r}"
         )

@@ -20,6 +20,20 @@ def explicit_sinc_sum(fm, samples, points):
 
 
 class TestFrameMatrix:
+    def test_the_class_and_its_builder_give_one_frame(self):
+        grid = ds.SamplingGrid(0.5, 4)
+        built, direct = ds.frame_matrix(2, grid, 2), ds.FrameMatrix(np.int64(2), grid, np.int64(2))
+        assert built == direct and hash(built) == hash(direct)
+        assert type(direct.twice_s) is int and type(direct.band_limit) is int
+        assert built.log_lambda.tobytes() == direct.log_lambda.tobytes()
+        assert not built.log_lambda.flags.writeable and not direct.log_lambda.flags.writeable
+
+    def test_derived_arrays_are_no_arguments(self):
+        grid = ds.SamplingGrid(0.5, 4)
+        logs = ds.frame_matrix(2, grid, 1).log_lambda
+        with pytest.raises(TypeError):
+            ds.FrameMatrix(2, grid, 1, logs)
+
     def test_requires_oversampling(self):
         grid = ds.SamplingGrid(0.5, 4)
         with pytest.raises(ValueError):

@@ -273,6 +273,11 @@ class TestSignals:
         with pytest.raises(ValueError):
             sig.coefficients[0] = 0.0
 
+    def test_signals_are_equal_only_to_themselves(self):
+        one, other = ds.DiskSignal(2, [1, 2]), ds.DiskSignal(2, [1, 2])
+        assert (one == other) is False and (one == one) is True
+        assert len({one, other, one}) == 2
+
     def test_band_limit_is_the_largest_stored_index(self):
         assert ds.DiskSignal(2, [1.0, 2.0, 0.0]).band_limit == 2
         assert ds.DiskSignal(3, 5.0).band_limit == 0

@@ -969,6 +969,18 @@ class TestCommandProcess:
             "unknown": "module 'disksampling' has no attribute 'no_such_name'",
         }
 
+    def test_the_cli_module_run_as_a_script_is_refused(self):
+        # python -m disksampling is the one entry point; this form runs no command
+        proc = subprocess.run(
+            [sys.executable, "-m", "disksampling.cli", "grid", "--r", "0.5", "--n", "2"],
+            capture_output=True, env=process_env(),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.decode().splitlines() == [
+            "disksampling: error: run commands as python -m disksampling <command>"
+        ]
+
     def test_grid_loads_neither_kernel_modules_nor_mpmath(self):
         proc = run_process(["grid", "--r", "0.5", "--n", "3"], PYTHONPROFILEIMPORTTIME="1")
         assert proc.returncode == 0

@@ -1,5 +1,6 @@
 """Failure-path wiring and the documented concurrency guarantees."""
 
+import dataclasses
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import disksampling as ds
-from disksampling import basis, undersampled
+from disksampling import _EXPORTS, basis, undersampled
 from disksampling.validation import (
     ConditioningWarning,
     EigenvalueCrossCheckError,
@@ -135,14 +136,51 @@ def test_real_parameters_refuse_what_is_no_real_number_by_name(call, name):
         (lambda: ds.dual_weights(_kernel(), [1.0, np.nan, 0.0, 0.0]), "samples must be finite"),
         (lambda: ds.rescale_truncate(ds.overlap_kernel(2, ds.SamplingGrid(0.5, 2)), [1.0], 1),
          "need at least 2 alias coefficients, got shape (1,)"),
+        (lambda: ds.ResolutionSpectrum(2, 0.5), "grid must be a SamplingGrid, got 0.5"),
+        (lambda: ds.frame_matrix(2, 0.5, 1), "grid must be a SamplingGrid, got 0.5"),
+        (lambda: ds.overlap_kernel(2, 0.5), "grid must be a SamplingGrid, got 0.5"),
+        (lambda: ds.sample_signal(ds.DiskSignal(2, [1.0]), 0.5),
+         "grid must be a SamplingGrid, got 0.5"),
     ],
     ids=["epsilon-m-range", "nan-point", "inf-coefficient", "2d-coefficients", "nan-sample",
-         "too-few-alias-coefficients"],
+         "too-few-alias-coefficients", "spectrum-no-grid", "frame-no-grid", "kernel-no-grid",
+         "samples-no-grid"],
 )
 def test_invalid_values_are_refused_with_their_message(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_every_public_record_compares_and_hashes():
+    # each public dataclass, built by its public builder: a scalar-input
+    # record equals its twin by value, one with an array input (or fitted
+    # state) only itself, and none raises on == or hash
+    grid = ds.SamplingGrid(0.5, 4)
+    signal = ds.DiskSignal(2, [1.0, 0.5, 0.25, 0.1, 0.05])
+    builders = {
+        "SamplingGrid": lambda: ds.SamplingGrid(0.5, 4),
+        "DiskSignal": lambda: ds.DiskSignal(2, [1.0, 0.5]),
+        "ResolutionSpectrum": lambda: ds.ResolutionSpectrum(2, grid),
+        "FrameMatrix": lambda: ds.frame_matrix(2, grid, 2),
+        "CirculantKernel": lambda: ds.overlap_kernel(2, grid),
+        "QuasiBandProfile": lambda: ds.quasi_band_profile(signal, 3),
+        "ErrorBound": lambda: ds.error_bound(
+            ds.ResolutionSpectrum(2, grid), ds.quasi_band_profile(signal, 3)),
+        "RadiusEstimate": lambda: ds.max_radius_estimate(2, 4, 0.3, 0.1),
+        "BandlimitedReconstructor": ds.BandlimitedReconstructor,
+        "PartialReconstructor": ds.PartialReconstructor,
+    }
+    by_identity = {"DiskSignal", "BandlimitedReconstructor", "PartialReconstructor"}
+    records = {name for names in _EXPORTS.values() for name in names
+               if dataclasses.is_dataclass(getattr(ds, name))}
+    assert records == set(builders)
+    for name, build in builders.items():
+        one, other = build(), build()
+        assert (one == other) is (name not in by_identity), name
+        assert (one != other) is (name in by_identity), name
+        assert hash(one) == hash(one)
+        assert (hash(one) == hash(other)) or name in by_identity, name
 
 
 def test_zero_dimensional_arguments_give_python_scalars():

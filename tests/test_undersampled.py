@@ -52,6 +52,24 @@ def span_element_signal(kernel, weights, length):
 
 
 class TestOverlapKernel:
+    def test_the_class_and_its_builder_give_one_kernel(self):
+        grid = ds.SamplingGrid(0.5, 4)
+        built, direct = ds.overlap_kernel(2, grid), ds.CirculantKernel(np.int64(2), grid)
+        assert built == direct and hash(built) == hash(direct)
+        assert type(direct.twice_s) is int
+        for name in ("first_row", "eigenvalues"):
+            ours, theirs = getattr(built, name), getattr(direct, name)
+            assert ours.tobytes() == theirs.tobytes()
+            assert not ours.flags.writeable and not theirs.flags.writeable
+        # the spectrum is derived once and kept
+        assert built.spectrum is built.spectrum
+        assert built.spectrum == ds.ResolutionSpectrum(2, grid)
+
+    def test_derived_arrays_are_no_arguments(self):
+        kernel = ds.overlap_kernel(2, ds.SamplingGrid(0.5, 4))
+        with pytest.raises(TypeError):
+            ds.CirculantKernel(2, kernel.grid, kernel.first_row, kernel.eigenvalues)
+
     def test_first_row_fixture(self, fixture_kernel):
         row = fixture_kernel.first_row
         assert row[0] == pytest.approx(1.0, abs=1e-15)
@@ -563,6 +581,12 @@ class TestQuasiBandProfile:
         with pytest.raises(ValueError):
             ds.quasi_band_profile(ds.DiskSignal(2, [0.0]), 0)
 
+    def test_stores_what_its_checks_return(self):
+        profile = ds.QuasiBandProfile(np.int64(3), np.float32(0.25))
+        assert type(profile.band_limit) is int and profile.band_limit == 3
+        assert type(profile.epsilon_m) is float and profile.epsilon_m == 0.25
+        assert profile == ds.QuasiBandProfile(3, 0.25)
+
 
 class TestAliasError:
     def test_fixture_value(self, fixture_kernel):
@@ -761,6 +785,17 @@ class TestMaxRadiusEstimate:
     def test_rejects_unreachable_target(self):
         with pytest.raises(ValueError):
             ds.max_radius_estimate(2, 8, 0.01, 0.05)
+
+    def test_single_precision_arguments_are_widened_first(self):
+        # at single precision eps^2 - eps_M^2 would round to 24 bits
+        epsilon, epsilon_m = np.float32(0.3), np.float32(0.1)
+        widened = float(epsilon), float(epsilon_m)
+        assert ds.max_radius_estimate(2, 8, epsilon, epsilon_m) == ds.max_radius_estimate(
+            2, 8, *widened
+        )
+        assert ds.leading_order_bound(2, 0.5, 4, epsilon_m) == ds.leading_order_bound(
+            2, 0.5, 4, widened[1]
+        )
 
     def test_zero_tail_clamps(self):
         est = ds.max_radius_estimate(2, 8, 0.1, 0.0)
