@@ -54,11 +54,9 @@ _EXPORTS = {
         "rescale_truncate",
         "tail_excess",
     ),
-    "estimators": ("BandlimitedReconstructor", "PartialReconstructor"),
     "validation": (
         "ConditioningWarning",
         "EigenvalueCrossCheckError",
-        "NotFittedError",
         "NumericalRangeError",
         "SeriesBudgetError",
     ),

@@ -33,7 +33,6 @@ from .validation import (
     as_samples,
     check_band_limit,
     check_grid_index,
-    check_twice_s,
 )
 
 __all__ = list(_EXPORTS["bandlimited"])

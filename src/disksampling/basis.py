@@ -47,6 +47,7 @@ from .validation import (
     NumericalRangeError,
     as_coefficients,
     as_disk_points,
+    check_indices,
     check_n_samples,
     check_radius,
     check_twice_s,
@@ -236,13 +237,6 @@ def _log_pmf(twice_s: int, n, rim, twice_s_error=None) -> np.ndarray:
     return out
 
 
-def _check_nonnegative_integers(values: np.ndarray, message: str) -> None:
-    """Raise ``ValueError(message)`` unless every entry is a nonnegative
-    integer value (integer-valued floats included; NaN is refused)."""
-    if not np.all((values >= 0) & (values == np.floor(values))):
-        raise ValueError(message)
-
-
 def _scalar_or_array(values, *arguments):
     """``values`` as the package returns them: a Python scalar where every
     argument is a scalar or 0-d, else an array of the arguments' broadcast shape."""
@@ -260,8 +254,7 @@ def log_binomial(twice_s: int, n) -> np.ndarray | float:
     array-like (giving a float or an array); anything else raises ``ValueError``.
     """
     twice_s = check_twice_s(twice_s)
-    n_arr = np.asarray(n, dtype=np.float64)
-    _check_nonnegative_integers(n_arr, "n must be a nonnegative integer")
+    n_arr = check_indices(n, "n must be a nonnegative integer")
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (
             _saddle_point(twice_s, n_arr, _stirling_error(float(twice_s)))
@@ -375,8 +368,7 @@ class ResolutionSpectrum:
     def log_values(self, n) -> np.ndarray | float:
         """log lambda_n = log N + log NB(n; 2s, 1-r^2), any integer n >= 0;
         an array for any array-like ``n``.  Anything else raises ``ValueError``."""
-        n_arr = np.asarray(n, dtype=np.float64)
-        _check_nonnegative_integers(n_arr, "n must be a nonnegative integer")
+        n_arr = check_indices(n, "n must be a nonnegative integer")
         out = np.log(self.grid.n_samples) + _log_pmf(
             self.twice_s, n_arr, self._rim, self._twice_s_error
         )
@@ -407,8 +399,7 @@ def basis_fn(twice_s: int, m, z):
     in the log domain so large m and |z| near 1 do not overflow.
     """
     twice_s = check_twice_s(twice_s)
-    m_arr = np.asarray(m)
-    _check_nonnegative_integers(m_arr, "basis index m must be a nonnegative integer")
+    m_arr = check_indices(m, "basis index m must be a nonnegative integer")
     z_arr = as_disk_points(z)
     return _scalar_or_array(_basis_values(twice_s, m_arr, z_arr), m_arr, z_arr)
 

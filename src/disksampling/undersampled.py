@@ -56,12 +56,14 @@ from .validation import (
     NumericalRangeError,
     SeriesBudgetError,
     _real,
+    _real_array,
     as_disk_points,
     as_samples,
     check_band_limit,
     check_epsilon_m,
     check_grid_index,
     check_index,
+    check_indices,
     check_n_samples,
     check_radius,
     check_twice_s,
@@ -406,15 +408,11 @@ def partial_reconstruct(kernel: CirculantKernel, samples, z):
 
     The alias is the orthogonal projection of the signal onto the span of the
     N sampled coherent states; it interpolates the samples exactly.  It is
-    sum_l w_l <z|z_l> with w the :func:`dual_weights`.
+    sum_l w_l <z|z_l> with w the :func:`dual_weights`, summed by ``np.einsum``,
+    not a BLAS product, whose rounding depends on the number of points in the
+    block.  A sum beyond the double range raises ``NumericalRangeError`` (value_j).
     """
-    return _coherent_sum(kernel, dual_weights(kernel, samples), z)
-
-
-def _coherent_sum(kernel: CirculantKernel, weights: np.ndarray, z):
-    """sum_l w_l <z|z_l> at point(s) z, summed by ``np.einsum``, not a BLAS
-    product, whose rounding depends on the number of points in the block.
-    A sum beyond the double range raises ``NumericalRangeError`` (value_j)."""
+    weights = dual_weights(kernel, samples)
     points, z_flat = kernel.grid.points[np.newaxis, :], as_disk_points(z).ravel()
 
     def sums(w):
@@ -450,6 +448,7 @@ def rescale_truncate(kernel: CirculantKernel, dft_coeffs, band_limit: int) -> Di
     bandlimited reconstruction exactly when the samples came from a signal of
     band limit <= band_limit.  Where that factor leaves the double range, a
     zero or subnormal ahat_n has lost its digits: ``NumericalRangeError``.
+    A NaN or infinite ahat_n raises ``ValueError``.
     """
     band_limit = check_band_limit(band_limit, n_samples=kernel.n_samples)
     coeffs = np.asarray(dft_coeffs, dtype=np.complex128)
@@ -458,6 +457,8 @@ def rescale_truncate(kernel: CirculantKernel, dft_coeffs, band_limit: int) -> Di
             f"need at least {band_limit + 1} alias coefficients, got shape {coeffs.shape}"
         )
     coeffs = coeffs[: band_limit + 1]
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("alias coefficients must be finite")
     idx = np.arange(band_limit + 1)
     log_factor = np.log(kernel.eigenvalues[idx]) - kernel.spectrum.log_values(idx)
     with np.errstate(over="ignore"):
@@ -466,7 +467,7 @@ def rescale_truncate(kernel: CirculantKernel, dft_coeffs, band_limit: int) -> Di
         j = int(np.argmax(lost))
         raise NumericalRangeError(
             f"ahat_{j} has lost its digits: lhat_{j}/lambda_{j} leaves the double range; "
-            "rescale from the samples",
+            "rescale from the samples with fourier_coefficients",
             float(log_factor[j]),
         )
     return DiskSignal(kernel.twice_s, times_exp(coeffs, log_factor, "rescaled ahat"))
@@ -500,11 +501,11 @@ def tail_excess(spectrum: ResolutionSpectrum, n) -> np.ndarray | float:
     reads eps_n in the log domain and has no such limit.
     """
     n_s = spectrum.grid.n_samples
-    n_arr = np.array([check_index(v) for v in np.ravel(n)], dtype=np.int64)
+    n_arr = np.ravel(check_indices(n, f"n must be a nonnegative integer, got {n!r}"))
     if np.any(n_arr >= n_s):
         raise ValueError(f"n must satisfy 0 <= n < {n_s}")
     with np.errstate(over="ignore"):
-        total = np.exp(_log_tail_excess(spectrum, n_arr))
+        total = np.exp(_log_tail_excess(spectrum, n_arr.astype(np.int64)))
     if np.isinf(total).any():
         raise OverflowError("tail-excess series exceeds the double range")
     return _scalar_or_array(total, n)
@@ -825,7 +826,7 @@ def band_projection_curve(twice_s: int, band_limit: int, radius) -> np.ndarray |
     """
     twice_s = check_twice_s(twice_s)
     band_limit = check_band_limit(band_limit)
-    r_arr = np.ravel(np.asarray(radius, dtype=np.float64))
+    r_arr = np.ravel(_real_array(radius, f"radius must be a real number, got {radius!r}"))
     if not np.all((r_arr >= 0.0) & (r_arr < 1.0)):
         raise ValueError("radius must lie in [0, 1)")
     rim = _one_minus_mod2(r_arr[:, np.newaxis])

@@ -96,10 +96,6 @@ class ConditioningWarning(UserWarning):
     """An operator is ill-conditioned; results may lose up to all digits."""
 
 
-class NotFittedError(ValueError):
-    """An estimator method requiring a fit was called before ``fit``."""
-
-
 def _integer(value, message: str, least=None) -> int:
     """int(value), or ``ValueError(message)`` where value is not an integer
     (None, NaN and the infinities included) or is below ``least``."""
@@ -120,6 +116,18 @@ def _real(value, name: str) -> float:
         except (TypeError, ValueError):
             pass
     raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def _real_array(value, message: str) -> np.ndarray:
+    """``value`` as a float64 array (None becomes NaN), or ``ValueError(message)``
+    for strings, complex numbers, or objects that float64 does not take."""
+    arr = np.asarray(value)
+    if arr.dtype.kind in "biufO":
+        try:
+            return arr.astype(np.float64, copy=False)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(message)
 
 
 def check_twice_s(twice_s) -> int:
@@ -166,6 +174,16 @@ def check_epsilon_m(epsilon_m) -> float:
 def check_index(n, name: str = "n") -> int:
     """Validate a nonnegative integer index."""
     return _integer(n, f"{name} must be a nonnegative integer, got {n!r}", 0)
+
+
+def check_indices(n, message: str) -> np.ndarray:
+    """The array form of :func:`check_index`: ``n`` as a float64 array of
+    nonnegative integer values, or ``ValueError(message)``; strings, complex
+    numbers, None, NaN and the infinities are refused."""
+    values = _real_array(n, message)
+    if not np.all(np.isfinite(values) & (values >= 0) & (values == np.floor(values))):
+        raise ValueError(message)
+    return values
 
 
 def check_grid_index(k, n_samples: int) -> int:

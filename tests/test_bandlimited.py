@@ -230,16 +230,22 @@ class TestFourierCoefficients:
         assert np.all(ds.fourier_coefficients(fm, np.zeros(6)) == 0)
 
     @pytest.mark.parametrize(
-        "twice_s,band,n,radius", [(2, 0, 2, 0.5), (3, 4, 6, 0.3), (5, 6, 14, 0.8)]
+        "twice_s,band,n,radius,coefficients",
+        [(2, 0, 2, 0.5, None), (3, 4, 6, 0.3, None), (5, 6, 14, 0.8, None),
+         # at the rim the alias coefficients underflow to 0 and rescale_truncate
+         # raises; the ring transform takes the signal from the samples
+         (200, 2, 16, 0.999, [1.0, 0.5j, -0.25])],
+        ids=["2-0-2-0.5", "3-4-6-0.3", "5-6-14-0.8", "200-2-16-0.999"],
     )
-    def test_round_trip_identity(self, twice_s, band, n, radius):
+    def test_round_trip_identity(self, twice_s, band, n, radius, coefficients):
         rng = np.random.default_rng(40 + band)
         grid = ds.SamplingGrid(radius, n)
         fm = ds.frame_matrix(twice_s, grid, band)
-        for _ in range(5):
-            signal = unit_signal(rng, twice_s, band)
+        signals = ([unit_signal(rng, twice_s, band) for _ in range(5)] if coefficients is None
+                   else [ds.DiskSignal(twice_s, coefficients)])
+        for signal in signals:
             recovered = ds.fourier_coefficients(fm, ds.sample_signal(signal, grid))
-            assert np.max(np.abs(recovered - signal.coefficients)) < 1e-10
+            assert np.max(np.abs(recovered - signal.coefficients)) < 1e-14
 
     def test_coefficient_beyond_the_double_range_raises_with_its_log(self):
         # (N lambda_m)^(-1/2) passes 1e308 from m = 313 at r = 0.1; the DFT of
