@@ -166,6 +166,15 @@ def test_invalid_values_are_refused_with_their_message(call, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("name", ["BandlimitedReconstructor", "PartialReconstructor",
+                                  "NotFittedError"])
+def test_retired_estimator_names_are_no_attributes(name):
+    # each estimator result is one function call away (README); no second front end
+    assert name not in ds.__all__
+    with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+        getattr(ds, name)
+
+
 def test_every_public_record_compares_and_hashes():
     # each public dataclass, built by its public builder: a scalar-input
     # record equals its twin by value, one with an array input only itself,

@@ -320,6 +320,14 @@ class TestConditioningWarning:
         with pytest.warns(ConditioningWarning, match="condition number 7.143e\\+24"):
             self.CALLS[name](kernel, np.eye(14)[0])
 
+    @pytest.mark.parametrize("name", ["partial_reconstruct", "dual_sinc_kernel"])
+    def test_pointwise_call_warns_once(self, name):
+        kernel = ds.overlap_kernel(2, ds.SamplingGrid(0.1, 14))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self.CALLS[name](kernel, np.eye(14)[0])
+        assert [w.category for w in caught] == [ConditioningWarning]
+
     @pytest.mark.parametrize("name", CALLS)
     def test_no_warning_when_well_conditioned(self, name, fixture_kernel):
         with warnings.catch_warnings():
@@ -374,6 +382,21 @@ class TestPartialReconstruct:
         samples = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         at_grid = ds.partial_reconstruct(kernel, samples, kernel.grid.points)
         assert sup_relative_error(at_grid, samples) < 1e-10
+
+    @pytest.mark.parametrize("twice_s,radius,n", [(3, 0.5, 6), (200, 0.999, 16)])
+    def test_is_the_coherent_sum_of_the_dual_weights(self, twice_s, radius, n):
+        # the alias is sum_l w_l <z|z_l>, w = dual_weights, summed here term by term
+        rng = np.random.default_rng(24 + n)
+        kernel = ds.overlap_kernel(twice_s, ds.SamplingGrid(radius, n))
+        samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        weights = ds.dual_weights(kernel, samples)
+        # points inside the disk and three on the sampling ring, between its points
+        on_ring = radius * np.exp(0.3j + 0.5j * np.arange(3))
+        pts = np.concatenate([random_disk_points(rng, 7), on_ring])
+        terms = np.array([[w * ds.overlap(twice_s, z, z_l)
+                           for w, z_l in zip(weights, kernel.grid.points)] for z in pts])
+        miss = np.abs(ds.partial_reconstruct(kernel, samples, pts) - terms.sum(axis=1))
+        assert np.all(miss <= 1e-13 * np.abs(terms).sum(axis=1))
 
     def test_zero_samples(self, fixture_kernel):
         assert ds.partial_reconstruct(fixture_kernel, np.zeros(2), 0.3 + 0.2j) == 0
@@ -464,6 +487,16 @@ class TestRescaleTruncate:
             warnings.simplefilter("error")
             with pytest.raises(ds.NumericalRangeError, match="ahat_0 has lost its digits"):
                 ds.rescale_truncate(kernel, ahat, 2)
+
+    def test_lost_digits_name_the_route_that_recovers_them(self):
+        coeffs = np.array([1.0, 0.5j, -0.25])
+        kernel = ds.overlap_kernel(200, ds.SamplingGrid(0.999, 16))
+        samples = ds.sample_signal(ds.DiskSignal(200, coeffs), kernel.grid)
+        with pytest.raises(ds.NumericalRangeError,
+                           match=r"rescale from the samples with fourier_coefficients \(log value"):
+            ds.rescale_truncate(kernel, ds.dft_coefficients(kernel, samples, 2), 2)
+        frame = ds.frame_matrix(200, kernel.grid, 2)
+        assert np.max(np.abs(ds.fourier_coefficients(frame, samples) - coeffs)) < 1e-14
 
     def test_factor_beyond_the_range_times_a_normal_coefficient_is_one_exponent(self):
         kernel = ds.overlap_kernel(200, ds.SamplingGrid(0.999, 16))
