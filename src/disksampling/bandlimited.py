@@ -26,13 +26,16 @@ from .basis import (
     _one_minus_mod2,
     _pointwise,
     _ring_coefficients,
+    _scalar_or_array,
 )
 from .validation import (
     CONDITION_LIMIT,
     NumericalRangeError,
+    as_disk_points,
     as_samples,
     check_band_limit,
     check_grid_index,
+    from_log,
 )
 
 __all__ = list(_EXPORTS["bandlimited"])
@@ -65,8 +68,8 @@ class FrameMatrix:
 
     @property
     def lambdas(self) -> np.ndarray:
-        """Resolution eigenvalues lambda_0..lambda_M."""
-        return np.exp(self.log_lambda)
+        """Resolution eigenvalues lambda_0..lambda_M (``validation.from_log``)."""
+        return from_log(self.log_lambda, "lambda")
 
     @property
     def condition_number(self) -> float:
@@ -122,7 +125,8 @@ def sinc_kernel(fm: FrameMatrix, k: int, z):
             raise NumericalRangeError("sinc kernel value beyond the double range", worst)
         return out
 
-    return _pointwise(values, z)
+    z_arr = as_disk_points(z)
+    return _scalar_or_array(_pointwise(values, z_arr.ravel()), z_arr)
 
 
 def fourier_coefficients(fm: FrameMatrix, samples) -> np.ndarray:

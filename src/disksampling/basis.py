@@ -44,13 +44,13 @@ import numpy as np
 
 from . import _EXPORTS
 from .validation import (
-    NumericalRangeError,
     as_coefficients,
     as_disk_points,
     check_indices,
     check_n_samples,
     check_radius,
     check_twice_s,
+    from_log,
     in_range,
     times_exp,
 )
@@ -254,7 +254,7 @@ def log_binomial(twice_s: int, n) -> np.ndarray | float:
     array-like (giving a float or an array); anything else raises ``ValueError``.
     """
     twice_s = check_twice_s(twice_s)
-    n_arr = check_indices(n, "n must be a nonnegative integer")
+    n_arr = check_indices(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (
             _saddle_point(twice_s, n_arr, _stirling_error(float(twice_s)))
@@ -352,7 +352,8 @@ class ResolutionSpectrum:
     Stateless: each query recomputes from (twice_s, grid), so instances can
     be shared freely across threads and any index n >= 0 is available on
     demand.  Values are produced in the log domain; exponentiate through
-    :meth:`values`, which refuses to silently round to zero or infinity.
+    :meth:`values`, which refuses, naming lambda_n, to round to zero or
+    infinity (``validation.from_log``).
     """
 
     twice_s: int
@@ -368,20 +369,14 @@ class ResolutionSpectrum:
     def log_values(self, n) -> np.ndarray | float:
         """log lambda_n = log N + log NB(n; 2s, 1-r^2), any integer n >= 0;
         an array for any array-like ``n``.  Anything else raises ``ValueError``."""
-        n_arr = check_indices(n, "n must be a nonnegative integer")
+        n_arr = check_indices(n)
         out = np.log(self.grid.n_samples) + _log_pmf(
             self.twice_s, n_arr, self._rim, self._twice_s_error
         )
         return _scalar_or_array(out, n)
 
     def values(self, n) -> np.ndarray | float:
-        logs = np.asarray(self.log_values(n))
-        vals = np.exp(logs)
-        bad = (vals == 0.0) | ~np.isfinite(vals)
-        if np.any(bad):
-            worst = float(logs[bad].flat[0])
-            raise NumericalRangeError("lambda_n not representable in double precision", worst)
-        return _scalar_or_array(vals, n)
+        return _scalar_or_array(from_log(np.asarray(self.log_values(n)), "lambda", n), n)
 
 
 def _basis_values(twice_s: int, m: np.ndarray, z: np.ndarray, log_scale=0.0) -> np.ndarray:
@@ -399,7 +394,7 @@ def basis_fn(twice_s: int, m, z):
     in the log domain so large m and |z| near 1 do not overflow.
     """
     twice_s = check_twice_s(twice_s)
-    m_arr = check_indices(m, "basis index m must be a nonnegative integer")
+    m_arr = check_indices(m, "basis index m")
     z_arr = as_disk_points(z)
     return _scalar_or_array(_basis_values(twice_s, m_arr, z_arr), m_arr, z_arr)
 
@@ -467,19 +462,17 @@ _FLUSH = 2.0**-1000
 _SEED_SCALE = 2.0 ** int(np.ceil(_LOG_STEPS_MAX / np.log(2.0)))
 
 
-def _pointwise(values, z):
-    """Apply ``values`` to the validated query point(s) z, keeping z's shape.
+def _pointwise(values, points: np.ndarray) -> np.ndarray:
+    """Apply ``values`` to the validated 1-d array of query ``points``.
 
     ``values`` maps a 1-d block of at most ``_BLOCK`` points to one complex
     value per point.  It must treat each point on its own, so that a
     point's value does not depend on the rest of the query.
     """
-    z_arr = as_disk_points(z)
-    z_flat = z_arr.ravel()
-    out = np.empty(z_flat.size, dtype=np.complex128)
-    for start in range(0, z_flat.size, _BLOCK):
-        out[start : start + _BLOCK] = values(z_flat[start : start + _BLOCK])
-    return _scalar_or_array(out, z_arr)
+    out = np.empty(points.size, dtype=np.complex128)
+    for start in range(0, points.size, _BLOCK):
+        out[start : start + _BLOCK] = values(points[start : start + _BLOCK])
+    return out
 
 
 def _segment_length(twice_s: int) -> int:
@@ -620,11 +613,9 @@ def evaluate_signal(signal: DiskSignal, z):
     Every choice is made per point, so a value never depends on the query.
     A value beyond the double range raises ``NumericalRangeError`` naming it.
     """
-    sums = _pointwise(
-        lambda block: _upward_sum(signal.twice_s, *signal._segments, block),
-        as_disk_points(z).ravel(),
-    )
-    return _scalar_or_array(in_range(lambda v: v * signal._scaled[0], sums, "value"), z)
+    z_arr = as_disk_points(z)
+    sums = _pointwise(lambda b: _upward_sum(signal.twice_s, *signal._segments, b), z_arr.ravel())
+    return _scalar_or_array(in_range(lambda v: v * signal._scaled[0], sums, "value"), z_arr)
 
 
 def _log_ring_weights(twice_s: int, radius: float, count: int) -> np.ndarray:

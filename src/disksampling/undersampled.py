@@ -55,8 +55,7 @@ from .validation import (
     EigenvalueCrossCheckError,
     NumericalRangeError,
     SeriesBudgetError,
-    _real,
-    _real_array,
+    _parse,
     as_disk_points,
     as_samples,
     check_band_limit,
@@ -67,6 +66,7 @@ from .validation import (
     check_n_samples,
     check_radius,
     check_twice_s,
+    from_log,
     in_range,
     times_exp,
 )
@@ -108,11 +108,8 @@ class CirculantKernel:
         denominator = _row_denominator(grid)
         row = (denominator[0] / denominator[1]) ** twice_s
         log_eig = _log_class_tails(spectrum, np.arange(grid.n_samples), "eigenvalue")
-        eig = np.exp(log_eig)
+        eig = from_log(log_eig, "lhat")
         smallest = int(np.argmin(log_eig))
-        if eig[smallest] <= 0.0:
-            message = f"kernel eigenvalue {smallest} not representable as a positive double"
-            raise NumericalRangeError(message, log_value=float(log_eig[smallest]))
         bound = _fft_error_bound(twice_s, grid, denominator, row)
         limit = np.maximum(_EIG_AGREE_RTOL * eig, bound)
         miss = np.abs(np.fft.fft(row) - eig)
@@ -413,15 +410,15 @@ def partial_reconstruct(kernel: CirculantKernel, samples, z):
     block.  A sum beyond the double range raises ``NumericalRangeError`` (value_j).
     """
     weights = dual_weights(kernel, samples)
-    points, z_flat = kernel.grid.points[np.newaxis, :], as_disk_points(z).ravel()
+    points, z_arr = kernel.grid.points[np.newaxis, :], as_disk_points(z)
 
     def sums(w):
         # looked up at the call, as reconstruct_bandlimited looks up evaluate_signal
         return _pointwise(lambda block: np.einsum(
             "qn,n->q", basis.overlap(kernel.twice_s, block[:, np.newaxis], points), w
-        ), z_flat)
+        ), z_arr.ravel())
 
-    return _scalar_or_array(in_range(sums, weights, "value"), z)
+    return _scalar_or_array(in_range(sums, weights, "value"), z_arr)
 
 
 def dft_coefficients(kernel: CirculantKernel, samples, n_max: int) -> np.ndarray:
@@ -478,8 +475,7 @@ def projector_element(kernel: CirculantKernel, m: int, n: int) -> float:
 
         (lambda_m lambda_n)^(1/2) / lhat_{n mod N}   when m = n mod N, else 0.
     """
-    m = check_index(m, "m")
-    n = check_index(n, "n")
+    m, n = check_index(m, "m"), check_index(n, "n")
     n_s = kernel.n_samples
     if m % n_s != n % n_s:
         return 0.0
@@ -501,7 +497,7 @@ def tail_excess(spectrum: ResolutionSpectrum, n) -> np.ndarray | float:
     reads eps_n in the log domain and has no such limit.
     """
     n_s = spectrum.grid.n_samples
-    n_arr = np.ravel(check_indices(n, f"n must be a nonnegative integer, got {n!r}"))
+    n_arr = np.ravel(check_indices(n))
     if np.any(n_arr >= n_s):
         raise ValueError(f"n must satisfy 0 <= n < {n_s}")
     with np.errstate(over="ignore"):
@@ -800,7 +796,8 @@ def max_radius_estimate(
     ``clamped=True`` when the raw value is >= 1, as it is for eps_M = 0.
     """
     log_c = _log_cross_coefficient(twice_s, n_samples, epsilon_m, variant, "derived")
-    epsilon, epsilon_m = _real(epsilon, "epsilon"), check_epsilon_m(epsilon_m)
+    epsilon = _parse(epsilon, "epsilon", "a real number", scalar=True)
+    epsilon_m = check_epsilon_m(epsilon_m)
     if not epsilon > epsilon_m:
         raise ValueError(
             f"target epsilon {epsilon!r} must exceed the tail epsilon_m {epsilon_m!r}"
@@ -826,7 +823,7 @@ def band_projection_curve(twice_s: int, band_limit: int, radius) -> np.ndarray |
     """
     twice_s = check_twice_s(twice_s)
     band_limit = check_band_limit(band_limit)
-    r_arr = np.ravel(_real_array(radius, f"radius must be a real number, got {radius!r}"))
+    r_arr = np.ravel(_parse(radius, "radius", "a real number"))
     if not np.all((r_arr >= 0.0) & (r_arr < 1.0)):
         raise ValueError("radius must lie in [0, 1)")
     rim = _one_minus_mod2(r_arr[:, np.newaxis])

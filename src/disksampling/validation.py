@@ -1,4 +1,5 @@
-"""Input validation helpers, a range-checked scaling and shared error types."""
+"""The one parser of numeric parameters, the rules for results that cross the
+double range, and shared error types."""
 
 from __future__ import annotations
 
@@ -20,53 +21,68 @@ class NumericalRangeError(ArithmeticError):
         self.log_value = log_value
 
 
-def times_exp(values: np.ndarray, log_factor: np.ndarray, name: str) -> np.ndarray:
-    """values * exp(log_factor), where the factor may leave the double range.
+def from_log(log_values: np.ndarray, name: str, indices=None) -> np.ndarray:
+    """exp(log_values) for positive quantities kept in the log domain.  The
+    first entry that is no positive double raises ``NumericalRangeError``
+    naming it ``name``_n, n its position or its entry in ``indices``."""
+    with np.errstate(over="ignore", under="ignore"):
+        values = np.exp(log_values)
+    lost = (values == 0.0) | ~np.isfinite(values)
+    if lost.any():
+        j = int(np.argmax(lost))
+        n = j if indices is None else int(np.ravel(indices)[j])
+        message = f"{name}_{n} not representable as a positive double"
+        raise NumericalRangeError(message, float(log_values.flat[j]))
+    return values
 
-    Where the plain product is finite it is returned as it is; elsewhere the
-    product is taken in one exponent, exp(log|v| + log_factor) times v/|v|,
-    so a zero or small value times a factor beyond the range is finite.  A
-    product beyond the range raises ``NumericalRangeError`` naming entry j
-    as ``name``_j, with the log of its modulus.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = values * np.exp(log_factor)
-        wide = np.flatnonzero(~np.isfinite(out))
-        if wide.size:
+
+def _retake(out: np.ndarray, wide: np.ndarray, retake, name: str) -> np.ndarray:
+    """``out`` with the entries ``wide`` replaced by the values of ``retake(wide)``
+    = (values, log moduli), for :func:`times_exp` and :func:`in_range`; one
+    still not finite raises ``NumericalRangeError`` naming it ``name``_j."""
+    if wide.size:
+        values, log_modulus = retake(wide)
+        out[wide] = values
+        beyond = ~np.isfinite(values)
+        if beyond.any():
+            j = int(np.argmax(beyond))
+            message = f"{name}_{wide[j]} beyond the double range"
+            raise NumericalRangeError(message, float(log_modulus[j]))
+    return out
+
+
+def times_exp(values: np.ndarray, log_factor: np.ndarray, name: str) -> np.ndarray:
+    """values * exp(log_factor): the plain product where the factor is normal
+    and the product finite, elsewhere exp(log|v| + log_factor) v/|v| in one
+    exponent, so a factor out of the normal range costs no digits."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        factor = np.exp(log_factor)
+        out = values * factor
+
+        def one_exponent(wide):
             modulus = np.abs(values[wide])
             log_modulus = np.log(modulus) + log_factor[wide]
             phase = np.divide(values[wide], modulus, out=np.zeros(wide.size, complex),
                               where=modulus > 0)
-            out[wide] = np.exp(log_modulus) * phase
-            beyond = ~np.isfinite(out[wide])
-            if beyond.any():
-                j = int(np.argmax(beyond))
-                raise NumericalRangeError(
-                    f"{name}_{wide[j]} beyond the double range", float(log_modulus[j])
-                )
-    return out
+            return np.exp(log_modulus) * phase, log_modulus
+
+        wide = ~np.isfinite(out) | (factor < np.finfo(np.float64).tiny)
+        return _retake(out, np.flatnonzero(wide), one_exponent, name)
 
 
 def in_range(apply, vector: np.ndarray, name: str) -> np.ndarray:
-    """``apply(vector)`` for a linear map ``apply`` of 1-d arrays.  An entry
-    it leaves non-finite is taken again from the vector over a power of two,
-    then multiplied back, both exact; one still not finite raises
-    ``NumericalRangeError`` naming entry j as ``name``_j, with log |entry|."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    """``apply(vector)`` for a linear map ``apply`` of 1-d arrays; an entry it
+    leaves non-finite is taken again from the vector over a power of two,
+    then multiplied back, both exact."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = apply(vector)
-        wide = np.flatnonzero(~np.isfinite(out))
-        if wide.size:
+
+        def scaled(wide):
             scale = 2.0 ** (int(np.frexp(np.abs(vector).max())[1]) - 1)
-            scaled = apply(vector / scale)[wide]
-            out[wide] = scaled * scale
-            beyond = ~np.isfinite(out[wide])
-            if beyond.any():
-                j = int(np.argmax(beyond))
-                log_modulus = np.log(np.abs(scaled[j])) + np.log(scale)
-                raise NumericalRangeError(
-                    f"{name}_{wide[j]} beyond the double range", float(log_modulus)
-                )
-    return out
+            taken = apply(vector / scale)[wide]
+            return taken * scale, np.log(np.abs(taken)) + np.log(scale)
+
+        return _retake(out, np.flatnonzero(~np.isfinite(out)), scaled, name)
 
 
 class EigenvalueCrossCheckError(RuntimeError):
@@ -96,43 +112,39 @@ class ConditioningWarning(UserWarning):
     """An operator is ill-conditioned; results may lose up to all digits."""
 
 
-def _integer(value, message: str, least=None) -> int:
-    """int(value), or ``ValueError(message)`` where value is not an integer
-    (None, NaN and the infinities included) or is below ``least``."""
+def _parse(value, name: str, kind: str, least=-np.inf, integral=False, scalar=False):
+    """The one parser of every numeric parameter: ``value`` as a float64 array,
+    or for a ``scalar`` as an int (``integral``) or a float.  "``name`` must
+    be ``kind``" (with the value, for a ``scalar``) refuses strings, bytes,
+    complex numbers and None, in object arrays too; an array for a ``scalar``;
+    and, where ``integral``, entries that are no finite integer or lie below
+    ``least``.  "... below 2**52" refuses an ``integral`` entry from 2**52 on
+    (float64 holds every integer below it, and every sum 2s + n of two), and
+    "... within the double range" a real integer beyond it."""
     try:
-        result = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(message) from None
-    if result != value or (least is not None and result < least):
-        raise ValueError(message)
-    return result
-
-
-def _real(value, name: str) -> float:
-    """float(value), or ``ValueError`` naming ``name`` for None, a string or a complex."""
-    if not isinstance(value, (str, bytes)):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ValueError(f"{name} must be a real number, got {value!r}")
-
-
-def _real_array(value, message: str) -> np.ndarray:
-    """``value`` as a float64 array (None becomes NaN), or ``ValueError(message)``
-    for strings, complex numbers, or objects that float64 does not take."""
-    arr = np.asarray(value)
-    if arr.dtype.kind in "biufO":
-        try:
-            return arr.astype(np.float64, copy=False)
-        except (TypeError, ValueError):
-            pass
-    raise ValueError(message)
+        arr = np.asarray(value)
+        real = arr.dtype.kind in "biuf" or arr.dtype.kind == "O" and not any(
+            isinstance(v, (str, bytes, complex, np.complexfloating, type(None))) for v in arr.flat)
+        values = arr.astype(np.float64, copy=False) if real and not (scalar and arr.ndim) else None
+    except OverflowError:
+        limit = "below 2**52" if integral else "within the double range"
+        raise ValueError(f"{name} must be {kind} {limit}") from None
+    except (TypeError, ValueError):
+        values = None
+    if integral and values is not None:
+        whole = (values == np.floor(values)) & (values >= least)
+        if not (whole & (np.abs(values) < 2.0**52)).all():
+            if (whole & np.isfinite(values)).all():
+                raise ValueError(f"{name} must be {kind} below 2**52")
+            values = None
+    if values is None:
+        raise ValueError(f"{name} must be {kind}" + (f", got {value!r}" if scalar else ""))
+    return (int(values) if integral else float(values)) if scalar else values
 
 
 def check_twice_s(twice_s) -> int:
     """Validate a doubled spin index 2s (integer, at least 2)."""
-    value = _integer(twice_s, f"twice_s must be an integer, got {twice_s!r}")
+    value = _parse(twice_s, "twice_s", "an integer", integral=True, scalar=True)
     if value < 2:
         raise ValueError(f"twice_s must be >= 2 (s >= 1), got {value}")
     return value
@@ -140,7 +152,7 @@ def check_twice_s(twice_s) -> int:
 
 def check_radius(radius) -> float:
     """Validate a sampling-ring radius, strictly inside (0, 1)."""
-    value = _real(radius, "ring radius")
+    value = _parse(radius, "ring radius", "a real number", scalar=True)
     if not 0.0 < value < 1.0:
         raise ValueError(f"ring radius must satisfy 0 < r < 1, got {value!r}")
     return value
@@ -148,13 +160,13 @@ def check_radius(radius) -> float:
 
 def check_n_samples(n_samples) -> int:
     """Validate a sample count (integer, at least 1)."""
-    return _integer(n_samples, f"n_samples must be a positive integer, got {n_samples!r}", 1)
+    return _parse(n_samples, "n_samples", "a positive integer", 1, integral=True, scalar=True)
 
 
 def check_band_limit(band_limit, n_samples=None) -> int:
     """Validate a band limit M >= 0, optionally requiring M < n_samples."""
-    message = f"band limit must be a nonnegative integer, got {band_limit!r}"
-    value = _integer(band_limit, message, 0)
+    value = _parse(band_limit, "band limit", "a nonnegative integer", 0, integral=True,
+                   scalar=True)
     if n_samples is not None and value >= n_samples:
         raise ValueError(
             f"band limit {value} too large: need more samples than coefficients "
@@ -165,7 +177,7 @@ def check_band_limit(band_limit, n_samples=None) -> int:
 
 def check_epsilon_m(epsilon_m) -> float:
     """Validate a relative tail amplitude eps_M in [0, 1)."""
-    value = _real(epsilon_m, "epsilon_m")
+    value = _parse(epsilon_m, "epsilon_m", "a real number", scalar=True)
     if not 0.0 <= value < 1.0:
         raise ValueError(f"epsilon_m must lie in [0, 1), got {epsilon_m!r}")
     return value
@@ -173,17 +185,12 @@ def check_epsilon_m(epsilon_m) -> float:
 
 def check_index(n, name: str = "n") -> int:
     """Validate a nonnegative integer index."""
-    return _integer(n, f"{name} must be a nonnegative integer, got {n!r}", 0)
+    return _parse(n, name, "a nonnegative integer", 0, integral=True, scalar=True)
 
 
-def check_indices(n, message: str) -> np.ndarray:
-    """The array form of :func:`check_index`: ``n`` as a float64 array of
-    nonnegative integer values, or ``ValueError(message)``; strings, complex
-    numbers, None, NaN and the infinities are refused."""
-    values = _real_array(n, message)
-    if not np.all(np.isfinite(values) & (values >= 0) & (values == np.floor(values))):
-        raise ValueError(message)
-    return values
+def check_indices(n, name: str = "n") -> np.ndarray:
+    """The array form of :func:`check_index`, as a float64 array."""
+    return _parse(n, name, "a nonnegative integer", 0, integral=True)
 
 
 def check_grid_index(k, n_samples: int) -> int:

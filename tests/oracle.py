@@ -34,6 +34,7 @@ from disksampling.basis import (
     _log_one_minus_mod2,
     _one_minus_mod2,
     _pointwise,
+    _scalar_or_array,
     basis_fn,
     overlap,
 )
@@ -42,6 +43,7 @@ from disksampling.undersampled import CirculantKernel
 from disksampling.validation import (
     CONDITION_LIMIT,
     ConditioningWarning,
+    as_disk_points,
     check_grid_index,
     check_index,
     check_twice_s,
@@ -302,7 +304,8 @@ def dual_sinc_series(kernel: CirculantKernel, k: int, z):
         )
         return prefactor * np.einsum("j,jq->q", inverse_eigenvalues, sections)
 
-    return _pointwise(values, z)
+    z_arr = as_disk_points(z)
+    return _scalar_or_array(_pointwise(values, z_arr.ravel()), z_arr)
 
 
 def signal_values(signal: DiskSignal, z, digits: int = 40) -> np.ndarray:

@@ -254,6 +254,30 @@ class TestSpectrum:
         assert np.array_equal(spectrum.values((0, 1)), spectrum.values(np.array([0, 1])))
         assert isinstance(spectrum.log_values(np.int64(1)), float)
 
+    def test_indices_from_2_to_the_52_are_refused_by_name(self):
+        # float64 holds every integer below 2**52, and 2s + n with it; at
+        # n = 1e17 the pmf's deviance read log1p(-1), and log lambda_n was inf
+        spectrum = ds.ResolutionSpectrum(2, ds.SamplingGrid(0.5, 4))
+        for n in (2**52, 1e17, [0, 1e17], 10**400):
+            for call, name in ((spectrum.log_values, "n"), (spectrum.values, "n"),
+                               (lambda m: ds.log_binomial(2, m), "n"),
+                               (lambda m: ds.basis_fn(2, m, 0.5), "basis index m")):
+                with pytest.raises(ValueError, match=f"^{name} must be a nonnegative "
+                                                     r"integer below 2\*\*52$"):
+                    call(n)
+
+    @pytest.mark.parametrize("twice_s, radius", [(2, 0.5), (200, 0.999), (10**6, 1e-3)])
+    def test_the_largest_index_meets_the_tolerance(self, twice_s, radius):
+        n = 2**52 - 1
+        got = ds.ResolutionSpectrum(twice_s, ds.SamplingGrid(radius, 4)).log_values(n)
+        with mp.workdps(40):
+            r2 = mp.mpf(radius) ** 2
+            want = (mp.log(4) + mp.loggamma(twice_s + n) - mp.loggamma(n + 1)
+                    - mp.loggamma(twice_s) + twice_s * mp.log(1 - r2) + n * mp.log(r2))
+            assert abs(got - want) <= 3e-15 * abs(want)
+            want = mp.loggamma(twice_s + n) - mp.loggamma(n + 1) - mp.loggamma(twice_s)
+            assert abs(ds.log_binomial(twice_s, n) - want) <= 3e-15 * abs(want)
+
     def test_underflow_raises_with_log(self):
         spectrum = ds.ResolutionSpectrum(2, ds.SamplingGrid(0.5, 2))
         with pytest.raises(NumericalRangeError) as info:

@@ -6,11 +6,12 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import disksampling as ds
-from disksampling import _EXPORTS, basis, undersampled
+from disksampling import _EXPORTS, bandlimited, basis, undersampled, validation
 from disksampling.validation import (
     ConditioningWarning,
     EigenvalueCrossCheckError,
@@ -98,10 +99,21 @@ def _kernel():
         (lambda: ds.log_binomial(2, "3"), "n"),
         (lambda: ds.log_binomial(2, [1.0, np.inf]), "n"),
         (lambda: ds.ResolutionSpectrum(2, ds.SamplingGrid(0.5, 4)).log_values("1"), "n"),
+        (lambda: ds.log_binomial(2, np.array(["1"], dtype=object)), "n"),
+        (lambda: ds.log_binomial(2, np.array([1, b"1"], dtype=object)), "n"),
+        (lambda: ds.log_binomial(2, np.array([1, None], dtype=object)), "n"),
+        (lambda: ds.log_binomial(2, np.array([1, 1j], dtype=object)), "n"),
+        (lambda: ds.projector_element(_kernel(), 10**400, 0), "m"),
+        (lambda: ds.log_binomial(2, 10**400), "n"),
+        (lambda: ds.log_binomial(2, [1, 10**400]), "n"),
+        (lambda: ds.SamplingGrid(0.5, 2**64), "n_samples"),
     ],
     ids=["grid-inf", "grid-none", "signal-inf", "signal-nan", "frame-inf",
          "projector-minus-inf", "dft-nan", "dual-sinc-none", "basis-none", "basis-text",
-         "log-binomial-text", "log-binomial-inf", "log-values-text"],
+         "log-binomial-text", "log-binomial-inf", "log-values-text", "log-binomial-object-text",
+         "log-binomial-object-bytes", "log-binomial-object-none", "log-binomial-object-complex",
+         "projector-beyond-the-range", "log-binomial-beyond-the-range",
+         "log-binomial-array-beyond-the-range", "grid-beyond-2**52"],
 )
 def test_integer_parameters_refuse_what_is_no_integer_by_name(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
@@ -121,14 +133,44 @@ def test_integer_parameters_refuse_what_is_no_integer_by_name(call, name):
         (lambda: ds.max_radius_estimate(2, 4, 0.5j, 0.1), "epsilon"),
         (lambda: ds.band_projection_curve(2, 3, "0.5"), "radius"),
         (lambda: ds.band_projection_curve(2, 3, 0.5 + 0j), "radius"),
+        (lambda: ds.SamplingGrid(10**400, 4), "ring radius"),
+        (lambda: ds.QuasiBandProfile(3, 10**400), "epsilon_m"),
+        (lambda: ds.band_projection_curve(2, 3, None), "radius"),
+        (lambda: ds.band_projection_curve(2, 3, np.array([0.5, "0.5"], dtype=object)), "radius"),
+        (lambda: ds.SamplingGrid(np.array([0.5]), 4), "ring radius"),
     ],
     ids=["grid-none", "grid-text", "grid-numeric-text", "bound-none", "profile-none",
          "profile-text", "estimate-none", "estimate-complex", "curve-numeric-text",
-         "curve-complex"],
+         "curve-complex", "grid-beyond-the-range", "profile-beyond-the-range", "curve-none",
+         "curve-object-text", "grid-array"],
 )
 def test_real_parameters_refuse_what_is_no_real_number_by_name(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be a real number"):
         call()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [3, 3.0, np.int64(3), np.array(3), True, 2**52 - 1, -1, 2.5, np.nan, np.inf, None, "3",
+     b"3", 3 + 0j, 2**52, 10**400, np.uint64(2**64 - 1), np.array(3, dtype=object)],
+    ids=["int", "float", "int64", "0-d", "bool", "largest", "negative", "fraction", "nan",
+         "inf", "none", "text", "bytes", "complex", "2**52", "beyond-the-range", "uint64-max",
+         "0-d-object"],
+)
+def test_scalar_and_array_integer_checks_agree(value):
+    # one parser: a value is an integer index as a scalar exactly where it is
+    # one as an array, alone or in an object array beside a plain integer
+    def outcome(check, argument):
+        try:
+            return float(np.ravel(check(argument, "n"))[0])
+        except ValueError as error:
+            return str(error).split(", got")[0]
+
+    scalar = outcome(validation.check_index, value)
+    assert scalar == outcome(validation.check_indices, value)
+    assert scalar == outcome(validation.check_indices, [value])
+    paired = outcome(validation.check_indices, np.array([value, 1], dtype=object))
+    assert scalar == paired
 
 
 @pytest.mark.parametrize(
@@ -251,6 +293,90 @@ def test_no_module_calls_blas():
             ):
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
     assert not found
+
+
+def test_range_refusals_are_raised_by_the_shared_rules_only():
+    # a result leaves the double range through validation's rules (times_exp,
+    # in_range, from_log); only the sinc kernel's sum and the lost digits of
+    # rescale_truncate refuse on their own
+    import ast
+    import pathlib
+
+    allowed = {("bandlimited.py", "sinc_kernel"), ("undersampled.py", "rescale_truncate")}
+    found = []
+    for path in sorted(pathlib.Path(ds.__file__).parent.glob("*.py")):
+        if path.name == "validation.py":
+            continue
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and "NumericalRangeError" in (getattr(node.func, "id", None),
+                                                      getattr(node.func, "attr", None))
+                        and (path.name, getattr(top, "name", None)) not in allowed):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found
+
+
+@pytest.mark.parametrize(
+    "call, message, log_value",
+    [
+        # lambda_127 of (2, 0.05, 401) is exp(-750.08); 274 of the 401 underflow
+        (lambda: ds.frame_matrix(2, ds.SamplingGrid(0.05, 401), 400).lambdas,
+         "lambda_127", -750.0750120519237),
+        (lambda: ds.ResolutionSpectrum(2, ds.SamplingGrid(0.05, 401)).values([3, 127, 128]),
+         "lambda_127", -750.0750120519237),
+        (lambda: ds.ResolutionSpectrum(2, ds.SamplingGrid(0.5, 2)).values(300000),
+         "lambda_300000", None),
+        # the eigenvalues of (2, 1e-3, 60) fall by about 1e-6 a step; lhat_55
+        # is the first below the smallest subnormal
+        (lambda: ds.overlap_kernel(2, ds.SamplingGrid(1e-3, 60)), "lhat_55", None),
+    ],
+    ids=["frame-lambdas", "spectrum-values", "spectrum-value", "kernel-eigenvalues"],
+)
+def test_log_domain_values_that_leave_the_range_are_refused_by_name(call, message, log_value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalRangeError,
+                           match=f"^{message} not representable as a positive double") as info:
+            call()
+    assert info.value.log_value < -745.1
+    if log_value is not None:
+        assert info.value.log_value == pytest.approx(log_value, rel=1e-14)
+
+
+def test_a_factor_below_the_normal_range_loses_no_digits():
+    # ahat_n = N U_n(r) d_0 / lhat_0 with d_0 = 1e300: from n = 308 the factor
+    # N U_n(r) / lhat_0 underflows, while the coefficient itself is normal
+    kernel = ds.overlap_kernel(2, ds.SamplingGrid(0.1, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ds.dft_coefficients(kernel, np.full(4, 1e300), 340)
+    n = np.arange(0, 341, 4)
+    with mp.workdps(30):
+        r2 = mp.mpf(0.1) ** 2
+        want = [float(4 * mp.sqrt((k + 1) * r2**k) * (1 - r2) * mp.mpf(1e300)
+                      / mp.mpf(kernel.eigenvalues[0])) for k in n.tolist()]
+    assert got[328] == pytest.approx(1.8321571959899e-27, rel=1e-12)
+    assert np.max(np.abs(got[n] / want - 1.0)) <= 1e-12
+    assert not np.any(got[n[:-1, np.newaxis] + np.arange(1, 4)])
+
+
+@pytest.mark.parametrize(
+    "module, call",
+    [
+        (basis, lambda z: ds.evaluate_signal(ds.DiskSignal(2, [1.0, 0.5]), z)),
+        (undersampled, lambda z: ds.partial_reconstruct(_kernel(), np.ones(4), z)),
+        (bandlimited, lambda z: ds.sinc_kernel(ds.frame_matrix(2, _kernel().grid, 2), 1, z)),
+    ],
+    ids=["evaluate-signal", "partial-reconstruct", "sinc-kernel"],
+)
+def test_each_query_is_checked_once(monkeypatch, module, call):
+    checked = []
+    check = module.as_disk_points
+    monkeypatch.setattr(module, "as_disk_points", lambda z: checked.append(z) or check(z))
+    query = np.full((3, 700), 0.25j)
+    assert np.shape(call(query)) == query.shape
+    assert len(checked) == 1 and checked[0] is query
 
 
 @pytest.mark.parametrize(

@@ -193,6 +193,18 @@ class TestKernelEigenvalues:
         for skew in (1e-11, -1e-11, 10.0, -10.0, 300.0, -300.0):
             assert not gap(skew) <= undersampled._EIG_AGREE_RTOL, skew
 
+    @pytest.mark.parametrize("twice_s, radius, n, j", [(2, 0.5, 6, 3), (2, 0.3, 4, 2)])
+    def test_a_value_far_above_lhat_leaves_no_positive_sum_and_fails(
+        self, twice_s, radius, n, j
+    ):
+        # a claimed e^42.5 keeps only the terms above e^-0.7 here, C_0 = 1 and
+        # the pair l = 1, N-1, whose half-turn twiddles make the sum negative
+        grid = ds.SamplingGrid(radius, n)
+        spot = undersampled._spot_log_eigenvalue(
+            twice_s, grid, undersampled._row_denominator(grid), j, 42.5)
+        assert spot == -np.inf
+        assert not abs(np.expm1(42.5 - spot)) <= undersampled._EIG_AGREE_RTOL
+
     def test_condition_number_beyond_the_double_range_is_inf_without_a_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -741,6 +753,22 @@ class TestErrorBound:
         assert got > 0.0 and scale < -40.0
         expected = oracle.bound_and_exact(signal, grid, 200)[2]
         assert got * np.exp(scale) == pytest.approx(expected, rel=1e-12)
+
+    def test_margin_of_a_failing_bound_beyond_eps_0_of_one(self):
+        # a profile that claims no tail for a signal that is all tail: at
+        # (2, 0.9, 4) eps_0 > 1, and the signal e_40 keeps the share
+        # Q = lambda_40/lhat_0 of its energy, below D = lambda_0/lhat_0, so
+        # bound - exact = Q - D < 0, which is m e^L = (Q/D - 1) D
+        spectrum = ds.ResolutionSpectrum(2, ds.SamplingGrid(0.9, 4))
+        signal = ds.DiskSignal(2, np.eye(1, 41, 40)[0])
+        profile = ds.QuasiBandProfile(3, 0.0)
+        exact, bound, (margin, scale) = undersampled._error_row(
+            spectrum, signal, profile, "printed")
+        eps0 = ds.tail_excess(spectrum, 0)
+        assert eps0 > 1.0
+        assert margin == pytest.approx(41 * 0.9**80 - 1.0, rel=1e-12)
+        assert scale == pytest.approx(-np.log1p(eps0), rel=1e-12)
+        assert margin * np.exp(scale) == pytest.approx(bound.value - exact, rel=1e-12)
 
     def test_answers_where_the_tail_ratios_leave_the_double_range(self):
         # eps_0 is about exp(782) and eps_3 about exp(779) at 2s = 200, r = 0.99, N = 4
