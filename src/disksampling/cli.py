@@ -31,6 +31,7 @@ from .validation import (
     CONDITION_LIMIT,
     ConditioningWarning,
     as_disk_points,
+    check_index,
     check_n_samples,
     check_twice_s,
 )
@@ -122,13 +123,10 @@ def _read_signal(path: str, twice_s_flag: int | None) -> DiskSignal:
         raise ValueError(f"malformed signal JSON in {path}: {exc}") from exc
     try:
         twice_s = data["twice_s"]
-        pairs = data["coefficients"]
-        coeffs = np.array(
-            [complex(real, imag) for real, imag in pairs], dtype=np.complex128
-        )
+        coeffs = [complex(real, imag) for real, imag in data["coefficients"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"signal file {path} must hold twice_s and [re, im] pairs") from exc
-    if coeffs.size == 0:
+    if not coeffs:
         raise ValueError(f"signal file {path} has an empty coefficient list")
     signal = DiskSignal(twice_s, coeffs)
     if twice_s_flag is not None and check_twice_s(twice_s_flag) != signal.twice_s:
@@ -338,7 +336,7 @@ def cmd_critical_radius(args) -> int:
 
     twice_s = check_twice_s(args.twice_s)
     m_values = _parse_list(args.m_list, "--m-list", int)
-    r_grid = np.linspace(0.0, args.r_max, args.r_count)
+    r_grid = np.linspace(0.0, args.r_max, check_index(args.r_count, "--r-count"))
     r_critical, curves = [], []
     for m in m_values:
         r_critical.append(us.critical_radius(twice_s, m))

@@ -448,11 +448,10 @@ def rescale_truncate(kernel: CirculantKernel, dft_coeffs, band_limit: int) -> Di
     A NaN or infinite ahat_n raises ``ValueError``.
     """
     band_limit = check_band_limit(band_limit, n_samples=kernel.n_samples)
-    coeffs = np.asarray(dft_coeffs, dtype=np.complex128)
+    coeffs = _parse(dft_coeffs, "alias coefficients", "complex numbers", dtype=complex)
     if coeffs.ndim != 1 or coeffs.size < band_limit + 1:
-        raise ValueError(
-            f"need at least {band_limit + 1} alias coefficients, got shape {coeffs.shape}"
-        )
+        raise ValueError(f"need at least {band_limit + 1} alias coefficients, "
+                         f"got shape {coeffs.shape}")
     coeffs = coeffs[: band_limit + 1]
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("alias coefficients must be finite")
@@ -668,11 +667,12 @@ def leading_order_bound(
 
     The second is what the printed radius estimate implies when inverted; the
     two are mutually inconsistent by the factor 2 binom^(1/2) (see README).
-    """
+    A cross term beyond the double range raises ``NumericalRangeError``."""
     radius = check_radius(radius)
     log_c = _log_cross_coefficient(twice_s, n_samples, epsilon_m, variant, "printed")
     epsilon_m = check_epsilon_m(epsilon_m)
-    return float(epsilon_m * epsilon_m + np.exp(log_c + int(n_samples) * np.log(radius)))
+    cross = times_exp(np.ones(1), np.array([log_c + int(n_samples) * np.log(radius)]), "cross term")
+    return float(epsilon_m * epsilon_m + cross[0])
 
 
 def _log_cross_coefficient(

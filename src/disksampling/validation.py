@@ -1,5 +1,5 @@
-"""The one parser of numeric parameters, the rules for results that cross the
-double range, and shared error types."""
+"""The one parser of every number a caller passes in, the rules for results
+that cross the double range, and shared error types."""
 
 from __future__ import annotations
 
@@ -62,7 +62,7 @@ def times_exp(values: np.ndarray, log_factor: np.ndarray, name: str) -> np.ndarr
         def one_exponent(wide):
             modulus = np.abs(values[wide])
             log_modulus = np.log(modulus) + log_factor[wide]
-            phase = np.divide(values[wide], modulus, out=np.zeros(wide.size, complex),
+            phase = np.divide(values[wide], modulus, out=np.zeros(wide.size, values.dtype),
                               where=modulus > 0)
             return np.exp(log_modulus) * phase, log_modulus
 
@@ -112,20 +112,23 @@ class ConditioningWarning(UserWarning):
     """An operator is ill-conditioned; results may lose up to all digits."""
 
 
-def _parse(value, name: str, kind: str, least=-np.inf, integral=False, scalar=False):
-    """The one parser of every numeric parameter: ``value`` as a float64 array,
-    or for a ``scalar`` as an int (``integral``) or a float.  "``name`` must
-    be ``kind``" (with the value, for a ``scalar``) refuses strings, bytes,
-    complex numbers and None, in object arrays too; an array for a ``scalar``;
-    and, where ``integral``, entries that are no finite integer or lie below
-    ``least``.  "... below 2**52" refuses an ``integral`` entry from 2**52 on
-    (float64 holds every integer below it, and every sum 2s + n of two), and
-    "... within the double range" a real integer beyond it."""
+def _parse(value, name: str, kind: str, least=-np.inf, integral=False, scalar=False, dtype=float):
+    """The one parser of every number a caller passes in: ``value`` as a
+    float64 (complex128 for ``dtype=complex``) array, or for a ``scalar`` an
+    int (``integral``) or a float.  "``name`` must be ``kind``" (with the
+    value, for a ``scalar``) refuses strings, bytes, None and ragged input, in
+    object arrays too (only those are scanned); complex numbers for a real
+    ``dtype``; an array for a ``scalar``; and, where ``integral``, entries no
+    finite integer or below ``least``.  "... below 2**52" refuses an
+    ``integral`` entry from 2**52 on (float64 holds every integer below it, and
+    every sum 2s + n of two), "... within the double range" an integer beyond."""
+    real = np.dtype(dtype).kind == "f"
+    refused = (str, bytes, type(None)) + ((complex, np.complexfloating) if real else ())
     try:
         arr = np.asarray(value)
-        real = arr.dtype.kind in "biuf" or arr.dtype.kind == "O" and not any(
-            isinstance(v, (str, bytes, complex, np.complexfloating, type(None))) for v in arr.flat)
-        values = arr.astype(np.float64, copy=False) if real and not (scalar and arr.ndim) else None
+        numeric = arr.dtype.kind in ("biuf" if real else "biufc") or arr.dtype.kind == "O" and (
+            not any(isinstance(v, refused) for v in arr.flat))
+        values = arr.astype(dtype, copy=False) if numeric and not (scalar and arr.ndim) else None
     except OverflowError:
         limit = "below 2**52" if integral else "within the double range"
         raise ValueError(f"{name} must be {kind} {limit}") from None
@@ -202,20 +205,19 @@ def check_grid_index(k, n_samples: int) -> int:
 
 
 def as_disk_points(z) -> np.ndarray:
-    """Coerce to a complex array and require every point inside the open disk."""
-    arr = np.asarray(z, dtype=np.complex128)
+    """Parse as a complex array and require every point inside the open disk."""
+    arr = _parse(z, "disk points", "complex numbers", dtype=complex)
     mod2 = arr.real * arr.real + arr.imag * arr.imag
     if not np.all(np.isfinite(mod2)):
         raise ValueError("disk points must be finite")
     if np.any(mod2 >= 1.0):
-        worst = np.max(mod2)
-        raise ValueError(f"points must lie inside the open unit disk (got |z|^2 = {worst!r})")
+        raise ValueError(f"points must lie inside the open unit disk (got |z|^2 = {mod2.max()!r})")
     return arr
 
 
 def as_coefficients(coefficients) -> np.ndarray:
-    """Coerce to a 1-d complex coefficient array with at least one entry."""
-    arr = np.atleast_1d(np.asarray(coefficients, dtype=np.complex128))
+    """Parse as a 1-d complex coefficient array with at least one entry."""
+    arr = np.atleast_1d(_parse(coefficients, "coefficients", "complex numbers", dtype=complex))
     if arr.ndim != 1:
         raise ValueError(f"coefficients must be one-dimensional, got shape {arr.shape}")
     if arr.size < 1:
@@ -226,8 +228,8 @@ def as_coefficients(coefficients) -> np.ndarray:
 
 
 def as_samples(samples, n_samples: int) -> np.ndarray:
-    """Coerce to a complex sample vector of the expected length."""
-    arr = np.atleast_1d(np.asarray(samples, dtype=np.complex128))
+    """Parse as a complex sample vector of the expected length."""
+    arr = np.atleast_1d(_parse(samples, "samples", "complex numbers", dtype=complex))
     if arr.shape != (n_samples,):
         raise ValueError(f"expected {n_samples} samples, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -693,6 +693,19 @@ class TestCriticalRadius:
         ) == 2
         assert "radius must lie in [0, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "count, code, text",
+        [("-1", 2, "--r-count must be a nonnegative integer"), ("0", 0, "m,r,p,r_critical\n")],
+        ids=["negative", "zero"],
+    )
+    def test_r_count_is_checked_by_name(self, capsys, count, code, text):
+        # a count of zero radii gives the header alone
+        assert run_cli(
+            "critical-radius", "--twice-s", "2", "--m-list", "3", "--r-count", count,
+        ) == code
+        captured = capsys.readouterr()
+        assert text in captured.err if code else captured.out == text
+
     def test_columns_and_values(self, tmp_path):
         out = tmp_path / "curve.csv"
         assert run_cli(

@@ -196,11 +196,27 @@ def test_scalar_and_array_integer_checks_agree(value):
         (lambda: ds.overlap_kernel(2, 0.5), "grid must be a SamplingGrid, got 0.5"),
         (lambda: ds.sample_signal(ds.DiskSignal(2, [1.0]), 0.5),
          "grid must be a SamplingGrid, got 0.5"),
+        # complex inputs refuse what no number is, as the real parameters do
+        (lambda: ds.evaluate_signal(ds.DiskSignal(2, [1.0]), "0.5"),
+         "disk points must be complex numbers"),
+        (lambda: ds.evaluate_signal(ds.DiskSignal(2, [1.0]), b"0.5"),
+         "disk points must be complex numbers"),
+        (lambda: ds.partial_reconstruct(_kernel(), [1, 1, 1, 1],
+                                        np.array(["0.1"], dtype=object)),
+         "disk points must be complex numbers"),
+        (lambda: ds.evaluate_signal(ds.DiskSignal(2, [1.0]), None),
+         "disk points must be complex numbers"),
+        (lambda: ds.DiskSignal(2, ["1", "2j"]), "coefficients must be complex numbers"),
+        (lambda: ds.DiskSignal(2, [[1, 2], [3]]), "coefficients must be complex numbers"),
+        (lambda: ds.dual_weights(_kernel(), ["1"] * 4), "samples must be complex numbers"),
+        (lambda: ds.rescale_truncate(_kernel(), ["1", "0.5", "0", "0"], 1),
+         "alias coefficients must be complex numbers"),
     ],
     ids=["epsilon-m-range", "nan-point", "inf-coefficient", "2d-coefficients", "nan-sample",
          "too-few-alias-coefficients", "nan-alias-coefficient", "inf-alias-coefficient",
          "frame-sample-count", "spectrum-no-grid", "frame-no-grid", "kernel-no-grid",
-         "samples-no-grid"],
+         "samples-no-grid", "text-point", "bytes-point", "object-text-point", "none-point",
+         "text-coefficient", "ragged-coefficients", "text-sample", "text-alias-coefficient"],
 )
 def test_invalid_values_are_refused_with_their_message(call, message):
     with pytest.raises(ValueError) as info:
@@ -295,6 +311,25 @@ def test_no_module_calls_blas():
     assert not found
 
 
+def test_only_the_parser_coerces_to_complex():
+    # a caller's value becomes a complex array through validation._parse,
+    # which refuses strings, bytes, None and ragged input by name
+    import ast
+    import pathlib
+
+    found = []
+    for path in sorted(pathlib.Path(ds.__file__).parent.glob("*.py")):
+        if path.name == "validation.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
+                    "array", "asarray"):
+                dtypes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "dtype"]
+                if any("complex" in ast.unparse(dtype) for dtype in dtypes):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found
+
+
 def test_range_refusals_are_raised_by_the_shared_rules_only():
     # a result leaves the double range through validation's rules (times_exp,
     # in_range, from_log); only the sinc kernel's sum and the lost digits of
@@ -380,29 +415,33 @@ def test_each_query_is_checked_once(monkeypatch, module, call):
 
 
 @pytest.mark.parametrize(
-    "call, message",
+    "call, message, log_range",
     [
         # d_7 = 1e306 over lhat_7 = 0.0022, condition number 2048
         (lambda: ds.dual_weights(
             ds.overlap_kernel(2, ds.SamplingGrid(0.5, 8)),
             1e306 * np.exp(-2j * np.pi * 7 * np.arange(8) / 8),
-        ), "d/lhat_7"),
+        ), "d/lhat_7", (709.7, 711.0)),
         # the weights are 1.29e308 each, and the alias at 0 is 1.5 times that
         (lambda: ds.partial_reconstruct(
             ds.overlap_kernel(2, ds.SamplingGrid(0.5, 2)), np.full(2, 1.76e308), [0.9, 0.0]
-        ), "value_1"),
+        ), "value_1", (709.7, 711.0)),
         (lambda: ds.dft_coefficients(
             ds.overlap_kernel(2, ds.SamplingGrid(0.9, 3300)), np.eye(1, 3300)[0] * 1e300, 3400
-        ), "ahat_269"),
+        ), "ahat_269", (709.7, 711.0)),
+        # the cross term c r^N of the leading-order bound, about e^693149
+        (lambda: ds.leading_order_bound(10**6, 0.9999999, 10**6, 0.5), "cross term_0",
+         (693149.06, 693149.07)),
     ],
-    ids=["dual-weights", "partial-reconstruct", "dft-coefficients"],
+    ids=["dual-weights", "partial-reconstruct", "dft-coefficients", "leading-order-bound"],
 )
-def test_undersampled_results_beyond_the_double_range_raise_without_a_warning(call, message):
+def test_undersampled_results_beyond_the_double_range_raise_without_a_warning(
+        call, message, log_range):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalRangeError, match=f"^{message} beyond") as info:
             call()
-    assert 709.7 < info.value.log_value < 711.0
+    assert log_range[0] < info.value.log_value < log_range[1]
 
 
 def test_ring_dft_of_samples_near_the_top_of_the_range_answers():
