@@ -336,6 +336,8 @@ def cmd_critical_radius(args) -> int:
 
     twice_s = check_twice_s(args.twice_s)
     m_values = _parse_list(args.m_list, "--m-list", int)
+    if not 0.0 <= args.r_max < 1.0:
+        raise ValueError(f"--r-max: the largest radius must lie in [0, 1), got {args.r_max!r}")
     r_grid = np.linspace(0.0, args.r_max, check_index(args.r_count, "--r-count"))
     r_critical, curves = [], []
     for m in m_values:

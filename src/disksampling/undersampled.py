@@ -17,14 +17,15 @@ computable error bounds for quasi-bandlimited signals.
 
 Numerical policy: lhat_j is the class tail of j, the lambda series summed
 in doubles outward from its largest term, as the error analysis sums its
-tails.  Construction checks it against the first row, which the series
-never reads: the float64 FFT of the row agrees to 1e-12 relative, or to the
-FFT's rounding bound where that is larger, and where the bound cannot
-resolve some lhat_j, one row sum in fixed-point Python integers, good to 30
-digits relative to the value it checks, checks the smallest lhat_j to
-1e-12.  The tail ratios eps_n = (lhat_n - lambda_n)/lambda_n get their own
-series, never a subtraction, exact down to the underflow threshold and
-carried in the log domain where they leave the double range.
+tails, and is kept as its log, which every transform reads: none re-logs or
+divides by a rounded lhat_j.  Construction checks it against the first row,
+which the series never reads: the float64 FFT of the row agrees to 1e-12
+relative, or to the FFT's rounding bound where larger, and where the bound
+cannot resolve some lhat_j, one row sum in fixed-point Python integers,
+good to 30 digits relative to the value it checks, checks the smallest
+lhat_j to 1e-12.  The tail ratios eps_n = (lhat_n - lambda_n)/lambda_n get
+their own series, never a subtraction, exact down to the underflow
+threshold and carried in the log domain where they leave the double range.
 """
 
 from __future__ import annotations
@@ -87,18 +88,20 @@ class CirculantKernel:
     (twice_s, grid) alone.
 
     It derives, once, ``first_row`` C_0..C_{N-1} with B[k, l] = C[(l-k) mod N],
-    ``eigenvalues`` lhat_0..lhat_{N-1} and the ``spectrum`` they are summed
-    from.  The eigenvalues are checked against the row's float64 FFT at 1e-12
-    relative, or to :func:`_fft_error_bound` where that is larger, and where
-    that bound is not below half of 1e-12 at some lhat_j, the smallest by
-    :func:`_spot_log_eigenvalue` at 1e-12; both read the (1-r^2, d) the row is
-    raised from.  On disagreement no kernel is built.  Immutable, its arrays
-    read-only, and safe to share across threads.
+    ``log_eigenvalues`` log lhat_j, the class tails as summed, which every
+    transform reads, ``eigenvalues`` lhat_j (their ``from_log``) and the
+    ``spectrum``.  lhat_j is checked against the row's float64 FFT at 1e-12
+    relative, or to :func:`_fft_error_bound` where larger, and where that is
+    not below half of 1e-12 at some lhat_j, the smallest by
+    :func:`_spot_log_eigenvalue` at 1e-12, both from the row's (1-r^2, d).
+    On disagreement no kernel is built.  Immutable, its arrays read-only,
+    and safe to share across threads.
     """
 
     twice_s: int
     grid: SamplingGrid
     first_row: np.ndarray = field(init=False, repr=False, compare=False)
+    log_eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
     spectrum: ResolutionSpectrum = field(init=False, repr=False, compare=False)
 
@@ -121,9 +124,10 @@ class CirculantKernel:
             gap = float(abs(np.expm1(log_eig[smallest] - spot)))
             if not gap <= _EIG_AGREE_RTOL:
                 raise _disagreement("spot", smallest, gap, _EIG_AGREE_RTOL)
-        row.flags.writeable = eig.flags.writeable = False
+        row.flags.writeable = log_eig.flags.writeable = eig.flags.writeable = False
         object.__setattr__(self, "twice_s", twice_s)
         object.__setattr__(self, "first_row", row)
+        object.__setattr__(self, "log_eigenvalues", log_eig)
         object.__setattr__(self, "eigenvalues", eig)
         object.__setattr__(self, "spectrum", spectrum)
 
@@ -371,19 +375,16 @@ def overlap_kernel(twice_s: int, grid: SamplingGrid) -> CirculantKernel:
 
 def dual_weights(kernel: CirculantKernel, samples) -> np.ndarray:
     """Apply B^-1 = F diag(1/lhat) F^-1 to a sample vector: the samples' DFT d
-    (``basis._ring_dft``) over lhat, then one FFT (no dense matrix).  Warns with
-    :class:`ConditioningWarning` on an ill-conditioned kernel; a d_j/lhat_j or
-    weight beyond the double range raises ``NumericalRangeError``."""
+    (``basis._ring_dft``) times exp(-log lhat) by ``times_exp``, then one FFT.
+    Warns with :class:`ConditioningWarning` on an ill-conditioned kernel; a
+    d_j/lhat_j or weight beyond the double range raises ``NumericalRangeError``."""
     values = as_samples(samples, kernel.n_samples)
     if kernel.is_ill_conditioned:
-        warnings.warn(
-            f"kernel condition number {kernel.condition_number:.3e} exceeds "
-            f"{CONDITION_LIMIT:.0e}; dual weights lose up to all digits",
-            ConditioningWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"kernel condition number {kernel.condition_number:.3e} exceeds "
+                      f"{CONDITION_LIMIT:.0e}; dual weights lose up to all digits",
+                      ConditioningWarning, stacklevel=2)
     d = _ring_dft(values, kernel.n_samples - 1)
-    quotient = in_range(lambda x: x / kernel.eigenvalues, d, "d/lhat")
+    quotient = times_exp(d, -kernel.log_eigenvalues, "d/lhat")
     return in_range(np.fft.fft, quotient, "w")
 
 
@@ -394,9 +395,7 @@ def dual_sinc_kernel(kernel: CirculantKernel, k: int, z):
     ``dual_weights`` of e_k is column k of B^-1.  Satisfies
     XiHat_k(z_l) = delta_kl on the grid.
     """
-    n = kernel.n_samples
-    unit = np.zeros(n)
-    unit[check_grid_index(k, n)] = 1.0
+    unit = np.eye(1, kernel.n_samples, check_grid_index(k, kernel.n_samples))[0]
     return partial_reconstruct(kernel, unit, z)
 
 
@@ -433,7 +432,7 @@ def dft_coefficients(kernel: CirculantKernel, samples, n_max: int) -> np.ndarray
     """
     n_max, n = check_index(n_max, "n_max"), kernel.n_samples
     log_weights = _log_ring_weights(kernel.twice_s, kernel.grid.radius, n_max + 1)
-    log_eig = np.log(kernel.eigenvalues)[np.arange(n_max + 1) % n]
+    log_eig = kernel.log_eigenvalues[np.arange(n_max + 1) % n]
     d = _ring_dft(as_samples(samples, n), n_max)
     return times_exp(d, np.log(n) + log_weights - log_eig, "ahat")
 
@@ -456,7 +455,7 @@ def rescale_truncate(kernel: CirculantKernel, dft_coeffs, band_limit: int) -> Di
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("alias coefficients must be finite")
     idx = np.arange(band_limit + 1)
-    log_factor = np.log(kernel.eigenvalues[idx]) - kernel.spectrum.log_values(idx)
+    log_factor = kernel.log_eigenvalues[idx] - kernel.spectrum.log_values(idx)
     with np.errstate(over="ignore"):
         lost = np.isinf(np.exp(log_factor)) & (np.abs(coeffs) < np.finfo(np.float64).tiny)
     if lost.any():
@@ -479,7 +478,7 @@ def projector_element(kernel: CirculantKernel, m: int, n: int) -> float:
     if m % n_s != n % n_s:
         return 0.0
     log_lam = kernel.spectrum.log_values(np.array([m, n], dtype=np.int64))
-    return float(np.exp(0.5 * (log_lam[0] + log_lam[1]) - np.log(kernel.eigenvalues[n % n_s])))
+    return float(np.exp(0.5 * (log_lam[0] + log_lam[1]) - kernel.log_eigenvalues[n % n_s]))
 
 
 def tail_excess(spectrum: ResolutionSpectrum, n) -> np.ndarray | float:
@@ -727,7 +726,8 @@ def _bound_terms(
 
     eps/(1+eps) = exp(log eps - log(1+eps)), so nothing overflows; each
     exponent is formed from the differences of the large logs first, so it
-    keeps its absolute accuracy.
+    keeps its absolute accuracy.  C is taken by ``times_exp`` ("bound cross
+    term"): 0 where eps_M = 0, refused where it leaves the double range.
     """
     n = spectrum.grid.n_samples
     if profile.band_limit != n - 1:
@@ -739,14 +739,12 @@ def _bound_terms(
     em2 = em * em
     log_eps0, log_eps_last = _log_tail_excess(spectrum, np.array([0, n - 1]))
     log_cross = 0.5 * (np.log(n) + log_eps0) - np.logaddexp(0.0, log_eps_last)
-    excess = float(
-        (1.0 - em2) * np.exp(log_eps0 - np.logaddexp(0.0, log_eps0))
-        + 2.0 * np.sqrt(1.0 - em2) * em * np.exp(log_cross)
-    )
-    log_rest = np.log1p(-em2)
+    coefficient = 2.0 * np.sqrt(1.0 - em2) * em
+    cross = times_exp(np.array([coefficient]), np.array([log_cross]), "bound cross term")
+    excess = float((1.0 - em2) * np.exp(log_eps0 - np.logaddexp(0.0, log_eps0)) + cross[0])
     with np.errstate(divide="ignore"):
-        log_c = float(np.log(2.0 * em) + 0.5 * log_rest + log_cross)
-    log_d = float(log_rest - np.logaddexp(0.0, log_eps0))
+        log_c = float(np.log(coefficient) + log_cross)
+    log_d = float(np.log1p(-em2) - np.logaddexp(0.0, log_eps0))
     leading = leading_order_bound(spectrum.twice_s, spectrum.grid.radius, n, em, variant)
     return ErrorBound(value=float(em2 + excess), leading_order=leading), (excess, log_c, log_d)
 

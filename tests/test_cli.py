@@ -633,7 +633,10 @@ class TestErrorAnalysis:
         assert 0.0 < exact <= 1.0 and bound == 1.0
         assert rows[0][6] == "1"
 
-    @pytest.mark.parametrize("twice_s, radius, n", [(400, 0.99, 4), (2000, 0.9, 64)])
+    # at (2000, 0.8, 2000) eps_M = 0: the cross term is 0, not 0 times its factor e^864
+    @pytest.mark.parametrize(
+        "twice_s, radius, n", [(400, 0.99, 4), (2000, 0.9, 64), (2000, 0.8, 2000)]
+    )
     def test_rim_rows_beyond_the_spectrum_mode_match_extended_precision(
         self, tmp_path, twice_s, radius, n
     ):
@@ -692,6 +695,18 @@ class TestCriticalRadius:
             "critical-radius", "--twice-s", "2", "--m-list", "3", "--r-count", "3", "--r-max", "nan",
         ) == 2
         assert "radius must lie in [0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "3"])
+    @pytest.mark.parametrize("r_max", ["1.5", "-0.5", "1.0"])
+    def test_r_max_outside_the_disk_is_refused_by_name(self, capsys, count, r_max):
+        # before the grid is built, so also where it has no radius
+        assert run_cli(
+            "critical-radius", "--twice-s", "4", "--m-list", "3", "--r-count", count,
+            "--r-max", r_max,
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--r-max: the largest radius must lie in [0, 1), got {r_max}" in captured.err
 
     @pytest.mark.parametrize(
         "count, code, text",

@@ -311,6 +311,35 @@ def test_no_module_calls_blas():
     assert not found
 
 
+def test_no_module_re_logs_or_divides_by_a_kernel_eigenvalue():
+    # the kernel keeps log lhat as summed; the log of a subnormal lhat_j's
+    # double has lost digits, and numpy's complex division forms 1/lhat_j,
+    # which overflows below 5.6e-309.  The condition number's max over min
+    # is a ratio of the spectrum's ends, not a transform, and stays.
+    import ast
+    import pathlib
+
+    def eigenvalues_in(node):
+        return any(getattr(n, "attr", None) == "eigenvalues" for n in ast.walk(node))
+
+    def is_eigenvalue(node):
+        node = node.value if isinstance(node, ast.Subscript) else node
+        return getattr(node, "attr", None) == "eigenvalues"
+
+    found = []
+    for path in sorted(pathlib.Path(ds.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = getattr(getattr(node, "func", None), "attr", None)
+            relog = name in ("log", "log1p", "log2", "log10") and any(map(eigenvalues_in, node.args))
+            divide = (
+                isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+                and is_eigenvalue(getattr(node, "right", getattr(node, "value", None)))
+            ) or name in ("divide", "true_divide") and any(map(is_eigenvalue, node.args[1:]))
+            if relog or divide:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
+
+
 def test_only_the_parser_coerces_to_complex():
     # a caller's value becomes a complex array through validation._parse,
     # which refuses strings, bytes, None and ragged input by name
@@ -432,8 +461,13 @@ def test_each_query_is_checked_once(monkeypatch, module, call):
         # the cross term c r^N of the leading-order bound, about e^693149
         (lambda: ds.leading_order_bound(10**6, 0.9999999, 10**6, 0.5), "cross term_0",
          (693149.06, 693149.07)),
+        # 2 sqrt(1-eps_M^2) eps_M sqrt(N eps_0)/(1+eps_{N-1}) of error_bound, about e^864.16
+        (lambda: ds.error_bound(ds.ResolutionSpectrum(2000, ds.SamplingGrid(0.8, 2000)),
+                                ds.QuasiBandProfile(1999, 0.5)), "bound cross term_0",
+         (864.15, 864.17)),
     ],
-    ids=["dual-weights", "partial-reconstruct", "dft-coefficients", "leading-order-bound"],
+    ids=["dual-weights", "partial-reconstruct", "dft-coefficients", "leading-order-bound",
+         "error-bound"],
 )
 def test_undersampled_results_beyond_the_double_range_raise_without_a_warning(
         call, message, log_range):

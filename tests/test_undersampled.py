@@ -34,6 +34,14 @@ def fixture_kernel():
     return ds.overlap_kernel(2, ds.SamplingGrid(0.5, 2))
 
 
+@pytest.fixture(scope="module")
+def subnormal_kernel():
+    """(kernel, oracle log lhat_{N-1}) at (2s, r, N) = (2, 0.7, 1048), whose
+    lhat_1047 = e^-734.31 is subnormal."""
+    kernel = ds.overlap_kernel(2, ds.SamplingGrid(0.7, 1048))
+    return kernel, oracle.row_dft_log_eigenvalue(2, kernel.grid, 1047)
+
+
 def bound_margin(spectrum, signal):
     """bound - exact at band limit N-1 as (m, L) with the value m e^L, formed
     as the error-analysis flag forms it."""
@@ -276,6 +284,31 @@ class TestKernelEigenvalues:
         for radius in (0.3, 0.8):
             kernel = ds.overlap_kernel(4, ds.SamplingGrid(radius, 1))
             assert kernel.eigenvalues[0] == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("transform", ["dft-coefficients", "projector-element", "dual-weights"])
+    def test_a_subnormal_eigenvalue_keeps_its_digits_in_every_transform(
+        self, subnormal_kernel, transform
+    ):
+        # the log of lhat_1047's subnormal double is 1.77e-5 off, and numpy's
+        # complex division forms 1/lhat_j, which overflows from lhat_1013 = 4.08e-309
+        kernel, log_eig = subnormal_kernel
+        n = kernel.n_samples
+        log_lam = kernel.spectrum.log_values(np.array([n - 1]))[0]
+        unit = np.fft.fft(np.eye(n)[n - 1])  # its samples' DFT d is e_{N-1}
+        if transform == "dft-coefficients":
+            got = ds.dft_coefficients(kernel, unit, n - 1)[n - 1]
+            want = np.exp(0.5 * (np.log(n) + log_lam) - log_eig)
+        elif transform == "projector-element":
+            got, want = ds.projector_element(kernel, n - 1, n - 1), np.exp(log_lam - log_eig)
+        else:
+            # scaled so that the weights, all of modulus 1e-20/lhat_{N-1}, fit
+            with pytest.warns(ConditioningWarning):
+                weights = ds.dual_weights(kernel, 1e-20 * unit)
+                noise = ds.dual_weights(kernel, np.exp(2j * np.pi * (n - 1) * np.arange(n) / n))
+            assert np.all(np.isfinite(noise))
+            got, want = np.abs(weights), np.exp(np.log(1e-20) - log_eig)
+        assert kernel.log_eigenvalues[n - 1] == pytest.approx(log_eig, rel=1e-15)
+        assert np.max(np.abs(got - want)) <= 1e-12 * want
 
 
 def inverse_matrix(kernel):
@@ -780,13 +813,16 @@ class TestErrorBound:
         assert bound.value == 1.0
         assert bound_margin(spectrum, signal)[0] >= 0.0
 
-    @pytest.mark.parametrize("twice_s, radius, n", [(400, 0.99, 4), (2000, 0.9, 64)])
+    @pytest.mark.parametrize(
+        "twice_s, radius, n", [(400, 0.99, 4), (2000, 0.9, 64), (2000, 0.8, 2000)]
+    )
     def test_answers_where_the_spectrum_mode_lies_beyond_the_first_block(
         self, twice_s, radius, n
     ):
         # the class tails rise for hundreds of terms before their peak
         # (lambda_{n+64} / lambda_peak is about exp(-1378) at 2s = 400), so
-        # they are summed outward from it
+        # they are summed outward from it; at N = 2000 the profile has
+        # eps_M = 0, and the cross term is 0, not 0 times its factor e^864
         grid = ds.SamplingGrid(radius, n)
         spectrum = ds.ResolutionSpectrum(twice_s, grid)
         signal = ds.DiskSignal(twice_s, 0.9 ** np.arange(8))
