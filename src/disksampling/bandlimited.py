@@ -30,12 +30,12 @@ from .basis import (
 )
 from .validation import (
     CONDITION_LIMIT,
-    NumericalRangeError,
     as_disk_points,
     as_samples,
     check_band_limit,
     check_grid_index,
     from_log,
+    times_exp,
 )
 
 __all__ = list(_EXPORTS["bandlimited"])
@@ -91,39 +91,35 @@ def frame_matrix(twice_s: int, grid: SamplingGrid, band_limit: int) -> FrameMatr
 def sinc_kernel(fm: FrameMatrix, k: int, z):
     """Interpolating kernel through which reconstruction proceeds:
 
-        Xi_k(z) = (1/N) ((1-|z|^2)/(1-r^2))^s  sum_{m=0}^{M} (conj(z)/conj(z_k))^m.
+        Xi_k(z) = (1/N) ((1-|z|^2)/(1-r^2))^s  sum_{m=0}^{M} rho^m,   rho = conj(z)/conj(z_k).
 
     At the grid points, Xi_k(z_l) is the (l, k) entry of the sample-space
-    projector: the Kronecker delta at critical sampling N = M+1.  For
-    |z| > r the sum is taken as rho^M sum_m rho^(-m), rho = conj(z/z_k), with
-    rho^M in the log domain; a value beyond the double range raises
-    ``NumericalRangeError``.
+    projector: the Kronecker delta at critical sampling N = M+1.  The sum is
+    the closed form expm1((M+1) t)/expm1(t), t = log rho (M+1 where |t| is
+    below the normal range); for |z| > r it is rho^M sum_m rho^(-m), with
+    rho^M in the exponent.  ``validation.times_exp`` applies the prefactor,
+    so a value beyond the double range raises ``NumericalRangeError``.
     """
     n = fm.n_samples
     k = check_grid_index(k, n)
     r = fm.grid.radius
     s = fm.twice_s / 2.0
+    m = fm.band_limit
 
     log_one_minus_r2 = _log_one_minus_mod2(_one_minus_mod2(r))
 
     def values(z_flat):
-        log_one_minus = _log_one_minus_mod2(_one_minus_mod2(z_flat))
         ratio = np.conj(z_flat) * np.exp(2j * np.pi * k / n) / r
-        outer = np.abs(ratio) > 1.0
-        step = np.divide(1.0, ratio, out=ratio.copy(), where=outer)
-        acc = term = np.ones_like(ratio)
-        for _ in range(fm.band_limit):
-            term = term * step
-            acc = acc + term
-        log_top = fm.band_limit * np.log(np.where(outer, ratio, 1.0))
-        # log(0) where the sum cancels exactly; exp overflows beyond the double range
-        with np.errstate(divide="ignore", over="ignore"):
-            log_value = s * (log_one_minus - log_one_minus_r2) - np.log(n) + log_top + np.log(acc)
-            out = np.exp(log_value)
-        if not np.isfinite(out).all():
-            worst = float(np.max(log_value.real))
-            raise NumericalRangeError("sinc kernel value beyond the double range", worst)
-        return out
+        t = np.log(ratio, out=np.full_like(ratio, -np.inf), where=ratio != 0)
+        top = np.where(t.real > 0, t, 0)
+        step = np.where(t.real > 0, -t, t)
+        # (M+1) t by parts: at z = 0, t = -inf and a complex product makes the 0j NaN
+        whole = (m + 1) * step.real + 1j * ((m + 1) * step.imag)
+        total = np.divide(np.expm1(whole), np.expm1(step), out=np.full_like(ratio, m + 1),
+                          where=np.abs(step) >= np.finfo(np.float64).tiny)
+        log_one_minus = _log_one_minus_mod2(_one_minus_mod2(z_flat))
+        log_factor = s * (log_one_minus - log_one_minus_r2) - np.log(n) + m * top.real
+        return times_exp(total * np.exp(1j * m * top.imag), log_factor, "sinc kernel value")
 
     z_arr = as_disk_points(z)
     return _scalar_or_array(_pointwise(values, z_arr.ravel()), z_arr)

@@ -60,11 +60,13 @@ def times_exp(values: np.ndarray, log_factor: np.ndarray, name: str) -> np.ndarr
         out = values * factor
 
         def one_exponent(wide):
-            modulus = np.abs(values[wide])
-            log_modulus = np.log(modulus) + log_factor[wide]
-            phase = np.divide(values[wide], modulus, out=np.zeros(wide.size, values.dtype),
-                              where=modulus > 0)
-            return np.exp(log_modulus) * phase, log_modulus
+            parts = values[wide].view(np.float64).reshape(wide.size, -1)
+            modulus = np.abs(values[wide])[:, np.newaxis]
+            log_modulus = np.log(modulus[:, 0]) + log_factor[wide]
+            # v/|v| by parts, as reals: a complex quotient forms 1/|v|, which
+            # overflows where |v| is subnormal
+            phase = np.divide(parts, modulus, out=np.zeros_like(parts), where=modulus > 0)
+            return np.exp(log_modulus) * phase.view(values.dtype)[:, 0], log_modulus
 
         wide = ~np.isfinite(out) | (factor < np.finfo(np.float64).tiny)
         return _retake(out, np.flatnonzero(wide), one_exponent, name)

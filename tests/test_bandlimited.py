@@ -118,13 +118,15 @@ class TestSincKernel:
         assert ds.sinc_kernel(fm, 0, 0j) == pytest.approx(2.0 / 3.0, rel=1e-13)
 
     def test_delta_at_critical_sampling(self):
-        for twice_s, n, radius in [(2, 3, 0.5), (3, 6, 0.7)]:
+        for twice_s, n, radius, columns in [
+            (2, 3, 0.5, range(3)), (3, 6, 0.7, range(6)), (2, 2048, 0.5, [0, 1, 682, 2047]),
+        ]:
             grid = ds.SamplingGrid(radius, n)
             fm = ds.frame_matrix(twice_s, grid, n - 1)
             kernel_matrix = np.column_stack(
-                [ds.sinc_kernel(fm, k, grid.points) for k in range(n)]
+                [ds.sinc_kernel(fm, k, grid.points) for k in columns]
             )
-            assert np.max(np.abs(kernel_matrix - np.eye(n))) < 1e-12
+            assert np.max(np.abs(kernel_matrix - np.eye(n)[:, columns])) < 1e-12
 
     def test_projector_values_when_oversampled(self):
         grid = ds.SamplingGrid(0.6, 7)
@@ -137,13 +139,22 @@ class TestSincKernel:
     def test_outside_the_ring_sums_from_the_top_term(self):
         # |conj(z)/conj(z_k)| = 9.9 at z = 0.99, r = 0.1, so the partial sums
         # of 600 powers pass 1e308; at 2s = 1000 the prefactor is 1e-850 and
-        # the value 1.8e-255 is representable
-        fm = ds.frame_matrix(1000, ds.SamplingGrid(0.1, 600), 599)
-        with mp.workdps(40):
-            z, rho = mp.mpf(0.99), mp.mpf(0.99) * mp.expjpi(mp.mpf(6) / 600) / mp.mpf(0.1)
-            prefactor = ((1 - z**2) / (1 - mp.mpf(0.1) ** 2)) ** 500 / 600
-            expected = complex(prefactor * mp.fsum(rho**m for m in range(600)))
-        assert ds.sinc_kernel(fm, 3, 0.99) == pytest.approx(expected, rel=1e-11)
+        # the value 1.8e-255 is representable.  The other rows: z = 0, where
+        # log rho is -inf; rho = 1 exactly; next to z_k; on the ring; and
+        # M = 3999 outside the ring at 2s = 1000
+        z_5 = ds.SamplingGrid(0.7, 16).points[5]
+        for twice_s, radius, n, band, k, z in [
+            (1000, 0.1, 600, 599, 3, 0.99), (3, 0.5, 8, 7, 2, 0j), (3, 0.5, 8, 7, 0, 0.5),
+            (2, 0.7, 16, 12, 5, z_5 * (1 + 1e-12)), (8, 0.3, 50, 40, 7, 0.3 * np.exp(0.4j)),
+            (1000, 0.9, 4000, 3999, 1234, 0.95 * np.exp(0.2j)),
+        ]:
+            fm = ds.frame_matrix(twice_s, ds.SamplingGrid(radius, n), band)
+            with mp.workdps(40):
+                point, r = mp.mpc(z), mp.mpf(radius)
+                rho = mp.conj(point) * mp.expjpi(mp.mpf(2 * k) / n) / r
+                prefactor = ((1 - abs(point) ** 2) / (1 - r**2)) ** (mp.mpf(twice_s) / 2) / n
+                expected = complex(prefactor * mp.fsum(rho**m for m in range(band + 1)))
+            assert ds.sinc_kernel(fm, k, z) == pytest.approx(expected, rel=1e-11)
         # outside, on and inside the ring, against the literal sum
         fm = ds.frame_matrix(3, ds.SamplingGrid(0.5, 8), 7)
         for point in (0.7 * np.exp(0.3j), -0.95j, 0.5 * np.exp(0.1j), 0.2 + 0.1j):
@@ -156,7 +167,7 @@ class TestSincKernel:
     def test_unrepresentable_value_raises(self, z):
         # the true values are about 1e419 at z = 0.5 and 1e592 at z = 0.99
         fm = ds.frame_matrix(2, ds.SamplingGrid(0.1, 600), 599)
-        with pytest.raises(NumericalRangeError, match="^sinc kernel value beyond the double range"):
+        with pytest.raises(NumericalRangeError, match="^sinc kernel value_0 beyond the double range"):
             ds.sinc_kernel(fm, 0, z)
         assert ds.sinc_kernel(fm, 0, 0.05) == pytest.approx(
             (1 - 0.05**2) / (1 - 0.1**2) / 600 * 2, rel=1e-13

@@ -382,6 +382,21 @@ class TestDft:
         assert "numerical failure: a_327 beyond the double range" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bandlimited_coefficient_of_subnormal_samples_answers(self, tmp_path):
+        # the samples of e_240 on the ring (0.05, 600) are about 8.8e-312
+        grid = ds.SamplingGrid(0.05, 600)
+        samples = ds.sample_signal(ds.DiskSignal(2, np.eye(241)[240]), grid)
+        samples_path = write_samples(tmp_path / "samples.csv", samples)
+        out = tmp_path / "coeffs.csv"
+        assert run_cli(
+            "dft", "--twice-s", "2", "--r", "0.05", "--n", "600",
+            "--mode", "bandlimited", "--band-limit", "240",
+            "--input", str(samples_path), "--output", str(out),
+        ) == 0
+        _, rows = read_csv(out)
+        assert float(rows[240][1]) == pytest.approx(1.0, rel=1e-12) and rows[240][2] == "0"
+        assert all(float(row[1]) == float(row[2]) == 0 for row in rows[:240])
+
     def test_undersampled_rescaled_columns_in_one_exponent(self, tmp_path, capsys):
         # lambda_n^(-1/2) is 1e179 at n = 600 and passes the double range from
         # n = 1031, while lhat_0 / lambda_600 alone is 1e358

@@ -361,12 +361,12 @@ def test_only_the_parser_coerces_to_complex():
 
 def test_range_refusals_are_raised_by_the_shared_rules_only():
     # a result leaves the double range through validation's rules (times_exp,
-    # in_range, from_log); only the sinc kernel's sum and the lost digits of
-    # rescale_truncate refuse on their own
+    # in_range, from_log); only the lost digits of rescale_truncate, which
+    # cross no range, refuse on their own
     import ast
     import pathlib
 
-    allowed = {("bandlimited.py", "sinc_kernel"), ("undersampled.py", "rescale_truncate")}
+    allowed = {("undersampled.py", "rescale_truncate")}
     found = []
     for path in sorted(pathlib.Path(ds.__file__).parent.glob("*.py")):
         if path.name == "validation.py":
@@ -423,6 +423,55 @@ def test_a_factor_below_the_normal_range_loses_no_digits():
     assert got[328] == pytest.approx(1.8321571959899e-27, rel=1e-12)
     assert np.max(np.abs(got[n] / want - 1.0)) <= 1e-12
     assert not np.any(got[n[:-1, np.newaxis] + np.arange(1, 4)])
+
+
+def _subnormal_e_240_coefficients():
+    # the samples of e_240 on the ring (0.05, 600) are about 8.8e-312
+    grid = ds.SamplingGrid(0.05, 600)
+    samples = ds.sample_signal(ds.DiskSignal(2, np.eye(241)[240]), grid)
+    coefficients = ds.fourier_coefficients(ds.frame_matrix(2, grid, 240), samples)
+    assert coefficients[240] == pytest.approx(1.0, rel=1e-12)
+    assert not np.any(coefficients[:240])
+
+
+def _subnormal_dual_weights():
+    # the samples' rounding, over lhat_j down to e^-734.31, is the ill
+    # conditioning the warning reports; the weights still answer
+    kernel = ds.overlap_kernel(2, ds.SamplingGrid(0.7, 1048))
+    samples = 1e-310 * np.exp(2j * np.pi * 1047 * np.arange(1048) / 1048)
+    with pytest.warns(ConditioningWarning):
+        weights = ds.dual_weights(kernel, samples)
+    assert np.all(np.isfinite(weights)) and np.max(np.abs(weights)) < 1e-3
+
+
+def _subnormal_dft_coefficients():
+    # ahat_1028 is about e^-1422.86, below the double range, so it is 0
+    kernel = ds.overlap_kernel(2, ds.SamplingGrid(0.5, 4))
+    ahat = ds.dft_coefficients(kernel, [1e-310, 1e-310j, 1e-310, 1e-310], 1200)
+    assert np.all(np.isfinite(ahat)) and ahat[1028] == 0 and ahat[0] != 0
+
+
+def _subnormal_times_exp():
+    with mp.workdps(30):
+        up = float(mp.mpf(3e-320) * mp.exp(720))
+    assert validation.times_exp(np.array([3e-320j]), np.array([720.0]), "x")[0] == (
+        pytest.approx(up * 1j, rel=1e-13))
+    assert validation.times_exp(np.array([1e-310 + 1e-310j]), np.array([-710.0]), "x")[0] == 0
+    # a real array stays real
+    real = validation.times_exp(np.array([-3e-320, 0.0]), np.array([720.0, 900.0]), "x")
+    assert real.dtype == np.float64 and real[0] == pytest.approx(-up, rel=1e-13) and real[1] == 0
+
+
+@pytest.mark.parametrize(
+    "row",
+    [_subnormal_e_240_coefficients, _subnormal_dual_weights, _subnormal_dft_coefficients,
+     _subnormal_times_exp],
+    ids=["fourier-coefficients", "dual-weights", "dft-coefficients", "times-exp"],
+)
+def test_an_entry_of_subnormal_modulus_keeps_its_phase(row):
+    # times_exp takes v/|v| part by part as reals: numpy's complex quotient
+    # forms 1/|v| first, which overflows for |v| below 5.6e-309
+    row()
 
 
 @pytest.mark.parametrize(
