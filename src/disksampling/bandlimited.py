@@ -29,7 +29,7 @@ from .basis import (
     _scalar_or_array,
 )
 from .validation import (
-    CONDITION_LIMIT,
+    _Conditioned,
     as_disk_points,
     as_samples,
     check_band_limit,
@@ -42,7 +42,7 @@ __all__ = list(_EXPORTS["bandlimited"])
 
 
 @dataclass(frozen=True)
-class FrameMatrix:
+class FrameMatrix(_Conditioned):
     """Factored sampling operator for band limit ``band_limit`` < ``n_samples``,
     built from its three inputs: it derives ``log_lambda`` (the diagonal factor,
     log domain, read-only); the Fourier factor is applied as an FFT.
@@ -62,25 +62,12 @@ class FrameMatrix:
         object.__setattr__(self, "band_limit", band_limit)
         object.__setattr__(self, "log_lambda", logs)
 
-    @property
-    def n_samples(self) -> int:
-        return self.grid.n_samples
+    _log_spectrum = property(lambda self: self.log_lambda)
 
     @property
     def lambdas(self) -> np.ndarray:
         """Resolution eigenvalues lambda_0..lambda_M (``validation.from_log``)."""
         return from_log(self.log_lambda, "lambda")
-
-    @property
-    def condition_number(self) -> float:
-        """max lambda / min lambda of the diagonal resolution operator, inf
-        where that leaves the double range."""
-        with np.errstate(over="ignore"):
-            return float(np.exp(np.max(self.log_lambda) - np.min(self.log_lambda)))
-
-    @property
-    def is_ill_conditioned(self) -> bool:
-        return self.condition_number > CONDITION_LIMIT
 
 
 def frame_matrix(twice_s: int, grid: SamplingGrid, band_limit: int) -> FrameMatrix:

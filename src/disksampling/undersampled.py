@@ -56,6 +56,7 @@ from .validation import (
     EigenvalueCrossCheckError,
     NumericalRangeError,
     SeriesBudgetError,
+    _Conditioned,
     _parse,
     as_disk_points,
     as_samples,
@@ -83,7 +84,7 @@ _CURVE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
-class CirculantKernel:
+class CirculantKernel(_Conditioned):
     """Sampled reproducing-kernel operator B in circulant form, built from
     (twice_s, grid) alone.
 
@@ -131,19 +132,7 @@ class CirculantKernel:
         object.__setattr__(self, "eigenvalues", eig)
         object.__setattr__(self, "spectrum", spectrum)
 
-    @property
-    def n_samples(self) -> int:
-        return self.grid.n_samples
-
-    @property
-    def condition_number(self) -> float:
-        """max/min of the eigenvalues, inf where that leaves the double range."""
-        with np.errstate(over="ignore"):
-            return float(np.max(self.eigenvalues) / np.min(self.eigenvalues))
-
-    @property
-    def is_ill_conditioned(self) -> bool:
-        return self.condition_number > CONDITION_LIMIT
+    _log_spectrum = property(lambda self: self.log_eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -490,19 +479,18 @@ def tail_excess(spectrum: ResolutionSpectrum, n) -> np.ndarray | float:
 
     never by subtracting lhat - lambda, so it stays exact down to the
     underflow threshold (the difference cancels catastrophically once
-    eps_n drops below machine epsilon).  Strictly decreasing in n.  A value
-    beyond the double range raises ``OverflowError``; :func:`error_bound`
-    reads eps_n in the log domain and has no such limit.
+    eps_n drops below machine epsilon).  Strictly decreasing in n.  The
+    values come through ``validation.times_exp``: one beyond the double
+    range raises ``NumericalRangeError`` naming eps_n by its n, with its
+    log, and one below it is 0.  :func:`error_bound` reads eps_n in the log
+    domain and has no such limit.
     """
     n_s = spectrum.grid.n_samples
     n_arr = np.ravel(check_indices(n))
     if np.any(n_arr >= n_s):
         raise ValueError(f"n must satisfy 0 <= n < {n_s}")
-    with np.errstate(over="ignore"):
-        total = np.exp(_log_tail_excess(spectrum, n_arr.astype(np.int64)))
-    if np.isinf(total).any():
-        raise OverflowError("tail-excess series exceeds the double range")
-    return _scalar_or_array(total, n)
+    log_eps = _log_tail_excess(spectrum, n_arr.astype(np.int64))
+    return _scalar_or_array(times_exp(np.ones(n_arr.size), log_eps, "eps", n_arr), n)
 
 
 def _log_tail_excess(spectrum: ResolutionSpectrum, n: np.ndarray) -> np.ndarray:
@@ -668,20 +656,20 @@ def leading_order_bound(
     two are mutually inconsistent by the factor 2 binom^(1/2) (see README).
     A cross term beyond the double range raises ``NumericalRangeError``."""
     radius = check_radius(radius)
-    log_c = _log_cross_coefficient(twice_s, n_samples, epsilon_m, variant, "printed")
-    epsilon_m = check_epsilon_m(epsilon_m)
-    cross = times_exp(np.ones(1), np.array([log_c + int(n_samples) * np.log(radius)]), "cross term")
+    log_c, n, epsilon_m = _log_cross_coefficient(twice_s, n_samples, epsilon_m, variant, "printed")
+    cross = times_exp(np.ones(1), np.array([log_c + n * np.log(radius)]), "cross term")
     return float(epsilon_m * epsilon_m + cross[0])
 
 
 def _log_cross_coefficient(
     twice_s: int, n_samples: int, epsilon_m: float, variant: str, half_variant: str
-) -> float:
-    """log c of the cross term c r^N, -inf where eps_M = 0 and there is none:
-    sqrt(1-eps_M^2) eps_M sqrt(N) binom(2s+N-1, N)^(1/2) for ``half_variant``,
-    twice that times binom^(1/2) for the other.  The bound gives "printed" the
-    half form and the estimate the full form, so each estimate variant
-    inverts the other bound variant.
+) -> tuple[float, int, float]:
+    """(log c, N, eps_M), the last two as parsed: log c of the cross term
+    c r^N, -inf where eps_M = 0 and there is none, with c = sqrt(1-eps_M^2)
+    eps_M sqrt(N) binom(2s+N-1, N)^(1/2) for ``half_variant``, twice that
+    times binom^(1/2) for the other.  The bound gives "printed" the half form
+    and the estimate the full form, so each estimate variant inverts the
+    other bound variant.
     """
     twice_s = check_twice_s(twice_s)
     n = check_n_samples(n_samples)
@@ -689,11 +677,11 @@ def _log_cross_coefficient(
     if variant not in ("printed", "derived"):
         raise ValueError(f"variant must be 'printed' or 'derived', got {variant!r}")
     if epsilon_m == 0.0:
-        return -math.inf
+        return -math.inf, n, epsilon_m
     log_common = 0.5 * (math.log1p(-epsilon_m * epsilon_m) + math.log(n)) + math.log(epsilon_m)
     if variant == half_variant:
-        return log_common + 0.5 * log_binomial(twice_s, n)
-    return log_common + math.log(2.0) + log_binomial(twice_s, n)
+        return log_common + 0.5 * log_binomial(twice_s, n), n, epsilon_m
+    return log_common + math.log(2.0) + log_binomial(twice_s, n), n, epsilon_m
 
 
 def error_bound(
@@ -793,14 +781,13 @@ def max_radius_estimate(
     the "printed" bound.  Computed in the log domain and clamped to 1.0 with
     ``clamped=True`` when the raw value is >= 1, as it is for eps_M = 0.
     """
-    log_c = _log_cross_coefficient(twice_s, n_samples, epsilon_m, variant, "derived")
+    log_c, n, epsilon_m = _log_cross_coefficient(twice_s, n_samples, epsilon_m, variant, "derived")
     epsilon = _parse(epsilon, "epsilon", "a real number", scalar=True)
-    epsilon_m = check_epsilon_m(epsilon_m)
     if not epsilon > epsilon_m:
         raise ValueError(
             f"target epsilon {epsilon!r} must exceed the tail epsilon_m {epsilon_m!r}"
         )
-    raw_log = (np.log(epsilon * epsilon - epsilon_m * epsilon_m) - log_c) / int(n_samples)
+    raw_log = (np.log(epsilon * epsilon - epsilon_m * epsilon_m) - log_c) / n
     if raw_log >= 0.0:
         return RadiusEstimate(value=1.0, clamped=True)
     return RadiusEstimate(value=float(np.exp(raw_log)), clamped=False)

@@ -9,6 +9,27 @@ import numpy as np
 CONDITION_LIMIT = 1e12
 
 
+class _Conditioned:
+    """The conditioning of an operator judged by the spread of its positive
+    spectrum, whose logs each record names ``_log_spectrum``: the frame's
+    lambda_0..lambda_M and the circulant kernel's lhat_j."""
+
+    @property
+    def n_samples(self) -> int:
+        return self.grid.n_samples
+
+    @property
+    def condition_number(self) -> float:
+        """max/min of the operator's spectrum, from its logs, inf where that
+        leaves the double range."""
+        with np.errstate(over="ignore"):
+            return float(np.exp(np.ptp(self._log_spectrum)))
+
+    @property
+    def is_ill_conditioned(self) -> bool:
+        return self.condition_number > CONDITION_LIMIT
+
+
 class NumericalRangeError(ArithmeticError):
     """A quantity left the representable floating-point range.
 
@@ -36,25 +57,28 @@ def from_log(log_values: np.ndarray, name: str, indices=None) -> np.ndarray:
     return values
 
 
-def _retake(out: np.ndarray, wide: np.ndarray, retake, name: str) -> np.ndarray:
+def _retake(out: np.ndarray, wide: np.ndarray, retake, name: str, indices=None) -> np.ndarray:
     """``out`` with the entries ``wide`` replaced by the values of ``retake(wide)``
     = (values, log moduli), for :func:`times_exp` and :func:`in_range`; one
-    still not finite raises ``NumericalRangeError`` naming it ``name``_j."""
+    still not finite raises ``NumericalRangeError`` naming it ``name``_n, n
+    its position or its entry in ``indices``."""
     if wide.size:
         values, log_modulus = retake(wide)
         out[wide] = values
         beyond = ~np.isfinite(values)
         if beyond.any():
             j = int(np.argmax(beyond))
-            message = f"{name}_{wide[j]} beyond the double range"
+            n = wide[j] if indices is None else int(np.ravel(indices)[wide[j]])
+            message = f"{name}_{n} beyond the double range"
             raise NumericalRangeError(message, float(log_modulus[j]))
     return out
 
 
-def times_exp(values: np.ndarray, log_factor: np.ndarray, name: str) -> np.ndarray:
+def times_exp(values: np.ndarray, log_factor: np.ndarray, name: str, indices=None) -> np.ndarray:
     """values * exp(log_factor): the plain product where the factor is normal
     and the product finite, elsewhere exp(log|v| + log_factor) v/|v| in one
-    exponent, so a factor out of the normal range costs no digits."""
+    exponent, so a factor out of the normal range costs no digits.  A product
+    beyond the double range is refused by name as in :func:`_retake`."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         factor = np.exp(log_factor)
         out = values * factor
@@ -69,7 +93,7 @@ def times_exp(values: np.ndarray, log_factor: np.ndarray, name: str) -> np.ndarr
             return np.exp(log_modulus) * phase.view(values.dtype)[:, 0], log_modulus
 
         wide = ~np.isfinite(out) | (factor < np.finfo(np.float64).tiny)
-        return _retake(out, np.flatnonzero(wide), one_exponent, name)
+        return _retake(out, np.flatnonzero(wide), one_exponent, name, indices)
 
 
 def in_range(apply, vector: np.ndarray, name: str) -> np.ndarray:

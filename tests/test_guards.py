@@ -314,8 +314,7 @@ def test_no_module_calls_blas():
 def test_no_module_re_logs_or_divides_by_a_kernel_eigenvalue():
     # the kernel keeps log lhat as summed; the log of a subnormal lhat_j's
     # double has lost digits, and numpy's complex division forms 1/lhat_j,
-    # which overflows below 5.6e-309.  The condition number's max over min
-    # is a ratio of the spectrum's ends, not a transform, and stays.
+    # which overflows below 5.6e-309
     import ast
     import pathlib
 
@@ -361,10 +360,20 @@ def test_only_the_parser_coerces_to_complex():
 
 def test_range_refusals_are_raised_by_the_shared_rules_only():
     # a result leaves the double range through validation's rules (times_exp,
-    # in_range, from_log); only the lost digits of rescale_truncate, which
-    # cross no range, refuse on their own
+    # in_range, from_log, the condition number); only the lost digits of
+    # rescale_truncate, which cross no range, refuse on their own.  So no
+    # other module silences an overflow or raises OverflowError.
     import ast
     import pathlib
+
+    def refuses(node):
+        if isinstance(node, ast.Raise) and getattr(node.exc, "id", None) == "OverflowError":
+            return True
+        if not isinstance(node, ast.Call):
+            return False
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        return name in ("NumericalRangeError", "OverflowError") or name == "errstate" and any(
+            keyword.arg in ("over", "all") for keyword in node.keywords)
 
     allowed = {("undersampled.py", "rescale_truncate")}
     found = []
@@ -373,10 +382,7 @@ def test_range_refusals_are_raised_by_the_shared_rules_only():
             continue
         for top in ast.parse(path.read_text(), str(path)).body:
             for node in ast.walk(top):
-                if (isinstance(node, ast.Call)
-                        and "NumericalRangeError" in (getattr(node.func, "id", None),
-                                                      getattr(node.func, "attr", None))
-                        and (path.name, getattr(top, "name", None)) not in allowed):
+                if refuses(node) and (path.name, getattr(top, "name", None)) not in allowed:
                     found.append(f"{path.name}:{node.lineno}")
     assert not found
 
@@ -394,8 +400,15 @@ def test_range_refusals_are_raised_by_the_shared_rules_only():
         # the eigenvalues of (2, 1e-3, 60) fall by about 1e-6 a step; lhat_55
         # is the first below the smallest subnormal
         (lambda: ds.overlap_kernel(2, ds.SamplingGrid(1e-3, 60)), "lhat_55", None),
+        # the README's kernels that end below the range: each is refused at its
+        # first entry below it, not at its smallest
+        (lambda: ds.overlap_kernel(2, ds.SamplingGrid(0.7, 2048)), "lhat_1064",
+         -745.7556207438472),
+        (lambda: ds.overlap_kernel(2, ds.SamplingGrid(0.9, 4096)), "lhat_3599",
+         -745.1999988275131),
     ],
-    ids=["frame-lambdas", "spectrum-values", "spectrum-value", "kernel-eigenvalues"],
+    ids=["frame-lambdas", "spectrum-values", "spectrum-value", "kernel-eigenvalues",
+         "kernel-2-0.7-2048", "kernel-2-0.9-4096"],
 )
 def test_log_domain_values_that_leave_the_range_are_refused_by_name(call, message, log_value):
     with warnings.catch_warnings():
@@ -736,7 +749,7 @@ def test_band_projection_curve_memory_does_not_grow_with_the_band_limit():
 def test_series_beyond_the_double_range_raise():
     # eps_0 is about exp(782) at 2s = 200, r = 0.99, N = 4
     spectrum = ds.ResolutionSpectrum(200, ds.SamplingGrid(0.99, 4))
-    with pytest.raises(OverflowError, match="^tail-excess series exceeds the double range$"):
+    with pytest.raises(NumericalRangeError, match="^eps_0 beyond the double range"):
         ds.tail_excess(spectrum, 0)
 
 
@@ -744,7 +757,7 @@ def test_tail_excess_raises_where_the_spectrum_mode_lies_beyond_the_first_block(
     # eps_0 is about exp(1566) at 2s = 400, r = 0.99, N = 4, and the series
     # terms rise for thousands of steps before they fall
     spectrum = ds.ResolutionSpectrum(400, ds.SamplingGrid(0.99, 4))
-    with pytest.raises(OverflowError, match="^tail-excess series exceeds the double range$"):
+    with pytest.raises(NumericalRangeError, match="^eps_0 beyond the double range"):
         ds.tail_excess(spectrum, np.arange(4))
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import disksampling as ds
 from disksampling import undersampled
-from disksampling.validation import ConditioningWarning
+from disksampling.validation import ConditioningWarning, NumericalRangeError
 
 import oracle
 from conftest import random_disk_points, sup_relative_error
@@ -219,7 +219,11 @@ class TestKernelEigenvalues:
             assert ds.overlap_kernel(2, ds.SamplingGrid(0.7, 1024)).condition_number == np.inf
             kernel = ds.overlap_kernel(2, ds.SamplingGrid(0.1, 8))
             finite = kernel.condition_number
-        assert finite == float(np.max(kernel.eigenvalues) / np.min(kernel.eigenvalues))
+        # the spread of the logs, as the frame's; here the ratio of the
+        # rounded eigenvalues is within 1e-14 of it
+        assert finite == float(np.exp(np.ptp(kernel.log_eigenvalues)))
+        assert finite == pytest.approx(np.max(kernel.eigenvalues) / np.min(kernel.eigenvalues),
+                                       rel=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 59, 64, 509, 4096, 8192])
     @pytest.mark.parametrize("bits", [60, 150, 1000, 5000])
@@ -624,6 +628,23 @@ class TestTailExcess:
         kernel = ds.overlap_kernel(twice_s, ds.SamplingGrid(radius, n))
         eps = np.atleast_1d(ds.tail_excess(kernel.spectrum, np.arange(n)))
         assert np.all(np.diff(eps) < 0)
+
+    def test_an_eps_beyond_the_double_range_is_refused_by_its_n(self):
+        # log eps_n of (200, 0.986, 4) is 715.13, 709.86, 705.28, 701.10:
+        # only eps_0 is beyond the range, at position 1 of [2, 0]
+        spectrum = ds.ResolutionSpectrum(200, ds.SamplingGrid(0.986, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalRangeError, match="^eps_0 beyond the double range") as info:
+                ds.tail_excess(spectrum, [2, 0])
+            eps = ds.tail_excess(spectrum, [3, 2])
+            below = ds.tail_excess(ds.ResolutionSpectrum(2, ds.SamplingGrid(0.1, 200)), 0)
+        assert info.value.log_value == pytest.approx(715.1287823876595, rel=1e-14)
+        # in range and below it, the plain exponential of the log, bit for bit
+        plain = np.exp(undersampled._log_tail_excess(spectrum, np.array([3, 2])))
+        assert eps.tobytes() == plain.tobytes()
+        assert eps == pytest.approx([3.03246907e304, 1.98509056e306], rel=1e-8)
+        assert below == 0.0
 
     def test_consistent_with_eigenvalues(self):
         # same quantity as (lhat - lambda)/lambda where that is representable
