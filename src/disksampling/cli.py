@@ -98,11 +98,14 @@ def _write_output(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     target = Path(path)
-    directory = target.parent if str(target.parent) else Path(".")
-    fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=f".{target.name}.", suffix=".tmp")
+    fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
+        # mkstemp makes the file 0600; give it the mode open(path, "w") would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, target)
     except BaseException:
         try:
@@ -306,6 +309,10 @@ def cmd_dft(args) -> int:
 def cmd_error_analysis(args) -> int:
     from . import undersampled as us
 
+    if args.r is not None and args.sweep_r is not None:
+        raise ValueError("--r and --sweep-r exclude each other: give one")
+    if args.n is not None and args.sweep_n is not None:
+        raise ValueError("--n and --sweep-n exclude each other: give one")
     signal = _read_signal(args.input, args.twice_s)
     r_values = _parse_list(args.sweep_r, "--sweep-r") if args.sweep_r else [args.r]
     n_values = _parse_list(args.sweep_n, "--sweep-n", int) if args.sweep_n else [args.n]

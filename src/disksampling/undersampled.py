@@ -88,10 +88,11 @@ class CirculantKernel(_Conditioned):
     """Sampled reproducing-kernel operator B in circulant form, built from
     (twice_s, grid) alone.
 
-    It derives, once, ``first_row`` C_0..C_{N-1} with B[k, l] = C[(l-k) mod N],
-    ``log_eigenvalues`` log lhat_j, the class tails as summed, which every
-    transform reads, ``eigenvalues`` lhat_j (their ``from_log``) and the
-    ``spectrum``.  lhat_j is checked against the row's float64 FFT at 1e-12
+    It stores one form of the spectrum: ``log_eigenvalues`` log lhat_j, the
+    class tails as summed, which every transform reads, beside the
+    ``spectrum``.  ``first_row`` C_0..C_{N-1}, with B[k, l] = C[(l-k) mod N],
+    and ``eigenvalues`` lhat_j (the ``from_log`` of the logs) are views taken
+    on each read.  lhat_j is checked against the row's float64 FFT at 1e-12
     relative, or to :func:`_fft_error_bound` where larger, and where that is
     not below half of 1e-12 at some lhat_j, the smallest by
     :func:`_spot_log_eigenvalue` at 1e-12, both from the row's (1-r^2, d).
@@ -101,17 +102,15 @@ class CirculantKernel(_Conditioned):
 
     twice_s: int
     grid: SamplingGrid
-    first_row: np.ndarray = field(init=False, repr=False, compare=False)
     log_eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
     spectrum: ResolutionSpectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         spectrum = ResolutionSpectrum(self.twice_s, self.grid)  # checks twice_s, then grid
         twice_s, grid = spectrum.twice_s, self.grid
         denominator = _row_denominator(grid)
-        row = (denominator[0] / denominator[1]) ** twice_s
-        log_eig = _log_class_tails(spectrum, np.arange(grid.n_samples), "eigenvalue")
+        row = _first_row(twice_s, denominator)
+        log_eig = _read_only(_log_class_tails(spectrum, np.arange(grid.n_samples), "eigenvalue"))
         eig = from_log(log_eig, "lhat")
         smallest = int(np.argmin(log_eig))
         bound = _fft_error_bound(twice_s, grid, denominator, row)
@@ -125,14 +124,13 @@ class CirculantKernel(_Conditioned):
             gap = float(abs(np.expm1(log_eig[smallest] - spot)))
             if not gap <= _EIG_AGREE_RTOL:
                 raise _disagreement("spot", smallest, gap, _EIG_AGREE_RTOL)
-        row.flags.writeable = log_eig.flags.writeable = eig.flags.writeable = False
         object.__setattr__(self, "twice_s", twice_s)
-        object.__setattr__(self, "first_row", row)
         object.__setattr__(self, "log_eigenvalues", log_eig)
-        object.__setattr__(self, "eigenvalues", eig)
         object.__setattr__(self, "spectrum", spectrum)
 
     _log_spectrum = property(lambda self: self.log_eigenvalues)
+    first_row = property(lambda self: _first_row(self.twice_s, _row_denominator(self.grid)))
+    eigenvalues = property(lambda self: _read_only(from_log(self.log_eigenvalues, "lhat")))
 
 
 @dataclass(frozen=True)
@@ -173,6 +171,16 @@ def _row_denominator(grid: SamplingGrid) -> tuple[float, np.ndarray]:
     ang = grid.angles
     half_sin = np.sin(0.5 * ang)
     return one_minus, one_minus + 2.0 * r2 * half_sin * half_sin - 1j * r2 * np.sin(ang)
+
+
+def _first_row(twice_s: int, denominator) -> np.ndarray:
+    """C_l = ((1-r^2)/d_l)^(2s) from :func:`_row_denominator`'s (1-r^2, d), read-only."""
+    return _read_only((denominator[0] / denominator[1]) ** twice_s)
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
 def _series_sum(log_terms, tol: float, name: str) -> np.ndarray:
@@ -445,8 +453,8 @@ def rescale_truncate(kernel: CirculantKernel, dft_coeffs, band_limit: int) -> Di
         raise ValueError("alias coefficients must be finite")
     idx = np.arange(band_limit + 1)
     log_factor = kernel.log_eigenvalues[idx] - kernel.spectrum.log_values(idx)
-    with np.errstate(over="ignore"):
-        lost = np.isinf(np.exp(log_factor)) & (np.abs(coeffs) < np.finfo(np.float64).tiny)
+    beyond = log_factor > np.log(np.finfo(np.float64).max)
+    lost = beyond & (np.abs(coeffs) < np.finfo(np.float64).tiny)
     if lost.any():
         j = int(np.argmax(lost))
         raise NumericalRangeError(

@@ -673,8 +673,10 @@ class TestErrorAnalysis:
     @pytest.mark.parametrize(
         "flags, message",
         [(["--sweep-r", ","], "--sweep-r must contain at least one value"),
-         (["--n", "4"], "provide --sweep-r/--sweep-n or single --r/--n values")],
-        ids=["empty sweep", "no radius"],
+         (["--n", "4"], "provide --sweep-r/--sweep-n or single --r/--n values"),
+         (["--r", "0.5", "--sweep-r", "0.3"], "--r and --sweep-r exclude each other"),
+         (["--sweep-r", "0.3", "--sweep-n", "4"], "--n and --sweep-n exclude each other")],
+        ids=["empty sweep", "no radius", "radius and its sweep", "count and its sweep"],
     )
     def test_missing_radii_are_refused(self, tmp_path, capsys, flags, message):
         signal_path = write_signal(tmp_path / "sig.json", 2, 0.5 ** np.arange(8))
@@ -951,6 +953,30 @@ class TestDiagnosticsAndDeterminism:
             assert run_cli(*argv, "--output", str(first)) == 0, name
             assert run_cli(*argv, "--output", str(second)) == 0, name
             assert first.read_bytes() == second.read_bytes(), name
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask 022", "umask 077"])
+    def test_output_files_take_the_mode_the_umask_gives(self, tmp_path, sample_setup,
+                                                        umask, mode):
+        # the mode open(path, "w") gives a new file, not the temporary file's 0600
+        import stat
+
+        _, samples_path = sample_setup
+        points_path = write_points(tmp_path / "pts.csv", [0.1 + 0.1j])
+        grid, values = tmp_path / "grid.csv", tmp_path / "values.csv"
+        previous = os.umask(umask)
+        try:
+            assert run_cli("grid", "--r", "0.5", "--n", "3", "--output", str(grid)) == 0
+            assert run_cli(
+                "reconstruct", "--twice-s", "2", "--r", "0.5", "--n", "2",
+                "--mode", "undersampled", "--n-max", "2",
+                "--input", str(samples_path), "--points", str(points_path),
+                "--output", str(values),
+            ) == 0
+        finally:
+            os.umask(previous)
+        for path in (grid, values, tmp_path / "values.csv.ahat.csv"):
+            assert stat.S_IMODE(path.stat().st_mode) == mode, path.name
 
     def test_subprocess_entry_point(self, tmp_path):
         results = []

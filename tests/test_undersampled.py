@@ -78,6 +78,27 @@ class TestOverlapKernel:
         with pytest.raises(TypeError):
             ds.CirculantKernel(2, kernel.grid, kernel.first_row, kernel.eigenvalues)
 
+    def test_the_kernel_stores_one_form_of_its_spectrum(self):
+        # first_row and eigenvalues are views taken on each read: a kernel
+        # keeps its logs, 8 bytes a sample, and not the 24 more of the
+        # complex row and the eigenvalues
+        import dataclasses
+        import tracemalloc
+
+        fields = {f.name for f in dataclasses.fields(ds.CirculantKernel)}
+        assert fields == {"twice_s", "grid", "log_eigenvalues", "spectrum"}
+        grid = ds.SamplingGrid(0.999, 4096)
+        ds.overlap_kernel(2, grid)  # a first build, so that one-time imports are not counted
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kernel = ds.overlap_kernel(2, grid)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained <= 16 * grid.n_samples
+        assert kernel.first_row.size == kernel.eigenvalues.size == grid.n_samples
+
     def test_first_row_fixture(self, fixture_kernel):
         row = fixture_kernel.first_row
         assert row[0] == pytest.approx(1.0, abs=1e-15)
@@ -271,7 +292,7 @@ class TestKernelEigenvalues:
 
     def test_both_checks_read_the_row_the_kernel_stores(self, monkeypatch):
         # (5, 0.2, 12) runs the FFT check and the spot sum; both take the
-        # denominator the stored row is raised from
+        # denominator the first_row view raises the row from
         formed = []
         denominator = undersampled._row_denominator
         monkeypatch.setattr(
