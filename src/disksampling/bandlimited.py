@@ -30,6 +30,7 @@ from .basis import (
 )
 from .validation import (
     _Conditioned,
+    _read_only,
     as_disk_points,
     as_samples,
     check_band_limit,
@@ -56,8 +57,7 @@ class FrameMatrix(_Conditioned):
     def __post_init__(self):
         spectrum = ResolutionSpectrum(self.twice_s, self.grid)  # checks twice_s, then grid
         band_limit = check_band_limit(self.band_limit, n_samples=self.grid.n_samples)
-        logs = spectrum.log_values(np.arange(band_limit + 1))
-        logs.flags.writeable = False
+        logs = _read_only(spectrum.log_values(np.arange(band_limit + 1)))
         object.__setattr__(self, "twice_s", spectrum.twice_s)
         object.__setattr__(self, "band_limit", band_limit)
         object.__setattr__(self, "log_lambda", logs)
@@ -66,8 +66,8 @@ class FrameMatrix(_Conditioned):
 
     @property
     def lambdas(self) -> np.ndarray:
-        """Resolution eigenvalues lambda_0..lambda_M (``validation.from_log``)."""
-        return from_log(self.log_lambda, "lambda")
+        """Resolution eigenvalues lambda_0..lambda_M (``validation.from_log``), read-only."""
+        return _read_only(from_log(self.log_lambda, "lambda"))
 
 
 def frame_matrix(twice_s: int, grid: SamplingGrid, band_limit: int) -> FrameMatrix:

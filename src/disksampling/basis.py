@@ -44,6 +44,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .validation import (
+    _read_only,
     as_coefficients,
     as_disk_points,
     check_indices,
@@ -307,8 +308,7 @@ class DiskSignal:
 
     def __post_init__(self):
         object.__setattr__(self, "twice_s", check_twice_s(self.twice_s))
-        coeffs = as_coefficients(self.coefficients).copy()
-        coeffs.flags.writeable = False
+        coeffs = _read_only(as_coefficients(self.coefficients).copy())
         object.__setattr__(self, "coefficients", coeffs)
 
     def __len__(self) -> int:
@@ -330,18 +330,19 @@ class DiskSignal:
         """(scale, a/scale, |a/scale|^2) for a power of two ``scale``: 1.0
         where the largest |a_m| lies within a factor ``_COEFFICIENT_MAX`` of
         1, else the one that brings it into [1, 2).  The signal's one scale:
-        every sum over the coefficients is of a/scale, scaled back by ``in_range``."""
+        every sum over the coefficients is of a/scale, scaled back by ``in_range``.
+        Its arrays are read-only, as the coefficients are."""
         largest = np.abs(self.coefficients).max()
         scale = 1.0
         if largest > 0.0 and not 1.0 / _COEFFICIENT_MAX <= largest <= _COEFFICIENT_MAX:
             scale = 2.0 ** (int(np.frexp(largest)[1]) - 1)
         scaled = self.coefficients / scale
-        return scale, scaled, np.abs(scaled) ** 2
+        return scale, _read_only(scaled), _read_only(np.abs(scaled) ** 2)
 
     @functools.cached_property
     def _segments(self):
         """The segment polynomials :func:`evaluate_signal` sums, taken on its
-        first call (the coefficients are read-only)."""
+        first call (the coefficients are read-only, and so are its arrays)."""
         return _segment_polynomials(self.twice_s, self._scaled[1])
 
 
@@ -510,13 +511,13 @@ def _segment_polynomials(twice_s: int, coefficients: np.ndarray):
     folded[:, 0, 0::2] = folded[:, 1, 1::2] = rows.real
     folded[:, 0, 1::2] = -rows.imag
     folded[:, 1, 0::2] = rows.imag
-    return coefficients[0], folded, products[:, -1]
+    return coefficients[0], _read_only(folded), _read_only(products[:, -1])
 
 
 def _mode(twice_s: int, rim):
-    """(2s-1)|z|^2 / (1-|z|^2) from ``rim = _one_minus_mod2(z)``: NB(m; 2s, 1-|z|^2),
-    hence |U_m(z)| and lambda_m at r = |z|, rises in m up to its floor and falls after."""
-    return (twice_s - 1.0) * rim[2] / rim[0]
+    """floor((2s-1)|z|^2 / (1-|z|^2)) from ``rim = _one_minus_mod2(z)``: NB(m; 2s, 1-|z|^2),
+    hence |U_m(z)| and lambda_m at r = |z|, rises in m up to this index and falls after."""
+    return np.floor((twice_s - 1.0) * rim[2] / rim[0])
 
 
 def _seeds(twice_s: int, length: int, count: int, z: np.ndarray):

@@ -58,6 +58,7 @@ from .validation import (
     SeriesBudgetError,
     _Conditioned,
     _parse,
+    _read_only,
     as_disk_points,
     as_samples,
     check_band_limit,
@@ -80,7 +81,6 @@ _UNIT_ROUNDOFF = 2.0**-53
 _MAX_SERIES_BLOCKS = 100_000
 _SERIES_BLOCK = 16
 _SERIES_TOL = 1e-16
-_CURVE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -176,11 +176,6 @@ def _row_denominator(grid: SamplingGrid) -> tuple[float, np.ndarray]:
 def _first_row(twice_s: int, denominator) -> np.ndarray:
     """C_l = ((1-r^2)/d_l)^(2s) from :func:`_row_denominator`'s (1-r^2, d), read-only."""
     return _read_only((denominator[0] / denominator[1]) ** twice_s)
-
-
-def _read_only(values: np.ndarray) -> np.ndarray:
-    values.flags.writeable = False
-    return values
 
 
 def _series_sum(log_terms, tol: float, name: str) -> np.ndarray:
@@ -511,7 +506,7 @@ def _log_class_tails(spectrum: ResolutionSpectrum, starts: np.ndarray, name: str
     """log sum_{q>=0} lambda_{start+qN} for each start: the spectrum mass at
     and above start in its residue class, of any size.
 
-    lambda_m rises up to the floor of the :func:`~basis._mode` and falls
+    lambda_m rises up to the :func:`~basis._mode` and falls
     after it, so each class is summed outward from its peak: upward from its first
     index at or above the mode, and downward from the index below that to
     the start.  Both sides then fall term by term, as the truncation test of
@@ -520,7 +515,7 @@ def _log_class_tails(spectrum: ResolutionSpectrum, starts: np.ndarray, name: str
     cannot finish within the budget is refused first (:func:`_check_budget`).
     """
     n_s = spectrum.grid.n_samples
-    mode = np.floor(_mode(spectrum.twice_s, spectrum._rim))
+    mode = _mode(spectrum.twice_s, spectrum._rim)
     rise = np.maximum(0, np.ceil((mode - starts) / n_s)).astype(np.int64)
     top = starts + rise * n_s
     down = np.flatnonzero(rise > 0)
@@ -809,10 +804,10 @@ def band_projection_curve(twice_s: int, band_limit: int, radius) -> np.ndarray |
     equal to 1 at r = 0, monotone non-increasing on [0, 1), and dropping
     through 1/2 near the critical radius when s and M are large.  Accepts a
     scalar or array radius in [0, 1); each term is the pmf NB(m; 2s, 1-r^2),
-    summed in the log domain relative to its largest term, so s and M in the
-    thousands are fine.  m runs in blocks of _CURVE_BLOCK, so memory does
-    not grow with M; the sum so far is rescaled when a block holds a larger
-    term, so a curve with M < _CURVE_BLOCK is one block, summed as one array.
+    summed in the log domain relative to its largest term with m <= M, at
+    the :func:`~basis._mode` or at M below it, so s and M in the thousands
+    are fine.  m runs in blocks of ``basis._BLOCK``, so memory does not grow
+    with M.
     """
     twice_s = check_twice_s(twice_s)
     band_limit = check_band_limit(band_limit)
@@ -820,18 +815,18 @@ def band_projection_curve(twice_s: int, band_limit: int, radius) -> np.ndarray |
     if not np.all((r_arr >= 0.0) & (r_arr < 1.0)):
         raise ValueError("radius must lie in [0, 1)")
     rim = _one_minus_mod2(r_arr[:, np.newaxis])
-    peak, total = -np.inf, 0.0
-    for start in range(0, band_limit + 1, _CURVE_BLOCK):
-        m = np.arange(start, min(start + _CURVE_BLOCK, band_limit + 1), dtype=np.float64)
-        log_terms = _log_pmf(twice_s, m, rim)
-        grown = np.maximum(peak, np.max(log_terms, axis=1))
-        block = np.sum(np.exp(log_terms - grown[:, np.newaxis]), axis=1)
-        total, peak = total * np.exp(peak - grown) + block, grown
-    return _scalar_or_array(np.exp(peak) * total, radius)
+    peak = _log_pmf(twice_s, np.minimum(_mode(twice_s, rim), band_limit), rim)
+    total = 0.0
+    for start in range(0, band_limit + 1, basis._BLOCK):
+        m = np.arange(start, min(start + basis._BLOCK, band_limit + 1), dtype=np.float64)
+        total = total + np.sum(np.exp(_log_pmf(twice_s, m, rim) - peak), axis=1)
+    return _scalar_or_array(np.exp(peak[:, 0]) * total, radius)
 
 
 def critical_radius(twice_s: int, band_limit: int) -> float:
-    """Transition radius r_c = (1 + (2s-1)/M)^(-1/2) of the projection curve."""
+    """Transition radius r_c = (1 + (2s-1)/M)^(-1/2) of the projection curve:
+    the radius where the index of its largest term, the :func:`~basis._mode`
+    floor((2s-1) r^2/(1-r^2)), reaches M."""
     twice_s = check_twice_s(twice_s)
     band_limit = check_band_limit(band_limit)
     if band_limit < 1:

@@ -42,6 +42,13 @@ class NumericalRangeError(ArithmeticError):
         self.log_value = log_value
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """``values``, marked read-only: every array a record stores, caches or
+    views is, so a caller cannot change what later calls read."""
+    values.flags.writeable = False
+    return values
+
+
 def from_log(log_values: np.ndarray, name: str, indices=None) -> np.ndarray:
     """exp(log_values) for positive quantities kept in the log domain.  The
     first entry that is no positive double raises ``NumericalRangeError``

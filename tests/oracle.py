@@ -52,6 +52,7 @@ from disksampling.validation import (
 __all__ = [
     "QuadratureError",
     "alias_error",
+    "band_projection",
     "bound_and_exact",
     "circulant",
     "dense_frame",
@@ -374,6 +375,25 @@ def alias_error(signal: DiskSignal, grid: SamplingGrid, digits: int = 40) -> flo
                 m += n
             error_sq += mp.fsum(abs(v_q) ** 2 for v_q in v) - abs(w) ** 2 / (mp.fsum(mu) + tail)
         return float(mp.sqrt(error_sq))
+
+
+def band_projection(twice_s: int, band_limit: int, radius: float, digits: int = 40):
+    """P(r) = sum_{m<=M} NB(m; 2s, 1-r^2) from its definition, in mpmath.
+
+    The terms follow NB(0) = (1-r^2)^(2s) and NB(m) = NB(m-1) r^2 (2s+m-1)/m
+    at ``digits`` decimal digits, r taken exactly as the double it is.  The
+    exponent range of mpmath is unbounded, so no term underflows and none is
+    taken relative to another.  Returns the mpf sum, not rounded to double,
+    so that a caller can tell a value below the least subnormal.  O(M) products.
+    """
+    with mp.workdps(digits):
+        r2 = mp.mpf(radius) ** 2
+        term = (1 - r2) ** twice_s
+        total = term
+        for m in range(1, band_limit + 1):
+            term *= r2 * (twice_s + m - 1) / m
+            total += term
+        return +total
 
 
 def bound_and_exact(signal: DiskSignal, grid: SamplingGrid, digits: int) -> tuple:

@@ -601,6 +601,36 @@ def test_shared_objects_are_thread_safe():
     assert np.array_equal(direct, ds.evaluate_signal(signal, points))
 
 
+_RECORDS = {
+    "frame": lambda: ds.frame_matrix(2, ds.SamplingGrid(0.5, 4), 2),
+    "kernel": lambda: ds.overlap_kernel(2, ds.SamplingGrid(0.5, 4)),
+    "signal": lambda: ds.DiskSignal(2, np.linspace(1.0, 2.0, 40) + 0.5j),
+}
+
+
+@pytest.mark.parametrize(
+    "record, name",
+    [
+        ("frame", "log_lambda"),
+        ("frame", "lambdas"),
+        ("kernel", "log_eigenvalues"),
+        ("kernel", "eigenvalues"),
+        ("kernel", "first_row"),
+        ("signal", "coefficients"),
+        ("signal", "_scaled"),
+        ("signal", "_segments"),
+    ],
+)
+def test_no_array_a_record_stores_caches_or_views_is_writeable(record, name):
+    # a cache is a tuple: each of its arrays is checked; a written entry of
+    # one would change every later call that reads it
+    value = getattr(_RECORDS[record](), name)
+    arrays = [v for v in (value if isinstance(value, tuple) else (value,))
+              if isinstance(v, np.ndarray)]
+    assert arrays
+    assert not any(array.flags.writeable for array in arrays)
+
+
 @pytest.mark.parametrize(
     "series, build",
     [

@@ -992,6 +992,20 @@ class TestBandProjectionCurve:
             ]
             assert np.allclose(curve, reference, rtol=1e-10, atol=1e-13)
 
+    @pytest.mark.parametrize("twice_s", [2, 40, 2000])
+    @pytest.mark.parametrize("band", [5, 1500, 3000])
+    def test_matches_extended_precision_over_one_to_three_blocks(self, twice_s, band):
+        # band limits of one, two and three blocks of m; the peak term lies
+        # inside the band at small r and is clipped to M at large r
+        radii = np.array([0.1, 0.5, 0.9, 0.99, 0.999])
+        curve = ds.band_projection_curve(twice_s, band, radii)
+        for r, value in zip(radii, curve):
+            exact = oracle.band_projection(twice_s, band, r)
+            if exact < np.finfo(np.float64).smallest_subnormal:
+                assert value == 0.0, r
+            else:
+                assert abs(value - float(exact)) <= 1e-13 * float(exact), r
+
 
 class TestCriticalRadius:
     def test_hand_values(self):
