@@ -45,6 +45,7 @@ import numpy as np
 from . import _EXPORTS
 from .validation import (
     _read_only,
+    _scale,
     as_coefficients,
     as_disk_points,
     check_indices,
@@ -327,17 +328,14 @@ class DiskSignal:
 
     @functools.cached_property
     def _scaled(self):
-        """(scale, a/scale, |a/scale|^2) for a power of two ``scale``: 1.0
-        where the largest |a_m| lies within a factor ``_COEFFICIENT_MAX`` of
-        1, else the one that brings it into [1, 2).  The signal's one scale:
-        every sum over the coefficients is of a/scale, scaled back by ``in_range``.
-        Its arrays are read-only, as the coefficients are."""
-        largest = np.abs(self.coefficients).max()
-        scale = 1.0
-        if largest > 0.0 and not 1.0 / _COEFFICIENT_MAX <= largest <= _COEFFICIENT_MAX:
-            scale = 2.0 ** (int(np.frexp(largest)[1]) - 1)
-        scaled = self.coefficients / scale
-        return scale, _read_only(scaled), _read_only(np.abs(scaled) ** 2)
+        """(scale, a/scale, |a/scale|^2) for the power of two ``scale`` that
+        brings the largest real or imaginary part of a into [1, 2), taken
+        exactly (``validation._scale``).  The signal's one scale: every sum
+        over the coefficients is of a/scale, so no square leaves the double
+        range, scaled back by ``in_range``.  Its arrays are read-only, as the
+        coefficients are."""
+        scaled, exponent = _scale(self.coefficients)
+        return 2.0**exponent, _read_only(scaled), _read_only(np.abs(scaled) ** 2)
 
     @functools.cached_property
     def _segments(self):
@@ -438,14 +436,9 @@ _SEGMENT = 64
 
 #: A segment is shorter than ``_SEGMENT`` where the product of its steps
 #: sqrt((2s+m-1)/m) would exceed exp(_LOG_STEPS_MAX) (2s above about
-#: 3.4e9), so that the folded coefficients stay finite.
+#: 3.4e9), so that the folded coefficients stay finite: each is a scaled
+#: coefficient (``DiskSignal._scaled``), of parts below 2, times at most this.
 _LOG_STEPS_MAX = 600.0
-
-#: A signal's sums are of its coefficients divided by a power of two where
-#: the largest modulus lies outside [1/this, this] (``DiskSignal._scaled``),
-#: so no square overflows and each folded term is at most this times
-#: exp(_LOG_STEPS_MAX).
-_COEFFICIENT_MAX = 2.0**100
 
 #: Segments summed together are this many over the number of points: four
 #: per full block, so that a sum that ends early wastes little work, and
@@ -485,9 +478,9 @@ def _segment_length(twice_s: int) -> int:
     return max(1, int(np.searchsorted(log_products, _LOG_STEPS_MAX, side="right")))
 
 
-def _segment_rows(values: np.ndarray, length: int) -> np.ndarray:
-    """``values`` zero-padded to whole segments, one segment per row."""
-    rows = np.zeros(-(-values.size // length) * length, dtype=values.dtype)
+def _segment_rows(values: np.ndarray, length: int, fill=0.0) -> np.ndarray:
+    """``values`` padded with ``fill`` to whole segments, one segment per row."""
+    rows = np.full(-(-values.size // length) * length, fill, dtype=values.dtype)
     rows[: values.size] = values
     return rows.reshape(-1, length)
 
@@ -635,8 +628,7 @@ def sample_signal(signal: DiskSignal, grid: SamplingGrid) -> np.ndarray:
     """
     _check_grid(grid)
     weights = np.exp(_log_ring_weights(signal.twice_s, grid.radius, len(signal)))
-    folded = np.zeros(grid.n_samples, dtype=np.complex128)
-    np.add.at(folded, np.arange(len(signal)) % grid.n_samples, signal._scaled[1] * weights)
+    folded = _segment_rows(signal._scaled[1] * weights, grid.n_samples).sum(axis=0)
     return in_range(lambda f: np.fft.fft(f) * signal._scaled[0], folded, "sample")
 
 

@@ -20,7 +20,6 @@ import itertools
 import os
 import re
 import sys
-import tempfile
 import warnings
 from pathlib import Path
 
@@ -98,14 +97,13 @@ def _write_output(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     target = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+    # made as open(path, "w") makes the target, so it takes the mode the
+    # umask gives; exclusive, so the cleanup never unlinks another's file
+    tmp_name = target.parent / f".{target.name}.{os.urandom(8).hex()}.tmp"
+    handle = open(tmp_name, "x", newline="")
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
+        with handle:
             handle.write(text)
-        # mkstemp makes the file 0600; give it the mode open(path, "w") would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, target)
     except BaseException:
         try:

@@ -48,17 +48,18 @@ from .basis import (
     _pointwise,
     _ring_dft,
     _scalar_or_array,
+    _segment_rows,
     log_binomial,
 )
 from .validation import (
     CONDITION_LIMIT,
     ConditioningWarning,
     EigenvalueCrossCheckError,
-    NumericalRangeError,
     SeriesBudgetError,
     _Conditioned,
     _parse,
     _read_only,
+    _refuse,
     as_disk_points,
     as_samples,
     check_band_limit,
@@ -178,7 +179,7 @@ def _first_row(twice_s: int, denominator) -> np.ndarray:
     return _read_only((denominator[0] / denominator[1]) ** twice_s)
 
 
-def _series_sum(log_terms, tol: float, name: str) -> np.ndarray:
+def _series_sum(log_terms, name: str) -> np.ndarray:
     """Row sums of positive series, truncated under the global policy.
 
     ``log_terms`` maps a block of term indices q = 0, 1, ... to the
@@ -194,7 +195,7 @@ def _series_sum(log_terms, tol: float, name: str) -> np.ndarray:
         q = np.arange(block * _SERIES_BLOCK, (block + 1) * _SERIES_BLOCK)
         terms = np.exp(log_terms(q))
         total = np.where(open_rows, total + terms.sum(axis=1), total)
-        open_rows = open_rows & ~_tail_negligible(terms[:, -1], terms[:, -2], tol * total)
+        open_rows = open_rows & ~_tail_negligible(terms[:, -1], terms[:, -2], _SERIES_TOL * total)
         if not open_rows.any():
             return total
     raise SeriesBudgetError(name, _MAX_SERIES_BLOCKS * _SERIES_BLOCK)
@@ -450,13 +451,8 @@ def rescale_truncate(kernel: CirculantKernel, dft_coeffs, band_limit: int) -> Di
     log_factor = kernel.log_eigenvalues[idx] - kernel.spectrum.log_values(idx)
     beyond = log_factor > np.log(np.finfo(np.float64).max)
     lost = beyond & (np.abs(coeffs) < np.finfo(np.float64).tiny)
-    if lost.any():
-        j = int(np.argmax(lost))
-        raise NumericalRangeError(
-            f"ahat_{j} has lost its digits: lhat_{j}/lambda_{j} leaves the double range; "
-            "rescale from the samples with fourier_coefficients",
-            float(log_factor[j]),
-        )
+    _refuse(lost, log_factor, "ahat", "has lost its digits: lhat/lambda leaves the double "
+            "range; rescale from the samples with fourier_coefficients")
     return DiskSignal(kernel.twice_s, times_exp(coeffs, log_factor, "rescaled ahat"))
 
 
@@ -533,7 +529,7 @@ def _log_class_tails(spectrum: ResolutionSpectrum, starts: np.ndarray, name: str
         return np.where(inside, log_lam - shift, -np.inf)
 
     _check_budget(log_terms, name)
-    sums = _series_sum(log_terms, _SERIES_TOL, name)
+    sums = _series_sum(log_terms, name)
     total = sums[: top.size]
     total[down] += sums[top.size :]
     return peak + np.log(total)
@@ -618,12 +614,9 @@ def _alias_sums(
             f"signal twice_s {signal.twice_s} does not match spectrum twice_s {spectrum.twice_s}"
         )
     n, size = spectrum.grid.n_samples, signal.coefficients.size
-    shape = (-(-size // n), min(n, size))
-    pad = (0, shape[0] * shape[1] - size)
-    v = np.pad(signal._scaled[1], pad).reshape(shape)
-    log_lam = np.pad(spectrum.log_values(np.arange(size)), pad, constant_values=-np.inf)
-    log_lam = log_lam.reshape(shape)
-    j = np.arange(shape[1])
+    v = _segment_rows(signal._scaled[1], min(n, size))
+    log_lam = _segment_rows(spectrum.log_values(np.arange(size)), min(n, size), -np.inf)
+    j = np.arange(v.shape[1])
     log_tail = _log_class_tails(spectrum, j + ((size - 1 - j) // n + 1) * n, "lambda tail")
     shift = np.max(log_lam, axis=0)
     x = np.exp(0.5 * (log_lam - shift))

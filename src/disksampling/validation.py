@@ -49,73 +49,77 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def from_log(log_values: np.ndarray, name: str, indices=None) -> np.ndarray:
-    """exp(log_values) for positive quantities kept in the log domain.  The
-    first entry that is no positive double raises ``NumericalRangeError``
-    naming it ``name``_n, n its position or its entry in ``indices``."""
-    with np.errstate(over="ignore", under="ignore"):
-        values = np.exp(log_values)
-    lost = (values == 0.0) | ~np.isfinite(values)
+def _refuse(lost: np.ndarray, log_values, name: str, what: str, indices=None) -> None:
+    """Raise ``NumericalRangeError`` "``name``_n ``what``" with its log value
+    at the first entry set in ``lost``, n its position or its entry in
+    ``indices``: the one range refusal of the package."""
     if lost.any():
         j = int(np.argmax(lost))
         n = j if indices is None else int(np.ravel(indices)[j])
-        message = f"{name}_{n} not representable as a positive double"
-        raise NumericalRangeError(message, float(log_values.flat[j]))
+        raise NumericalRangeError(f"{name}_{n} {what}", float(np.ravel(log_values)[j]))
+
+
+def _scale(values: np.ndarray, exponent=None):
+    """(values / 2^e, e), taken exactly part by part as reals: e is
+    ``exponent``, or else the one that brings the largest real or imaginary
+    part into [1, 2) (0 where every part is 0).  A complex quotient by a
+    subnormal 2^e would overflow, and so may the modulus of a large entry."""
+    parts = np.ascontiguousarray(values).view(np.float64)
+    if exponent is None:
+        largest = np.abs(parts).max()
+        exponent = int(np.frexp(largest)[1]) - 1 if largest else 0
+    with np.errstate(over="ignore", under="ignore"):
+        return np.ldexp(parts, -exponent).view(values.dtype), exponent
+
+
+def from_log(log_values: np.ndarray, name: str, indices=None) -> np.ndarray:
+    """exp(log_values) for positive quantities kept in the log domain.  The
+    first entry that is no positive double is refused by name as in
+    :func:`_refuse`."""
+    with np.errstate(over="ignore", under="ignore"):
+        values = np.exp(log_values)
+    lost = (values == 0.0) | ~np.isfinite(values)
+    _refuse(lost, log_values, name, "not representable as a positive double", indices)
     return values
-
-
-def _retake(out: np.ndarray, wide: np.ndarray, retake, name: str, indices=None) -> np.ndarray:
-    """``out`` with the entries ``wide`` replaced by the values of ``retake(wide)``
-    = (values, log moduli), for :func:`times_exp` and :func:`in_range`; one
-    still not finite raises ``NumericalRangeError`` naming it ``name``_n, n
-    its position or its entry in ``indices``."""
-    if wide.size:
-        values, log_modulus = retake(wide)
-        out[wide] = values
-        beyond = ~np.isfinite(values)
-        if beyond.any():
-            j = int(np.argmax(beyond))
-            n = wide[j] if indices is None else int(np.ravel(indices)[wide[j]])
-            message = f"{name}_{n} beyond the double range"
-            raise NumericalRangeError(message, float(log_modulus[j]))
-    return out
 
 
 def times_exp(values: np.ndarray, log_factor: np.ndarray, name: str, indices=None) -> np.ndarray:
     """values * exp(log_factor): the plain product where the factor is normal
     and the product finite, elsewhere exp(log|v| + log_factor) v/|v| in one
     exponent, so a factor out of the normal range costs no digits.  A product
-    beyond the double range is refused by name as in :func:`_retake`."""
+    beyond the double range is refused by name as in :func:`_refuse`."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         factor = np.exp(log_factor)
         out = values * factor
-
-        def one_exponent(wide):
+        wide = np.flatnonzero(~np.isfinite(out) | (factor < np.finfo(np.float64).tiny))
+        if wide.size:
             parts = values[wide].view(np.float64).reshape(wide.size, -1)
             modulus = np.abs(values[wide])[:, np.newaxis]
             log_modulus = np.log(modulus[:, 0]) + log_factor[wide]
             # v/|v| by parts, as reals: a complex quotient forms 1/|v|, which
             # overflows where |v| is subnormal
             phase = np.divide(parts, modulus, out=np.zeros_like(parts), where=modulus > 0)
-            return np.exp(log_modulus) * phase.view(values.dtype)[:, 0], log_modulus
-
-        wide = ~np.isfinite(out) | (factor < np.finfo(np.float64).tiny)
-        return _retake(out, np.flatnonzero(wide), one_exponent, name, indices)
+            out[wide] = np.exp(log_modulus) * phase.view(values.dtype)[:, 0]
+            _refuse(~np.isfinite(out[wide]), log_modulus, name, "beyond the double range",
+                    wide if indices is None else np.ravel(indices)[wide])
+    return out
 
 
 def in_range(apply, vector: np.ndarray, name: str) -> np.ndarray:
     """``apply(vector)`` for a linear map ``apply`` of 1-d arrays; an entry it
-    leaves non-finite is taken again from the vector over a power of two,
-    then multiplied back, both exact."""
+    leaves non-finite is taken again from the vector over its power of two
+    (:func:`_scale`), then multiplied back, both exact.  One still beyond the
+    double range is refused by name as in :func:`_refuse`."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = apply(vector)
-
-        def scaled(wide):
-            scale = 2.0 ** (int(np.frexp(np.abs(vector).max())[1]) - 1)
-            taken = apply(vector / scale)[wide]
-            return taken * scale, np.log(np.abs(taken)) + np.log(scale)
-
-        return _retake(out, np.flatnonzero(~np.isfinite(out)), scaled, name)
+        wide = np.flatnonzero(~np.isfinite(out))
+        if wide.size:
+            scaled, exponent = _scale(vector)
+            taken = apply(scaled)[wide]
+            out[wide] = _scale(taken, -exponent)[0]
+            log_modulus = np.log(np.abs(taken)) + exponent * np.log(2.0)
+            _refuse(~np.isfinite(out[wide]), log_modulus, name, "beyond the double range", wide)
+    return out
 
 
 class EigenvalueCrossCheckError(RuntimeError):

@@ -519,6 +519,24 @@ class TestErrorAnalysis:
         assert abs(exact - eps_m**2) < 1e-6
         assert abs(bound - eps_m**2) < 1e-6
 
+    @pytest.mark.parametrize(
+        "coefficients, row",
+        [([1e-320, 1e-320], "0.5,2,0,0.14694393382352941,0.17279411764705879,0,1"),
+         ([1.5e308 + 1.5e308j, 1.0], "0.5,2,0,0.17279411764705879,0.17279411764705879,0,1")],
+        ids=["subnormal", "modulus-overflows"],
+    )
+    def test_a_signal_of_any_finite_size_answers(self, tmp_path, coefficients, row):
+        # the subnormal signal's row is that of [1, 1]; the other's is that
+        # of its leading coefficient alone
+        signal_path = write_signal(tmp_path / "sig.json", 2, coefficients)
+        code, out, err = run_in_process(["synthesize", "--r", "0.5", "--n", "4",
+                                         "--input", str(signal_path)])
+        assert (code, err) == (0, b"")
+        code, out, err = run_in_process(["error-analysis", "--input", str(signal_path),
+                                         "--r", "0.5", "--n", "2"])
+        assert (code, err) == (0, b"")
+        assert out.decode().splitlines()[1] == row
+
     def test_bandlimited_signal_reduces_to_excess_term(self, tmp_path):
         signal_path = write_signal(tmp_path / "sig.json", 2, np.ones(4))
         out = tmp_path / "table.csv"
@@ -977,6 +995,25 @@ class TestDiagnosticsAndDeterminism:
             os.umask(previous)
         for path in (grid, values, tmp_path / "values.csv.ahat.csv"):
             assert stat.S_IMODE(path.stat().st_mode) == mode, path.name
+
+    def test_output_files_take_the_umask_without_setting_it(self, tmp_path, monkeypatch):
+        # setting the process-wide umask, even for a moment, would change the
+        # mode of a file another thread creates in that moment
+        import stat
+
+        def refuse(mask):
+            raise AssertionError("set the umask")
+
+        out = tmp_path / "grid.csv"
+        previous = os.umask(0o022)
+        try:
+            monkeypatch.setattr(os, "umask", refuse)
+            assert run_cli("grid", "--r", "0.5", "--n", "3", "--output", str(out)) == 0
+        finally:
+            monkeypatch.undo()
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+        assert [path.name for path in tmp_path.iterdir()] == ["grid.csv"]
 
     def test_subprocess_entry_point(self, tmp_path):
         results = []

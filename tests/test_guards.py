@@ -392,8 +392,8 @@ def test_no_module_but_validation_silences_an_overflow():
 
 
 def test_range_refusals_are_raised_by_the_shared_rules_only():
-    # only the lost digits of rescale_truncate, which cross no range, refuse
-    # on their own
+    # every refusal, the lost digits of rescale_truncate too, goes through
+    # validation's one refusal
     import ast
 
     def refuses(node):
@@ -402,9 +402,22 @@ def test_range_refusals_are_raised_by_the_shared_rules_only():
         name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
         return name == "NumericalRangeError"
 
-    allowed = {("undersampled.py", "rescale_truncate")}
+    allowed = set()
     found = [f"{name}:{node.lineno}" for name, top, node in _package_nodes()
              if refuses(node) and (name, top) not in allowed]
+    assert not found
+
+
+def test_no_module_but_validation_takes_a_power_of_two_scale():
+    # the one exact scale is validation._scale; math.ldexp of the fixed-point
+    # roots of unity is no scale of a result
+    import ast
+
+    def scales(node):
+        return (isinstance(node, ast.Attribute) and node.attr in ("frexp", "ldexp")
+                and getattr(node.value, "id", None) == "np")
+
+    found = [f"{name}:{node.lineno}" for name, _, node in _package_nodes() if scales(node)]
     assert not found
 
 
@@ -506,6 +519,45 @@ def test_an_entry_of_subnormal_modulus_keeps_its_phase(row):
     # times_exp takes v/|v| part by part as reals: numpy's complex quotient
     # forms 1/|v| first, which overflows for |v| below 5.6e-309
     row()
+
+
+def _ldexp(values, k):
+    """values 2^k, part by part as reals."""
+    return np.ldexp(np.ascontiguousarray(values).view(np.float64), k).view(np.complex128)
+
+
+def _extreme_signal(k):
+    """(signal of coefficients near 2^k, its exact multiple by 2^-k).  The
+    extreme signal is built first, since scaling down to it rounds; its
+    largest parts, from 1.43 2^k, are at least 1.28e308 at the top."""
+    rng = np.random.default_rng(abs(k))
+    base = np.concatenate([[1.43 + 1.43j], 0.3 * (rng.uniform(-1, 1, 11)
+                                                  + 1j * rng.uniform(-1, 1, 11))])
+    extreme = _ldexp(base, k)
+    return ds.DiskSignal(2, extreme), ds.DiskSignal(2, _ldexp(extreme, -k))
+
+
+@pytest.mark.parametrize("k", [-1070, -1060, 1023])
+def test_a_signal_of_any_finite_size_answers(k):
+    # every sum is of the coefficients over their power of two, which the
+    # extreme signal and its normal multiple share: the values differ by
+    # 2^k exactly, up to the one rounding below the normal range, and every
+    # ratio is the same
+    extreme, normal = _extreme_signal(k)
+    points = 0.3 * np.exp(2j * np.pi * np.arange(7) / 7) + np.linspace(0.0, 0.5, 7)
+    grid = ds.SamplingGrid(0.5, 5)
+    spectrum = ds.ResolutionSpectrum(2, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(ds.evaluate_signal(extreme, points),
+                              _ldexp(ds.evaluate_signal(normal, points), k))
+        assert np.array_equal(ds.sample_signal(extreme, grid),
+                              _ldexp(ds.sample_signal(normal, grid), k))
+        assert ds.quasi_band_profile(extreme, 3) == ds.quasi_band_profile(normal, 3)
+        profile = ds.quasi_band_profile(normal, 4)
+        assert (undersampled._error_row(spectrum, extreme, profile, "printed")
+                == undersampled._error_row(spectrum, normal, profile, "printed"))
+        assert extreme.norm_squared == (np.inf if k > 0 else 0.0)
 
 
 @pytest.mark.parametrize(
