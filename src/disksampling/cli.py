@@ -3,12 +3,12 @@
 Commands emit plot-ready CSV or JSON tables with fixed formatting (17
 significant digits, '.' decimal separator, '\\n' line endings), so identical
 inputs produce byte-identical outputs for a given numpy build and CPU; numpy's
-vectorised math and BLAS may differ in the last bit between builds.  Output
-files are written to a temporary name and atomically renamed; a failing
-command never leaves a partial file behind.  Diagnostics (conditioning
-warnings, errors) go to stderr only.  Each command imports only the modules
-it calls: ``bandlimited`` or ``undersampled`` for its mode, ``json`` only to
-read a signal file; none loads mpmath or scipy.
+vectorised math and BLAS may differ in the last bit between builds.  Commands
+return (path, text) tables, path None for stdout; :func:`main` writes each to
+a temporary name, renamed atomically: a failing command leaves no partial file.
+Diagnostics (conditioning warnings, errors) go to stderr only.  Each command
+imports only the modules it calls: ``bandlimited`` or ``undersampled`` for its
+mode, ``json`` only to read a signal file; none loads mpmath or scipy.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure.
 """
@@ -45,7 +45,7 @@ def _diag(message: str) -> None:
 
 
 def _render_table(columns: list[str], data: list, fmt: str) -> str:
-    """A table of ``data``, one array per column.
+    """A table of ``data``, one array per column, as ``fmt`` "csv" or "json".
 
     Integer columns are written as integers.  In CSV, float columns have 17
     significant digits (``%.17g``, the same digits as ``format(x, ".17g")``);
@@ -59,16 +59,14 @@ def _render_table(columns: list[str], data: list, fmt: str) -> str:
         line = ",".join("%d" if column.dtype.kind in "iu" else "%.17g" for column in data)
         values = tuple(itertools.chain.from_iterable(zip(*(c.tolist() for c in data))))
         return ",".join(columns) + "\n" + ((line + "\n") * count) % values
-    if fmt == "json":
-        head = '{\n  "columns": [\n%s\n  ],\n  "rows": ' % ",\n".join(
-            '    "%s"' % name for name in columns
-        )
-        if count == 0:
-            return head + "[]\n}\n"
-        row = "    [\n" + ",\n".join(["      %s"] * len(data)) + "\n    ]"
-        values = tuple(itertools.chain.from_iterable(zip(*map(_json_numbers, data))))
-        return head + "[\n" + ",\n".join([row] * count) % values + "\n  ]\n}\n"
-    raise ValueError(f"unknown format {fmt!r}")
+    head = '{\n  "columns": [\n%s\n  ],\n  "rows": ' % ",\n".join(
+        '    "%s"' % name for name in columns
+    )
+    if count == 0:
+        return head + "[]\n}\n"
+    row = "    [\n" + ",\n".join(["      %s"] * len(data)) + "\n    ]"
+    values = tuple(itertools.chain.from_iterable(zip(*map(_json_numbers, data))))
+    return head + "[\n" + ",\n".join([row] * count) % values + "\n  ]\n}\n"
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -252,20 +250,18 @@ def _operator(args, module, grid: SamplingGrid):
     return operator
 
 
-def cmd_grid(args) -> int:
+def cmd_grid(args) -> list:
     grid = SamplingGrid(args.r, args.n)
-    _write_output(args.output, _complex_table("k", grid.points, args.format))
-    return EXIT_OK
+    return [(args.output, _complex_table("k", grid.points, args.format))]
 
 
-def cmd_synthesize(args) -> int:
+def cmd_synthesize(args) -> list:
     signal = _read_signal(args.input, args.twice_s)
     grid = SamplingGrid(args.r, args.n)
-    _write_output(args.output, _complex_table("k", sample_signal(signal, grid), args.format))
-    return EXIT_OK
+    return [(args.output, _complex_table("k", sample_signal(signal, grid), args.format))]
 
 
-def cmd_reconstruct(args) -> int:
+def cmd_reconstruct(args) -> list:
     module = _mode_module(args)
     if args.n_max is not None and args.output is None:
         raise ValueError("--n-max requires --output (coefficients go to a sibling file)")
@@ -273,19 +269,18 @@ def cmd_reconstruct(args) -> int:
     samples = _read_samples(args.input, grid.n_samples)
     points = _read_points(args.points)
     operator = _operator(args, module, grid)
+    tables = []
     if args.mode == "bandlimited":
         values = np.atleast_1d(module.reconstruct_bandlimited(operator, samples, points))
     else:
         values = np.atleast_1d(module.partial_reconstruct(operator, samples, points))
         if args.n_max is not None:
             ahat = module.dft_coefficients(operator, samples, args.n_max)
-            path = f"{args.output}.ahat.{args.format}"
-            _write_output(path, _complex_table("n", ahat, args.format))
-    _write_output(args.output, _complex_table("k", values, args.format))
-    return EXIT_OK
+            tables = [(f"{args.output}.ahat.{args.format}", _complex_table("n", ahat, args.format))]
+    return tables + [(args.output, _complex_table("k", values, args.format))]
 
 
-def cmd_dft(args) -> int:
+def cmd_dft(args) -> list:
     module = _mode_module(args)
     grid = SamplingGrid(args.r, args.n)
     samples = _read_samples(args.input, grid.n_samples)
@@ -300,22 +295,15 @@ def cmd_dft(args) -> int:
         columns = ["n", "re", "im", "re_rescaled", "im_rescaled"]
         data = [np.arange(n_max + 1), ahat.real, ahat.imag, rescaled.real, rescaled.imag]
         text = _render_table(columns, data, args.format)
-    _write_output(args.output, text)
-    return EXIT_OK
+    return [(args.output, text)]
 
 
-def cmd_error_analysis(args) -> int:
+def cmd_error_analysis(args) -> list:
     from . import undersampled as us
 
-    if args.r is not None and args.sweep_r is not None:
-        raise ValueError("--r and --sweep-r exclude each other: give one")
-    if args.n is not None and args.sweep_n is not None:
-        raise ValueError("--n and --sweep-n exclude each other: give one")
     signal = _read_signal(args.input, args.twice_s)
-    r_values = _parse_list(args.sweep_r, "--sweep-r") if args.sweep_r else [args.r]
-    n_values = _parse_list(args.sweep_n, "--sweep-n", int) if args.sweep_n else [args.n]
-    if any(v is None for v in r_values) or any(v is None for v in n_values):
-        raise ValueError("provide --sweep-r/--sweep-n or single --r/--n values")
+    r_values = [args.r] if args.sweep_r is None else _parse_list(args.sweep_r, "--sweep-r")
+    n_values = [args.n] if args.sweep_n is None else _parse_list(args.sweep_n, "--sweep-n", int)
     rows = []
     for n in n_values:
         # the profile does not depend on r; n is checked first so that a bad
@@ -332,11 +320,10 @@ def cmd_error_analysis(args) -> int:
         list(zip(*rows)),
         args.format,
     )
-    _write_output(args.output, text)
-    return EXIT_OK
+    return [(args.output, text)]
 
 
-def cmd_critical_radius(args) -> int:
+def cmd_critical_radius(args) -> list:
     from . import undersampled as us
 
     twice_s = check_twice_s(args.twice_s)
@@ -358,8 +345,7 @@ def cmd_critical_radius(args) -> int:
         ],
         args.format,
     )
-    _write_output(args.output, text)
-    return EXIT_OK
+    return [(args.output, text)]
 
 
 def _add_io_flags(sub, with_input=True):
@@ -413,10 +399,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     err = sub.add_parser("error-analysis", help="exact error vs bound over (r, N) sweeps")
     err.add_argument("--twice-s", type=int, default=None)
-    err.add_argument("--r", type=float, default=None)
-    err.add_argument("--n", type=int, default=None)
-    err.add_argument("--sweep-r", default=None, help="comma-separated radii")
-    err.add_argument("--sweep-n", default=None, help="comma-separated sample counts")
+    radii = err.add_mutually_exclusive_group(required=True)
+    radii.add_argument("--r", type=float)
+    radii.add_argument("--sweep-r", help="comma-separated radii")
+    counts = err.add_mutually_exclusive_group(required=True)
+    counts.add_argument("--n", type=int)
+    counts.add_argument("--sweep-n", help="comma-separated sample counts")
     err.add_argument("--bound-variant", choices=("printed", "derived"), default="printed")
     _add_io_flags(err)
     err.set_defaults(func=cmd_error_analysis)
@@ -438,7 +426,9 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConditioningWarning)
-            return args.func(args)
+            for path, text in args.func(args):
+                _write_output(path, text)
+        return EXIT_OK
     except (ValueError, OSError) as exc:
         _diag(f"error: {exc}")
         return EXIT_INVALID

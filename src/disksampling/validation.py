@@ -87,19 +87,28 @@ def times_exp(values: np.ndarray, log_factor: np.ndarray, name: str, indices=Non
     """values * exp(log_factor): the plain product where the factor is normal
     and the product finite, elsewhere exp(log|v| + log_factor) v/|v| in one
     exponent, so a factor out of the normal range costs no digits.  A product
-    beyond the double range is refused by name as in :func:`_refuse`."""
+    with a part beyond the double range is refused by name as in
+    :func:`_refuse`; one whose parts are finite answers, its modulus too large
+    or not."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         factor = np.exp(log_factor)
         out = values * factor
         wide = np.flatnonzero(~np.isfinite(out) | (factor < np.finfo(np.float64).tiny))
         if wide.size:
             parts = values[wide].view(np.float64).reshape(wide.size, -1)
-            modulus = np.abs(values[wide])[:, np.newaxis]
-            log_modulus = np.log(modulus[:, 0]) + log_factor[wide]
+            # a modulus beyond the range is taken at half size, exact for its
+            # large part; the result's is exponentiated one ln 2 lower and the
+            # product doubled by parts (a complex 2 flips signed zeros)
+            halved = ~np.isfinite(np.abs(values[wide]))
+            parts = np.where(halved[:, np.newaxis], parts / 2, parts)
+            modulus = np.abs(parts.view(values.dtype))
+            log_modulus = np.log(modulus[:, 0]) + halved * np.log(2.0) + log_factor[wide]
+            top = log_modulus > np.log(np.finfo(np.float64).max)
             # v/|v| by parts, as reals: a complex quotient forms 1/|v|, which
             # overflows where |v| is subnormal
             phase = np.divide(parts, modulus, out=np.zeros_like(parts), where=modulus > 0)
-            out[wide] = np.exp(log_modulus) * phase.view(values.dtype)[:, 0]
+            product = np.exp(log_modulus - top * np.log(2.0)) * phase.view(values.dtype)[:, 0]
+            out[wide] = np.where(top, product + product, product)
             _refuse(~np.isfinite(out[wide]), log_modulus, name, "beyond the double range",
                     wide if indices is None else np.ravel(indices)[wide])
     return out

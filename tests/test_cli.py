@@ -243,6 +243,22 @@ class TestReconstruct:
         assert header == ["n", "re", "im"]
         assert float(rows[0][1]) == pytest.approx(1.125 / 1.36, rel=1e-12)
 
+    def test_alias_coefficients_of_samples_of_overflowing_modulus_answer(self, tmp_path):
+        # d_0 = 1.5e308 (1 + i) has parts within the double range, its modulus not
+        samples_path = write_samples(tmp_path / "samples.csv", np.full(4, 1.5e308 + 1.5e308j))
+        points_path = write_points(tmp_path / "pts.csv", [0.1])
+        out = tmp_path / "values.csv"
+        assert run_cli(
+            "reconstruct", "--twice-s", "2", "--r", "0.1", "--n", "4",
+            "--mode", "undersampled", "--n-max", "340",
+            "--input", str(samples_path), "--points", str(points_path),
+            "--output", str(out),
+        ) == 0
+        _, rows = read_csv(tmp_path / "values.csv.ahat.csv")
+        assert rows[312][0] == "312"
+        assert [float(part) for part in rows[312][1:]] == pytest.approx(
+            [0.0026805765346003042] * 2, rel=1e-13)
+
     def test_undersampled_rim_kernel_answers(self, tmp_path):
         # exited 3 ("implementation fault") while the eigenvalue check summed
         # each class from q = 0, whose first terms underflow at this radius
@@ -691,16 +707,25 @@ class TestErrorAnalysis:
     @pytest.mark.parametrize(
         "flags, message",
         [(["--sweep-r", ","], "--sweep-r must contain at least one value"),
-         (["--n", "4"], "provide --sweep-r/--sweep-n or single --r/--n values"),
-         (["--r", "0.5", "--sweep-r", "0.3"], "--r and --sweep-r exclude each other"),
-         (["--sweep-r", "0.3", "--sweep-n", "4"], "--n and --sweep-n exclude each other")],
+         (["--n", "4"], "one of the arguments --r --sweep-r is required"),
+         (["--r", "0.5", "--sweep-r", "0.3"], "argument --sweep-r: not allowed with argument --r"),
+         (["--sweep-r", "0.3", "--sweep-n", "4"],
+          "argument --sweep-n: not allowed with argument --n")],
         ids=["empty sweep", "no radius", "radius and its sweep", "count and its sweep"],
     )
-    def test_missing_radii_are_refused(self, tmp_path, capsys, flags, message):
+    def test_missing_radii_are_refused(self, tmp_path, flags, message):
         signal_path = write_signal(tmp_path / "sig.json", 2, 0.5 ** np.arange(8))
         argv = ["error-analysis", "--input", str(signal_path), "--n", "4", *flags]
-        assert run_cli(*argv) == 2
-        assert message in capsys.readouterr().err
+        code, _, err = run_in_process(argv)
+        assert code == 2
+        assert message in err.decode()
+
+    def test_flag_pairs_are_refused_before_the_signal_file_is_read(self, tmp_path):
+        argv = ["error-analysis", "--input", str(tmp_path / "absent.json"), "--n", "4",
+                "--r", "0.5", "--sweep-r", "0.3"]
+        code, _, err = run_in_process(argv)
+        assert code == 2
+        assert b"not allowed with argument --r" in err and b"absent.json" not in err
 
     def test_bad_sample_count_is_named(self, tmp_path, capsys):
         signal_path = write_signal(tmp_path / "sig.json", 2, 0.5 ** np.arange(40))

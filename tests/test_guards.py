@@ -421,6 +421,20 @@ def test_no_module_but_validation_takes_a_power_of_two_scale():
     assert not found
 
 
+def test_only_cli_main_writes_output_files():
+    # each command returns its tables and main writes them, so the atomic
+    # write runs from one loop
+    import ast
+
+    def writes(node):
+        return isinstance(node, ast.Call) and "_write_output" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    found = [f"{name}:{node.lineno}" for name, top, node in _package_nodes()
+             if writes(node) and (name, top) != ("cli.py", "main")]
+    assert not found
+
+
 @pytest.mark.parametrize(
     "call, message, log_value",
     [
@@ -519,6 +533,84 @@ def test_an_entry_of_subnormal_modulus_keeps_its_phase(row):
     # times_exp takes v/|v| part by part as reals: numpy's complex quotient
     # forms 1/|v| first, which overflows for |v| below 5.6e-309
     row()
+
+
+def _overflowing_modulus_dft_coefficients():
+    # d_0 = 1.5e308 (1 + i) has parts within the range, its modulus not
+    kernel = ds.overlap_kernel(2, ds.SamplingGrid(0.1, 4))
+    big = ds.dft_coefficients(kernel, np.full(4, 1.5e308 + 1.5e308j), 340)
+    small = ds.dft_coefficients(kernel, np.full(4, 1e308 + 1e308j), 340)
+    assert np.array_equal(big == 0, small == 0)
+    ratio = big[small != 0].view(np.float64) / small[small != 0].view(np.float64)
+    assert np.max(np.abs(ratio / 1.5 - 1.0)) <= 1e-14
+
+
+def _overflowing_modulus_times_exp():
+    # the product 1.5e308 (1 + i) has parts within the range, its modulus not
+    got = validation.times_exp(np.array([1e-10 + 1e-10j]),
+                               np.array([np.log(1.5e308) - np.log(1e-10)]), "x")
+    assert got.view(np.float64) == pytest.approx([1.5e308, 1.5e308], rel=1e-13)
+
+
+def _overflowing_modulus_fourier_coefficients():
+    # the samples whose DFT is d_239 = 1.5e308 U_239(r) (1 + i), 0 elsewhere:
+    # U_239(0.05) is about 1.7e-310, so the plain factor 1/U_239 overflows
+    with mp.workdps(30):
+        weight = mp.sqrt(240) * mp.mpf(0.05) ** 239 * (1 - mp.mpf(0.05) ** 2)
+        d = np.zeros(300, dtype=complex)
+        d[239] = float(mp.mpf(1.5e308) * weight) * (1 + 1j)
+    fm = ds.frame_matrix(2, ds.SamplingGrid(0.05, 300), 239)
+    coefficients = ds.fourier_coefficients(fm, np.fft.fft(d))
+    assert coefficients[239:].view(np.float64) == pytest.approx([1.5e308, 1.5e308], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [_overflowing_modulus_dft_coefficients, _overflowing_modulus_times_exp,
+     _overflowing_modulus_fourier_coefficients],
+    ids=["dft-coefficients", "times-exp", "fourier-coefficients"],
+)
+def test_a_product_of_finite_parts_answers(row):
+    # times_exp takes a modulus beyond the range at half size, and a result's
+    # modulus beyond it one ln 2 lower, doubled by parts
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row()
+
+
+def _times_exp_draw(count=2000, seed=0):
+    """(v, L): each part of v of binary exponent in [-1074, 1023], L in
+    [-1500, 1500], and the two products whose modulus alone overflows."""
+    rng = np.random.default_rng(seed)
+
+    def parts():
+        exponent = rng.integers(-1074, 1024, count)
+        return np.ldexp(rng.uniform(1.0, 2.0, count) * rng.choice([-1.0, 1.0], count), exponent)
+
+    values = np.concatenate([parts() + 1j * parts(), [1.5e308 + 1.5e308j, 1e-10 + 1e-10j]])
+    log_factor = np.concatenate([rng.uniform(-1500.0, 1500.0, count),
+                                 [np.log(0.5), np.log(1.5e308) - np.log(1e-10)]])
+    return values, log_factor
+
+
+def test_times_exp_is_accurate_over_the_double_range():
+    # a product with finite parts answers, each normal part within 1e-13 of
+    # 50-digit mpmath and a subnormal one within one spacing more, for its two
+    # roundings to the subnormal grid; a refused product has a part beyond the range
+    tiny, spacing = np.finfo(np.float64).tiny, np.nextafter(0.0, 1.0)
+    values, log_factor = _times_exp_draw()
+    with mp.workdps(50):
+        for v, log_v in zip(values.tolist(), log_factor.tolist()):
+            scale = mp.exp(log_v)
+            want = [float(mp.mpf(v.real) * scale), float(mp.mpf(v.imag) * scale)]
+            try:
+                got = validation.times_exp(np.array([v]), np.array([log_v]), "x")[0]
+            except NumericalRangeError:
+                assert not np.isfinite(want).all(), (v, log_v)
+                continue
+            assert np.isfinite(want).all(), (v, log_v)
+            for g, w in zip((got.real, got.imag), want):
+                assert abs(g - w) <= 1e-13 * abs(w) + (abs(w) < tiny) * spacing, (v, log_v)
 
 
 def _ldexp(values, k):
