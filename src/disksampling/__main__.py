@@ -3,10 +3,10 @@
 A command process pays only for the work its command does.  No command
 calls BLAS (sums go through ``einsum`` without ``optimize``, transforms
 through numpy's pocketfft, which also checks a kernel's eigenvalues, summed
-from the spectrum, against its row, and one row sum in Python integers
-where the FFT cannot resolve them), so the process asks OpenBLAS for one
-thread unless ``OPENBLAS_NUM_THREADS`` is already set, which spares the
-worker thread it would start while numpy loads.  Once the command has
+from the spectrum, against its row, and the smallest against a finite sum
+in Python integers where the FFT cannot resolve it), so the process asks
+OpenBLAS for one thread unless ``OPENBLAS_NUM_THREADS`` is already set,
+which spares the worker thread it would start while numpy loads.  Once the command has
 returned, with its output files closed, and stdout and stderr are flushed,
 the process ends without the interpreter's teardown, so ``atexit`` handlers
 do not run; a raising command, an argparse exit and a failing flush exit the

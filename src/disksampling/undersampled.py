@@ -20,16 +20,18 @@ in doubles outward from its largest term, as the error analysis sums its
 tails, and is kept as its log, which every transform reads: none re-logs or
 divides by a rounded lhat_j.  Construction checks it against the first row,
 which the series never reads: the float64 FFT of the row agrees to 1e-12
-relative, or to the FFT's rounding bound where larger, and where the bound
-cannot resolve some lhat_j, one row sum in fixed-point Python integers,
-good to 30 digits relative to the value it checks, checks the smallest
-lhat_j to 1e-12.  The tail ratios eps_n = (lhat_n - lambda_n)/lambda_n get
-their own series, never a subtraction, exact down to the underflow
-threshold and carried in the log domain where they leave the double range.
+relative, or to the FFT's rounding bound where larger.  Where the bound
+cannot resolve some lhat_j, the smallest is checked to 1e-12, or one ulp of
+its log where larger, against the finite sum N ((1-y)/(1-y^N))^(2s)
+sum_{k<2s} c(j+kN) y^(j+kN), y = r^2, in Python integers.  The tail
+ratios eps_n = (lhat_n - lambda_n)/lambda_n get their own series, never a
+subtraction, exact down to the underflow threshold and carried in the log
+domain where they leave the double range.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -82,6 +84,8 @@ _UNIT_ROUNDOFF = 2.0**-53
 _MAX_SERIES_BLOCKS = 100_000
 _SERIES_BLOCK = 16
 _SERIES_TOL = 1e-16
+_SUM_BITS = 100
+_LN2_HIGH, _LN2_LOW = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
 
 @dataclass(frozen=True)
@@ -96,7 +100,7 @@ class CirculantKernel(_Conditioned):
     on each read.  lhat_j is checked against the row's float64 FFT at 1e-12
     relative, or to :func:`_fft_error_bound` where larger, and where that is
     not below half of 1e-12 at some lhat_j, the smallest by
-    :func:`_spot_log_eigenvalue` at 1e-12, both from the row's (1-r^2, d).
+    :func:`_finite_sum_log_gap` at 1e-12, or at one ulp of its log past 8192.
     On disagreement no kernel is built.  Immutable, its arrays read-only,
     and safe to share across threads.
     """
@@ -109,28 +113,28 @@ class CirculantKernel(_Conditioned):
     def __post_init__(self):
         spectrum = ResolutionSpectrum(self.twice_s, self.grid)  # checks twice_s, then grid
         twice_s, grid = spectrum.twice_s, self.grid
-        denominator = _row_denominator(grid)
-        row = _first_row(twice_s, denominator)
+        row, one_minus, d = _first_row(twice_s, grid)
         log_eig = _read_only(_log_class_tails(spectrum, np.arange(grid.n_samples), "eigenvalue"))
         eig = from_log(log_eig, "lhat")
         smallest = int(np.argmin(log_eig))
-        bound = _fft_error_bound(twice_s, grid, denominator, row)
+        bound = _fft_error_bound(twice_s, grid, row, one_minus, d)
         limit = np.maximum(_EIG_AGREE_RTOL * eig, bound)
         miss = np.abs(np.fft.fft(row) - eig)
         j = int(np.argmax(miss / limit))
         if not miss[j] <= limit[j]:
             raise _disagreement("fft", j, float(miss[j] / eig[j]), float(limit[j] / eig[j]))
         if bound >= 0.5 * _EIG_AGREE_RTOL * eig[smallest]:
-            spot = _spot_log_eigenvalue(twice_s, grid, denominator, smallest, log_eig[smallest])
-            gap = float(abs(np.expm1(log_eig[smallest] - spot)))
-            if not gap <= _EIG_AGREE_RTOL:
-                raise _disagreement("spot", smallest, gap, _EIG_AGREE_RTOL)
+            log_size = float(log_eig[smallest])
+            gap = float(abs(np.expm1(_finite_sum_log_gap(twice_s, grid, smallest, log_size))))
+            limit = max(_EIG_AGREE_RTOL, math.ulp(log_size))
+            if not gap <= limit:
+                raise _disagreement("finite sum", smallest, gap, limit)
         object.__setattr__(self, "twice_s", twice_s)
         object.__setattr__(self, "log_eigenvalues", log_eig)
         object.__setattr__(self, "spectrum", spectrum)
 
     _log_spectrum = property(lambda self: self.log_eigenvalues)
-    first_row = property(lambda self: _first_row(self.twice_s, _row_denominator(self.grid)))
+    first_row = property(lambda self: _first_row(self.twice_s, self.grid)[0])
     eigenvalues = property(lambda self: _read_only(from_log(self.log_eigenvalues, "lhat")))
 
 
@@ -164,19 +168,15 @@ class RadiusEstimate:
     clamped: bool
 
 
-def _row_denominator(grid: SamplingGrid) -> tuple[float, np.ndarray]:
-    """(1-r^2, d) for the first row C_l = ((1-r^2)/d_l)^(2s), d_l = 1 - r^2
-    e^(i theta_l) taken as (1-r^2) + 2 r^2 sin^2(theta_l/2) - i r^2 sin(theta_l),
-    which does not cancel near theta_l = 0 (C_0 = 1 exactly)."""
+def _first_row(twice_s: int, grid: SamplingGrid) -> tuple[np.ndarray, float, np.ndarray]:
+    """(C, 1-r^2, d): the first row C_l = ((1-r^2)/d_l)^(2s), read-only, with
+    d_l = 1 - r^2 e^(i theta_l) taken as (1-r^2) + 2 r^2 sin^2(theta_l/2) -
+    i r^2 sin(theta_l), which does not cancel near theta_l = 0 (C_0 = 1 exactly)."""
     one_minus, _, r2, _ = _one_minus_mod2(grid.radius)
     ang = grid.angles
     half_sin = np.sin(0.5 * ang)
-    return one_minus, one_minus + 2.0 * r2 * half_sin * half_sin - 1j * r2 * np.sin(ang)
-
-
-def _first_row(twice_s: int, denominator) -> np.ndarray:
-    """C_l = ((1-r^2)/d_l)^(2s) from :func:`_row_denominator`'s (1-r^2, d), read-only."""
-    return _read_only((denominator[0] / denominator[1]) ** twice_s)
+    d = one_minus + 2.0 * r2 * half_sin * half_sin - 1j * r2 * np.sin(ang)
+    return _read_only((one_minus / d) ** twice_s), one_minus, d
 
 
 def _series_sum(log_terms, name: str) -> np.ndarray:
@@ -210,10 +210,9 @@ def _tail_negligible(last: np.ndarray, prev: np.ndarray, bound: np.ndarray) -> n
     return (last == 0.0) | ((ratio < 1.0) & (last < bound) & (tail < bound))
 
 
-def _fft_error_bound(twice_s: int, grid: SamplingGrid, denominator, row: np.ndarray) -> float:
+def _fft_error_bound(twice_s: int, grid: SamplingGrid, row: np.ndarray, one_minus, d) -> float:
     """Bound on |fft(row)_j - lhat_j|, every j, to first order in the unit
-    roundoff u, for the row raised from ``denominator``, the (1-r^2, d) of
-    :func:`_row_denominator`.
+    roundoff u, for the row :func:`_first_row` raises from (1-r^2, d).
 
     The row: C_l = b_l^(2s), b_l = (1-r^2)/d_l.  theta_0 = 0 makes d_0 =
     1-r^2 and b_0 = 1, so C_0 = 1 exactly.  For l >= 1, b_l is within 27u:
@@ -231,7 +230,7 @@ def _fft_error_bound(twice_s: int, grid: SamplingGrid, denominator, row: np.ndar
     thrice for Bluestein's three transforms of length M < 4N; ||fft C||_2 =
     sqrt(N) ||C||_2 bounds every output.  A worst case: the FFT errs far less.
     """
-    one_minus, d = denominator[0], denominator[1][1:]
+    d = d[1:]
     slope = grid.radius**2 * grid.angles[1:] / np.abs(d)
     log_base = np.abs(np.log(one_minus / d))
     per_entry = twice_s * (32.0 + 2.4 * slope + 6.0 * log_base) + 5.0
@@ -240,119 +239,70 @@ def _fft_error_bound(twice_s: int, grid: SamplingGrid, denominator, row: np.ndar
     return float(_UNIT_ROUNDOFF * (row_error + fft_error))
 
 
-def _spot_log_eigenvalue(
-    twice_s: int, grid: SamplingGrid, denominator, j: int, log_size: float
-) -> float:
-    """log lhat_j = log sum_l C_l exp(-2 pi i j l/N) in fixed-point integers,
-    -inf if the sum is not positive; ``denominator`` is :func:`_row_denominator`'s.
+def _finite_sum_log_gap(twice_s: int, grid: SamplingGrid, j: int, log_size: float) -> float:
+    """log_size - log lhat_j for lhat_j = N ((1-y)/(1-Y))^(2s) sum_{k<2s}
+    c(j+kN) y^(j+kN), y = r^2, Y = y^N, where c(t) = sum_i (-1)^i binom(2s, i)
+    binom(t-iN+2s-1, 2s-1), the ways 2s parts in 0..N-1 add to t, is exact.
+    It reads neither the row nor the spectrum; ``log_size`` enters last.
 
-    C_{N-l} = conj C_l, so l <= N/2 is summed, as twice the real part.
-    ``log_size`` is log C for the value C under check, the class tail of j.
-    |C_l| falls as l rises to N/2, so terms below 1e-18 C/N are left out:
-    O(N) products, far fewer for a peaked row.  P bits span the row scale 1
-    down to C and the digits of N, with 30 decimal digits to spare, so
-    2^-P <= 10^-30 C/N.
-
-    A value x is held as the integers x 2^B (real and imaginary part), and
-    B = P + G.  Each product or quotient is floored once, on operands of
-    modulus at most 1, so it errs by under u = 2^-B a part.  To first order
-    in u, the errors are:
-      r^2 (exact from r's integer ratio, then floored) and 1 - r^2: u;
-      w = e^(2 pi i/N): 2 sqrt(2) u (:func:`_fixed_root_of_unity`);
-      the table w^m = w^(m-1) w, m <= N/2: 3 sqrt(2) u a step, so 3N u
-        (w^(N-m) = conj w^m adds none);
-      d_l = 1 - r^2 w^l: u + 3N u + sqrt(2) u <= (3N + 3) u;
-      b_l = (1-r^2) conj(d_l)/|d_l|^2, one quotient: sqrt(2) u plus
-        (u + (3N + 3) u)/(1-r^2), since |db/dd| = |b|/|d| <= 1/(1-r^2),
-        in all at most (3N + 6) u/(1-r^2);
-      C_l = b_l^(2s) by binary powering, at most 2 bitlen(2s) products:
-        2s times b_l's error plus 3 bitlen(2s) u;
-      Re(C_l conj w^(jl mod N)), exact in integers: C_l's error plus 3N u.
-    The weights 1 and 2 add to at most N, so the sum errs by under K u,
-    K = N (2s (3N + 6)/(1-r^2) + 3 bitlen(2s) + 3N).  G is the bit length of
-    K, so K u < 2^-P: the sum errs by under 10^-30 C/N, and the left-out
-    terms, weights at most N in all, add under 10^-18 C.  The log splits
-    the sum's power of two off exactly, so it is within a few ulps.  A
-    result within 1e-12 relative of C therefore certifies |C - lhat_j| <=
-    (1e-12 + 2e-18) C, and a C off by more fails, above or below lhat_j.
+    y = num^2 2^-e is exact; other factors are B-bit mantissas with exact
+    binary exponents, floored once a product (d = 2^(1-B)).  To first order,
+    with 2^-P = 2^-100 < 1e-30: y^e is within 2e d and (1-Y)^(2s) within
+    4s (N/(1-Y) + 1) d; c stops at a part below 2^-P of its partial sums,
+    which alternate about it (Bonferroni).  The terms follow the log-concave
+    law of a sum of 2s geometrics cut to 0..N-1: summed outward from its
+    mean, no side stops while rising, one that stops at 2s t < 2^-P of the
+    total leaves under 2s terms below t, and the fixed-point unit, under
+    2^(1-P)/(2s) of the first term, loses under 2 2^-P.  B = P + 1 +
+    bitlen(10 2s N) + bits of 1/(1-y) >= 1/(1-Y) leaves lhat_j within 6 2^-P.
+    The exponent times ln 2, in fdlibm's split (exact for lhat above
+    e^-1.4e6), and the log of a mantissa in [1, 2) sum exactly: the result
+    is within 3u + 6 2^-P (u = 2^-53).  Construction's limit, max(1e-12,
+    ulp(log_size)), allows the half ulp a rounded log may be off by, 9.1e-13
+    past |log| = 8192, with room for its own error; below 8192 it is 1e-12.
     """
-    n = grid.n_samples
-    one_minus_float, d = denominator
-    log_modulus = twice_s * (np.log(one_minus_float) - np.log(np.abs(d[: n // 2 + 1])))
-    count = max(1, int(np.count_nonzero(log_modulus >= log_size + np.log(1e-18 / n))))
-    digits = 30 + int(np.ceil(max(0.0, -log_size) / np.log(10.0))) + int(np.log10(n) + 1)
-    bound = n * (twice_s * (3 * n + 6) / one_minus_float + 3 * twice_s.bit_length() + 3 * n)
-    bits = math.ceil(digits * math.log2(10.0)) + int(bound).bit_length()
-    one = 1 << bits
-    r_num, r_den = grid.radius.as_integer_ratio()
-    r2 = (r_num * r_num << bits) // (r_den * r_den)
-    one_minus = one - r2
-    step = _fixed_root_of_unity(n, bits)
-    roots = [(one, 0)]
-    for _ in range(n // 2):
-        roots.append(_fixed_product(roots[-1], step, bits))
-    total = 0
-    for l in range(count):
-        re, im = roots[l]
-        d_re, d_im = one - (r2 * re >> bits), -(r2 * im >> bits)
-        mod2 = d_re * d_re + d_im * d_im
-        base = ((one_minus * d_re << bits) // mod2, (-one_minus * d_im << bits) // mod2)
-        c_re, c_im = _fixed_power(base, twice_s, bits)
-        m = j * l % n
-        t_re, t_im = roots[m] if 2 * m <= n else (roots[n - m][0], -roots[n - m][1])
-        term = c_re * t_re + c_im * t_im
-        total += term if 2 * l in (0, n) else 2 * term
-    if total <= 0:
-        return -np.inf
-    size = total.bit_length() - 1
-    return math.log(total / (1 << size)) + (size - 2 * bits) * math.log(2.0)
+    n, m = grid.n_samples, twice_s
+    num, den = grid.radius.as_integer_ratio()
+    scale = 2 * den.bit_length() - 2
+    bits = _SUM_BITS + (10 * m * n).bit_length() + scale - (den * den - num * num).bit_length() + 2
+    binom = functools.cache(lambda q: math.comb(j + q * n + m - 1, m - 1))
 
+    def power(x, e):  # x^e, x = (mantissa, exponent): square and multiply from the top bit
+        value, exponent = 1, 0
+        for bit in bin(e)[2:]:
+            factor = x if bit == "1" else (1, 0)
+            value, exponent = value * value * factor[0], 2 * exponent + factor[1]
+            drop = max(0, value.bit_length() - bits)
+            value, exponent = value >> drop, exponent + drop
+        return value, exponent
 
-def _fixed_product(a: tuple[int, int], b: tuple[int, int], bits: int) -> tuple[int, int]:
-    """a b for complex fixed-point integers scaled by 2^bits, each part floored once."""
-    return (a[0] * b[0] - a[1] * b[1]) >> bits, (a[0] * b[1] + a[1] * b[0]) >> bits
-
-
-def _fixed_power(base: tuple[int, int], exponent: int, bits: int) -> tuple[int, int]:
-    """base^exponent, exponent >= 1, by binary powering: at most
-    2 bitlen(exponent) products."""
-    result = None
-    while True:
-        if exponent & 1:
-            result = base if result is None else _fixed_product(result, base, bits)
-        exponent >>= 1
-        if not exponent:
-            return result
-        base = _fixed_product(base, base, bits)
-
-
-def _fixed_root_of_unity(n: int, bits: int) -> tuple[int, int]:
-    """e^(2 pi i/n) as integers scaled by 2^bits, each part within 2 units.
-
-    Newton's method on z^n = 1, z <- z - z (z^n - 1)/n, from the float root:
-    its angle 2 pi/n is off by under 1.5 units at p = 52 bits, cos and sin
-    add an ulp each and the floor to p bits a unit each, so z is within 4
-    units of w = e^(2 pi i/n).  If z = w (1 + e), a step leaves
-    w (1 - (n+1)/2 e^2 + ...): under half a unit at q = 2p - bitlen(n) - 4
-    bits.  At q the powering errs by under sqrt(2) (n - 1) units, which the
-    division by n brings to sqrt(2), and the product and quotient floor once
-    (floor(floor(a/b)/c) = floor(a/(bc))), sqrt(2) more: to first order z is
-    again within 4 units, now at q.  q > p while p > bitlen(n) + 4, so for
-    every n < 2^47; a larger n is never reached, its first row alone taking
-    2 PiB.  The last step runs at W = bits + 64, and the final shift floors
-    W's 4 units away and adds the second.
-    """
-    work, prec = bits + 64, 52
-    theta = 2.0 * math.pi / n
-    z = tuple(math.floor(math.ldexp(part(theta), prec)) for part in (math.cos, math.sin))
-    while prec < work:
-        grown = min(work, 2 * prec - n.bit_length() - 4)
-        z = (z[0] << grown - prec, z[1] << grown - prec)
-        prec = grown
-        power = _fixed_power(z, n, prec)
-        re, im = _fixed_product(z, (power[0] - (1 << prec), power[1]), prec)
-        z = (z[0] - re // n, z[1] - im // n)
-    return z[0] >> 64, z[1] >> 64
+    y, log_y = (num * num, -scale), 2.0 * math.log(grid.radius)
+    odds = [math.exp(x) / -math.expm1(x) for x in (log_y, n * log_y)]  # y/(1-y), Y/(1-Y)
+    start = min(m - 1, max(0, round((m * (odds[0] - n * odds[1]) - j) / n)))
+    total, unit = 0, None
+    for ks in (range(start, m), range(start - 1, -1, -1)):
+        for k in ks:
+            c = 0
+            for i in range(min(k, m) + 1):
+                part = math.comb(m, i) * binom(k - i)
+                if part <= c >> _SUM_BITS:
+                    break
+                c += -part if i & 1 else part
+            t, e = power(y, j + k * n)
+            t *= c
+            unit = e + t.bit_length() - _SUM_BITS - m.bit_length() if unit is None else unit
+            t = t << e - unit if e >= unit else t >> unit - e
+            total += t
+            if m * t < total >> _SUM_BITS:
+                break
+    big_y = power(y, n)
+    top = power(((1 << scale) - num * num, -scale), m)
+    bottom = power(((1 << -big_y[1]) - big_y[0], big_y[1]), m)
+    quotient = (n * top[0] * total << bits + bottom[0].bit_length()) // bottom[0]
+    size = quotient.bit_length() - 1
+    exponent = top[1] + unit - bottom[1] - bits - bottom[0].bit_length() + size
+    return math.fsum((log_size, -exponent * _LN2_HIGH, -exponent * _LN2_LOW,
+                      -math.log(quotient / (1 << size))))
 
 
 def _disagreement(check: str, j: int, gap: float, limit: float) -> EigenvalueCrossCheckError:

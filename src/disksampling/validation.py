@@ -134,7 +134,7 @@ def in_range(apply, vector: np.ndarray, name: str) -> np.ndarray:
 class EigenvalueCrossCheckError(RuntimeError):
     """A kernel's eigenvalue check failed: an implementation fault, not a
     data error, since every check allows for its own rounding.  ``check``
-    (``"fft"`` or ``"spot"``) names the check, ``j`` the eigenvalue and
+    (``"fft"`` or ``"finite sum"``) names the check, ``j`` the eigenvalue and
     ``gap`` its relative gap.
     """
 

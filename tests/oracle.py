@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import warnings
 
 import mpmath as mp
@@ -59,6 +60,7 @@ __all__ = [
     "dense_projector",
     "dual_sinc_series",
     "factored_frame",
+    "finite_sum_log_eigenvalues",
     "fourier_factor",
     "quadrature_basis",
     "quadrature_inner",
@@ -273,6 +275,46 @@ def row_dft_log_eigenvalue(twice_s: int, grid: SamplingGrid, j: int) -> float:
             for l in range(n)
         )
         return float(mp.log(total.real))
+
+
+def finite_sum_log_eigenvalues(twice_s: int, grid: SamplingGrid, indices) -> np.ndarray:
+    """log lhat_j for each j in ``indices``, from the finite sum
+
+        lhat_j = N ((1-y)/(1-Y))^(2s) y^j sum_{k<2s} c(j+kN) Y^k,   y = r^2, Y = y^N,
+
+    with c(t) = sum_i (-1)^i binom(2s, i) binom(t-iN+2s-1, 2s-1) summed in
+    full.  Exact in Python integers up to the logs, taken at 60 digits:
+    y = a 2^-e exactly, so the kept terms add as one integer over a power of
+    two, each power of Y formed from the last and never all at once.  A term
+    is left out only where its bound binom(j+kN+2s-1, 2s-1) Y^k >= c(j+kN) Y^k
+    is below e^-150/(2s) of (1-Y)^(2s) times the largest bound, itself at most
+    the sum (sum_k c(j+kN) Y^k = (1-Y)^(2s) sum_q binom(j+qN+2s-1, 2s-1) Y^q).
+    Unlike :func:`row_dft_log_eigenvalue`, it covers lhat below the double
+    range.
+    """
+    n, m = grid.n_samples, twice_s
+    num, den = grid.radius.as_integer_ratio()
+    a, e = num * num, 2 * (den.bit_length() - 1)
+    step, log_big_y = a**n, n * (math.log(a) - e * math.log(2.0))
+    logs = []
+    with mp.workdps(60):
+        rim = (1 << e * n) - step  # (1 - Y) 2^(eN)
+        log_common = mp.log(n) + m * (mp.log((1 << e) - a) - mp.log(rim) + (n - 1) * e * mp.ln2)
+        floor = m * (float(mp.log(rim)) - e * n * math.log(2.0)) - math.log(m) - 150.0
+        for j in np.atleast_1d(indices).tolist():
+            bound = [math.lgamma(j + k * n + m) - math.lgamma(j + k * n + 1) - math.lgamma(m)
+                     + k * log_big_y for k in range(m)]
+            kept = [k for k in range(m) if bound[k] >= max(bound) + floor]
+            binom = [math.comb(j + q * n + m - 1, m - 1) for q in range(kept[-1] + 1)]
+            total, power = 0, step ** kept[0]
+            for k in range(kept[0], kept[-1] + 1):
+                c = sum((-1) ** i * math.comb(m, i) * binom[k - i] for i in range(min(k, m) + 1))
+                total += c * power << e * n * (kept[-1] - k)
+                power *= step
+            log_lhat = (log_common + j * (mp.log(a) - e * mp.ln2) + mp.log(total)
+                        - e * n * kept[-1] * mp.ln2)
+            logs.append(float(log_lhat))
+    return np.array(logs)
 
 
 def dual_sinc_series(kernel: CirculantKernel, k: int, z):

@@ -1050,7 +1050,7 @@ class TestDiagnosticsAndDeterminism:
 
     def test_import_loads_neither_scipy_nor_mpmath(self):
         # the FFT resolves every eigenvalue of the first kernel (spread 16);
-        # the second (spread 1.2e13) also runs the spot check
+        # the second (spread 1.2e13) also runs the finite-sum check
         package_root = str(pathlib.Path(ds.__file__).resolve().parent.parent)
         script = (
             "import sys\n"
@@ -1140,7 +1140,7 @@ class TestCommandProcess:
 
     def test_no_command_loads_mpmath(self, tmp_path):
         # kernel spreads of 1.4 and 1.2e13: the FFT resolves every eigenvalue
-        # of the first, and the second also runs the spot check
+        # of the first, and the second also runs the finite-sum check
         samples = tmp_path / "samples.csv"
         samples.write_text("k,re,im\n" + "".join(f"{k},1,0\n" for k in range(8)))
         points = write_points(tmp_path / "points.csv", [0.05 + 0j])

@@ -51,14 +51,14 @@ def test_skewed_fft_trips_the_check(monkeypatch):
     assert info.value.gap == pytest.approx(1e-9, rel=1e-3)
 
 
-def test_skewed_spot_check_trips_the_check(monkeypatch):
+def test_skewed_finite_sum_check_trips_the_check(monkeypatch):
     # the spread of (5, 0.2, 12) passes 1e12, so the smallest lhat_j is
-    # below the FFT's resolution and only the spot check sees it
-    spot = undersampled._spot_log_eigenvalue
-    monkeypatch.setattr(undersampled, "_spot_log_eigenvalue", lambda *args: spot(*args) + 1e-9)
+    # below the FFT's resolution and only the finite-sum check sees it
+    check = undersampled._finite_sum_log_gap
+    monkeypatch.setattr(undersampled, "_finite_sum_log_gap", lambda *args: check(*args) + 1e-9)
     with pytest.raises(EigenvalueCrossCheckError, match="disagree") as info:
         ds.overlap_kernel(5, ds.SamplingGrid(0.2, 12))
-    assert (info.value.check, info.value.j) == ("spot", 11)
+    assert (info.value.check, info.value.j) == ("finite sum", 11)
     assert info.value.gap == pytest.approx(1e-9, rel=1e-3)
 
 

@@ -96,3 +96,25 @@ class TestRandomSignal:
             oracle.random_signal(2, seed=0)
         with pytest.raises(ValueError):
             oracle.random_signal(2, band_limit=1, decay=0.5, seed=0)
+
+
+class TestFiniteSumLogEigenvalues:
+    @pytest.mark.parametrize(
+        "twice_s, radius, n", [(2, 0.5, 1), (3, 0.5, 3), (2, 0.7, 12), (5, 0.5, 30), (40, 0.9, 64),
+                               (200, 0.9995, 8)]
+    )
+    def test_agrees_with_the_row_dft_at_every_index(self, twice_s, radius, n):
+        # two exact forms of lhat_j, each rounded to a double once
+        grid = ds.SamplingGrid(radius, n)
+        logs = oracle.finite_sum_log_eigenvalues(twice_s, grid, range(n))
+        rows = [oracle.row_dft_log_eigenvalue(twice_s, grid, j) for j in range(n)]
+        assert np.allclose(logs, rows, rtol=0.0, atol=2e-15 + 2 * np.spacing(np.abs(rows)))
+
+    def test_covers_lhat_below_the_double_range(self):
+        # lhat_2047 = e^-9411.55, below the smallest double; at 2s = 2,
+        # c(j) = j + 1 = N, c(j + N) = N - 1 - j = 0 and 1 - y^N = 1 - 1e-4096
+        grid = ds.SamplingGrid(0.1, 2048)
+        log_lhat = oracle.finite_sum_log_eigenvalues(2, grid, [2047])[0]
+        log_y = 2 * np.log(0.1)
+        closed = np.log(2048) + 2 * np.log1p(-0.01) + 2047 * log_y + np.log(2048)
+        assert log_lhat == pytest.approx(closed, rel=1e-15)

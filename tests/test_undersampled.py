@@ -1,3 +1,5 @@
+import math
+import time
 import warnings
 
 import mpmath as mp
@@ -15,7 +17,7 @@ from conftest import random_disk_points, sup_relative_error
 
 
 # prime, prime-power and mixed lengths, the rim, and a prime length whose
-# spread of 1e44 only the spot check covers
+# spread of 1e44 only the finite-sum check covers
 DIRECT_DFT_KERNELS = [
     (2, 0.5, 1), (5, 0.9, 1), (2, 0.3, 2), (8, 0.7, 2), (3, 0.5, 3),
     (40, 0.9, 3), (2, 0.9, 5), (5, 0.3, 5), (3, 0.7, 7), (8, 0.5, 7),
@@ -188,25 +190,34 @@ class TestKernelEigenvalues:
         "twice_s, radius, n",
         DIRECT_DFT_KERNELS
         + LARGE_SPIN_KERNELS
-        + [(2, 0.5, 509), (200, 0.9, 1024), (2, 0.7, 1024), (2000, 0.99, 64)],
+        + [(2, 0.5, 509), (200, 0.9, 1024), (2, 0.7, 1024), (2000, 0.9, 1024)],
     )
-    def test_spot_sum_matches_the_extended_precision_row_sum(self, twice_s, radius, n):
+    def test_finite_sum_matches_the_exact_oracle(self, twice_s, radius, n):
         # at the smallest lhat_j, where construction runs it; (2, 0.7, 1024)'s
-        # is subnormal
+        # is subnormal.  The oracle's log is rounded once, so the check may
+        # differ from it by half its ulp plus the check's own 3u + 5 2^-100
         grid = ds.SamplingGrid(radius, n)
-        eigenvalues = ds.overlap_kernel(twice_s, grid).eigenvalues
-        j = int(np.argmin(eigenvalues))
-        denominator = undersampled._row_denominator(grid)
-        spot = undersampled._spot_log_eigenvalue(
-            twice_s, grid, denominator, j, float(np.log(eigenvalues[j])))
-        assert abs(spot - oracle.row_dft_log_eigenvalue(twice_s, grid, j)) <= 5e-13
+        log_eig = undersampled._log_class_tails(ds.ResolutionSpectrum(twice_s, grid),
+                                                np.arange(n), "eigenvalue")
+        j = int(np.argmin(log_eig))
+        exact = float(oracle.finite_sum_log_eigenvalues(twice_s, grid, [j])[0])
+        gap = undersampled._finite_sum_log_gap(twice_s, grid, j, exact)
+        assert abs(gap) <= 0.5 * math.ulp(exact) + 4 * 2.0**-53
+
+    @pytest.mark.parametrize("twice_s, radius, n", DIRECT_DFT_KERNELS)
+    def test_finite_sum_passes_every_class_tail(self, twice_s, radius, n):
+        grid = ds.SamplingGrid(radius, n)
+        log_eig = undersampled._log_class_tails(ds.ResolutionSpectrum(twice_s, grid),
+                                                np.arange(n), "eigenvalue")
+        for j in range(0, n, max(1, n // 16)):
+            gap = undersampled._finite_sum_log_gap(twice_s, grid, j, float(log_eig[j]))
+            assert abs(gap) <= undersampled._EIG_AGREE_RTOL, j
 
     @pytest.mark.parametrize(
-        "twice_s, radius, n", [(200, 0.999, 16), (2000, 0.99, 64), (2000, 0.9, 1024), (5, 0.2, 12)]
+        "twice_s, radius, n", [(200, 0.999, 16), (1000, 0.99, 512), (2000, 0.9, 1024), (5, 0.2, 12)]
     )
-    def test_spot_sum_passes_the_class_tail_and_fails_a_skewed_value(self, twice_s, radius, n):
-        # the value under check sets the sum's cutoff and working precision,
-        # so a value off by more than the tolerance must fail on either side
+    def test_finite_sum_passes_the_class_tail_and_fails_a_skewed_value(self, twice_s, radius, n):
+        # a value off by more than the tolerance must fail on either side
         grid = ds.SamplingGrid(radius, n)
         spectrum = ds.ResolutionSpectrum(twice_s, grid)
         log_eig = undersampled._log_class_tails(spectrum, np.arange(n), "eigenvalue")
@@ -214,25 +225,51 @@ class TestKernelEigenvalues:
 
         def gap(skew):
             log_size = float(log_eig[j]) + skew
-            spot = undersampled._spot_log_eigenvalue(
-                twice_s, grid, undersampled._row_denominator(grid), j, log_size)
-            return abs(np.expm1(log_size - spot))
+            return abs(np.expm1(undersampled._finite_sum_log_gap(twice_s, grid, j, log_size)))
 
         assert gap(0.0) <= undersampled._EIG_AGREE_RTOL
         for skew in (1e-11, -1e-11, 10.0, -10.0, 300.0, -300.0):
             assert not gap(skew) <= undersampled._EIG_AGREE_RTOL, skew
 
     @pytest.mark.parametrize("twice_s, radius, n, j", [(2, 0.5, 6, 3), (2, 0.3, 4, 2)])
-    def test_a_value_far_above_lhat_leaves_no_positive_sum_and_fails(
-        self, twice_s, radius, n, j
-    ):
-        # a claimed e^42.5 keeps only the terms above e^-0.7 here, C_0 = 1 and
-        # the pair l = 1, N-1, whose half-turn twiddles make the sum negative
+    def test_a_value_far_above_lhat_fails(self, twice_s, radius, n, j):
+        # a claimed e^42.5 against lhat_j below 1: the row sum, cut to its
+        # terms above e^-0.7, went negative here; the finite sum's terms are
+        # all positive, so the value is simply far off
         grid = ds.SamplingGrid(radius, n)
-        spot = undersampled._spot_log_eigenvalue(
-            twice_s, grid, undersampled._row_denominator(grid), j, 42.5)
-        assert spot == -np.inf
-        assert not abs(np.expm1(42.5 - spot)) <= undersampled._EIG_AGREE_RTOL
+        gap = undersampled._finite_sum_log_gap(twice_s, grid, j, 42.5)
+        assert gap > 42.5
+        assert not abs(np.expm1(gap)) <= undersampled._EIG_AGREE_RTOL
+
+    def test_finite_sum_passes_a_class_tail_rounded_past_1e_12(self):
+        # log lhat_4095 = -9844.09, where one ulp is 2^-39 = 1.8e-12: the row
+        # sum's rounded log was one ulp from the class tail's, a false fault
+        # at 1e-12.  The finite sum meets the class tail unrounded, and the
+        # limit is one ulp past |log lhat| = 8192, exactly 1e-12 below it
+        grid = ds.SamplingGrid(0.3, 4096)
+        log_eig = undersampled._log_class_tails(ds.ResolutionSpectrum(2, grid),
+                                                np.array([4095]), "eigenvalue")
+        log_size = float(log_eig[0])
+        assert math.ulp(log_size) == 2.0**-39 and math.ulp(8191.9) < 1e-12
+        exact = float(oracle.finite_sum_log_eigenvalues(2, grid, [4095])[0])
+        assert abs(exact - log_size) <= 2.0**-39
+        gap = undersampled._finite_sum_log_gap(2, grid, 4095, log_size)
+        assert abs(np.expm1(gap)) <= max(undersampled._EIG_AGREE_RTOL, math.ulp(log_size))
+
+    @pytest.mark.parametrize(
+        "twice_s, radius, n", [(8, 0.5, 4096), (8, 0.51, 4096), (2, 0.3, 4096), (2, 0.1, 2048),
+                               (2, 0.99999, 2**18)]
+    )
+    def test_deep_and_large_kernels_are_checked_in_100_ms(self, twice_s, radius, n):
+        # the row sum took 0.5-6.2 s on each; the finite sum's cost does not
+        # depend on the value under check, so any log serves
+        grid = ds.SamplingGrid(radius, n)
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            undersampled._finite_sum_log_gap(twice_s, grid, n - 1, 0.0)
+            best = min(best, time.perf_counter() - start)
+        assert best <= 0.1
 
     def test_condition_number_beyond_the_double_range_is_inf_without_a_warning(self):
         with warnings.catch_warnings():
@@ -245,14 +282,6 @@ class TestKernelEigenvalues:
         assert finite == float(np.exp(np.ptp(kernel.log_eigenvalues)))
         assert finite == pytest.approx(np.max(kernel.eigenvalues) / np.min(kernel.eigenvalues),
                                        rel=1e-14)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 59, 64, 509, 4096, 8192])
-    @pytest.mark.parametrize("bits", [60, 150, 1000, 5000])
-    def test_fixed_root_of_unity_is_within_two_units(self, n, bits):
-        re, im = undersampled._fixed_root_of_unity(n, bits)
-        with mp.workdps(int(bits * 0.302) + 40):
-            root = mp.expjpi(mp.mpf(2) / n) * mp.mpf(2) ** bits
-            assert abs(re - root.real) <= 2 and abs(im - root.imag) <= 2
 
     @pytest.mark.parametrize("radius, n", [(0.999, 16), (0.9995, 8)])
     def test_rim_kernels_pass_the_cross_check(self, radius, n):
@@ -267,42 +296,46 @@ class TestKernelEigenvalues:
     )
     def test_the_fft_alone_checks_a_peaked_rim_row(self, monkeypatch, twice_s, radius, n):
         # C_0 = 1 exactly and is charged no rounding, so the FFT's bound lies
-        # below half the 1e-12 budget at every lhat_j and no spot sum runs;
-        # the class tails of (2, 0.9999, 3) are long, yet within their budget
+        # below half the 1e-12 budget at every lhat_j and no finite-sum check
+        # runs; the class tails of (2, 0.9999, 3) are long, yet within their budget
         def refuse(*args):
-            raise AssertionError("ran the spot sum")
+            raise AssertionError("ran the finite-sum check")
 
-        monkeypatch.setattr(undersampled, "_spot_log_eigenvalue", refuse)
+        monkeypatch.setattr(undersampled, "_finite_sum_log_gap", refuse)
         kernel = ds.overlap_kernel(twice_s, ds.SamplingGrid(radius, n))
         assert kernel.first_row[0] == 1.0
         assert np.sum(kernel.eigenvalues) == pytest.approx(n, rel=1e-12)
 
     @pytest.mark.parametrize("twice_s, radius, n", [(5, 0.2, 12), (8, 0.9, 59)])
-    def test_a_spread_spectrum_still_runs_the_spot_sum(self, monkeypatch, twice_s, radius, n):
+    def test_a_spread_spectrum_still_runs_the_finite_sum_check(
+        self, monkeypatch, twice_s, radius, n
+    ):
         checked = []
-        spot = undersampled._spot_log_eigenvalue
+        check = undersampled._finite_sum_log_gap
 
-        def recorded(twice_s, grid, denominator, j, log_size):
+        def recorded(twice_s, grid, j, log_size):
             checked.append(j)
-            return spot(twice_s, grid, denominator, j, log_size)
+            return check(twice_s, grid, j, log_size)
 
-        monkeypatch.setattr(undersampled, "_spot_log_eigenvalue", recorded)
+        monkeypatch.setattr(undersampled, "_finite_sum_log_gap", recorded)
         kernel = ds.overlap_kernel(twice_s, ds.SamplingGrid(radius, n))
         assert checked == [int(np.argmin(kernel.eigenvalues))]
 
-    def test_both_checks_read_the_row_the_kernel_stores(self, monkeypatch):
-        # (5, 0.2, 12) runs the FFT check and the spot sum; both take the
-        # denominator the first_row view raises the row from
+    def test_the_fft_check_reads_the_row_the_kernel_stores(self, monkeypatch):
+        # (5, 0.2, 12) runs the FFT check and the finite-sum check; the row
+        # is formed once, as the first_row view forms it, and the finite sum
+        # reads no row
         formed = []
-        denominator = undersampled._row_denominator
+        first_row = undersampled._first_row
         monkeypatch.setattr(
-            undersampled, "_row_denominator", lambda grid: formed.append(grid) or denominator(grid)
+            undersampled, "_first_row", lambda *args: formed.append(args) or first_row(*args)
         )
         grid = ds.SamplingGrid(0.2, 12)
         kernel = ds.overlap_kernel(5, grid)
-        assert formed == [grid]
-        one_minus, d = denominator(grid)
-        assert np.array_equal(kernel.first_row, (one_minus / d) ** 5)
+        assert formed == [(5, grid)]
+        row, one_minus, d = first_row(5, grid)
+        assert np.array_equal(kernel.first_row, row)
+        assert np.array_equal(row, (one_minus / d) ** 5)
 
     def test_single_point_series_consistency(self):
         # N=1: the row DFT is C_0 = 1 exactly; the series must agree
