@@ -15,18 +15,11 @@ the best-possible partial reconstruction (the orthogonal projection onto the
 span of the sampled coherent states), a DFT-style coefficient transform, and
 computable error bounds for quasi-bandlimited signals.
 
-Numerical policy: lhat_j is the class tail of j, the lambda series summed
-in doubles outward from its largest term, as the error analysis sums its
-tails, and is kept as its log, which every transform reads: none re-logs or
-divides by a rounded lhat_j.  Construction checks it against the first row,
-which the series never reads: the float64 FFT of the row agrees to 1e-12
-relative, or to the FFT's rounding bound where larger.  Where the bound
-cannot resolve some lhat_j, the smallest is checked to 1e-12, or one ulp of
-its log where larger, against the finite sum N ((1-y)/(1-y^N))^(2s)
-sum_{k<2s} c(j+kN) y^(j+kN), y = r^2, in Python integers.  The tail
-ratios eps_n = (lhat_n - lambda_n)/lambda_n get their own series, never a
-subtraction, exact down to the underflow threshold and carried in the log
-domain where they leave the double range.
+Numerical policy: one outward scan of the spectrum by residue,
+:func:`_log_class_tails`, sums every class tail in doubles: each lhat_j, kept
+as the log that every transform reads (none re-logs or divides by a rounded
+lhat_j) and checked as :class:`CirculantKernel` states, and the error
+analysis's tails, so eps_n = (lhat_n - lambda_n)/lambda_n needs no subtraction.
 """
 
 from __future__ import annotations
@@ -51,6 +44,7 @@ from .basis import (
     _ring_dft,
     _scalar_or_array,
     _segment_rows,
+    _two_sum,
     log_binomial,
 )
 from .validation import (
@@ -81,8 +75,8 @@ __all__ = list(_EXPORTS["undersampled"])
 
 _EIG_AGREE_RTOL = 1e-12
 _UNIT_ROUNDOFF = 2.0**-53
-_MAX_SERIES_BLOCKS = 100_000
-_SERIES_BLOCK = 16
+_MAX_TERMS = 1_600_000
+_SCAN_BLOCK = 4096
 _SERIES_TOL = 1e-16
 _SUM_BITS = 100
 _LN2_HIGH, _LN2_LOW = 6.93147180369123816490e-01, 1.90821492927058770002e-10
@@ -177,37 +171,6 @@ def _first_row(twice_s: int, grid: SamplingGrid) -> tuple[np.ndarray, float, np.
     half_sin = np.sin(0.5 * ang)
     d = one_minus + 2.0 * r2 * half_sin * half_sin - 1j * r2 * np.sin(ang)
     return _read_only((one_minus / d) ** twice_s), one_minus, d
-
-
-def _series_sum(log_terms, name: str) -> np.ndarray:
-    """Row sums of positive series, truncated under the global policy.
-
-    ``log_terms`` maps a block of term indices q = 0, 1, ... to the
-    rows x block array of log-terms, none above 0.  Terms are positive with
-    eventually decreasing ratios, so a geometric majorant built from the last
-    observed ratio bounds the tail.  Each row stops at its own first
-    negligible block, so a row's sum does not depend on the rows summed with
-    it.  Every series in this module is summed here; one still open after
-    the budget of terms raises ``SeriesBudgetError``.
-    """
-    total, open_rows = 0.0, True
-    for block in range(_MAX_SERIES_BLOCKS):
-        q = np.arange(block * _SERIES_BLOCK, (block + 1) * _SERIES_BLOCK)
-        terms = np.exp(log_terms(q))
-        total = np.where(open_rows, total + terms.sum(axis=1), total)
-        open_rows = open_rows & ~_tail_negligible(terms[:, -1], terms[:, -2], _SERIES_TOL * total)
-        if not open_rows.any():
-            return total
-    raise SeriesBudgetError(name, _MAX_SERIES_BLOCKS * _SERIES_BLOCK)
-
-
-def _tail_negligible(last: np.ndarray, prev: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """Rows whose last term is zero, or whose last term and geometric-majorant
-    tail both lie below ``bound``."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(prev > 0.0, last / prev, 0.0)
-        tail = last * ratio / (1.0 - ratio)
-    return (last == 0.0) | ((ratio < 1.0) & (last < bound) & (tail < bound))
 
 
 def _fft_error_bound(twice_s: int, grid: SamplingGrid, row: np.ndarray, one_minus, d) -> float:
@@ -422,17 +385,13 @@ def projector_element(kernel: CirculantKernel, m: int, n: int) -> float:
 def tail_excess(spectrum: ResolutionSpectrum, n) -> np.ndarray | float:
     """Relative eigenvalue excess eps_n = (lhat_n - lambda_n)/lambda_n, n < N.
 
-    Computed by its own ratio series
-
-        eps_n = sum_{u>=1} lambda_{n+uN} / lambda_n,
-
-    never by subtracting lhat - lambda, so it stays exact down to the
-    underflow threshold (the difference cancels catastrophically once
-    eps_n drops below machine epsilon).  Strictly decreasing in n.  The
-    values come through ``validation.times_exp``: one beyond the double
-    range raises ``NumericalRangeError`` naming eps_n by its n, with its
-    log, and one below it is 0.  :func:`error_bound` reads eps_n in the log
-    domain and has no such limit.
+    eps_n = sum_{u>=1} lambda_{n+uN}/lambda_n, the class tail from n + N
+    over lambda_n, never lhat - lambda, which cancels catastrophically once
+    eps_n drops below machine epsilon, so it is exact down to the underflow
+    threshold; strictly decreasing in n.  It comes through
+    ``validation.times_exp``: a value beyond the double range raises
+    ``NumericalRangeError`` naming eps_n by its n, with its log, and one
+    below it is 0; :func:`error_bound` reads eps_n in the log domain.
     """
     n_s = spectrum.grid.n_samples
     n_arr = np.ravel(check_indices(n))
@@ -449,53 +408,79 @@ def _log_tail_excess(spectrum: ResolutionSpectrum, n: np.ndarray) -> np.ndarray:
 
 
 def _log_class_tails(spectrum: ResolutionSpectrum, starts: np.ndarray, name: str) -> np.ndarray:
-    """log sum_{q>=0} lambda_{start+qN} for each start: the spectrum mass at
-    and above start in its residue class, of any size.
+    """log sum_{q>=0} lambda_{start+qN} for each start, of any size (the
+    starts lie in one window of N indices; a repeat is summed once).
 
-    lambda_m rises up to the :func:`~basis._mode` and falls
-    after it, so each class is summed outward from its peak: upward from its first
-    index at or above the mode, and downward from the index below that to
-    the start.  Both sides then fall term by term, as the truncation test of
-    :func:`_series_sum` assumes, and every term is taken relative to the
-    peak, so none overflows and the peak term itself is 1.  A row that
-    cannot finish within the budget is refused first (:func:`_check_budget`).
+    One scan sums every class: row q holds entry qN + (start mod N) of each
+    class from its start on, and rows are read up and down from the row of
+    the :func:`~basis._mode` (or of the lowest start above it), whose first
+    three hold each class's largest term, to which every term is relative.
+    A direction stops once, in every class, the geometric majorant t R/(1-R)
+    (t the last term, R its ratio to the one before; the pmf is log-concave)
+    is below 1e-16 of the running sum; chunks end where the pmf's closed form
+    (``math.lgamma``) predicts that stop.  A direction may read ``_MAX_TERMS``
+    rows, below index 2^52: ``SeriesBudgetError`` is raised where every open
+    one ends them unstopped, and, before any row is read, where lambda_m
+    rho^N/(1-rho^N) >= 1e-16 N/K at the last index m the upward budget
+    reaches (rho the pmf's ratio there): that bounds the majorants there from
+    below, the pmf falls faster below its mode, and K class sums total <= N.
+    Chunks of R <= 2^12 rows are summed pairwise and carried by
+    ``basis._two_sum``: a class sum is within (ceil(log2 R) + 1) u, u = 2^-53,
+    of the sum of its rounded terms, and its unread terms below 2e-16 of it.
     """
-    n_s = spectrum.grid.n_samples
-    mode = _mode(spectrum.twice_s, spectrum._rim)
-    rise = np.maximum(0, np.ceil((mode - starts) / n_s)).astype(np.int64)
-    top = starts + rise * n_s
-    down = np.flatnonzero(rise > 0)
-    peak = spectrum.log_values(top)
-    peak[down] = np.maximum(peak[down], spectrum.log_values(top[down] - n_s))
-    # one row per class upward from top, one per class with terms below top downward
-    first = np.concatenate([top, top[down] - n_s])[:, np.newaxis]
-    step = np.concatenate([np.full(top.size, n_s), np.full(down.size, -n_s)])[:, np.newaxis]
-    count = np.concatenate([np.full(top.size, np.iinfo(np.int64).max), rise[down]])
-    count, shift = count[:, np.newaxis], np.concatenate([peak, peak[down]])[:, np.newaxis]
+    n, twice_s, log_y = spectrum.grid.n_samples, spectrum.twice_s, math.log(spectrum._rim[2])
+    starts, inverse = np.unique(starts, return_inverse=True)
+    centre = int(max(_mode(twice_s, spectrum._rim), starts[0]) // n)
+    residues, top = starts % n, (centre + _MAX_TERMS) * n - 1
+    offset = math.log(n) - math.lgamma(twice_s) + twice_s * math.log(spectrum._rim[0])
 
-    def log_terms(q):
-        inside = q < count
-        log_lam = spectrum.log_values(np.where(inside, first + q * step, 0))
-        return np.where(inside, log_lam - shift, -np.inf)
+    def log_majorant(log_t, m, sign):  # log t R/(1-R), R = rho^N, rho the pmf's ratio past m
+        lr = sign * (log_y + math.log1p((twice_s - 1) / (m + (sign > 0))))
+        return log_t + n * lr - math.log(-math.expm1(n * lr)) if lr < 0.0 else math.inf
 
-    _check_budget(log_terms, name)
-    sums = _series_sum(log_terms, name)
-    total = sums[: top.size]
-    total[down] += sums[top.size :]
-    return peak + np.log(total)
+    def read(rows):  # log lambda over the rows, -inf before each class's start
+        index = rows[:, np.newaxis] * n + residues
+        logs = [spectrum.log_values(np.maximum(index.flat[i : i + _SCAN_BLOCK], 0))
+                for i in range(0, index.size, _SCAN_BLOCK)]
+        return np.where(index >= starts, np.concatenate(logs).reshape(index.shape), -np.inf)
 
+    def add(terms):  # pairwise over the rows, then carried with its rounding error
+        while len(terms) > 1:
+            half = len(terms) // 2
+            terms = np.concatenate((terms[:half] + terms[half : 2 * half], terms[2 * half :]))
+        sums[0], error = _two_sum(sums[0], terms[0])
+        sums[1] += error
 
-def _check_budget(log_terms, name: str) -> None:
-    """Raise ``SeriesBudgetError`` where some row fails the stopping test of
-    :func:`_series_sum` at every block end of its budget of C terms.  A
-    row's terms fall and are log-concave (the negative-binomial pmf is, for
-    2s >= 1), so its last term and majorant tail only fall with q and its
-    sum is at most C times its first term: failing the test at its C-th term
-    against tol C times its first, it fails at every block end."""
-    budget = _MAX_SERIES_BLOCKS * _SERIES_BLOCK
-    terms = np.exp(log_terms(np.array([0, budget - 2, budget - 1])))
-    if not _tail_negligible(terms[:, 2], terms[:, 1], _SERIES_TOL * budget * terms[:, 0]).all():
-        raise SeriesBudgetError(name, budget)
+    def stopped(term, before):  # every class's majorant below 1e-16 of its running sum
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = term / before
+            return np.all((term == 0.0) | (term * ratio < _SERIES_TOL * sums[0] * (1.0 - ratio)))
+
+    if top >= 2**52 or log_majorant(spectrum.log_values(top), top, 1) >= math.log(
+            _SERIES_TOL * n / starts.size):
+        raise SeriesBudgetError(name, _MAX_TERMS)
+    logs = read(np.arange(centre - 1, centre + 2))
+    peak, sums = logs.max(axis=0), np.zeros((2, starts.size))
+    add(terms := np.exp(logs - peak))
+    scans = [[1, centre + 1, centre + _MAX_TERMS - 1, terms[2], terms[1]],
+             [-1, centre - 1, max(starts[0] // n - 1, centre - _MAX_TERMS), terms[0], terms[1]]]
+    while scans := [scan for scan in scans if not stopped(*scan[3:])]:
+        if all(scan[1] == scan[2] for scan in scans):
+            raise SeriesBudgetError(name, _MAX_TERMS)
+        log_bound = math.log(_SERIES_TOL) + float(np.min(peak + np.log(sums[0])))
+        for scan in (scan for scan in scans if scan[1] != scan[2]):
+            sign, last, limit = scan[:3]
+            low, high = 1, abs(limit - last)
+            while low < high:  # the fewest rows to the stop, by the pmf's closed form
+                mid = (low + high) // 2
+                m = (last + sign * mid) * n + (n - 1) * (sign < 0)
+                log_t = offset + math.lgamma(twice_s + m) - math.lgamma(m + 1) + m * log_y
+                passed = log_majorant(log_t, m - sign * n, sign) < log_bound
+                low, high = (low, mid) if passed else (mid + 1, high)
+            rows = last + sign * np.arange(1, min(low, max(1, _SCAN_BLOCK // starts.size)) + 1)
+            add(terms := np.exp(read(rows) - peak))
+            scan[1], scan[3], scan[4] = rows[-1], terms[-1], np.vstack((scan[3], terms))[-2]
+    return (peak + np.log(sums[0] + sums[1]))[inverse]
 
 
 def quasi_band_profile(signal: DiskSignal, band_limit: int) -> QuasiBandProfile:

@@ -537,13 +537,14 @@ class TestErrorAnalysis:
 
     @pytest.mark.parametrize(
         "coefficients, row",
-        [([1e-320, 1e-320], "0.5,2,0,0.14694393382352941,0.17279411764705879,0,1"),
-         ([1.5e308 + 1.5e308j, 1.0], "0.5,2,0,0.17279411764705879,0.17279411764705879,0,1")],
+        [([1e-320, 1e-320], "0.5,2,0,0.14694393382352947,0.17279411764705888,0,1"),
+         ([1.5e308 + 1.5e308j, 1.0], "0.5,2,0,0.17279411764705888,0.17279411764705888,0,1")],
         ids=["subnormal", "modulus-overflows"],
     )
     def test_a_signal_of_any_finite_size_answers(self, tmp_path, coefficients, row):
-        # the subnormal signal's row is that of [1, 1]; the other's is that
-        # of its leading coefficient alone
+        # the subnormal signal's row is, to 2 ulps, that of [1, 1]: exactly
+        # 1279/8704 and 188/1088; the other's is that of its leading
+        # coefficient alone, whose error equals the bound
         signal_path = write_signal(tmp_path / "sig.json", 2, coefficients)
         code, out, err = run_in_process(["synthesize", "--r", "0.5", "--n", "4",
                                          "--input", str(signal_path)])
@@ -596,6 +597,19 @@ class TestErrorAnalysis:
         signal_path = write_signal(tmp_path / "sig.json", 2, [1.0, 0.5, 0.25, 0.1])
         assert run_cli(
             "error-analysis", "--input", str(signal_path), "--r", "0.999999", "--n", "3",
+        ) == 3
+        assert capsys.readouterr().err == (
+            "disksampling: numerical failure: lambda tail series needs more than its "
+            "budget of 1600000 terms\n"
+        )
+
+    def test_a_class_tail_that_reaches_index_2_to_the_52_exits_three(self, tmp_path, capsys):
+        # r = 1 - 2^-53 puts the mode near 2^52, where float64 stops holding
+        # every integer index: a limit of the summation, not a bad argument
+        signal_path = write_signal(tmp_path / "sig.json", 2, [1.0, 0.5, 0.25, 0.1])
+        assert run_cli(
+            "error-analysis", "--input", str(signal_path), "--r", "0.9999999999999999",
+            "--n", "3",
         ) == 3
         assert capsys.readouterr().err == (
             "disksampling: numerical failure: lambda tail series needs more than its "

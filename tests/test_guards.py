@@ -1,6 +1,11 @@
 """Failure-path wiring and the documented concurrency guarantees."""
 
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -783,45 +788,34 @@ def test_no_array_a_record_stores_caches_or_views_is_writeable(record, name):
         ("lambda tail series", lambda kernel, signal: ds.alias_error(kernel.spectrum, signal)),
     ],
 )
-def test_each_series_names_itself_when_it_fails_to_terminate(monkeypatch, series, build):
-    # at r = 0.9, N = 2 the terms shrink by about r^4 per step, so one block
-    # of 16 terms cannot reach the 1e-16 truncation tolerance
+def test_each_series_names_itself_when_it_exceeds_its_budget(monkeypatch, series, build):
+    # at r = 0.9, N = 2 a class's terms shrink by about r^4 a row, so 16 rows
+    # cannot reach the 1e-16 truncation tolerance
     kernel = ds.overlap_kernel(2, ds.SamplingGrid(0.9, 2))
     signal = ds.DiskSignal(2, [1.0, 0.5, 0.25])
-    monkeypatch.setattr(undersampled, "_MAX_SERIES_BLOCKS", 1)
+    monkeypatch.setattr(undersampled, "_MAX_TERMS", 16)
     with pytest.raises(
         SeriesBudgetError, match=f"^{series} needs more than its budget of 16 terms$"
     ):
         build(kernel, signal)
 
 
-@pytest.mark.parametrize(
-    "series, build",
-    [
-        ("eigenvalue series", lambda spectrum, signal: ds.overlap_kernel(2, spectrum.grid)),
-        ("lambda tail series", lambda spectrum, signal: undersampled._error_row(
-            spectrum, signal, ds.quasi_band_profile(signal, 2), "printed")),
-    ],
-)
-def test_a_series_that_cannot_finish_fails_before_summing(monkeypatch, series, build):
-    # at r = 1 - 1e-6, N = 3 a class falls by no more than r^6 a step, so its
-    # tail needs at least log(1e-16)/log(r^6), about 6.1 million terms, more
-    # than the 1.6 million the series may sum
-    def refuse(*args):
-        raise AssertionError("summed a series that cannot finish")
+def _spectrum_reads(monkeypatch) -> list:
+    """The sizes of the index arrays that every later spectrum read is given."""
+    sizes, log_values = [], basis.ResolutionSpectrum.log_values
 
-    monkeypatch.setattr(undersampled, "_series_sum", refuse)
-    spectrum = ds.ResolutionSpectrum(2, ds.SamplingGrid(0.999999, 3))
-    signal = ds.DiskSignal(2, [1.0, 0.5, 0.25, 0.1])
-    with pytest.raises(
-        SeriesBudgetError, match=f"^{series} needs more than its budget of 1600000 terms$"
-    ):
-        build(spectrum, signal)
+    def counted(self, n):
+        sizes.append(np.size(n))
+        return log_values(self, n)
+
+    monkeypatch.setattr(basis.ResolutionSpectrum, "log_values", counted)
+    return sizes
 
 
 @pytest.mark.parametrize(
     "twice_s, radius, n",
-    [(2000, 0.9999, 1), (200, 0.99995783, 1), (40, 0.999994377, 4), (2000, 0.99994043, 2)],
+    [(2, 0.999999, 3), (2000, 0.9999, 1), (200, 0.99995783, 1), (40, 0.999994377, 4),
+     (2000, 0.99994043, 2), (200, 0.999957125, 1)],
 )
 @pytest.mark.parametrize(
     "series, build",
@@ -833,37 +827,33 @@ def test_a_series_that_cannot_finish_fails_before_summing(monkeypatch, series, b
             "printed")),
     ],
 )
-def test_a_wide_mode_that_cannot_finish_fails_before_summing(
+def test_a_series_that_cannot_finish_is_refused_before_it_reads(
     monkeypatch, series, build, twice_s, radius, n
 ):
-    # at 2s = 2000, r = 0.9999 the spectrum peaks near index 1e7 and is about
-    # 2.2e5 indices wide; at N = 1 its terms fall so slowly there that a class
-    # tail cannot finish within 1.6 million terms, though at r^2 a step it would;
-    # the other three lie near the refusal boundary, and each sums the whole
-    # budget, for over 20 s, where it is not refused first
-    def refuse(*args):
-        raise AssertionError("summed a series that cannot finish")
-
-    monkeypatch.setattr(undersampled, "_series_sum", refuse)
+    # at r = 1 - 1e-6, N = 3 a class falls by no more than r^6 a row, so its
+    # tail needs about 6.1 million rows, more than the 1.6 million a scan may
+    # read each way; at 2s = 2000, r = 0.9999 the spectrum peaks near index
+    # 1e7 and is about 2.2e5 indices wide, too wide for N = 1.  The others lie
+    # near the refusal boundary: (200, 0.999957125, 1) was once summed to the
+    # budget for 28.8 s before it was refused.  Each is refused after the
+    # error analysis's own 4 lambdas and one index of the budget's last row
     spectrum = ds.ResolutionSpectrum(twice_s, ds.SamplingGrid(radius, n))
     signal = ds.DiskSignal(twice_s, [1.0, 0.5, 0.25, 0.1])
+    reads = _spectrum_reads(monkeypatch)
     with pytest.raises(
         SeriesBudgetError, match=f"^{series} needs more than its budget of 1600000 terms$"
     ):
         build(spectrum, signal)
+    assert sum(reads) <= 5
 
 
 @pytest.mark.parametrize("kind", ["kernel", "tail"])
-def test_the_budget_check_never_refuses_a_series_that_would_finish(monkeypatch, kind):
-    # with a budget of 64 terms, a grid across the refusal boundary: wherever
-    # the check refuses, the series summed anyway must run out at the cap
-    class Summed(Exception):
-        pass
-
-    def summed(*args):
-        raise Summed
-
-    monkeypatch.setattr(undersampled, "_MAX_SERIES_BLOCKS", 4)
+def test_the_budget_refusal_never_fires_where_the_scan_would_finish(monkeypatch, kind):
+    # with a budget of 64 rows, a grid across the refusal boundary: wherever
+    # the scan refuses, some class's geometric majorant at the budget's last
+    # row above or below the centre is still at least 1e-16 of the class's
+    # whole sum, so no reading within the budget could have stopped
+    budget = 64
     for twice_s in (2, 3, 8, 40, 200):
         for n in (1, 2, 3, 8, 64):
             starts = np.arange(n) + (n if kind == "tail" else 0)
@@ -871,17 +861,78 @@ def test_the_budget_check_never_refuses_a_series_that_would_finish(monkeypatch, 
             for one_minus_r in np.geomspace(0.9, 1e-4, 24):
                 spectrum = ds.ResolutionSpectrum(twice_s, ds.SamplingGrid(1.0 - one_minus_r, n))
                 with monkeypatch.context() as patch:
-                    patch.setattr(undersampled, "_series_sum", summed)
-                    with pytest.raises((SeriesBudgetError, Summed)) as info:
+                    patch.setattr(undersampled, "_MAX_TERMS", budget)
+                    try:
                         undersampled._log_class_tails(spectrum, starts, "class")
-                verdicts.append(info.type is SeriesBudgetError)
-                if verdicts[-1]:
-                    with monkeypatch.context() as patch:
-                        patch.setattr(undersampled, "_check_budget", lambda *args: None)
-                        with pytest.raises(SeriesBudgetError):
-                            undersampled._log_class_tails(spectrum, starts, "class")
+                    except SeriesBudgetError:
+                        verdicts.append(True)
+                    else:
+                        verdicts.append(False)
+                if not verdicts[-1]:
+                    continue
+                log_sums = undersampled._log_class_tails(spectrum, starts, "class")
+                centre = int(max(basis._mode(twice_s, spectrum._rim), starts[0]) // n)
+                rows = [(centre + budget - 1, 1)]
+                if centre - budget > starts[0] // n:
+                    rows.append((centre - budget, -1))
+                stuck = False
+                for row, sign in rows:
+                    index = row * n + starts % n
+                    log_last = spectrum.log_values(index)
+                    ratio = np.exp(log_last - spectrum.log_values(index - sign * n))
+                    with np.errstate(divide="ignore"):
+                        log_major = np.where(ratio < 1.0, log_last + np.log(ratio / (1.0 - ratio)),
+                                             np.inf)
+                    unread = (index - n >= starts) if sign < 0 else True
+                    stuck |= bool(np.any(unread & (log_major >= np.log(1e-16) + log_sums)))
+                assert stuck, (twice_s, n, one_minus_r)
             # the grid straddles the boundary at every (2s, N)
-            assert 0 < sum(verdicts) < len(verdicts)
+            assert 0 < sum(verdicts) < len(verdicts), (twice_s, n)
+
+
+@pytest.mark.parametrize("twice_s, n", [(2, 3), (2**20, 1)])
+def test_class_tails_that_reach_index_2_to_the_52_exceed_the_budget(twice_s, n):
+    # at r = 1 - 2^-53 the mode lies near (2s-1) 2^52, where float64 stops
+    # holding every integer index; no series names an index it was not given
+    spectrum = ds.ResolutionSpectrum(twice_s, ds.SamplingGrid(1.0 - 2.0**-53, n))
+    signal = ds.DiskSignal(twice_s, [1.0, 0.5])
+    builds = {
+        "eigenvalue": lambda: ds.overlap_kernel(twice_s, spectrum.grid),
+        "tail-excess": lambda: ds.tail_excess(spectrum, 0),
+        "lambda tail": lambda: ds.alias_error(spectrum, signal),
+    }
+    for series, build in builds.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SeriesBudgetError, match=f"^{series} series needs more than"):
+                build()
+
+
+def test_a_wide_kernel_whose_row_resolves_it_builds_at_once():
+    # the class tails of (2000, 0.9999, 2) once took 988,384 terms and 13 s;
+    # its eigenvalues are 1 +- ((1-y)/(1+y))^(2s), y = r^2, so both logs are 0
+    start = time.perf_counter()
+    kernel = ds.overlap_kernel(2000, ds.SamplingGrid(0.9999, 2))
+    assert time.perf_counter() - start < 2.0
+    assert np.max(np.abs(kernel.log_eigenvalues)) <= 1e-12
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_a_kernel_of_2_to_the_18_samples_builds_in_bounded_memory():
+    # the class tails once held every class's rows at once, about 693 MB at
+    # (2, 0.99999, 2^18).  The child reports its own high-water mark: a
+    # spawned child's ru_maxrss starts from its parent's, and tracemalloc
+    # slows this build about 7 times
+    script = ("import disksampling as ds\n"
+              "ds.overlap_kernel(2, ds.SamplingGrid(0.99999, 2**18))\n"
+              "with open('/proc/self/status') as status:\n"
+              "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n")
+    package_root = str(pathlib.Path(ds.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           env=env, check=True, timeout=300)
+    assert int(child.stdout) <= 120 * 1024  # kB
 
 
 @pytest.mark.parametrize(
