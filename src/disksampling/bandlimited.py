@@ -96,13 +96,14 @@ def sinc_kernel(fm: FrameMatrix, k: int, z):
     log_one_minus_r2 = _log_one_minus_mod2(_one_minus_mod2(r))
 
     def values(z_flat):
-        ratio = np.conj(z_flat) * np.exp(2j * np.pi * k / n) / r
-        t = np.log(ratio, out=np.full_like(ratio, -np.inf), where=ratio != 0)
+        # no quotient by r, which overflows where r is subnormal
+        turned = np.conj(z_flat) * np.exp(2j * np.pi * k / n)
+        t = np.log(turned, out=np.full_like(turned, -np.inf), where=turned != 0) - np.log(r)
         top = np.where(t.real > 0, t, 0)
         step = np.where(t.real > 0, -t, t)
         # (M+1) t by parts: at z = 0, t = -inf and a complex product makes the 0j NaN
         whole = (m + 1) * step.real + 1j * ((m + 1) * step.imag)
-        total = np.divide(np.expm1(whole), np.expm1(step), out=np.full_like(ratio, m + 1),
+        total = np.divide(np.expm1(whole), np.expm1(step), out=np.full_like(turned, m + 1),
                           where=np.abs(step) >= np.finfo(np.float64).tiny)
         log_one_minus = _log_one_minus_mod2(_one_minus_mod2(z_flat))
         log_factor = s * (log_one_minus - log_one_minus_r2) - np.log(n) + m * top.real

@@ -75,11 +75,8 @@ _STIRLING_ERRORS = np.array([
 ])
 
 #: The deviance series stops once its ratio raised to the term count is
-#: below this (one unit in the last place of its first term).
-_DEVIANCE_SERIES_TOL = 2.0**-53
-
-#: d and -d for the deviances' two differences, x - M.
-_SIGNS = np.array([-1.0, 1.0])
+#: below e^this (one unit in the last place of its first term).
+_LOG_DEVIANCE_SERIES_TOL = np.log(2.0**-53)
 
 
 def _two_product(a, b):
@@ -127,8 +124,7 @@ def _one_minus_mod2(z):
 
 def _log_one_minus_mod2(rim):
     """log(1 - |z|^2) from ``rim = _one_minus_mod2(z)``."""
-    one_minus, one_minus_lo = rim[0], rim[1]
-    return np.log(one_minus) + one_minus_lo / one_minus
+    return np.log(rim[0]) + rim[1] / rim[0]
 
 
 def _stirling_error(n):
@@ -166,12 +162,11 @@ def _deviance(x, mean, diff):
     v (diff + 2 x sum_{j>=1} v^(2j)/(2j+1)), summed to as many terms as the
     largest such v on the call needs; elsewhere it is x log1p(diff/M) - diff,
     which loses at most a few digits there.  ``mean`` and ``diff`` have the
-    shape of the result; ``x`` broadcasts against them.  One full-size array
-    holds v, then the result.
+    shape of the result, and ``x`` broadcasts; one array holds v, then the result.
     """
-    out = x + mean
+    out = np.asarray(x + mean, dtype=np.float64)
     np.divide(diff, out, out=out)
-    near = (out < 0.1) & (out > -0.1)
+    near = np.abs(out) < 0.1
     v = out[near]
     np.divide(diff, mean, out=out)
     np.log1p(out, out=out)
@@ -181,34 +176,13 @@ def _deviance(x, mean, diff):
         d = diff[near]
         w = v * v
         largest = w.max()
-        terms = int(np.ceil(np.log(_DEVIANCE_SERIES_TOL) / np.log(largest))) if largest else 0
-        series = np.zeros_like(w)
+        terms = int(np.ceil(_LOG_DEVIANCE_SERIES_TOL / np.log(largest))) if largest else 0
+        series = 0.0
         for j in range(terms, 0, -1):
             series = (series + 1.0 / (2 * j + 1)) * w
         # x = M + diff; only the small series term reads it
         out[near] = v * (d + 2.0 * (mean[near] + d) * series)
     return out
-
-
-def _deviance_terms(twice_s: int, n, total, rim):
-    """(x, M, x - M) of bd0(2s, T (1-|z|^2)) and bd0(n, T |z|^2), stacked on
-    a leading axis of two; x broadcasts against the other two.
-
-    x - M is -d for the first and d = n - T |z|^2 for the second; d is
-    formed from |z|^2 to about twice double precision, so it keeps its
-    accuracy up to the rim.
-    """
-    one_minus, _, mod2, mod2_lo = rim
-    mean, mean_lo = _two_product(total, mod2)
-    diff = (n - mean) - (mean_lo + total * mod2_lo)
-    means = np.empty((2,) + diff.shape)
-    means[0] = total * one_minus
-    means[1] = mean
-    x = np.empty((2,) + n.shape)
-    x[0] = twice_s
-    x[1] = n
-    x = x.reshape((2,) + (1,) * (diff.ndim - n.ndim) + n.shape)
-    return x, means, np.multiply.outer(_SIGNS, diff)
 
 
 def _log_pmf(twice_s: int, n, rim, twice_s_error=None) -> np.ndarray:
@@ -222,20 +196,23 @@ def _log_pmf(twice_s: int, n, rim, twice_s_error=None) -> np.ndarray:
         log NB = saddle(2s, n) - bd0(2s, T (1-|z|^2)) - bd0(n, T |z|^2).
 
     Every term is small near the mode, and the deviances grow without
-    cancellation away from it; both are taken in one pass.  At n = 0 the
-    value is 2s log(1 - |z|^2); at z = 0 it is -inf for n >= 1.  Every
-    binomial that meets a power of r or |z| in the package is taken here.
+    cancellation away from it.  Their x - M are -d and d = n - T |z|^2, formed
+    from |z|^2 to about twice double precision, so both keep their accuracy up
+    to the rim.  At n = 0 the value is 2s log(1 - |z|^2); at z = 0 it is -inf
+    for n >= 1.  Every binomial that meets a power of r or |z| is taken here.
     """
     if twice_s_error is None:
         twice_s_error = _stirling_error(float(twice_s))
     n = np.asarray(n, dtype=np.float64)
     total = twice_s + n
+    mean, mean_lo = _two_product(total, rim[2])
+    diff = (n - mean) - (mean_lo + total * rim[3])
+    del mean_lo  # so that at most six full-size arrays are live at once
     with np.errstate(divide="ignore", invalid="ignore"):
-        deviances = _deviance(*_deviance_terms(twice_s, n, total, rim))
-        out = np.subtract(_saddle_point(twice_s, n, twice_s_error), deviances[0])
-    out -= deviances[1]
-    if (n == 0).any():
-        out = np.where(n == 0, twice_s * _log_one_minus_mod2(rim), out)
+        out = _saddle_point(twice_s, n, twice_s_error) - _deviance(twice_s, total * rim[0], -diff)
+        out -= _deviance(n, mean, diff)
+    if (zero := n == 0).any():
+        out = np.where(zero, twice_s * _log_one_minus_mod2(rim), out)
     return out
 
 
@@ -408,21 +385,24 @@ def overlap(twice_s: int, z, w):
     (1-|z|^2) + conj(z) (z - w), which does not cancel near the diagonal.
     """
     twice_s = check_twice_s(twice_s)
-    z_arr = as_disk_points(z)
-    w_arr = as_disk_points(w)
-    rim = _one_minus_mod2(z_arr)
+    z_arr, w_arr = as_disk_points(z), as_disk_points(w)
+    return _scalar_or_array(_overlap(twice_s, z_arr, w_arr), z_arr, w_arr)
+
+
+def _overlap(twice_s: int, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """:func:`overlap` of checked arguments, as one array of their broadcast shape."""
+    rim = _one_minus_mod2(z)
     # one exponential per point, not one per pair
-    root = np.exp(0.5 * _log_one_minus_mod2(rim)) * np.exp(
-        0.5 * _log_one_minus_mod2(_one_minus_mod2(w_arr))
-    )
+    w_root = np.exp(0.5 * _log_one_minus_mod2(_one_minus_mod2(w)))
+    root = np.exp(0.5 * _log_one_minus_mod2(rim)) * w_root
     # in place: fewer large temporaries per block of points, fewer page faults
-    base = np.asarray(z_arr - w_arr)
-    base *= np.conj(z_arr)
+    base = np.asarray(z - w)
+    base *= np.conj(z)
     base += rim[0]
     np.divide(root, base, out=base)
     # **= keeps numpy's fast path for small exponents (a square at 2s = 2)
     base **= twice_s
-    return _scalar_or_array(base, z_arr, w_arr)
+    return base
 
 
 #: Query points evaluated together.  Every pointwise function works on one

@@ -40,6 +40,7 @@ from .basis import (
     _log_ring_weights,
     _mode,
     _one_minus_mod2,
+    _overlap,
     _pointwise,
     _ring_dft,
     _scalar_or_array,
@@ -312,15 +313,15 @@ def partial_reconstruct(kernel: CirculantKernel, samples, z):
     N sampled coherent states; it interpolates the samples exactly.  It is
     sum_l w_l <z|z_l> with w the :func:`dual_weights`, summed by ``np.einsum``,
     not a BLAS product, whose rounding depends on the number of points in the
-    block.  A sum beyond the double range raises ``NumericalRangeError`` (value_j).
+    block.  z is checked once, and each block's overlaps are taken unchecked.
+    A sum beyond the double range raises ``NumericalRangeError`` (value_j).
     """
     weights = dual_weights(kernel, samples)
     points, z_arr = kernel.grid.points[np.newaxis, :], as_disk_points(z)
 
     def sums(w):
-        # looked up at the call, as reconstruct_bandlimited looks up evaluate_signal
         return _pointwise(lambda block: np.einsum(
-            "qn,n->q", basis.overlap(kernel.twice_s, block[:, np.newaxis], points), w
+            "qn,n->q", _overlap(kernel.twice_s, block[:, np.newaxis], points), w
         ), z_arr.ravel())
 
     return _scalar_or_array(in_range(sums, weights, "value"), z_arr)
@@ -521,28 +522,31 @@ def alias_error(spectrum: ResolutionSpectrum, signal: DiskSignal) -> float:
 
 def _alias_sums(
     spectrum: ResolutionSpectrum, signal: DiskSignal
-) -> tuple[float, float, float]:
-    """(E^2, E^2 - ||psi||^2 eps_M^2, log ||P psi||^2) for band limit
-    M = N-1, each without cancellation, of the signal divided by its
-    power-of-two scale (``DiskSignal._scaled``); E^2 is the class sum of
+) -> tuple[float, float, float, float]:
+    """(E^2, G, log ||P psi||^2/||psi||^2, log eps_0) for band limit M = N-1,
+    each without cancellation, of the signal divided by its power-of-two
+    scale (``DiskSignal._scaled``); E^2 is the class sum of
     :func:`alias_error`, which scales it back.
 
     The L stored coefficients are laid out as a zero-padded ceil(L/N) x
     min(N, L) matrix, column j holding class j, so every class quantity is
-    one column reduction and the memory is O(L + N).  E^2 and the tail
-    energy ||psi||^2 eps_M^2 share their leading digits when the alias
-    error is mostly the signal's own tail, so their difference gets its own
-    class sum.  With u_j = sum_{p>=1} x_p v_p and t_j = lhat_j - lambda_j
-    (the stored x_p^2 beyond p = 0 plus T_j),
+    one column reduction and the memory is O(L + N).  G is the gap
+    ||psi||^2 A - (E^2 - ||psi||^2 eps_M^2) between the bound's tail term
+    A = (1-eps_M^2) eps_0/(1+eps_0) and the exact error, each less the tail
+    energy that they share.  With u_j = sum_{p>=1} x_p v_p, t_j = lhat_j -
+    lambda_j (the stored x_p^2 beyond p = 0 plus T_j), g_j = t_j/lhat_j =
+    eps_j/(1+eps_j) and ||psi||^2 (1-eps_M^2) = sum_j |v_0|^2,
 
-        E^2 - ||psi||^2 eps_M^2
-            = sum_j (|v_0|^2 t_j - 2 x_0 Re(v_0 conj(u_j)) - |u_j|^2) / lhat_j.
+        G = sum_j [|v_0|^2 (g_0 - g_j) + (2 x_0 Re(v_0 conj(u_j)) + |u_j|^2) / lhat_j].
 
-    Every term is of the size of the class tail t_j.  Each class is scaled
-    by the larger of its largest stored lambda and t_j, so nothing overflows
-    or underflows.  The captured energy ||P psi||^2 = sum_j |w_j|^2 / lhat_j
-    is summed in the log domain: near the rim it is ||psi||^2 - E^2 far
-    below the double range.
+    Every term is of the size of the class tail t_j, and class 0's first
+    part is exactly 0, so G is 0 where the signal is a_0 alone and the bound
+    is met with equality.  Each class is scaled by the larger of its largest
+    stored lambda and t_j, so nothing overflows or underflows.  The
+    captured share ||P psi||^2/||psi||^2 = sum_j |w_j|^2 / (lhat_j ||psi||^2)
+    is summed in the log domain: near the rim it is 1 - E^2/||psi||^2 far
+    below the double range.  eps_0 is read from class 0's own tail, so for
+    a_0 alone the share and D of :func:`_error_row` are 1/(1+eps_0) to the bit.
     """
     if signal.twice_s != spectrum.twice_s:
         raise ValueError(
@@ -562,16 +566,18 @@ def _alias_sums(
     log_ratio = np.log(stored) + shift - log_tail
     projected = np.abs(w) ** 2 / stored
     error_sq = np.sum(residual + projected * np.exp(-np.logaddexp(0.0, log_ratio)))
+    share = projected / signal._scaled[2].sum()
     with np.errstate(divide="ignore"):
-        log_captured = np.logaddexp.reduce(np.log(projected) - np.logaddexp(0.0, -log_ratio))
+        log_captured = np.logaddexp.reduce(np.log(share) - np.logaddexp(0.0, -log_ratio))
         log_t = np.logaddexp(np.log(np.sum(x[1:] * x[1:], axis=0)) + shift, log_tail)
     top = np.maximum(shift, log_t)
     y = x * np.exp(0.5 * (shift - top))
     t = np.exp(log_t - top)
     u = np.sum(y[1:] * v[1:], axis=0)
-    v0, y0 = v[0], y[0]
-    excess = np.abs(v0) ** 2 * t - 2.0 * y0 * (v0 * u.conj()).real - np.abs(u) ** 2
-    return float(error_sq), float(np.sum(excess / (y0 * y0 + t))), float(log_captured)
+    v0, lhat = v[0], y[0] * y[0] + t
+    gap = np.abs(v0) ** 2 * (t[0] / lhat[0] - t / lhat)
+    gap += (2.0 * y[0] * (v0 * u.conj()).real + np.abs(u) ** 2) / lhat
+    return float(error_sq), float(np.sum(gap)), float(log_captured), log_t[0] - log_lam[0, 0]
 
 
 def leading_order_bound(
@@ -637,11 +643,10 @@ def error_bound(
 def _bound_terms(
     spectrum: ResolutionSpectrum, profile: QuasiBandProfile, variant: str
 ) -> tuple[ErrorBound, tuple[float, float, float]]:
-    """(:func:`error_bound`, (A + C, log C, log D)): the bound's pieces for
+    """(:func:`error_bound`, (A + C, C, log C)): the bound's pieces for
     :func:`_error_row`'s comparison with the exact error,
 
-        A = (1-eps_M^2) eps_0/(1+eps_0),  C = the cross term,
-        D = (1-eps_M^2)/(1+eps_0),  bound = eps_M^2 + A + C = 1 - D + C.
+        A = (1-eps_M^2) eps_0/(1+eps_0),  C = the cross term,  bound = eps_M^2 + A + C.
 
     eps/(1+eps) = exp(log eps - log(1+eps)), so nothing overflows; each
     exponent is formed from the differences of the large logs first, so it
@@ -663,9 +668,9 @@ def _bound_terms(
     excess = float((1.0 - em2) * np.exp(log_eps0 - np.logaddexp(0.0, log_eps0)) + cross[0])
     with np.errstate(divide="ignore"):
         log_c = float(np.log(coefficient) + log_cross)
-    log_d = float(np.log1p(-em2) - np.logaddexp(0.0, log_eps0))
     leading = leading_order_bound(spectrum.twice_s, spectrum.grid.radius, n, em, variant)
-    return ErrorBound(value=float(em2 + excess), leading_order=leading), (excess, log_c, log_d)
+    bound = ErrorBound(value=float(em2 + excess), leading_order=leading)
+    return bound, (excess, float(cross[0]), log_c)
 
 
 def _error_row(
@@ -673,21 +678,24 @@ def _error_row(
 ) -> tuple[float, ErrorBound, tuple[float, float]]:
     """One error-analysis row: (exact normalized squared error,
     :func:`error_bound`, (m, L)) with bound - exact = m e^L, so the bound
-    holds where m >= 0.  For eps_0 up to about 1, m compares bound - eps_M^2
-    = A + C with exact - eps_M^2, terms of the size of the lambda tails
-    (L = 0).  Beyond, it compares 1 - exact = ||P psi||^2/||psi||^2 with
-    1 - bound = D - C, terms of the size of D, far below the double range
-    near the rim; with Q = ||P psi||^2/||psi||^2 + C, L is the larger of
-    log Q and log D.  Either way nothing that bound and exact share
-    (eps_M^2, or the 1) is subtracted.
+    holds where m >= 0, for ``profile`` the signal's own at M = N-1.  For
+    eps_0 up to about 1, m = G/||psi||^2 + C (:func:`_alias_sums`), terms of
+    the size of the lambda tails (L = 0).  Beyond, it compares 1 - exact =
+    ||P psi||^2/||psi||^2 with 1 - bound = D - C, D = (1-eps_M^2)/(1+eps_0),
+    terms of the size of D, far below the double range near the rim; with
+    Q = ||P psi||^2/||psi||^2 + C, L is the larger of log Q and log D.
+    Either way nothing that bound and exact share (eps_M^2, or the 1) is
+    subtracted, and both read the class tails of :func:`_alias_sums`, so a
+    tie, as for a_0 alone, is m = 0 exactly.
     """
-    error_sq, exact_excess, log_captured = _alias_sums(spectrum, signal)
-    bound, (excess, log_c, log_d) = _bound_terms(spectrum, profile, variant)
+    error_sq, gap, log_captured, log_eps0 = _alias_sums(spectrum, signal)
+    bound, (excess, cross, log_c) = _bound_terms(spectrum, profile, variant)
     norm_sq = float(signal._scaled[2].sum())  # in the scale of _alias_sums
     exact = error_sq / norm_sq
+    log_d = float(np.log1p(-profile.epsilon_m * profile.epsilon_m) - np.logaddexp(0.0, log_eps0))
     if excess <= np.exp(log_d):
-        return exact, bound, (float(excess - exact_excess / norm_sq), 0.0)
-    log_q = float(np.logaddexp(log_captured - np.log(norm_sq), log_c))
+        return exact, bound, (gap / norm_sq + cross, 0.0)
+    log_q = float(np.logaddexp(log_captured, log_c))
     if log_q >= log_d:
         return exact, bound, (float(-np.expm1(log_d - log_q)), log_q)
     return exact, bound, (float(np.expm1(log_q - log_d)), log_d)

@@ -173,6 +173,19 @@ class TestSincKernel:
             (1 - 0.05**2) / (1 - 0.1**2) / 600 * 2, rel=1e-13
         )
 
+    @pytest.mark.parametrize("radius", [1e-310, 1e-300])
+    def test_subnormal_ring_radius(self, radius):
+        # 1/r overflows at r = 1e-310, so log rho is taken as
+        # log(conj(z) e^(2 pi i k/N)) - log r; at z = 0 the sum is its one
+        # term, and on the ring the values are the sample-space projector's
+        grid = ds.SamplingGrid(radius, 4)
+        fm = ds.frame_matrix(2, grid, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ds.sinc_kernel(fm, 0, 0.0) == 0.25
+            kernel_matrix = np.column_stack([ds.sinc_kernel(fm, k, grid.points) for k in range(4)])
+        assert np.allclose(kernel_matrix, oracle.sample_space_projector(fm), atol=1e-12)
+
     def test_index_validation(self):
         fm = ds.frame_matrix(2, ds.SamplingGrid(0.5, 2), 0)
         with pytest.raises(ValueError):

@@ -175,6 +175,21 @@ class TestSynthesize:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "sig.json"]
         assert not list(target.iterdir())
 
+    def test_a_cleanup_that_fails_keeps_the_write_error(self, tmp_path, monkeypatch):
+        # the replace onto a directory fails, and so does the unlink of the
+        # temporary file: the replace's error is raised, and the file is left
+        target = tmp_path / "out"
+        target.mkdir()
+
+        def refuse(path):
+            raise PermissionError(f"cannot unlink {path}")
+
+        monkeypatch.setattr(cli.os, "unlink", refuse)
+        with pytest.raises(IsADirectoryError):
+            cli._write_output(str(target), "text")
+        left = [p for p in tmp_path.iterdir() if p.name != "out"]
+        assert [p.name[:5] for p in left] == [".out."] and left[0].read_text() == "text"
+
     def test_sample_beyond_the_double_range_exits_three_and_names_it(self, tmp_path, capsys):
         # each coefficient fits a double, their sample at r = 0.5 does not
         signal_path = write_signal(tmp_path / "sig.json", 2, [1.7e308] * 4)
@@ -553,6 +568,24 @@ class TestErrorAnalysis:
                                          "--r", "0.5", "--n", "2"])
         assert (code, err) == (0, b"")
         assert out.decode().splitlines()[1] == row
+
+    @pytest.mark.parametrize(
+        "a0, flags, rows",
+        [(1.0 + 1.0j, ["--sweep-r", "0.5,0.3", "--n", "2"],
+          ["0.5,2,0,0.17279411764705888,0.17279411764705888,0,1",
+           "0.29999999999999999,2,0,0.024039668683662328,0.024039668683662328,0,1"]),
+         (1e-300, ["--sweep-r", "0.97,0.986", "--n", "1"],
+          ["0.96999999999999997,1,0,0.99650718999999999,0.9965071900000001,0,1",
+           "0.98599999999999999,1,0,0.99922693758399994,0.99922693758399972,0,1"])],
+        ids=["small-eps_0", "large-eps_0"],
+    )
+    def test_a_tie_reads_as_met(self, tmp_path, a0, flags, rows):
+        # the exact error of a_0 alone is the bound, eps_0/(1+eps_0), whose
+        # two printed values may differ in their last digits
+        signal_path = write_signal(tmp_path / "sig.json", 2, [a0])
+        code, out, err = run_in_process(["error-analysis", "--input", str(signal_path), *flags])
+        assert (code, err) == (0, b"")
+        assert out.decode().splitlines()[1:] == rows
 
     def test_bandlimited_signal_reduces_to_excess_term(self, tmp_path):
         signal_path = write_signal(tmp_path / "sig.json", 2, np.ones(4))

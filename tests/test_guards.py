@@ -667,9 +667,12 @@ def test_a_signal_of_any_finite_size_answers(k):
     ids=["evaluate-signal", "partial-reconstruct", "sinc-kernel"],
 )
 def test_each_query_is_checked_once(monkeypatch, module, call):
+    # basis's check is counted too: its public overlap would parse each block
+    # of a partial reconstruction's points, and the ring, again
     checked = []
-    check = module.as_disk_points
-    monkeypatch.setattr(module, "as_disk_points", lambda z: checked.append(z) or check(z))
+    for layer in {module, basis}:
+        monkeypatch.setattr(layer, "as_disk_points",
+                            lambda z, check=layer.as_disk_points: checked.append(z) or check(z))
     query = np.full((3, 700), 0.25j)
     assert np.shape(call(query)) == query.shape
     assert len(checked) == 1 and checked[0] is query
@@ -781,23 +784,35 @@ def test_no_array_a_record_stores_caches_or_views_is_writeable(record, name):
 
 
 @pytest.mark.parametrize(
-    "series, build",
+    "series, budget, build, reads",
     [
-        ("eigenvalue series", lambda kernel, signal: ds.overlap_kernel(2, kernel.grid)),
-        ("tail-excess series", lambda kernel, signal: ds.tail_excess(kernel.spectrum, 0)),
-        ("lambda tail series", lambda kernel, signal: ds.alias_error(kernel.spectrum, signal)),
+        ("eigenvalue series", 16, lambda spectrum, signal: ds.overlap_kernel(2, spectrum.grid),
+         [1]),
+        ("tail-excess series", 16, lambda spectrum, signal: ds.tail_excess(spectrum, 0), [1]),
+        ("lambda tail series", 16, lambda spectrum, signal: ds.alias_error(spectrum, signal),
+         [3, 1]),
+        ("eigenvalue series", 2, lambda spectrum, signal: ds.overlap_kernel(
+            2, ds.SamplingGrid(0.3, 8)), [1, 24]),
     ],
+    ids=["eigenvalue", "tail-excess", "lambda-tail", "eigenvalue-after-reading"],
 )
-def test_each_series_names_itself_when_it_exceeds_its_budget(monkeypatch, series, build):
+def test_each_series_names_itself_when_it_exceeds_its_budget(
+        monkeypatch, series, budget, build, reads):
     # at r = 0.9, N = 2 a class's terms shrink by about r^4 a row, so 16 rows
-    # cannot reach the 1e-16 truncation tolerance
-    kernel = ds.overlap_kernel(2, ds.SamplingGrid(0.9, 2))
+    # cannot reach the 1e-16 truncation tolerance, and the probe of the
+    # budget's last row refuses (the alias error first reads its 3 lambdas).
+    # At r = 0.3, N = 8 the probe of a 2-row budget passes; the scan reads
+    # its 3 central rows of the 8 classes, all the rows either direction may
+    # read, and refuses in its loop, as neither direction has stopped
+    spectrum = ds.ResolutionSpectrum(2, ds.SamplingGrid(0.9, 2))
     signal = ds.DiskSignal(2, [1.0, 0.5, 0.25])
-    monkeypatch.setattr(undersampled, "_MAX_TERMS", 16)
+    monkeypatch.setattr(undersampled, "_MAX_TERMS", budget)
+    read = _spectrum_reads(monkeypatch)
     with pytest.raises(
-        SeriesBudgetError, match=f"^{series} needs more than its budget of 16 terms$"
+        SeriesBudgetError, match=f"^{series} needs more than its budget of {budget} terms$"
     ):
-        build(kernel, signal)
+        build(spectrum, signal)
+    assert read == reads
 
 
 def _spectrum_reads(monkeypatch) -> list:

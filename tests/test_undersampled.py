@@ -826,6 +826,27 @@ class TestErrorBound:
             assert exact <= ds.error_bound(kernel.spectrum, profile).value
             assert bound_margin(kernel.spectrum, signal)[0] >= 0.0
 
+    def test_a_signal_of_a_0_alone_meets_the_bound_with_equality(self):
+        # eps_M = 0, and the exact error and the bound are both eps_0/(1+eps_0):
+        # the margin is exactly 0 where eps_0 is small (class 0's term of G)
+        # and where it is large (Q = D from the same class tail), also for an
+        # a_0 that is not a power of two times 1
+        nonzero = []
+        radii = np.concatenate([np.linspace(0.1, 0.95, 18), [0.97, 0.9734, 0.986]])
+        for twice_s in (2, 4, 8):
+            for a0 in (1.0, 1.0 + 1.0j, 0.3 - 2.0j, 1e-300):
+                signal = ds.DiskSignal(twice_s, [a0])
+                for n in (1, 2, 3, 5, 8, 16):
+                    profile = ds.quasi_band_profile(signal, n - 1)
+                    for radius in radii:
+                        spectrum = ds.ResolutionSpectrum(twice_s, ds.SamplingGrid(radius, n))
+                        exact, bound, (margin, scale) = undersampled._error_row(
+                            spectrum, signal, profile, "printed")
+                        assert exact == pytest.approx(bound.value, rel=1e-14)
+                        if margin != 0.0:
+                            nonzero.append((twice_s, a0, n, radius, margin, scale))
+        assert nonzero == []
+
     @pytest.mark.parametrize(
         "twice_s, radius, n, decay, seed, digits",
         [(8, 0.15, 128, 0.98, 0, 160), (40, 0.2, 64, 0.99, 1, 80), (2, 0.12, 256, 0.99, 0, 300)],
