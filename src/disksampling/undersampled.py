@@ -520,12 +520,11 @@ def alias_error(spectrum: ResolutionSpectrum, signal: DiskSignal) -> float:
     return float(signal._scaled[0] * np.sqrt(_alias_sums(spectrum, signal)[0]))
 
 
-def _alias_sums(
-    spectrum: ResolutionSpectrum, signal: DiskSignal
-) -> tuple[float, float, float, float]:
-    """(E^2, G, log ||P psi||^2/||psi||^2, log eps_0) for band limit M = N-1,
-    each without cancellation, of the signal divided by its power-of-two
-    scale (``DiskSignal._scaled``); E^2 is the class sum of
+def _alias_sums(spectrum: ResolutionSpectrum,
+                signal: DiskSignal) -> tuple[float, float, float, np.ndarray]:
+    """(E^2, G, log ||P psi||^2/||psi||^2, (log eps_0, log eps_{N-1})) for
+    band limit M = N-1, each without cancellation, of the signal divided by
+    its power-of-two scale (``DiskSignal._scaled``); E^2 is the class sum of
     :func:`alias_error`, which scales it back.
 
     The L stored coefficients are laid out as a zero-padded ceil(L/N) x
@@ -534,8 +533,8 @@ def _alias_sums(
     ||psi||^2 A - (E^2 - ||psi||^2 eps_M^2) between the bound's tail term
     A = (1-eps_M^2) eps_0/(1+eps_0) and the exact error, each less the tail
     energy that they share.  With u_j = sum_{p>=1} x_p v_p, t_j = lhat_j -
-    lambda_j (the stored x_p^2 beyond p = 0 plus T_j), g_j = t_j/lhat_j =
-    eps_j/(1+eps_j) and ||psi||^2 (1-eps_M^2) = sum_j |v_0|^2,
+    lambda_j (T_j plus the stored lambda_{j+pN}, p >= 1, summed by their
+    logs), g_j = t_j/lhat_j = eps_j/(1+eps_j), ||psi||^2 (1-eps_M^2) = sum_j |v_0|^2,
 
         G = sum_j [|v_0|^2 (g_0 - g_j) + (2 x_0 Re(v_0 conj(u_j)) + |u_j|^2) / lhat_j].
 
@@ -545,13 +544,11 @@ def _alias_sums(
     stored lambda and t_j, so nothing overflows or underflows.  The
     captured share ||P psi||^2/||psi||^2 = sum_j |w_j|^2 / (lhat_j ||psi||^2)
     is summed in the log domain: near the rim it is 1 - E^2/||psi||^2 far
-    below the double range.  eps_0 is read from class 0's own tail, so for
-    a_0 alone the share and D of :func:`_error_row` are 1/(1+eps_0) to the bit.
+    below the double range; the eps are t_j/lambda_j of the first and last class.
     """
     if signal.twice_s != spectrum.twice_s:
-        raise ValueError(
-            f"signal twice_s {signal.twice_s} does not match spectrum twice_s {spectrum.twice_s}"
-        )
+        raise ValueError(f"signal twice_s {signal.twice_s} does not match spectrum twice_s "
+                         f"{spectrum.twice_s}")
     n, size = spectrum.grid.n_samples, signal.coefficients.size
     v = _segment_rows(signal._scaled[1], min(n, size))
     log_lam = _segment_rows(spectrum.log_values(np.arange(size)), min(n, size), -np.inf)
@@ -569,7 +566,8 @@ def _alias_sums(
     share = projected / signal._scaled[2].sum()
     with np.errstate(divide="ignore"):
         log_captured = np.logaddexp.reduce(np.log(share) - np.logaddexp(0.0, -log_ratio))
-        log_t = np.logaddexp(np.log(np.sum(x[1:] * x[1:], axis=0)) + shift, log_tail)
+    tails = np.vstack((log_lam[1:], log_tail))  # t_j's terms, relative to its largest
+    log_t = (peak := np.max(tails, axis=0)) + np.log(np.sum(np.exp(tails - peak), axis=0))
     top = np.maximum(shift, log_t)
     y = x * np.exp(0.5 * (shift - top))
     t = np.exp(log_t - top)
@@ -577,7 +575,8 @@ def _alias_sums(
     v0, lhat = v[0], y[0] * y[0] + t
     gap = np.abs(v0) ** 2 * (t[0] / lhat[0] - t / lhat)
     gap += (2.0 * y[0] * (v0 * u.conj()).real + np.abs(u) ** 2) / lhat
-    return float(error_sq), float(np.sum(gap)), float(log_captured), log_t[0] - log_lam[0, 0]
+    # the last class is N-1 if L >= N; if L <= N, eps_M = 0, so C, eps_{N-1}'s only reader, is 0
+    return float(error_sq), float(np.sum(gap)), float(log_captured), (log_t - log_lam[0])[[0, -1]]
 
 
 def leading_order_bound(
@@ -633,18 +632,20 @@ def error_bound(
     not established for other M, so no extrapolation is offered.
     ``leading_order`` carries the single-power-of-r form (``variant`` selects
     which published variant, see :func:`leading_order_bound`).  Like
-    :func:`alias_error` it reads only the spectrum; eps_0 and eps_{N-1} are
-    taken in the log domain, so the bound answers where they leave the
-    double range (large spin near the rim).
+    :func:`alias_error` it reads only the spectrum, once the band limit is
+    checked; eps_0 and eps_{N-1} are taken in the log domain, so the bound
+    answers where they leave the double range (large spin near the rim).
+    ``error-analysis`` prints it from its exact error's tails, to a few ulps.
     """
     return _bound_terms(spectrum, profile, variant)[0]
 
 
 def _bound_terms(
-    spectrum: ResolutionSpectrum, profile: QuasiBandProfile, variant: str
+    spectrum: ResolutionSpectrum, profile: QuasiBandProfile, variant: str, log_eps=None
 ) -> tuple[ErrorBound, tuple[float, float, float]]:
     """(:func:`error_bound`, (A + C, C, log C)): the bound's pieces for
-    :func:`_error_row`'s comparison with the exact error,
+    :func:`_error_row`'s comparison with the exact error, from ``log_eps`` =
+    (log eps_0, log eps_{N-1}) or, where None, :func:`_log_tail_excess`'s:
 
         A = (1-eps_M^2) eps_0/(1+eps_0),  C = the cross term,  bound = eps_M^2 + A + C.
 
@@ -655,13 +656,12 @@ def _bound_terms(
     """
     n = spectrum.grid.n_samples
     if profile.band_limit != n - 1:
-        raise ValueError(
-            f"error bound requires band_limit = n_samples - 1 = {n - 1}, "
-            f"got {profile.band_limit}"
-        )
+        raise ValueError(f"error bound requires band_limit = n_samples - 1 = {n - 1}, "
+                         f"got {profile.band_limit}")
     em = profile.epsilon_m
     em2 = em * em
-    log_eps0, log_eps_last = _log_tail_excess(spectrum, np.array([0, n - 1]))
+    log_eps0, log_eps_last = (_log_tail_excess(spectrum, np.array([0, n - 1]))
+                              if log_eps is None else log_eps)
     log_cross = 0.5 * (np.log(n) + log_eps0) - np.logaddexp(0.0, log_eps_last)
     coefficient = 2.0 * np.sqrt(1.0 - em2) * em
     cross = times_exp(np.array([coefficient]), np.array([log_cross]), "bound cross term")
@@ -685,14 +685,14 @@ def _error_row(
     terms of the size of D, far below the double range near the rim; with
     Q = ||P psi||^2/||psi||^2 + C, L is the larger of log Q and log D.
     Either way nothing that bound and exact share (eps_M^2, or the 1) is
-    subtracted, and both read the class tails of :func:`_alias_sums`, so a
-    tie, as for a_0 alone, is m = 0 exactly.
+    subtracted, and the row scans the spectrum once: bound, A + C, C, log C and
+    D read the eps of :func:`_alias_sums`, so a tie, as for a_0 alone, is m = 0.
     """
-    error_sq, gap, log_captured, log_eps0 = _alias_sums(spectrum, signal)
-    bound, (excess, cross, log_c) = _bound_terms(spectrum, profile, variant)
+    error_sq, gap, log_captured, log_eps = _alias_sums(spectrum, signal)
+    bound, (excess, cross, log_c) = _bound_terms(spectrum, profile, variant, log_eps)
     norm_sq = float(signal._scaled[2].sum())  # in the scale of _alias_sums
     exact = error_sq / norm_sq
-    log_d = float(np.log1p(-profile.epsilon_m * profile.epsilon_m) - np.logaddexp(0.0, log_eps0))
+    log_d = float(np.log1p(-profile.epsilon_m * profile.epsilon_m) - np.logaddexp(0.0, log_eps[0]))
     if excess <= np.exp(log_d):
         return exact, bound, (gap / norm_sq + cross, 0.0)
     log_q = float(np.logaddexp(log_captured, log_c))

@@ -862,6 +862,84 @@ def test_a_series_that_cannot_finish_is_refused_before_it_reads(
     assert sum(reads) <= 5
 
 
+def _class_tail_scans(monkeypatch) -> list:
+    """The names of every later class-tail scan, one entry a scan."""
+    names, scan = [], undersampled._log_class_tails
+
+    def counted(spectrum, starts, name):
+        names.append(name)
+        return scan(spectrum, starts, name)
+
+    monkeypatch.setattr(undersampled, "_log_class_tails", counted)
+    return names
+
+
+@pytest.mark.parametrize(
+    "call, scans",
+    [
+        (lambda spectrum, signal, profile: undersampled._error_row(
+            spectrum, signal, profile, "printed"), ["lambda tail"]),
+        (lambda spectrum, signal, profile: ds.error_bound(spectrum, profile), ["tail-excess"]),
+        (lambda spectrum, signal, profile: ds.alias_error(spectrum, signal), ["lambda tail"]),
+        (lambda spectrum, signal, profile: ds.tail_excess(spectrum, [0, 2]), ["tail-excess"]),
+        # given eps_0 and eps_{N-1}, the bound reads nothing of the spectrum
+        (lambda spectrum, signal, profile: undersampled._bound_terms(
+            spectrum, profile, "printed", np.array([-2.0, -3.0])), []),
+    ],
+    ids=["error-row", "error-bound", "alias-error", "tail-excess", "bound-terms"],
+)
+def test_each_error_analysis_call_scans_the_spectrum_at_most_once(monkeypatch, call, scans):
+    # the bound of an error-analysis row reads the class tails of its exact error
+    spectrum = ds.ResolutionSpectrum(2, ds.SamplingGrid(0.5, 3))
+    signal = ds.DiskSignal(2, [1.0, 0.5, 0.25, 0.1, 0.05])
+    profile = ds.quasi_band_profile(signal, 2)
+    names = _class_tail_scans(monkeypatch)
+    reads = _spectrum_reads(monkeypatch)
+    call(spectrum, signal, profile)
+    assert names == scans
+    assert bool(reads) == bool(scans)
+
+
+def test_an_error_analysis_sweep_scans_the_spectrum_once_a_row(monkeypatch, tmp_path, capsys):
+    from disksampling import cli
+
+    path = tmp_path / "signal.json"
+    path.write_text('{"twice_s": 2, "coefficients": [[1, 0], [0.5, -0.25], [0, 0.125]]}')
+    names = _class_tail_scans(monkeypatch)
+    argv = ["error-analysis", "--input", str(path), "--sweep-r", "0.5,0.3", "--sweep-n", "4,8"]
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    assert names == ["lambda tail"] * 4
+
+
+@pytest.mark.parametrize(
+    "call, error, message, reads",
+    [
+        (lambda spectrum, signal: ds.error_bound(spectrum, ds.QuasiBandProfile(0, 0.1)),
+         ValueError, "error bound requires band_limit = n_samples - 1 = 2, got 0", []),
+        (lambda spectrum, signal: ds.error_bound(spectrum, ds.QuasiBandProfile(2, 0.1)),
+         SeriesBudgetError, "tail-excess series needs more than its budget of 1600000 terms",
+         [1]),
+        (lambda spectrum, signal: undersampled._error_row(
+            spectrum, signal, ds.quasi_band_profile(signal, 2), "printed"),
+         SeriesBudgetError, "lambda tail series needs more than its budget of 1600000 terms",
+         [4, 1]),
+    ],
+    ids=["wrong-band-limit", "error-bound", "error-row"],
+)
+def test_the_error_analysis_refuses_in_order(monkeypatch, call, error, message, reads):
+    # at (2, 0.999999, 3) every class tail is refused by its budget's probe:
+    # a wrong band limit is refused before the spectrum is read, the bound
+    # by its own scan, and a row by the scan of its exact error, after the
+    # signal's own 4 lambdas
+    spectrum = ds.ResolutionSpectrum(2, ds.SamplingGrid(0.999999, 3))
+    signal = ds.DiskSignal(2, [1.0, 0.5, 0.25, 0.1])
+    read = _spectrum_reads(monkeypatch)
+    with pytest.raises(error, match=f"^{message}$"):
+        call(spectrum, signal)
+    assert read == reads
+
+
 @pytest.mark.parametrize("kind", ["kernel", "tail"])
 def test_the_budget_refusal_never_fires_where_the_scan_would_finish(monkeypatch, kind):
     # with a budget of 64 rows, a grid across the refusal boundary: wherever

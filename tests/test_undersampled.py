@@ -883,6 +883,46 @@ class TestErrorBound:
         expected = oracle.bound_and_exact(signal, grid, 200)[2]
         assert got * np.exp(scale) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("twice_s, radius, n", [(2, 0.12, 256), (8, 0.15, 128), (2, 0.5, 64)])
+    @pytest.mark.parametrize("extra", [None, 0, 1, "3N+2"])
+    def test_the_alias_sums_tail_ratios_are_the_tail_excess(self, twice_s, radius, n, extra):
+        # 512 coefficients, or N + extra; at (2, 0.12, 256) lambda_256 is
+        # about e^-1080 lambda_0, so its square relative to lambda_0 would
+        # underflow and leave eps_0 at class 0's scanned tail alone, e^-2165
+        length = 512 if extra is None else 3 * n + 2 if extra == "3N+2" else n + extra
+        rng = np.random.default_rng(length)
+        coeffs = 0.99 ** np.arange(length) * (
+            rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        )
+        spectrum = ds.ResolutionSpectrum(twice_s, ds.SamplingGrid(radius, n))
+        got = undersampled._alias_sums(spectrum, ds.DiskSignal(twice_s, coeffs))[3]
+        want = undersampled._log_tail_excess(spectrum, np.array([0, n - 1]))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_the_printed_bound_is_error_bounds(self):
+        # a row takes eps_0 and eps_{N-1} from its exact error's class tails,
+        # error_bound from a scan of its own; where L <= N the row's last
+        # class is L-1, not N-1, but eps_M = 0 and so is the cross term
+        rng = np.random.default_rng(39)
+        for twice_s in (2, 8, 200):
+            for n in (2, 5, 16):
+                for length in sorted({1, n - 1, n, n + 1, 3 * n + 2}):
+                    coeffs = 0.9 ** np.arange(length) * (
+                        rng.standard_normal(length) + 1j * rng.standard_normal(length)
+                    )
+                    signal = ds.DiskSignal(twice_s, coeffs)
+                    profile = ds.quasi_band_profile(signal, n - 1)
+                    for radius in (0.3, 0.7, 0.95):
+                        spectrum = ds.ResolutionSpectrum(twice_s, ds.SamplingGrid(radius, n))
+                        bound = undersampled._error_row(spectrum, signal, profile, "printed")[1]
+                        want = ds.error_bound(spectrum, profile)
+                        assert bound.value == pytest.approx(want.value, rel=4e-15, abs=0.0)
+                        assert bound.leading_order == want.leading_order
+                        if length <= n:
+                            log_eps = undersampled._alias_sums(spectrum, signal)[3]
+                            terms = undersampled._bound_terms(spectrum, profile, "printed", log_eps)
+                            assert terms[1][1] == 0.0
+
     def test_margin_of_a_failing_bound_beyond_eps_0_of_one(self):
         # a profile that claims no tail for a signal that is all tail: at
         # (2, 0.9, 4) eps_0 > 1, and the signal e_40 keeps the share
