@@ -91,13 +91,13 @@ class CirculantKernel(_Conditioned):
     It stores one form of the spectrum: ``log_eigenvalues`` log lhat_j, the
     class tails as summed, which every transform reads, beside the
     ``spectrum``.  ``first_row`` C_0..C_{N-1}, with B[k, l] = C[(l-k) mod N],
-    and ``eigenvalues`` lhat_j (the ``from_log`` of the logs) are views taken
-    on each read.  lhat_j is checked against the row's float64 FFT at 1e-12
-    relative, or to :func:`_fft_error_bound` where larger, and where that is
-    not below half of 1e-12 at some lhat_j, the smallest by
-    :func:`_finite_sum_log_gap` at 1e-12, or at one ulp of its log past 8192.
-    On disagreement no kernel is built.  Immutable, its arrays read-only,
-    and safe to share across threads.
+    and ``eigenvalues`` lhat_j (``from_log``: refused by name past the range)
+    are views taken on each read.  lhat_j is checked against the row's float64
+    FFT at 1e-12 relative, or to :func:`_fft_error_bound` where larger, as
+    where lhat_j underflows, and where that is not below half of 1e-12 at some
+    lhat_j, the smallest by :func:`_finite_sum_log_gap` at 1e-12, or at one
+    ulp of its log past 8192.  Only a failed check refuses a kernel.
+    Immutable, its arrays read-only, and safe to share across threads.
     """
 
     twice_s: int
@@ -110,14 +110,14 @@ class CirculantKernel(_Conditioned):
         twice_s, grid = spectrum.twice_s, self.grid
         row, one_minus, d = _first_row(twice_s, grid)
         log_eig = _read_only(_log_class_tails(spectrum, np.arange(grid.n_samples), "eigenvalue"))
-        eig = from_log(log_eig, "lhat")
-        smallest = int(np.argmin(log_eig))
+        eig, smallest = np.exp(log_eig), int(np.argmin(log_eig))
         bound = _fft_error_bound(twice_s, grid, row, one_minus, d)
         limit = np.maximum(_EIG_AGREE_RTOL * eig, bound)
         miss = np.abs(np.fft.fft(row) - eig)
         j = int(np.argmax(miss / limit))
-        if not miss[j] <= limit[j]:
-            raise _disagreement("fft", j, float(miss[j] / eig[j]), float(limit[j] / eig[j]))
+        if not miss[j] <= limit[j]:  # absolute where lhat_j is no normal double
+            size, unit = (eig[j], "relative") if eig[j] >= 2.0**-1022 else (1.0, "absolute")
+            raise _disagreement("fft", j, float(miss[j] / size), float(limit[j] / size), unit)
         if bound >= 0.5 * _EIG_AGREE_RTOL * eig[smallest]:
             log_size = float(log_eig[smallest])
             gap = float(abs(np.expm1(_finite_sum_log_gap(twice_s, grid, smallest, log_size))))
@@ -269,8 +269,9 @@ def _finite_sum_log_gap(twice_s: int, grid: SamplingGrid, j: int, log_size: floa
                       -math.log(quotient / (1 << size))))
 
 
-def _disagreement(check: str, j: int, gap: float, limit: float) -> EigenvalueCrossCheckError:
-    message = (f"class-tail and {check} values of eigenvalue {j} disagree by {gap!r} relative "
+def _disagreement(check: str, j: int, gap: float, limit: float,
+                  unit: str = "relative") -> EigenvalueCrossCheckError:
+    message = (f"class-tail and {check} values of eigenvalue {j} disagree by {gap!r} {unit} "
                f"(limit {limit!r}); this indicates an implementation fault")
     return EigenvalueCrossCheckError(message, j=j, gap=gap, check=check)
 
@@ -413,15 +414,15 @@ def _log_class_tails(spectrum: ResolutionSpectrum, starts: np.ndarray, name: str
     starts lie in one window of N indices; a repeat is summed once).
 
     One scan sums every class: row q holds entry qN + (start mod N) of each
-    class from its start on, and rows are read up and down from the row of
-    the :func:`~basis._mode` (or of the lowest start above it), whose first
-    three hold each class's largest term, to which every term is relative.
+    class from its start on.  Rows are read down to a stop, then up, from the
+    three rows about the :func:`~basis._mode` (or the lowest start above it),
+    which hold each class's largest term, to which every term is relative.
     A direction stops once, in every class, the geometric majorant t R/(1-R)
     (t the last term, R its ratio to the one before; the pmf is log-concave)
     is below 1e-16 of the running sum; chunks end where the pmf's closed form
     (``math.lgamma``) predicts that stop.  A direction may read ``_MAX_TERMS``
-    rows, below index 2^52: ``SeriesBudgetError`` is raised where every open
-    one ends them unstopped, and, before any row is read, where lambda_m
+    rows, below index 2^52: ``SeriesBudgetError`` is raised where one ends
+    them unstopped, and, before any row is read, where lambda_m
     rho^N/(1-rho^N) >= 1e-16 N/K at the last index m the upward budget
     reaches (rho the pmf's ratio there): that bounds the majorants there from
     below, the pmf falls faster below its mode, and K class sums total <= N.
@@ -463,14 +464,13 @@ def _log_class_tails(spectrum: ResolutionSpectrum, starts: np.ndarray, name: str
     logs = read(np.arange(centre - 1, centre + 2))
     peak, sums = logs.max(axis=0), np.zeros((2, starts.size))
     add(terms := np.exp(logs - peak))
-    scans = [[1, centre + 1, centre + _MAX_TERMS - 1, terms[2], terms[1]],
-             [-1, centre - 1, max(starts[0] // n - 1, centre - _MAX_TERMS), terms[0], terms[1]]]
-    while scans := [scan for scan in scans if not stopped(*scan[3:])]:
-        if all(scan[1] == scan[2] for scan in scans):
-            raise SeriesBudgetError(name, _MAX_TERMS)
-        log_bound = math.log(_SERIES_TOL) + float(np.min(peak + np.log(sums[0])))
-        for scan in (scan for scan in scans if scan[1] != scan[2]):
-            sign, last, limit = scan[:3]
+    for sign, last, limit, term, before in (
+            (-1, centre - 1, max(starts[0] // n - 1, centre - _MAX_TERMS), terms[0], terms[1]),
+            (1, centre + 1, centre + _MAX_TERMS - 1, terms[2], terms[1])):
+        while not stopped(term, before):
+            if last == limit:
+                raise SeriesBudgetError(name, _MAX_TERMS)
+            log_bound = math.log(_SERIES_TOL) + float(np.min(peak + np.log(sums[0])))
             low, high = 1, abs(limit - last)
             while low < high:  # the fewest rows to the stop, by the pmf's closed form
                 mid = (low + high) // 2
@@ -480,7 +480,7 @@ def _log_class_tails(spectrum: ResolutionSpectrum, starts: np.ndarray, name: str
                 low, high = (low, mid) if passed else (mid + 1, high)
             rows = last + sign * np.arange(1, min(low, max(1, _SCAN_BLOCK // starts.size)) + 1)
             add(terms := np.exp(read(rows) - peak))
-            scan[1], scan[3], scan[4] = rows[-1], terms[-1], np.vstack((scan[3], terms))[-2]
+            last, term, before = rows[-1], terms[-1], np.vstack((term, terms))[-2]
     return (peak + np.log(sums[0] + sums[1]))[inverse]
 
 

@@ -135,7 +135,7 @@ class EigenvalueCrossCheckError(RuntimeError):
     """A kernel's eigenvalue check failed: an implementation fault, not a
     data error, since every check allows for its own rounding.  ``check``
     (``"fft"`` or ``"finite sum"``) names the check, ``j`` the eigenvalue and
-    ``gap`` its relative gap.
+    ``gap`` its gap: relative, or absolute where lhat_j is no normal double.
     """
 
     def __init__(self, message: str, j=None, gap=None, check=None):

@@ -617,13 +617,30 @@ class TestErrorAnalysis:
         assert outs["printed"] != outs["derived"]
 
     def test_numerical_failure_exits_three(self, tmp_path):
-        # the smallest kernel eigenvalue underflows at r = 1e-3, N = 60
+        # at r = 1 - 1e-6, N = 3 the kernel's class tails exceed their budget
         samples_path = tmp_path / "samples.csv"
-        samples_path.write_text("k,re,im\n" + "".join(f"{k},1,0\n" for k in range(60)))
+        samples_path.write_text("k,re,im\n" + "".join(f"{k},1,0\n" for k in range(3)))
         assert run_cli(
-            "dft", "--twice-s", "2", "--r", "1e-3", "--n", "60", "--mode", "undersampled",
+            "dft", "--twice-s", "2", "--r", "0.999999", "--n", "3", "--mode", "undersampled",
             "--input", str(samples_path),
         ) == 3
+
+    def test_kernel_past_the_floor_of_the_double_range_answers(self, tmp_path, capsys):
+        # lhat_55..lhat_59 of (2, 1e-3, 60) are below the smallest double; the
+        # kernel is checked in logs, and the samples of [1] give back [1]
+        signal_path = write_signal(tmp_path / "sig.json", 2, [1.0])
+        samples_path, out = tmp_path / "samples.csv", tmp_path / "coeffs.csv"
+        assert run_cli("synthesize", "--r", "1e-3", "--n", "60", "--input", str(signal_path),
+                       "--output", str(samples_path)) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(
+                "dft", "--twice-s", "2", "--r", "1e-3", "--n", "60", "--mode", "undersampled",
+                "--input", str(samples_path), "--output", str(out),
+            ) == 0
+        assert capsys.readouterr().err.count("condition number") == 1
+        _, rows = read_csv(out)
+        assert rows[0][0] == "0" and abs(float(rows[0][3]) - 1.0) <= 1e-15
 
     def test_series_beyond_its_budget_exits_three_and_names_it(self, tmp_path, capsys):
         # at r = 1 - 1e-6, N = 3 a class tail needs over 6 million terms
@@ -1236,7 +1253,7 @@ class TestCommandProcess:
     @pytest.mark.parametrize("entry", ["module", "script"])
     def test_exit_codes_and_stream_bytes_match_the_in_process_command(self, tmp_path, entry):
         samples_path = tmp_path / "samples.csv"
-        samples_path.write_text("k,re,im\n" + "".join(f"{k},1,0\n" for k in range(60)))
+        samples_path.write_text("k,re,im\n" + "".join(f"{k},1,0\n" for k in range(3)))
         out = tmp_path / "grid.json"
         cases = [
             (["grid", "--r", "0.5", "--n", "3"], 0),  # stdout still in its buffer at the end
@@ -1244,7 +1261,7 @@ class TestCommandProcess:
             (["grid", "--r", "0.5", "--n", "3", "--format", "json", "--output", str(out)], 0),
             (["grid", "--r", "0.5"], 2),  # argparse exits
             (["grid", "--r", "1.5", "--n", "3"], 2),
-            (["dft", "--twice-s", "2", "--r", "1e-3", "--n", "60", "--mode", "undersampled",
+            (["dft", "--twice-s", "2", "--r", "0.999999", "--n", "3", "--mode", "undersampled",
               "--input", str(samples_path)], 3),
         ]
         for argv, code in cases:

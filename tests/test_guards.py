@@ -56,6 +56,25 @@ def test_skewed_fft_trips_the_check(monkeypatch):
     assert info.value.gap == pytest.approx(1e-9, rel=1e-3)
 
 
+def test_skewed_fft_trips_the_check_where_lhat_underflows(monkeypatch):
+    # lhat_1500 of (2, 0.7, 2048) is exp(-1056.4), 0 as a double: the FFT
+    # check holds it to its absolute bound, 3.3e-11, and states the gap so
+    transform = np.fft.fft
+
+    def skewed(x, *args, **kwargs):
+        out = transform(x, *args, **kwargs)
+        out[1500] += 1e-6
+        return out
+
+    monkeypatch.setattr(np.fft, "fft", skewed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EigenvalueCrossCheckError, match="disagree by .* absolute") as info:
+            ds.overlap_kernel(2, ds.SamplingGrid(0.7, 2048))
+    assert (info.value.check, info.value.j) == ("fft", 1500)
+    assert info.value.gap == pytest.approx(1e-6, rel=1e-3)
+
+
 def test_skewed_finite_sum_check_trips_the_check(monkeypatch):
     # the spread of (5, 0.2, 12) passes 1e12, so the smallest lhat_j is
     # below the FFT's resolution and only the finite-sum check sees it
@@ -68,13 +87,16 @@ def test_skewed_finite_sum_check_trips_the_check(monkeypatch):
 
 
 def test_kernel_construction_rejects_unrepresentable_eigenvalues():
-    # the smallest eigenvalue underflows double precision here
+    # the smallest eigenvalue underflows double precision here; the kernel
+    # builds from its logs, and its linear eigenvalues are refused
+    kernel = ds.overlap_kernel(2, ds.SamplingGrid(1e-3, 60))
     with pytest.raises(NumericalRangeError) as info:
-        ds.overlap_kernel(2, ds.SamplingGrid(1e-3, 60))
+        kernel.eigenvalues
     assert info.value.log_value < -700
     # the same at a length of 256
+    kernel = ds.overlap_kernel(8, ds.SamplingGrid(0.2, 256))
     with pytest.raises(NumericalRangeError) as info:
-        ds.overlap_kernel(8, ds.SamplingGrid(0.2, 256))
+        kernel.eigenvalues
     assert info.value.log_value < -745
 
 
@@ -452,12 +474,12 @@ def test_only_cli_main_writes_output_files():
          "lambda_300000", None),
         # the eigenvalues of (2, 1e-3, 60) fall by about 1e-6 a step; lhat_55
         # is the first below the smallest subnormal
-        (lambda: ds.overlap_kernel(2, ds.SamplingGrid(1e-3, 60)), "lhat_55", None),
-        # the README's kernels that end below the range: each is refused at its
-        # first entry below it, not at its smallest
-        (lambda: ds.overlap_kernel(2, ds.SamplingGrid(0.7, 2048)), "lhat_1064",
+        (lambda: ds.overlap_kernel(2, ds.SamplingGrid(1e-3, 60)).eigenvalues, "lhat_55", None),
+        # the README's kernels that end below the range build; their linear
+        # eigenvalues are refused at the first entry below it, not the smallest
+        (lambda: ds.overlap_kernel(2, ds.SamplingGrid(0.7, 2048)).eigenvalues, "lhat_1064",
          -745.7556207438472),
-        (lambda: ds.overlap_kernel(2, ds.SamplingGrid(0.9, 4096)), "lhat_3599",
+        (lambda: ds.overlap_kernel(2, ds.SamplingGrid(0.9, 4096)).eigenvalues, "lhat_3599",
          -745.1999988275131),
     ],
     ids=["frame-lambdas", "spectrum-values", "spectrum-value", "kernel-eigenvalues",

@@ -271,6 +271,28 @@ class TestKernelEigenvalues:
             best = min(best, time.perf_counter() - start)
         assert best <= 0.1
 
+    @pytest.mark.parametrize(
+        "twice_s, radius, n", [(2, 0.7, 2048), (2, 0.9, 4096), (2, 0.3, 4096), (2, 0.1, 2048),
+                               (8, 0.5, 4096), (2, 1e-3, 60)]
+    )
+    def test_kernels_past_the_floor_of_the_double_range_build(self, twice_s, radius, n):
+        # their smallest lhat_j underflow: the FFT check holds those to its
+        # absolute bound, and the finite sum checks the smallest in logs
+        grid = ds.SamplingGrid(radius, n)
+        best = math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(3):
+                start = time.perf_counter()
+                kernel = ds.overlap_kernel(twice_s, grid)
+                best = min(best, time.perf_counter() - start)
+        assert best <= 0.1
+        log_eig = kernel.log_eigenvalues
+        assert log_eig.min() < -745.2 and kernel.condition_number == math.inf
+        for j in (0, int(np.argmin(log_eig)), n - 1):
+            exact = float(oracle.finite_sum_log_eigenvalues(twice_s, grid, [j])[0])
+            assert abs(log_eig[j] - exact) <= max(1e-12, math.ulp(exact)), j
+
     def test_condition_number_beyond_the_double_range_is_inf_without_a_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
